@@ -37,20 +37,17 @@ from .harness import (
 from .model import (
     CostModel,
     FeasibilityReport,
-    PlacementSnapshot,
     Request,
     ServiceClass,
     Topology,
     build_tree,
     check_feasible,
     feasible_set_for,
-    objective_cost,
 )
 from .protocol import (
     ProtocolNode,
     ProtocolTiming,
-    PushDownRecord,
-    PushUpRecord,
+    Record,
 )
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -64,6 +61,7 @@ from .simnet import (
     Counters,
     EpochDecision,
     EpochProblem,
+    InvariantError,
     LinkModel,
     RunResult,
     Simulator,
@@ -84,20 +82,18 @@ __all__ = [
     "ServiceClass",
     "CostModel",
     "Request",
-    "PlacementSnapshot",
     "FeasibilityReport",
     "feasible_set_for",
-    "objective_cost",
     "check_feasible",
     # protocol
     "ProtocolNode",
     "ProtocolTiming",
-    "PushUpRecord",
-    "PushDownRecord",
+    "Record",
     # simulation
     "Simulator",
     "RunResult",
     "Counters",
+    "InvariantError",
     "LinkModel",
     "TraceEvent",
     "load_trace",

@@ -51,6 +51,29 @@ def _movable(problem: EpochProblem) -> list[ActiveService]:
     return [svc for svc in problem.services if svc.movable]
 
 
+def _lowest_with_room(
+    problem: EpochProblem, svc: ActiveService, residual: Mapping[DatacenterId, int]
+) -> DatacenterId | None:
+    for node in svc.feasible:  # PoA first, root last
+        units = problem.demand(svc.class_id, node)
+        if units is not None and units <= residual[node]:
+            return node
+    return None
+
+
+def _assign(
+    problem: EpochProblem,
+    residual: dict[DatacenterId, int],
+    placement: dict[RequestId, DatacenterId],
+    svc: ActiveService,
+    node: DatacenterId,
+) -> None:
+    units = problem.demand(svc.class_id, node)
+    assert units is not None
+    residual[node] -= units
+    placement[svc.request_id] = node
+
+
 # ---------------------------------------------------------------------------
 # first fit
 
@@ -61,12 +84,9 @@ def first_fit(problem: EpochProblem) -> EpochDecision:
     residual = _residual_capacity(problem, {s.request_id for s in todo})
     placement: dict[RequestId, DatacenterId] = {}
     for svc in todo:
-        for node in svc.feasible:  # PoA first, root last
-            units = problem.demand(svc.class_id, node)
-            if units is not None and units <= residual[node]:
-                residual[node] -= units
-                placement[svc.request_id] = node
-                break
+        node = _lowest_with_room(problem, svc, residual)
+        if node is not None:
+            _assign(problem, residual, placement, svc, node)
     return EpochDecision(placement=placement)
 
 
@@ -135,25 +155,15 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
         _movable(problem), key=lambda s: (len(s.feasible), s.request_id)
     )
     for svc in todo:
-        placed = False
-        for node in svc.feasible:
-            units = problem.demand(svc.class_id, node)
-            if units is not None and units <= residual[node]:
-                residual[node] -= units
-                placement[svc.request_id] = node
-                placed = True
-                break
-        if placed:
-            continue
-        for node in svc.feasible:
-            units = problem.demand(svc.class_id, node)
-            if units is None:
-                continue
-            if try_free(node, units):
-                residual[node] -= units
-                placement[svc.request_id] = node
-                placed = True
-                break
+        target = _lowest_with_room(problem, svc, residual)
+        if target is None:
+            for node in svc.feasible:
+                units = problem.demand(svc.class_id, node)
+                if units is not None and try_free(node, units):
+                    target = node
+                    break
+        if target is not None:
+            _assign(problem, residual, placement, svc, target)
     # lifting pass: raise tentative placements as high as room allows
     for rid in sorted(placement):
         svc = next(s for s in problem.services if s.request_id == rid)
@@ -195,19 +205,11 @@ def cheapest_feasible(problem: EpochProblem) -> EpochDecision:
             units = problem.demand(svc.class_id, node)
             if units is None or units > residual[node]:
                 continue
-            price = problem.costs.place_price(
-                svc.class_id, problem.topology.level(node)
-            )
-            if svc.current_host is not None and svc.current_host != node:
-                price += problem.costs.move_price(svc.class_id)
+            price = problem.price(svc, node)
             if best is None or (price, node) < best:
                 best = (price, node)
         if best is not None:
-            _, node = best
-            units = problem.demand(svc.class_id, node)
-            assert units is not None
-            residual[node] -= units
-            placement[svc.request_id] = node
+            _assign(problem, residual, placement, svc, best[1])
     return EpochDecision(placement=placement)
 
 
@@ -244,14 +246,8 @@ def availability_scaler(problem: EpochProblem) -> EpochDecision:
             units = problem.demand(svc.class_id, node)
             if units is not None and units <= residual[node]:
                 candidates.append((-residual[node], node))
-        if not candidates:
-            continue
-        candidates.sort()
-        node = candidates[0][1]
-        units = problem.demand(svc.class_id, node)
-        assert units is not None
-        residual[node] -= units
-        placement[svc.request_id] = node
+        if candidates:
+            _assign(problem, residual, placement, svc, min(candidates)[1])
     return EpochDecision(placement=placement)
 
 
@@ -262,7 +258,6 @@ def availability_scaler(problem: EpochProblem) -> EpochDecision:
 @dataclass
 class ExactSolverStats:
     nodes_expanded: int = 0
-    best_cost: float | None = None
 
 
 def exact_optimal(
@@ -285,12 +280,6 @@ def exact_optimal(
     )
     residual = {n: topology.capacity(n) for n in topology.nodes}
 
-    def marginal(svc: ActiveService, node: DatacenterId) -> float:
-        price = problem.costs.place_price(svc.class_id, topology.level(node))
-        if svc.current_host is not None and svc.current_host != node:
-            price += problem.costs.move_price(svc.class_id)
-        return price
-
     options: list[list[tuple[float, DatacenterId, int]]] = []
     for svc in services:
         cand = []
@@ -298,7 +287,7 @@ def exact_optimal(
             units = problem.demand(svc.class_id, node)
             if units is None:
                 continue
-            cand.append((marginal(svc, node), node, units))
+            cand.append((problem.price(svc, node), node, units))
         if not cand:
             return EpochDecision(placement={}, solved=False)
         cand.sort(key=lambda t: (t[0], t[1]))
@@ -308,8 +297,8 @@ def exact_optimal(
     for i in range(len(services) - 1, -1, -1):
         tail[i] = tail[i + 1] + options[i][0][0]
 
-    best_cost = float("inf")
-    best_assignment: list[DatacenterId] | None = None
+    incumbent_cost = float("inf")
+    incumbent: list[DatacenterId] | None = None
     # Warm start from the bottom-up heuristic: a ready incumbent means a
     # feasible answer survives even a budget cut-off, and its cost prunes
     # the search from the first node.
@@ -331,29 +320,29 @@ def exact_optimal(
                 usable = False
                 break
             load[node] = load.get(node, 0) + units
-            seed_cost += marginal(svc, node)
+            seed_cost += problem.price(svc, node)
         if usable and all(
             load[n] <= topology.capacity(n) for n in load
         ):
-            best_cost = seed_cost
-            best_assignment = candidate
+            incumbent_cost = seed_cost
+            incumbent = candidate
     assignment: list[DatacenterId] = [0] * len(services)
     expanded = 0
     exhausted = False
 
     def descend(index: int, cost: float) -> None:
-        nonlocal best_cost, best_assignment, expanded, exhausted
+        nonlocal incumbent_cost, incumbent, expanded, exhausted
         if exhausted:
             return
         expanded += 1
         if expanded > node_budget:
             exhausted = True
             return
-        if cost + tail[index] >= best_cost:
+        if cost + tail[index] >= incumbent_cost:
             return
         if index == len(services):
-            best_cost = cost
-            best_assignment = assignment.copy()
+            incumbent_cost = cost
+            incumbent = assignment.copy()
             return
         for price, node, units in options[index]:
             if units > residual[node]:
@@ -368,13 +357,12 @@ def exact_optimal(
     descend(0, 0.0)
     if stats is not None:
         stats.nodes_expanded = expanded
-        stats.best_cost = None if best_assignment is None else best_cost
-    if best_assignment is None:
+    if incumbent is None:
         return EpochDecision(
             placement={}, solved=False, exhausted_budget=exhausted
         )
     placement = {
-        svc.request_id: best_assignment[i] for i, svc in enumerate(services)
+        svc.request_id: incumbent[i] for i, svc in enumerate(services)
     }
     return EpochDecision(
         placement=placement, solved=True, exhausted_budget=exhausted

@@ -19,20 +19,15 @@ __all__ = [
     "ServiceClass",
     "CostModel",
     "Request",
-    "PlacementSnapshot",
     "FeasibilityReport",
     "Topology",
     "build_tree",
     "feasible_set_for",
-    "objective_cost",
     "check_feasible",
 ]
 
 DatacenterId = int
 RequestId = int
-
-#: Sentinel returned by :func:`objective_cost` for infeasible placements.
-INFEASIBLE_COST = float("inf")
 
 
 @dataclass(frozen=True)
@@ -93,20 +88,6 @@ class Request:
     def top_feasible(self) -> DatacenterId:
         """The highest (closest-to-root) datacenter that may host this request."""
         return self.feasible[-1]
-
-
-@dataclass(frozen=True)
-class PlacementSnapshot:
-    """Before/after placement maps for one decision period.
-
-    ``current`` is where each request runs now; ``scheduled`` is where it
-    will run after the period's decisions execute.  Requests absent from
-    ``current`` are newly arrived; requests absent from ``scheduled`` were
-    left unplaced.
-    """
-
-    current: Mapping[RequestId, DatacenterId]
-    scheduled: Mapping[RequestId, DatacenterId]
 
 
 @dataclass(frozen=True)
@@ -301,41 +282,6 @@ def feasible_set_for(
             break
         out.append(node)
     return tuple(out)
-
-
-def objective_cost(
-    topology: Topology,
-    classes: Mapping[int, ServiceClass],
-    costs: CostModel,
-    requests: Mapping[RequestId, Request],
-    snapshot: PlacementSnapshot,
-) -> float:
-    """Total decision-period cost of moving from ``current`` to ``scheduled``.
-
-    Sums one migration charge per request whose host changed plus the
-    hosting price of every scheduled placement.  Returns infinity when any
-    request is left unplaced, placed outside its feasible set, or when the
-    scheduled load exceeds any datacenter's capacity.
-    """
-    load: dict[DatacenterId, int] = {}
-    total = 0.0
-    for rid, req in requests.items():
-        node = snapshot.scheduled.get(rid)
-        if node is None or node not in req.feasible:
-            return INFEASIBLE_COST
-        svc = classes[req.class_id]
-        demand = svc.demand_at(topology.level(node))
-        if demand is None:
-            return INFEASIBLE_COST
-        load[node] = load.get(node, 0) + demand
-        total += costs.place_price(req.class_id, topology.level(node))
-        previous = snapshot.current.get(rid)
-        if previous is not None and previous != node:
-            total += costs.move_price(req.class_id)
-    for node, used in load.items():
-        if used > topology.capacity(node):
-            return INFEASIBLE_COST
-    return total
 
 
 def check_feasible(

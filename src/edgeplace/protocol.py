@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .model import DatacenterId, RequestId, Topology
+from .model import DatacenterId, Request, RequestId, Topology
 
 __all__ = [
-    "PushUpRecord",
-    "PushDownRecord",
+    "Record",
     "SfsMsg",
     "PuMsg",
     "PuAckMsg",
@@ -54,13 +53,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PushUpRecord:
-    """One request as carried by scan and push-up traffic.
+class Record:
+    """One request as carried by scan, push-up and push-down traffic.
 
     ``origin`` is the datacenter currently holding the request's
     reservation or placement (None while nobody does).  ``current_host``
     remembers where a relocated user's service still runs, so hosting the
-    record elsewhere is billed as a migration.
+    record elsewhere is billed as a migration.  Push-down records also
+    carry ``beta_at_initiator``, the request's CPU demand at the push-down
+    initiator, so deficit bookkeeping survives relaying into subtrees where
+    the demand differs; scan and push-up records leave it None.
     """
 
     request_id: RequestId
@@ -73,26 +75,7 @@ class PushUpRecord:
     #: stale in-flight copies are dropped on merge (simulator bookkeeping
     #: only — not part of the wire layout)
     generation: int = 0
-
-    @property
-    def top_feasible(self) -> DatacenterId:
-        return self.feasible[-1]
-
-
-@dataclass(frozen=True)
-class PushDownRecord:
-    """A push-up record extended with its CPU demand at the push-down
-    initiator, so deficit bookkeeping survives relaying into subtrees
-    where the demand differs."""
-
-    request_id: RequestId
-    class_id: int
-    origin: DatacenterId | None
-    feasible: tuple[DatacenterId, ...]
-    is_new: bool
-    beta_at_initiator: int
-    current_host: DatacenterId | None = None
-    generation: int = 0
+    beta_at_initiator: int | None = None
 
     @property
     def top_feasible(self) -> DatacenterId:
@@ -103,22 +86,22 @@ class PushDownRecord:
 class SfsMsg:
     """Bottom-up scan batch: unassigned records plus reservation adverts."""
 
-    not_assigned: tuple[PushUpRecord, ...]
-    push_up: tuple[PushUpRecord, ...]
+    not_assigned: tuple[Record, ...]
+    push_up: tuple[Record, ...]
 
 
 @dataclass(frozen=True)
 class PuMsg:
     """Push-up records still pending, descending toward their origins."""
 
-    records: tuple[PushUpRecord, ...]
+    records: tuple[Record, ...]
 
 
 @dataclass(frozen=True)
 class PuAckMsg:
     """Final push-up verdicts (record, hosted-above flag), descending."""
 
-    acks: tuple[tuple[PushUpRecord, bool], ...]
+    acks: tuple[tuple[Record, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -127,7 +110,7 @@ class PdRequestMsg:
 
     initiator: DatacenterId
     deficit: int
-    records: tuple[PushDownRecord, ...]
+    records: tuple[Record, ...]
 
 
 @dataclass(frozen=True)
@@ -137,7 +120,7 @@ class PdAckMsg:
 
     initiator: DatacenterId
     deficit: int
-    acks: tuple[tuple[PushDownRecord, bool], ...]
+    acks: tuple[tuple[Record, bool], ...]
 
 
 ProtocolMsg = SfsMsg | PuMsg | PuAckMsg | PdRequestMsg | PdAckMsg
@@ -186,23 +169,13 @@ class World(Protocol):
 
     def is_relocating(self, request_id: RequestId) -> bool: ...
 
-    def record_current(self, rec: "PushUpRecord | PushDownRecord") -> bool: ...
+    def record_current(self, rec: Record) -> bool: ...
 
-    def request_info(self, request_id: RequestId) -> "RequestView | None": ...
+    def request_info(self, request_id: RequestId) -> Request | None: ...
 
     def note_push_down(self) -> None: ...
 
     def log(self, node: DatacenterId, text: str) -> None: ...
-
-
-@dataclass(frozen=True)
-class RequestView:
-    """Engine-side identity of a request, as protocol nodes may query it."""
-
-    request_id: RequestId
-    class_id: int
-    poa: DatacenterId
-    feasible: tuple[DatacenterId, ...]
 
 
 # --------------------------------------------------------------------------
@@ -210,10 +183,10 @@ class RequestView:
 
 
 def sort_requests(
-    records: Iterable[PushUpRecord],
+    records: Iterable[Record],
     local_subtree: frozenset[DatacenterId],
     demand_here: Mapping[int, int],
-) -> list[PushUpRecord]:
+) -> list[Record]:
     """Order records most-constrained-first for placement attempts.
 
     Keys: fewest feasible fallbacks outside this subtree first, then the
@@ -221,12 +194,25 @@ def sort_requests(
     ones, then request id — a total, stable order.
     """
 
-    def key(rec: PushUpRecord) -> tuple[int, int, int, int]:
+    def key(rec: Record) -> tuple[int, int, int, int]:
         outside = sum(1 for n in rec.feasible if n not in local_subtree)
         units = demand_here.get(rec.class_id, 1 << 30)
         return (outside, units, 1 if rec.is_new else 0, rec.request_id)
 
     return sorted(records, key=key)
+
+
+def _without(records: list[Record], request_id: RequestId) -> list[Record]:
+    return [r for r in records if r.request_id != request_id]
+
+
+def _rids(request_ids: Iterable[RequestId]) -> str:
+    """Request ids as the event log lists them: ``r1,r4,r9``."""
+    return ",".join(f"r{rid}" for rid in request_ids)
+
+
+def _ids(records: Iterable[Record]) -> str:
+    return _rids(r.request_id for r in records)
 
 
 # --------------------------------------------------------------------------
@@ -244,9 +230,9 @@ class PdSession:
     initiator: DatacenterId
     caller: DatacenterId | None
     deficit: int
-    records: list[PushDownRecord]
+    records: list[Record]
     pending_children: list[DatacenterId]
-    received: tuple[PushDownRecord, ...] = ()
+    received: tuple[Record, ...] = ()
     hosted_ids: set[RequestId] = field(default_factory=set)
     awaiting: DatacenterId | None = None
 
@@ -278,12 +264,12 @@ class ProtocolNode:
         # request bookkeeping
         self.assigned: dict[RequestId, int] = {}
         self.placed: dict[RequestId, int] = {}
-        self.not_assigned: list[PushUpRecord] = []
-        self.push_up: list[PushUpRecord] = []
-        self.outstanding_pu: dict[RequestId, PushUpRecord] = {}
+        self.not_assigned: list[Record] = []
+        self.push_up: list[Record] = []
+        self.outstanding_pu: dict[RequestId, Record] = {}
         # batching buffers + timers
-        self.scan_buf_na: list[PushUpRecord] = []
-        self.scan_buf_pu: list[PushUpRecord] = []
+        self.scan_buf_na: list[Record] = []
+        self.scan_buf_pu: list[Record] = []
         self.scan_timer_armed = False
         self.pd_pending: list[RequestId] = []
         self.pd_timer_armed = False
@@ -298,13 +284,28 @@ class ProtocolNode:
     def _demand_here(self, class_id: int) -> int | None:
         return self.world.demand(class_id, self.node_id)
 
-    def _demand_map(self) -> dict[int, int]:
-        seen: dict[int, int] = {}
-        for rec in self.not_assigned + self.push_up:
-            units = self._demand_here(rec.class_id)
-            if units is not None:
-                seen[rec.class_id] = units
-        return seen
+    def _sorted(self, records: list[Record]) -> list[Record]:
+        """``records`` in placement-attempt order (see :func:`sort_requests`)."""
+        demand = {
+            r.class_id: u
+            for r in records
+            if (u := self._demand_here(r.class_id)) is not None
+        }
+        return sort_requests(records, self.subtree, demand)
+
+    def _arm_timer(self, kind: str) -> None:
+        """Arm the ``scan`` or ``push_down`` batch timer unless it is pending."""
+        if kind == "scan":
+            if self.scan_timer_armed:
+                return
+            self.scan_timer_armed = True
+            deadline = self.timing.scan_deadline(self.level, self.world.now())
+        else:
+            if self.pd_timer_armed:
+                return
+            self.pd_timer_armed = True
+            deadline = self.timing.push_down_deadline(self.level, self.world.now())
+        self.world.arm_timer(self.node_id, kind, deadline)
 
     def in_f_mode(self) -> bool:
         return self.world.now() < self.f_mode_until
@@ -322,11 +323,6 @@ class ProtocolNode:
                 return child
         raise AssertionError(f"node {node} is not below {self.node_id}")
 
-    def _sort_not_assigned(self) -> None:
-        self.not_assigned = sort_requests(
-            self.not_assigned, self.subtree, self._demand_map()
-        )
-
     def _already_served(self, request_id: RequestId) -> bool:
         """True when the request sits at a host that still serves its user.
 
@@ -339,7 +335,7 @@ class ProtocolNode:
         )
 
     def _merge_records(
-        self, target: list[PushUpRecord], incoming: Iterable[PushUpRecord]
+        self, target: list[Record], incoming: Iterable[Record]
     ) -> None:
         known = {rec.request_id for rec in target}
         for rec in incoming:
@@ -352,21 +348,46 @@ class ProtocolNode:
             target.append(rec)
             known.add(rec.request_id)
 
+    def _take_scan_input(
+        self, incoming_na: Sequence[Record], incoming_pu: Sequence[Record]
+    ) -> None:
+        """Scan prelude: merge a batch into the backlog, most constrained first."""
+        self._merge_records(self.not_assigned, incoming_na)
+        self._merge_records(self.push_up, incoming_pu)
+        self.not_assigned = self._sorted(self.not_assigned)
+
+    def _take_push_up(self, incoming: Sequence[Record]) -> list[Record]:
+        """Push-up prelude: claim the advert backlog plus ``incoming``."""
+        for rec in incoming:
+            self.outstanding_pu.pop(rec.request_id, None)
+        records = self.push_up
+        self.push_up = []
+        self._merge_records(records, incoming)
+        return records
+
+    def _relay_acks(self, acks: Iterable[tuple[Record, bool]]) -> None:
+        """Send push-up verdicts toward their origins, one message per child."""
+        by_child: dict[DatacenterId, list[tuple[Record, bool]]] = {}
+        for rec, hosted_above in acks:
+            assert rec.origin is not None
+            by_child.setdefault(self._child_towards(rec.origin), []).append(
+                (rec, hosted_above)
+            )
+        for child in sorted(by_child):
+            self.world.send(self.node_id, child, PuAckMsg(tuple(by_child[child])))
+
     # -- engine entry points ----------------------------------------------
 
     def buffer_scan_input(
         self,
-        not_assigned: Sequence[PushUpRecord],
-        push_up: Sequence[PushUpRecord],
+        not_assigned: Sequence[Record],
+        push_up: Sequence[Record],
     ) -> None:
         """Queue scan work (arrivals or a child's batch) behind the timer."""
         self.scan_buf_na.extend(not_assigned)
         self.scan_buf_pu.extend(push_up)
-        if not self.scan_timer_armed and (self.scan_buf_na or self.scan_buf_pu):
-            self.scan_timer_armed = True
-            self.world.arm_timer(
-                self.node_id, "scan", self.timing.scan_deadline(self.level, self.world.now())
-            )
+        if self.scan_buf_na or self.scan_buf_pu:
+            self._arm_timer("scan")
 
     def on_timer(self, kind: str) -> None:
         if kind == "scan":
@@ -427,25 +448,23 @@ class ProtocolNode:
 
     def notify_gone(self, request_id: RequestId) -> None:
         """Purge every trace of a departed or withdrawn request."""
-        self.not_assigned = [r for r in self.not_assigned if r.request_id != request_id]
-        self.push_up = [r for r in self.push_up if r.request_id != request_id]
-        self.scan_buf_na = [r for r in self.scan_buf_na if r.request_id != request_id]
-        self.scan_buf_pu = [r for r in self.scan_buf_pu if r.request_id != request_id]
+        self.not_assigned = _without(self.not_assigned, request_id)
+        self.push_up = _without(self.push_up, request_id)
+        self.scan_buf_na = _without(self.scan_buf_na, request_id)
+        self.scan_buf_pu = _without(self.scan_buf_pu, request_id)
         self.outstanding_pu.pop(request_id, None)
         self.pd_pending = [rid for rid in self.pd_pending if rid != request_id]
         if request_id in self.assigned:
             self.available += self.assigned.pop(request_id)
         if self.pd_session is not None:
-            self.pd_session.records = [
-                r for r in self.pd_session.records if r.request_id != request_id
-            ]
+            self.pd_session.records = _without(self.pd_session.records, request_id)
 
     # -- bottom-up scan ----------------------------------------------------
 
     def run_scan(
         self,
-        incoming_na: Sequence[PushUpRecord],
-        incoming_pu: Sequence[PushUpRecord],
+        incoming_na: Sequence[Record],
+        incoming_pu: Sequence[Record],
     ) -> None:
         """Normal-mode batch: reserve locally, else route toward a decision.
 
@@ -454,16 +473,10 @@ class ProtocolNode:
         together with reservation adverts, and when nothing is pending
         above, the node resolves its own advert backlog locally.
         """
-        self._merge_records(self.not_assigned, incoming_na)
-        self._merge_records(self.push_up, incoming_pu)
-        self._sort_not_assigned()
+        self._take_scan_input(incoming_na, incoming_pu)
         self.world.log(
             self.node_id,
-            "scan run na=[%s] pu=[%s]"
-            % (
-                ",".join(f"r{r.request_id}" for r in self.not_assigned),
-                ",".join(f"r{r.request_id}" for r in self.push_up),
-            ),
+            "scan run na=[%s] pu=[%s]" % (_ids(self.not_assigned), _ids(self.push_up)),
         )
         new_push_down: list[RequestId] = []
         for rec in list(self.not_assigned):
@@ -490,24 +503,16 @@ class ProtocolNode:
         if new_push_down:
             self.pd_pending.extend(new_push_down)
             self.world.log(
-                self.node_id,
-                "scan push-down-pending [%s]"
-                % ",".join(f"r{rid}" for rid in new_push_down),
+                self.node_id, "scan push-down-pending [%s]" % _rids(new_push_down)
             )
-            if not self.pd_timer_armed:
-                self.pd_timer_armed = True
-                self.world.arm_timer(
-                    self.node_id,
-                    "push_down",
-                    self.timing.push_down_deadline(self.level, self.world.now()),
-                )
+            self._arm_timer("push_down")
             return  # the push-down epilogue will move the leftovers
         self._forward_and_resolve()
 
     def run_fallback_scan(
         self,
-        incoming_na: Sequence[PushUpRecord],
-        incoming_pu: Sequence[PushUpRecord],
+        incoming_na: Sequence[Record],
+        incoming_pu: Sequence[Record],
     ) -> None:
         """Quarantine-mode batch: place immediately, never reserve.
 
@@ -515,14 +520,8 @@ class ProtocolNode:
         node's own pending push-down, schedule one, or — while a push-down
         is still winding down — are failed outright.
         """
-        self._merge_records(self.not_assigned, incoming_na)
-        self._merge_records(self.push_up, incoming_pu)
-        self._sort_not_assigned()
-        self.world.log(
-            self.node_id,
-            "f-scan run na=[%s]"
-            % ",".join(f"r{r.request_id}" for r in self.not_assigned),
-        )
+        self._take_scan_input(incoming_na, incoming_pu)
+        self.world.log(self.node_id, "f-scan run na=[%s]" % _ids(self.not_assigned))
         schedule_push_down: list[RequestId] = []
         for rec in list(self.not_assigned):
             if self._already_served(rec.request_id):
@@ -550,16 +549,10 @@ class ProtocolNode:
             self.pd_pending.extend(schedule_push_down)
             self.world.log(
                 self.node_id,
-                "f-scan push-down-pending [%s]"
-                % ",".join(f"r{rid}" for rid in schedule_push_down),
+                "f-scan push-down-pending [%s]" % _rids(schedule_push_down),
             )
-            if not self.pd_timer_armed and not self.within_pd:
-                self.pd_timer_armed = True
-                self.world.arm_timer(
-                    self.node_id,
-                    "push_down",
-                    self.timing.push_down_deadline(self.level, self.world.now()),
-                )
+            if not self.within_pd:
+                self._arm_timer("push_down")
         pending = set(self.pd_pending)
         forward = [
             rec
@@ -573,8 +566,7 @@ class ProtocolNode:
                 self.not_assigned.remove(rec)
             self.world.log(
                 self.node_id,
-                "f-scan forward [%s] -> s%d"
-                % (",".join(f"r{r.request_id}" for r in forward), self.parent),
+                "f-scan forward [%s] -> s%d" % (_ids(forward), self.parent),
             )
             self.world.send(
                 self.node_id, self.parent, SfsMsg(tuple(forward), ())
@@ -597,11 +589,7 @@ class ProtocolNode:
                 self.world.log(
                     self.node_id,
                     "scan forward na=[%s] pu=[%s] -> s%d"
-                    % (
-                        ",".join(f"r{r.request_id}" for r in fwd_na),
-                        ",".join(f"r{r.request_id}" for r in fwd_pu),
-                        self.parent,
-                    ),
+                    % (_ids(fwd_na), _ids(fwd_pu), self.parent),
                 )
                 self.world.send(
                     self.node_id, self.parent, SfsMsg(tuple(fwd_na), tuple(fwd_pu))
@@ -623,30 +611,15 @@ class ProtocolNode:
 
     # -- push-up -----------------------------------------------------------
 
-    def run_push_up(self, incoming: Sequence[PushUpRecord]) -> None:
+    def run_push_up(self, incoming: Sequence[Record]) -> None:
         """Resolve advert records: host here or hand them back down."""
-        for rec in incoming:
-            self.outstanding_pu.pop(rec.request_id, None)
-        records = list(self.push_up)
-        self.push_up = []
-        self._merge_records(records, incoming)
+        records = self._take_push_up(incoming)
         if not records:
             return
-        records = sort_requests(
-            records,
-            self.subtree,
-            {
-                r.class_id: u
-                for r in records
-                if (u := self._demand_here(r.class_id)) is not None
-            },
-        )
-        self.world.log(
-            self.node_id,
-            "pu run [%s]" % ",".join(f"r{r.request_id}" for r in records),
-        )
-        acks: dict[DatacenterId, list[tuple[PushUpRecord, bool]]] = {}
-        downs: dict[DatacenterId, list[PushUpRecord]] = {}
+        records = self._sorted(records)
+        self.world.log(self.node_id, "pu run [%s]" % _ids(records))
+        acks: dict[DatacenterId, list[tuple[Record, bool]]] = {}
+        downs: dict[DatacenterId, list[Record]] = {}
         for rec in records:
             if rec.origin == self.node_id:
                 # back at its reservation: nothing above took it
@@ -674,10 +647,10 @@ class ProtocolNode:
                 self.world.send(self.node_id, child, PuMsg(tuple(downs[child])))
 
     def handle_push_up_acks(
-        self, ack_records: Sequence[tuple[PushUpRecord, bool]]
+        self, ack_records: Sequence[tuple[Record, bool]]
     ) -> None:
         """Apply verdicts from above: free or convert reservations, relay the rest."""
-        relay: dict[DatacenterId, list[tuple[PushUpRecord, bool]]] = {}
+        relay: list[tuple[Record, bool]] = []
         for rec, hosted_above in ack_records:
             self.outstanding_pu.pop(rec.request_id, None)
             if not self.world.is_active(rec.request_id):
@@ -694,32 +667,21 @@ class ProtocolNode:
                         rec.request_id, self.node_id, from_reservation=True
                     )
             else:
-                assert rec.origin is not None
-                relay.setdefault(self._child_towards(rec.origin), []).append(
-                    (rec, hosted_above)
-                )
-        for child in sorted(relay):
-            self.world.send(self.node_id, child, PuAckMsg(tuple(relay[child])))
+                relay.append((rec, hosted_above))
+        self._relay_acks(relay)
         if not self.outstanding_pu and self.push_up and not self.within_pd:
             if self.in_f_mode():
                 self.run_fallback_push_up(())
             else:
                 self.run_push_up(())
 
-    def run_fallback_push_up(self, incoming: Sequence[PushUpRecord]) -> None:
+    def run_fallback_push_up(self, incoming: Sequence[Record]) -> None:
         """Quarantine-mode push-up: refuse everything, settling reservations."""
-        for rec in incoming:
-            self.outstanding_pu.pop(rec.request_id, None)
-        records = list(self.push_up)
-        self.push_up = []
-        self._merge_records(records, incoming)
+        records = self._take_push_up(incoming)
         if not records:
             return
-        self.world.log(
-            self.node_id,
-            "f-pu refuse [%s]" % ",".join(f"r{r.request_id}" for r in records),
-        )
-        relay: dict[DatacenterId, list[tuple[PushUpRecord, bool]]] = {}
+        self.world.log(self.node_id, "f-pu refuse [%s]" % _ids(records))
+        relay: list[tuple[Record, bool]] = []
         for rec in records:
             if not self.world.is_active(rec.request_id):
                 continue
@@ -729,32 +691,28 @@ class ProtocolNode:
                         rec.request_id, self.node_id, from_reservation=True
                     )
             else:
-                assert rec.origin is not None
-                relay.setdefault(self._child_towards(rec.origin), []).append(
-                    (rec, False)
-                )
-        for child in sorted(relay):
-            self.world.send(self.node_id, child, PuAckMsg(tuple(relay[child])))
+                relay.append((rec, False))
+        self._relay_acks(relay)
 
     # -- push-down ---------------------------------------------------------
 
-    def _appended_offer_records(self) -> list[PushDownRecord]:
-        """Own reserved-then-stalled and hosted services a push-down may move."""
-        offers: list[PushDownRecord] = []
+    def _appended_offer_records(self) -> list[Record]:
+        """Own reserved-then-stalled and hosted services a push-down may move.
+
+        Push-down records carry generation 0, not the request's current
+        one, so those of a user who has moved arrive stale (the FOUND line
+        on push-down generations in CHANGES.md); the real generation would
+        change the churn results.
+        """
+        offers: list[Record] = []
         for rec in self.push_up:
             if rec.origin != self.node_id:
                 continue  # advert relayed for a descendant, not ours to move
             if rec.request_id in self.outstanding_pu:
                 continue
             offers.append(
-                PushDownRecord(
-                    request_id=rec.request_id,
-                    class_id=rec.class_id,
-                    origin=self.node_id,
-                    feasible=rec.feasible,
-                    is_new=rec.is_new,
-                    beta_at_initiator=self.assigned[rec.request_id],
-                    current_host=rec.current_host,
+                replace(
+                    rec, generation=0, beta_at_initiator=self.assigned[rec.request_id]
                 )
             )
         for rid in sorted(self.placed):
@@ -764,14 +722,15 @@ class ProtocolNode:
             if req is None:
                 continue
             offers.append(
-                PushDownRecord(
+                Record(
                     request_id=rid,
                     class_id=req.class_id,
                     origin=self.node_id,
                     feasible=req.feasible,
                     is_new=False,
-                    beta_at_initiator=self.placed[rid],
                     current_host=self.node_id,
+                    generation=0,
+                    beta_at_initiator=self.placed[rid],
                 )
             )
         return offers
@@ -781,23 +740,16 @@ class ProtocolNode:
         pending = [rid for rid in self.pd_pending if self.world.is_active(rid)]
         self.pd_pending = []
         by_id = {rec.request_id: rec for rec in self.not_assigned}
-        problematic: list[PushDownRecord] = []
+        problematic: list[Record] = []
         for rid in pending:
             rec = by_id.get(rid)
             if rec is None or self._already_served(rid):
                 continue
             units = self._demand_here(rec.class_id)
             assert units is not None, "stuck request must be hostable here"
+            # generation 0: see _appended_offer_records
             problematic.append(
-                PushDownRecord(
-                    request_id=rec.request_id,
-                    class_id=rec.class_id,
-                    origin=None,
-                    feasible=rec.feasible,
-                    is_new=rec.is_new,
-                    beta_at_initiator=units,
-                    current_host=rec.current_host,
-                )
+                replace(rec, origin=None, generation=0, beta_at_initiator=units)
             )
         if not problematic:
             return
@@ -814,9 +766,7 @@ class ProtocolNode:
             pending_children=list(self.children),
         )
         self.world.log(
-            self.node_id,
-            "pd start deficit=%d records=[%s]"
-            % (deficit, ",".join(f"r{r.request_id}" for r in records)),
+            self.node_id, "pd start deficit=%d records=[%s]" % (deficit, _ids(records))
         )
         self._continue_push_down()
 
@@ -842,7 +792,7 @@ class ProtocolNode:
         self.world.log(
             self.node_id,
             "pd accept from s%d deficit=%d records=[%s]"
-            % (sender, msg.deficit, ",".join(f"r{r.request_id}" for r in records)),
+            % (sender, msg.deficit, _ids(records)),
         )
         self._continue_push_down()
 
@@ -869,7 +819,7 @@ class ProtocolNode:
                 return True
         return virtual_deficit <= 0
 
-    def _hosting_reduces_deficit(self, rec: PushDownRecord) -> bool:
+    def _hosting_reduces_deficit(self, rec: Record) -> bool:
         # Only capacity that reappears at the initiator counts: moving an
         # unplaced or initiator-held service away from there shrinks the
         # deficit; shuffling a relay's own services does not.
@@ -878,7 +828,7 @@ class ProtocolNode:
         from_initiator = rec.origin is None or rec.origin == session.initiator
         return from_initiator and self.node_id != session.initiator
 
-    def _pd_record_relevant(self, rec: PushDownRecord, child: DatacenterId) -> bool:
+    def _pd_record_relevant(self, rec: Record, child: DatacenterId) -> bool:
         members = self.child_subtree[child]
         assert rec.origin is None or rec.origin not in members, (
             "push-down records never descend past their own origin"
@@ -902,7 +852,7 @@ class ProtocolNode:
             self.world.log(
                 self.node_id,
                 "pd offer -> s%d records=[%s] deficit=%d"
-                % (child, ",".join(f"r{r.request_id}" for r in offer), session.deficit),
+                % (child, _ids(offer), session.deficit),
             )
             self.world.send(
                 self.node_id,
@@ -927,22 +877,16 @@ class ProtocolNode:
         for rec, hosted in msg.acks:
             if not hosted:
                 continue
-            session.records = [
-                r for r in session.records if r.request_id != rec.request_id
-            ]
+            session.records = _without(session.records, rec.request_id)
             if rec.request_id in received_ids:
                 session.hosted_ids.add(rec.request_id)
             if rec.origin == self.node_id and rec.request_id in self.assigned:
                 # a reservation of ours was hosted below: release it
                 self.available += self.assigned.pop(rec.request_id)
-                self.push_up = [
-                    r for r in self.push_up if r.request_id != rec.request_id
-                ]
+                self.push_up = _without(self.push_up, rec.request_id)
                 self.world.log(self.node_id, f"pd release r{rec.request_id}")
             if rec.origin is None:
-                self.not_assigned = [
-                    r for r in self.not_assigned if r.request_id != rec.request_id
-                ]
+                self.not_assigned = _without(self.not_assigned, rec.request_id)
         self._continue_push_down()
 
     def _finish_push_down(self) -> None:
@@ -968,11 +912,7 @@ class ProtocolNode:
                 if self._hosting_reduces_deficit(rec):
                     session.deficit -= rec.beta_at_initiator
                 if rec.origin is None:
-                    self.not_assigned = [
-                        r
-                        for r in self.not_assigned
-                        if r.request_id != rec.request_id
-                    ]
+                    self.not_assigned = _without(self.not_assigned, rec.request_id)
         if session.caller is not None:
             payload = tuple(
                 (rec, rec.request_id in session.hosted_ids)
@@ -981,11 +921,7 @@ class ProtocolNode:
             self.world.log(
                 self.node_id,
                 "pd ack -> s%d deficit=%d hosted=[%s]"
-                % (
-                    session.caller,
-                    session.deficit,
-                    ",".join(f"r{rid}" for rid in sorted(session.hosted_ids)),
-                ),
+                % (session.caller, session.deficit, _rids(sorted(session.hosted_ids))),
             )
             self.world.send(
                 self.node_id,
@@ -1002,20 +938,10 @@ class ProtocolNode:
         self.run_fallback_scan((), ())
         self.within_pd = False
         self.pd_session = None
-        if self.pd_pending and not self.pd_timer_armed:
-            self.pd_timer_armed = True
-            self.world.arm_timer(
-                self.node_id,
-                "push_down",
-                self.timing.push_down_deadline(self.level, self.world.now()),
-            )
-        if (self.scan_buf_na or self.scan_buf_pu) and not self.scan_timer_armed:
-            self.scan_timer_armed = True
-            self.world.arm_timer(
-                self.node_id,
-                "scan",
-                self.timing.scan_deadline(self.level, self.world.now()),
-            )
+        if self.pd_pending:
+            self._arm_timer("push_down")
+        if self.scan_buf_na or self.scan_buf_pu:
+            self._arm_timer("scan")
         backlog = self.deferred
         self.deferred = []
         for sender, msg in backlog:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -467,19 +467,3 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         link=link,
     )
 
-
-def with_leaf_capacity(scenario: Scenario, leaf_capacity: int) -> Scenario:
-    """The same scenario on a tree rescaled to a new leaf capacity.
-
-    Every node gets ``(level + 1) * leaf_capacity``; explicit overrides from
-    the original tree are intentionally not preserved, since capacity
-    searches sweep regular trees."""
-    topo = scenario.topology
-    rebuilt = Topology(
-        parents={n: topo.parent(n) for n in topo.nodes},
-        levels={n: topo.level(n) for n in topo.nodes},
-        capacities={
-            n: (topo.level(n) + 1) * leaf_capacity for n in topo.nodes
-        },
-    )
-    return replace(scenario, topology=rebuilt)

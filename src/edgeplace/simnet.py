@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .model import (
     CostModel,
     DatacenterId,
+    Request,
     RequestId,
     ServiceClass,
     Topology,
@@ -40,9 +41,7 @@ from .protocol import (
     ProtocolTiming,
     PuAckMsg,
     PuMsg,
-    PushDownRecord,
-    PushUpRecord,
-    RequestView,
+    Record,
     SfsMsg,
 )
 
@@ -55,6 +54,7 @@ __all__ = [
     "Counters",
     "RunResult",
     "Simulator",
+    "InvariantError",
     "overhead_per_request",
     "DEPARTED_POA",
 ]
@@ -75,7 +75,7 @@ _DEFICIT_BITS = 16
 _PD_DEMAND_BITS = 5
 
 
-def _record_bits(rec: PushUpRecord | PushDownRecord) -> int:
+def _record_bits(rec: Record) -> int:
     # id + class + the feasible list plus origin and current-host slots,
     # each a node id wide
     return (
@@ -229,7 +229,6 @@ class RunResult:
     unplaced: tuple[RequestId, ...]
     migration_cost: float
     final_placement_cost: float
-    rent_integral: float
     comm_cost: float
     request_count: int
     #: the exact solver hit its node budget but still held a full placement
@@ -273,11 +272,10 @@ class _RequestState:
 # definition lives here because the engine builds it, while the solvers that
 # consume it live in `baselines`.
 @dataclass(frozen=True)
-class ActiveService:
-    request_id: RequestId
-    class_id: int
-    poa: DatacenterId
-    feasible: tuple[DatacenterId, ...]
+class ActiveService(Request):
+    """A request as one epoch sees it: where it runs now, and whether the
+    epoch may (re)place it."""
+
     current_host: DatacenterId | None
     movable: bool
     is_new: bool
@@ -295,6 +293,14 @@ class EpochProblem:
     def demand(self, class_id: int, node: DatacenterId) -> int | None:
         return self.classes[class_id].demand_at(self.topology.level(node))
 
+    def price(self, svc: ActiveService, node: DatacenterId) -> float:
+        """Hosting ``svc`` at ``node``: the placement price, plus one
+        migration charge when the service moves there from another host."""
+        price = self.costs.place_price(svc.class_id, self.topology.level(node))
+        if svc.current_host is not None and svc.current_host != node:
+            price += self.costs.move_price(svc.class_id)
+        return price
+
 
 EpochAlgorithm = Callable[[EpochProblem], "EpochDecision"]
 
@@ -306,6 +312,13 @@ class EpochDecision:
     placement: Mapping[RequestId, DatacenterId]
     solved: bool = True
     exhausted_budget: bool = False
+
+
+class InvariantError(AssertionError):
+    """A capacity, bookkeeping or reach invariant of the engine is broken.
+
+    Raised explicitly rather than by ``assert``, so the checks also run
+    under ``python -O``."""
 
 
 class Simulator:
@@ -353,10 +366,6 @@ class Simulator:
         self._diverged = False
         self._solver_exhausted = False
         self._infeasible = False
-        # rent bookkeeping: integral of the placement price over time
-        self._rent_rate = 0.0
-        self._rent_last = 0.0
-        self._rent_integral = 0.0
         self._migration_cost = 0.0
         # FIFO delivery per directed link: transmitter-busy horizon + guard
         self._link_busy_until: dict[tuple[int, int], float] = {}
@@ -405,7 +414,6 @@ class Simulator:
         units = self.demand(req.class_id, node)
         assert units is not None, "placement at a level that cannot host"
         old_host = req.host
-        self._advance_rent()
         if self.mode == "protocol":
             state = self.nodes[node]
             if from_reservation:
@@ -417,11 +425,7 @@ class Simulator:
                 )
                 state.available -= units
             state.placed[request_id] = units
-        else:
-            assert units + self._capacity_used[node] <= self.topology.capacity(node)
-        self._capacity_used[node] = self._capacity_used.get(node, 0) + units
-        level = self.topology.level(node)
-        self._rent_rate += self.costs.place_price(req.class_id, level)
+        self._capacity_used[node] += units
         if old_host is not None and old_host != node:
             self._release_host(req)
             self.counters.migrations += 1
@@ -436,7 +440,7 @@ class Simulator:
         self.counters.placements += 1
 
     def _release_host(self, req: _RequestState) -> None:
-        """Free the capacity and rent of a request's current placement."""
+        """Free the capacity of a request's current placement."""
         assert req.host is not None
         node = req.host
         units = self.demand(req.class_id, node)
@@ -447,9 +451,6 @@ class Simulator:
             assert freed == units
             state.available += units
         self._capacity_used[node] -= units
-        self._rent_rate -= self.costs.place_price(
-            req.class_id, self.topology.level(node)
-        )
         req.host = None
 
     def report_failure(self, request_id: RequestId, node: DatacenterId) -> None:
@@ -458,9 +459,12 @@ class Simulator:
         self.counters.failures += 1
         self._failed.append(request_id)
         self.log(node, f"failure r{request_id}")
-        if self.mode == "protocol":
-            for state in self.nodes.values():
-                state.notify_gone(request_id)
+        self._purge(request_id)
+
+    def _purge(self, request_id: RequestId) -> None:
+        """Drop a request from every protocol node (none in centralized mode)."""
+        for state in self.nodes.values():
+            state.notify_gone(request_id)
 
     def arm_timer(self, node: DatacenterId, kind: str, deadline: float) -> None:
         self._schedule(deadline, "timer", (node, kind))
@@ -476,20 +480,15 @@ class Simulator:
     def is_relocating(self, request_id: RequestId) -> bool:
         return request_id in self._relocating
 
-    def record_current(self, rec: PushUpRecord | PushDownRecord) -> bool:
+    def record_current(self, rec: Record) -> bool:
         req = self._registry.get(rec.request_id)
         return req is not None and rec.generation == req.generation
 
-    def request_info(self, request_id: RequestId) -> RequestView | None:
+    def request_info(self, request_id: RequestId) -> Request | None:
         req = self._registry.get(request_id)
         if req is None:
             return None
-        return RequestView(
-            request_id=request_id,
-            class_id=req.class_id,
-            poa=req.poa,
-            feasible=req.feasible,
-        )
+        return Request(request_id, req.class_id, req.poa, req.feasible)
 
     def note_push_down(self) -> None:
         self.counters.push_downs += 1
@@ -502,10 +501,6 @@ class Simulator:
     def _schedule(self, time: float, kind: str, data: tuple) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, data))
-
-    def _advance_rent(self) -> None:
-        self._rent_integral += self._rent_rate * (self._now - self._rent_last)
-        self._rent_last = self._now
 
     # -- trace ingestion ----------------------------------------------------
 
@@ -526,7 +521,7 @@ class Simulator:
         self._registry[user] = req
         self.log(poa, f"arrive r{user} class={class_id}")
         if self.mode == "protocol":
-            rec = PushUpRecord(
+            rec = Record(
                 request_id=user,
                 class_id=class_id,
                 origin=None,
@@ -554,20 +549,17 @@ class Simulator:
                 # attachment and could migrate the service out of reach.
                 req.generation += 1
                 self._relocating.discard(user)
-                if self.mode == "protocol":
-                    for state in self.nodes.values():
-                        state.notify_gone(user)
-                elif user in self._pending_pool:
+                self._purge(user)
+                if user in self._pending_pool:
                     self._pending_pool.remove(user)
             return  # the current placement still serves the user
         req.generation += 1
         self.counters.criticals += 1
         if self.mode == "protocol":
-            for state in self.nodes.values():
-                state.notify_gone(user)
+            self._purge(user)
             if req.state == "placed":
                 self._relocating.add(user)
-            rec = PushUpRecord(
+            rec = Record(
                 request_id=user,
                 class_id=req.class_id,
                 origin=None,
@@ -587,19 +579,15 @@ class Simulator:
         req = self._registry.get(user)
         if req is None or req.state in ("departed", "failed"):
             return
-        self._advance_rent()
         if req.host is not None:
             self._release_host(req)
         req.state = "departed"
         req.generation += 1
         self._relocating.discard(user)
         self.log(req.poa, f"depart r{user}")
-        if self.mode == "protocol":
-            for state in self.nodes.values():
-                state.notify_gone(user)
-        else:
-            if user in self._pending_pool:
-                self._pending_pool.remove(user)
+        self._purge(user)
+        if user in self._pending_pool:
+            self._pending_pool.remove(user)
 
     # -- centralized epochs ---------------------------------------------------
 
@@ -642,20 +630,29 @@ class Simulator:
                 self._solver_exhausted = True
             else:
                 self._diverged = True
-        placed_now: list[RequestId] = []
+        # Moves land one at a time, so a node may briefly hold a service
+        # that a later move of the same decision frees: capacity binds on
+        # the decision as a whole.
+        placed_now: set[RequestId] = set()
+        targets: set[DatacenterId] = set()
         for rid in sorted(decision.placement):
             node = decision.placement[rid]
             req = self._registry[rid]
             if req.state not in ("waiting", "placed"):
                 continue
+            placed_now.add(rid)
             if node == req.host:
-                placed_now.append(rid)
                 self._relocating.discard(rid)
                 continue
             self.commit_placement(rid, node, from_reservation=False)
-            placed_now.append(rid)
+            targets.add(node)
+        for node in sorted(targets):
+            if self._capacity_used[node] > self.topology.capacity(node):
+                raise InvariantError(
+                    f"capacity breached at s{node} by an epoch decision"
+                )
         self._pending_pool = [
-            rid for rid in self._pending_pool if rid not in set(placed_now)
+            rid for rid in self._pending_pool if rid not in placed_now
         ]
         if not decision.solved:
             self._infeasible = True
@@ -707,7 +704,6 @@ class Simulator:
                 raise ValueError(f"unknown event {kind!r}")
             if self.check_invariants:
                 self.assert_invariants()
-        self._advance_rent()
         placements = {
             rid: req.host
             for rid, req in self._registry.items()
@@ -745,7 +741,6 @@ class Simulator:
             unplaced=unplaced,
             migration_cost=self._migration_cost,
             final_placement_cost=final_placement_cost,
-            rent_integral=self._rent_integral,
             comm_cost=self.costs.per_bit_cost * self.counters.total_bits(),
             request_count=len(self._registry),
             solver_exhausted=self._solver_exhausted,
@@ -753,40 +748,36 @@ class Simulator:
 
     # -- introspection ---------------------------------------------------------
 
-    def snapshot(self) -> dict[RequestId, DatacenterId]:
-        return {
-            rid: req.host
-            for rid, req in self._registry.items()
-            if req.host is not None
-        }
-
     def assert_invariants(self) -> None:
-        """Capacity, bookkeeping, and reach invariants; raises on breach."""
+        """Capacity, bookkeeping, and reach invariants; raises
+        :class:`InvariantError` on breach."""
         host_of: dict[RequestId, DatacenterId] = {}
         for node_id in self.topology.nodes:
             used = self._capacity_used[node_id]
-            assert used >= 0, f"negative load at s{node_id}"
-            assert used <= self.topology.capacity(node_id), (
-                f"capacity breached at s{node_id}"
-            )
+            if used < 0:
+                raise InvariantError(f"negative load at s{node_id}")
+            if used > self.topology.capacity(node_id):
+                raise InvariantError(f"capacity breached at s{node_id}")
             if self.mode == "protocol":
                 state = self.nodes[node_id]
                 booked = sum(state.assigned.values()) + sum(state.placed.values())
-                assert state.available == state.capacity - booked, (
-                    f"availability drift at s{node_id}"
-                )
-                assert state.available >= 0, f"negative availability at s{node_id}"
+                if state.available != state.capacity - booked:
+                    raise InvariantError(f"availability drift at s{node_id}")
+                if state.available < 0:
+                    raise InvariantError(f"negative availability at s{node_id}")
                 for rid in state.placed:
-                    assert rid not in host_of, f"r{rid} placed twice"
+                    if rid in host_of:
+                        raise InvariantError(f"r{rid} placed twice")
                     host_of[rid] = node_id
         for rid, req in self._registry.items():
             if req.state == "placed":
-                assert req.host is not None
-                if self.mode == "protocol":
-                    assert host_of.get(rid) == req.host, f"r{rid} host mismatch"
-                if rid not in self._relocating:
-                    assert req.host in req.feasible, (
+                if req.host is None:
+                    raise InvariantError(f"r{rid} placed without a host")
+                if self.mode == "protocol" and host_of.get(rid) != req.host:
+                    raise InvariantError(f"r{rid} host mismatch")
+                if rid not in self._relocating and req.host not in req.feasible:
+                    raise InvariantError(
                         f"r{rid} placed at s{req.host}, outside its reach"
                     )
-            elif self.mode == "protocol":
-                assert host_of.get(rid) is None, f"r{rid} placed but not recorded"
+            elif self.mode == "protocol" and host_of.get(rid) is not None:
+                raise InvariantError(f"r{rid} placed but not recorded")

@@ -19,8 +19,7 @@ from edgeplace.protocol import (
     PdRequestMsg,
     PuAckMsg,
     PuMsg,
-    PushDownRecord,
-    PushUpRecord,
+    Record,
     SfsMsg,
 )
 
@@ -36,7 +35,7 @@ DEFICIT = 16
 PD_DEMAND = 5
 
 
-def record_bits(record: PushUpRecord | PushDownRecord) -> int:
+def record_bits(record: Record) -> int:
     """A request record: id, class, origin + host + every feasible node."""
     return REQUEST_ID + CLASS_ID + (len(record.feasible) + 2) * NODE_ID
 

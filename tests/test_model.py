@@ -7,15 +7,12 @@ import random
 import pytest
 
 from edgeplace.model import (
-    CostModel,
-    PlacementSnapshot,
     Request,
     ServiceClass,
     Topology,
     build_tree,
     check_feasible,
     feasible_set_for,
-    objective_cost,
 )
 from edgeplace.scenarios import (
     NONRT_CLASS,
@@ -24,6 +21,7 @@ from edgeplace.scenarios import (
     RT_CLASS,
     default_profile,
 )
+from edgeplace.simnet import ActiveService, EpochProblem
 
 from .oracles import brute_feasible
 
@@ -203,89 +201,45 @@ def test_feasible_set_is_contiguous_path_prefix() -> None:
 
 
 # ---------------------------------------------------------------------------
-# objective cost
+# objective cost: the per-service price of an epoch decision
 
 
-def _one_request(topo: Topology, rtt: dict[int, float]) -> Request:
+def _one_service(topo: Topology, current_host: int | None = None) -> ActiveService:
     leaf = topo.leaves[0]
-    return Request(
+    return ActiveService(
         request_id=1,
         class_id=NONRT_CLASS.class_id,
         poa=leaf,
-        feasible=feasible_set_for(topo, leaf, NONRT_CLASS, rtt),
+        feasible=feasible_set_for(topo, leaf, NONRT_CLASS, PROFILE_RTT),
+        current_host=current_host,
+        movable=True,
+        is_new=current_host is None,
     )
+
+
+def _reference_epoch() -> EpochProblem:
+    topo, classes, costs, _rtt = default_profile(leaf_capacity=340)
+    return EpochProblem(topology=topo, classes=classes, costs=costs, services=())
 
 
 def test_objective_cost_of_single_root_placement() -> None:
-    topo, classes, costs, rtt = default_profile(leaf_capacity=340)
-    req = _one_request(topo, rtt)
-    snapshot = PlacementSnapshot(current={}, scheduled={1: topo.root})
-    assert objective_cost(topo, classes, costs, {1: req}, snapshot) == 47.0
+    problem = _reference_epoch()
+    svc = _one_service(problem.topology)
+    assert problem.price(svc, problem.topology.root) == 47.0
 
 
 def test_objective_cost_charges_one_migration() -> None:
-    topo, classes, costs, rtt = default_profile(leaf_capacity=340)
-    req = _one_request(topo, rtt)
-    mid = req.feasible[1]  # the level-1 aggregation node
-    snapshot = PlacementSnapshot(current={1: req.poa}, scheduled={1: mid})
+    problem = _reference_epoch()
+    svc = _one_service(problem.topology, current_host=problem.topology.leaves[0])
+    mid = svc.feasible[1]  # the level-1 aggregation node
     # hosting at level 1 plus one relocation charge
-    assert objective_cost(topo, classes, costs, {1: req}, snapshot) == 278.0 + 600.0
+    assert problem.price(svc, mid) == 278.0 + 600.0
 
 
 def test_objective_cost_no_charge_when_host_unchanged() -> None:
-    topo, classes, costs, rtt = default_profile(leaf_capacity=340)
-    req = _one_request(topo, rtt)
-    snapshot = PlacementSnapshot(current={1: req.poa}, scheduled={1: req.poa})
-    assert objective_cost(topo, classes, costs, {1: req}, snapshot) == 544.0
-
-
-def test_objective_cost_empty_is_zero() -> None:
-    topo, classes, costs, _rtt = default_profile(leaf_capacity=10)
-    assert (
-        objective_cost(topo, classes, costs, {}, PlacementSnapshot({}, {})) == 0.0
-    )
-
-
-def test_objective_cost_infeasible_sentinels() -> None:
-    topo, classes, costs, rtt = default_profile(leaf_capacity=340)
-    req = _one_request(topo, rtt)
-    inf = float("inf")
-    # left unplaced
-    assert (
-        objective_cost(
-            topo, classes, costs, {1: req}, PlacementSnapshot({}, {})
-        )
-        == inf
-    )
-    # placed outside the feasible set
-    other_leaf = next(n for n in topo.leaves if n not in req.feasible)
-    assert (
-        objective_cost(
-            topo, classes, costs, {1: req}, PlacementSnapshot({}, {1: other_leaf})
-        )
-        == inf
-    )
-    # over capacity: a 340-unit leaf holds two 170-unit instances, not three
-    many = {
-        rid: Request(rid, req.class_id, req.poa, req.feasible)
-        for rid in range(1, 4)
-    }
-    crowded = PlacementSnapshot({}, {rid: req.poa for rid in many})
-    assert objective_cost(topo, classes, costs, many, crowded) == inf
-    two = {rid: many[rid] for rid in (1, 2)}
-    snug = PlacementSnapshot({}, {rid: req.poa for rid in two})
-    assert objective_cost(topo, classes, costs, two, snug) == 2 * 544.0
-
-
-def test_objective_cost_rejects_level_without_demand() -> None:
-    topo = build_tree(levels=2, arity=2, leaf_capacity=10)
-    svc = ServiceClass(class_id=0, name="leafy", max_delay=1.0, cpu_demand={0: 1})
-    costs = CostModel(
-        migration_cost={0: 1.0}, placement_cost={0: {0: 1.0, 1: 1.0}}
-    )
-    req = Request(request_id=1, class_id=0, poa=1, feasible=(1, 0))
-    snapshot = PlacementSnapshot(current={}, scheduled={1: 0})
-    assert objective_cost(topo, {0: svc}, costs, {1: req}, snapshot) == float("inf")
+    problem = _reference_epoch()
+    svc = _one_service(problem.topology, current_host=problem.topology.leaves[0])
+    assert problem.price(svc, svc.poa) == 544.0
 
 
 def test_profile_prices_fall_with_height() -> None:
@@ -327,6 +281,18 @@ def test_check_feasible_reports_out_of_reach() -> None:
     report = check_feasible(topo, {0: svc}, requests, {1: 2})
     assert not report.ok
     assert "outside its reach" in report.violations[0]
+
+
+def test_check_feasible_reports_level_without_demand() -> None:
+    topo = build_tree(levels=2, arity=2, leaf_capacity=10)
+    svc = ServiceClass(class_id=0, name="leafy", max_delay=1.0, cpu_demand={0: 1})
+    requests = {1: Request(request_id=1, class_id=0, poa=1, feasible=(1, 0))}
+    report = check_feasible(topo, {0: svc}, requests, {1: 0})
+    assert not report.ok
+    assert report.violations == (
+        "request 1 placed at 0, level cannot host its class",
+    )
+    assert report.unplaced == ()
 
 
 def test_check_feasible_accepts_exact_fit() -> None:

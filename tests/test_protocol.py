@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from edgeplace.model import Topology, build_tree
+from edgeplace.model import Request, Topology, build_tree
 from edgeplace.protocol import (
     PdAckMsg,
     PdRequestMsg,
@@ -20,9 +20,7 @@ from edgeplace.protocol import (
     ProtocolTiming,
     PuAckMsg,
     PuMsg,
-    PushDownRecord,
-    PushUpRecord,
-    RequestView,
+    Record,
     SfsMsg,
     sort_requests,
 )
@@ -50,7 +48,7 @@ class FakeWorld:
         self.relocating_set: set[int] = set()
         self.class_of: dict[int, int] = {}
         self.generations: dict[int, int] = {}
-        self.views: dict[int, RequestView] = {}
+        self.views: dict[int, Request] = {}
         self.push_down_count = 0
         self.lines: list[tuple[int, str]] = []
 
@@ -99,10 +97,10 @@ class FakeWorld:
     def is_relocating(self, request_id: int) -> bool:
         return request_id in self.relocating_set
 
-    def record_current(self, rec: PushUpRecord | PushDownRecord) -> bool:
+    def record_current(self, rec: Record) -> bool:
         return rec.generation == self.generations.get(rec.request_id, 0)
 
-    def request_info(self, request_id: int) -> RequestView | None:
+    def request_info(self, request_id: int) -> Request | None:
         return self.views.get(request_id)
 
     def note_push_down(self) -> None:
@@ -120,8 +118,8 @@ def rec(
     origin: int | None = None,
     is_new: bool = True,
     current_host: int | None = None,
-) -> PushUpRecord:
-    return PushUpRecord(
+) -> Record:
+    return Record(
         request_id=rid,
         class_id=class_id,
         origin=origin,
@@ -140,8 +138,8 @@ def pd_rec(
     origin: int | None = None,
     is_new: bool = True,
     current_host: int | None = None,
-) -> PushDownRecord:
-    return PushDownRecord(
+) -> Record:
+    return Record(
         request_id=rid,
         class_id=class_id,
         origin=origin,
@@ -510,7 +508,7 @@ def test_push_down_offers_include_own_movable_tenants() -> None:
     node.available = 0
     node.placed = {7: 2}
     world.placed_set = {7}
-    world.views[7] = RequestView(7, 0, 1, (1, 0))
+    world.views[7] = Request(7, 0, 1, (1, 0))
     node.not_assigned = [rec(1, (1, 0))]
     node.pd_pending = [1]
     node.start_push_down()
@@ -529,7 +527,7 @@ def test_push_down_offers_skip_relocating_tenants() -> None:
     node.placed = {7: 2}
     world.placed_set = {7}
     world.relocating_set = {7}
-    world.views[7] = RequestView(7, 0, 1, (1, 0))
+    world.views[7] = Request(7, 0, 1, (1, 0))
     node.not_assigned = [rec(1, (1, 0))]
     node.pd_pending = [1]
     node.start_push_down()

@@ -21,7 +21,6 @@ from edgeplace.scenarios import (
     fig_two_tier_scenario,
     load_config,
     synthesize_trace,
-    with_leaf_capacity,
 )
 from edgeplace.simnet import TraceEvent, save_trace
 
@@ -343,19 +342,3 @@ def test_load_config_synth_honours_default_seed(tmp_path: Path) -> None:
     other = load_config(path, seed=4)
     assert first.trace == second.trace
     assert first.trace != other.trace
-
-
-# ---------------------------------------------------------------------------
-# capacity rescaling
-
-
-def test_with_leaf_capacity_rebuilds_the_ladder() -> None:
-    original = fig_two_tier_scenario()  # capacity one everywhere
-    scaled = with_leaf_capacity(original, 5)
-    topo = scaled.topology
-    for node in topo.nodes:
-        assert topo.capacity(node) == (topo.level(node) + 1) * 5
-        assert topo.parent(node) == original.topology.parent(node)
-    # the original is untouched
-    assert all(original.topology.capacity(n) == 1 for n in original.topology.nodes)
-    assert scaled.trace == original.trace

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import edgeplace
 
 from edgeplace.model import CostModel, ServiceClass, build_tree
 from edgeplace.protocol import (
@@ -13,13 +19,13 @@ from edgeplace.protocol import (
     PdRequestMsg,
     PuAckMsg,
     PuMsg,
-    PushDownRecord,
-    PushUpRecord,
+    Record,
     SfsMsg,
 )
 from edgeplace.simnet import (
     Counters,
     EpochDecision,
+    InvariantError,
     LinkModel,
     Simulator,
     TraceEvent,
@@ -29,7 +35,7 @@ from edgeplace.simnet import (
     save_trace,
 )
 from edgeplace.scenarios import builtin_scenario, fig_two_tier_scenario
-from edgeplace.harness import build_simulator
+from edgeplace.harness import build_simulator, run_scenario
 
 from .oracles import wire_bits
 
@@ -92,8 +98,8 @@ def test_trace_round_trips_through_csv(tmp_path) -> None:
 
 
 def test_message_bits_frozen_values() -> None:
-    def pu(rid: int, feasible: tuple[int, ...]) -> PushUpRecord:
-        return PushUpRecord(
+    def pu(rid: int, feasible: tuple[int, ...]) -> Record:
+        return Record(
             request_id=rid, class_id=0, origin=None, feasible=feasible, is_new=True
         )
 
@@ -104,7 +110,7 @@ def test_message_bits_frozen_values() -> None:
     assert message_bits(SfsMsg((one,), (pu(2, (4, 1)),))) == 212
     assert message_bits(PuMsg((one,))) == 146
     assert message_bits(PuAckMsg(((one, True),))) == 95
-    pd = PushDownRecord(
+    pd = Record(
         request_id=1,
         class_id=0,
         origin=None,
@@ -119,9 +125,9 @@ def test_message_bits_frozen_values() -> None:
 def test_message_bits_matches_field_sum_oracle() -> None:
     rng = random.Random(3)
 
-    def pu(rid: int) -> PushUpRecord:
+    def pu(rid: int) -> Record:
         size = rng.randint(1, 6)
-        return PushUpRecord(
+        return Record(
             request_id=rid,
             class_id=rng.randint(0, 3),
             origin=rng.choice([None, 0, 5]),
@@ -129,9 +135,9 @@ def test_message_bits_matches_field_sum_oracle() -> None:
             is_new=rng.random() < 0.5,
         )
 
-    def pd(rid: int) -> PushDownRecord:
+    def pd(rid: int) -> Record:
         size = rng.randint(1, 6)
-        return PushDownRecord(
+        return Record(
             request_id=rid,
             class_id=rng.randint(0, 3),
             origin=rng.choice([None, 0]),
@@ -384,6 +390,34 @@ def test_exhausted_budget_without_answer_diverges() -> None:
     assert not result.solver_exhausted
 
 
+def test_epoch_moves_may_pass_through_a_node_the_decision_frees() -> None:
+    # On these seeds first fit moves a service onto a node that a later
+    # move of the same decision (in request-id order) frees.
+    for seed in (3, 7, 13):
+        scenario = builtin_scenario("synth", seed=seed)
+        result = run_scenario(scenario, "ffit", check_invariants=True)
+        assert result.verdict == "ok", seed
+
+
+def test_epoch_decision_over_capacity_raises() -> None:
+    def crowd_one_leaf(problem):
+        return EpochDecision(placement={svc.request_id: 1 for svc in problem.services})
+
+    topo = build_tree(levels=2, arity=2, leaf_capacity=1)
+    costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 2.0, 1: 1.0}})
+    sim = Simulator(
+        topo,
+        {0: _unit_class()},
+        costs,
+        {0: 0.001, 1: 0.002},
+        mode="centralized",
+        algorithm=crowd_one_leaf,
+    )
+    trace = [TraceEvent(0.0, 1, "arrive", 1, 0), TraceEvent(0.0, 2, "arrive", 1, 0)]
+    with pytest.raises(InvariantError, match="capacity breached at s1"):
+        sim.run(trace)
+
+
 def test_tiny_event_budget_diverges() -> None:
     sim = _world({})
     sim.event_budget = 2
@@ -410,7 +444,7 @@ def test_link_serializes_and_delivers_in_order() -> None:
     sim = _world({})
     big = SfsMsg(
         tuple(
-            PushUpRecord(
+            Record(
                 request_id=i, class_id=0, origin=None, feasible=(3, 1, 0), is_new=True
             )
             for i in range(3)
@@ -453,6 +487,40 @@ def test_assert_invariants_catches_capacity_corruption() -> None:
     sim._capacity_used[3] = sim.topology.capacity(3) + 1
     with pytest.raises(AssertionError):
         sim.assert_invariants()
+
+
+_CORRUPT_CAPACITY = """
+import sys
+from edgeplace.harness import build_simulator
+from edgeplace.scenarios import fig_two_tier_scenario
+from edgeplace.simnet import InvariantError
+
+print("debug", __debug__)
+scenario = fig_two_tier_scenario()
+sim = build_simulator(scenario, "dapp")
+sim.run(scenario.trace)
+sim.assert_invariants()
+sim._capacity_used[3] = sim.topology.capacity(3) + 1
+try:
+    sim.assert_invariants()
+except InvariantError as err:
+    print("caught", err)
+"""
+
+
+def test_assert_invariants_survives_optimized_python() -> None:
+    src = str(Path(edgeplace.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_CAPACITY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["debug False", "caught capacity breached at s3"]
 
 
 def test_assert_invariants_catches_availability_drift() -> None:
