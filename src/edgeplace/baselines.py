@@ -165,14 +165,15 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
         if target is not None:
             _assign(problem, residual, placement, svc, target)
     # lifting pass: raise tentative placements as high as room allows
+    by_id = {svc.request_id: svc for svc in todo}
     for rid in sorted(placement):
-        svc = next(s for s in problem.services if s.request_id == rid)
+        svc = by_id[rid]
         here = placement[rid]
         here_units = problem.demand(svc.class_id, here)
         assert here_units is not None
-        for node in reversed(svc.feasible):  # highest first
-            if svc.feasible.index(node) <= svc.feasible.index(here):
-                break
+        # highest first, down to just above the tentative host
+        for pos in range(len(svc.feasible) - 1, svc.feasible.index(here), -1):
+            node = svc.feasible[pos]
             units = problem.demand(svc.class_id, node)
             if units is not None and units <= residual[node]:
                 residual[here] += here_units

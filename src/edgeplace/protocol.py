@@ -22,14 +22,19 @@ message-driven stages:
 
 Nodes never share memory: all interaction happens through the message and
 timer services of a :class:`World`, which the simulation engine implements.
-Every list is kept in a deterministic order so identical inputs replay to
-identical traces.
+A node holds its backlogs (unassigned records, reservation adverts, a
+push-down session's records, requests awaiting a push-down) as
+insertion-ordered dicts keyed by request id, so withdrawing one request is a
+single pop; a periodic re-sort rebuilds the unassigned backlog in placement
+order.  Scan buffers stay lists, because one can briefly hold two
+generations of a request.  Every container iterates in a deterministic
+order, so identical inputs replay to identical traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
 from .model import DatacenterId, Request, RequestId, Topology
 
@@ -206,6 +211,11 @@ def _without(records: list[Record], request_id: RequestId) -> list[Record]:
     return [r for r in records if r.request_id != request_id]
 
 
+def _keyed(records: Iterable[Record]) -> dict[RequestId, Record]:
+    """``records`` keyed by request id, in the given order."""
+    return {rec.request_id: rec for rec in records}
+
+
 def _rids(request_ids: Iterable[RequestId]) -> str:
     """Request ids as the event log lists them: ``r1,r4,r9``."""
     return ",".join(f"r{rid}" for rid in request_ids)
@@ -230,7 +240,7 @@ class PdSession:
     initiator: DatacenterId
     caller: DatacenterId | None
     deficit: int
-    records: list[Record]
+    records: dict[RequestId, Record]
     pending_children: list[DatacenterId]
     received: tuple[Record, ...] = ()
     hosted_ids: set[RequestId] = field(default_factory=set)
@@ -258,20 +268,23 @@ class ProtocolNode:
         self.children = topology.children(node_id)
         self.subtree = topology.subtree(node_id)
         self.child_subtree = {c: topology.subtree(c) for c in self.children}
+        self._child_of = {
+            n: c for c, members in self.child_subtree.items() for n in members
+        }
         self.capacity = topology.capacity(node_id)
         self.available = topology.capacity(node_id)
         self.timing = timing
         # request bookkeeping
         self.assigned: dict[RequestId, int] = {}
         self.placed: dict[RequestId, int] = {}
-        self.not_assigned: list[Record] = []
-        self.push_up: list[Record] = []
+        self.not_assigned: dict[RequestId, Record] = {}
+        self.push_up: dict[RequestId, Record] = {}
         self.outstanding_pu: dict[RequestId, Record] = {}
         # batching buffers + timers
         self.scan_buf_na: list[Record] = []
         self.scan_buf_pu: list[Record] = []
         self.scan_timer_armed = False
-        self.pd_pending: list[RequestId] = []
+        self.pd_pending: dict[RequestId, None] = {}  # an ordered set
         self.pd_timer_armed = False
         # push-down session & quarantine
         self.within_pd = False
@@ -284,7 +297,7 @@ class ProtocolNode:
     def _demand_here(self, class_id: int) -> int | None:
         return self.world.demand(class_id, self.node_id)
 
-    def _sorted(self, records: list[Record]) -> list[Record]:
+    def _sorted(self, records: Collection[Record]) -> list[Record]:
         """``records`` in placement-attempt order (see :func:`sort_requests`)."""
         demand = {
             r.class_id: u
@@ -318,10 +331,10 @@ class ProtocolNode:
             self.world.log(self.node_id, f"f-mode until {deadline:.6f}")
 
     def _child_towards(self, node: DatacenterId) -> DatacenterId:
-        for child, members in self.child_subtree.items():
-            if node in members:
-                return child
-        raise AssertionError(f"node {node} is not below {self.node_id}")
+        child = self._child_of.get(node)
+        if child is None:
+            raise AssertionError(f"node {node} is not below {self.node_id}")
+        return child
 
     def _already_served(self, request_id: RequestId) -> bool:
         """True when the request sits at a host that still serves its user.
@@ -335,18 +348,16 @@ class ProtocolNode:
         )
 
     def _merge_records(
-        self, target: list[Record], incoming: Iterable[Record]
+        self, target: dict[RequestId, Record], incoming: Iterable[Record]
     ) -> None:
-        known = {rec.request_id for rec in target}
         for rec in incoming:
-            if rec.request_id in known:
+            if rec.request_id in target:
                 continue
             if not self.world.is_active(rec.request_id):
                 continue
             if not self.world.record_current(rec):
                 continue  # superseded by a newer copy after a user move
-            target.append(rec)
-            known.add(rec.request_id)
+            target[rec.request_id] = rec
 
     def _take_scan_input(
         self, incoming_na: Sequence[Record], incoming_pu: Sequence[Record]
@@ -354,16 +365,16 @@ class ProtocolNode:
         """Scan prelude: merge a batch into the backlog, most constrained first."""
         self._merge_records(self.not_assigned, incoming_na)
         self._merge_records(self.push_up, incoming_pu)
-        self.not_assigned = self._sorted(self.not_assigned)
+        self.not_assigned = _keyed(self._sorted(self.not_assigned.values()))
 
     def _take_push_up(self, incoming: Sequence[Record]) -> list[Record]:
         """Push-up prelude: claim the advert backlog plus ``incoming``."""
         for rec in incoming:
             self.outstanding_pu.pop(rec.request_id, None)
         records = self.push_up
-        self.push_up = []
+        self.push_up = {}
         self._merge_records(records, incoming)
-        return records
+        return list(records.values())
 
     def _relay_acks(self, acks: Iterable[tuple[Record, bool]]) -> None:
         """Send push-up verdicts toward their origins, one message per child."""
@@ -448,16 +459,18 @@ class ProtocolNode:
 
     def notify_gone(self, request_id: RequestId) -> None:
         """Purge every trace of a departed or withdrawn request."""
-        self.not_assigned = _without(self.not_assigned, request_id)
-        self.push_up = _without(self.push_up, request_id)
-        self.scan_buf_na = _without(self.scan_buf_na, request_id)
-        self.scan_buf_pu = _without(self.scan_buf_pu, request_id)
+        self.not_assigned.pop(request_id, None)
+        self.push_up.pop(request_id, None)
+        if self.scan_buf_na:
+            self.scan_buf_na = _without(self.scan_buf_na, request_id)
+        if self.scan_buf_pu:
+            self.scan_buf_pu = _without(self.scan_buf_pu, request_id)
         self.outstanding_pu.pop(request_id, None)
-        self.pd_pending = [rid for rid in self.pd_pending if rid != request_id]
+        self.pd_pending.pop(request_id, None)
         if request_id in self.assigned:
             self.available += self.assigned.pop(request_id)
         if self.pd_session is not None:
-            self.pd_session.records = _without(self.pd_session.records, request_id)
+            self.pd_session.records.pop(request_id, None)
 
     # -- bottom-up scan ----------------------------------------------------
 
@@ -476,16 +489,17 @@ class ProtocolNode:
         self._take_scan_input(incoming_na, incoming_pu)
         self.world.log(
             self.node_id,
-            "scan run na=[%s] pu=[%s]" % (_ids(self.not_assigned), _ids(self.push_up)),
+            "scan run na=[%s] pu=[%s]"
+            % (_ids(self.not_assigned.values()), _ids(self.push_up.values())),
         )
         new_push_down: list[RequestId] = []
-        for rec in list(self.not_assigned):
+        for rec in list(self.not_assigned.values()):
             if self._already_served(rec.request_id):
-                self.not_assigned.remove(rec)
+                del self.not_assigned[rec.request_id]
                 continue
             units = self._demand_here(rec.class_id)
             if units is not None and units <= self.available:
-                self.not_assigned.remove(rec)
+                del self.not_assigned[rec.request_id]
                 self.available -= units
                 self.assigned[rec.request_id] = units
                 owned = replace(rec, origin=self.node_id)
@@ -496,12 +510,12 @@ class ProtocolNode:
                     )
                 else:
                     self.world.log(self.node_id, f"scan assign r{rec.request_id}")
-                    self.push_up.append(owned)
+                    self.push_up[rec.request_id] = owned
             elif rec.top_feasible == self.node_id:
                 if rec.request_id not in self.pd_pending:
                     new_push_down.append(rec.request_id)
         if new_push_down:
-            self.pd_pending.extend(new_push_down)
+            self.pd_pending.update(dict.fromkeys(new_push_down))
             self.world.log(
                 self.node_id, "scan push-down-pending [%s]" % _rids(new_push_down)
             )
@@ -521,49 +535,49 @@ class ProtocolNode:
         is still winding down — are failed outright.
         """
         self._take_scan_input(incoming_na, incoming_pu)
-        self.world.log(self.node_id, "f-scan run na=[%s]" % _ids(self.not_assigned))
+        self.world.log(
+            self.node_id, "f-scan run na=[%s]" % _ids(self.not_assigned.values())
+        )
         schedule_push_down: list[RequestId] = []
-        for rec in list(self.not_assigned):
+        for rec in list(self.not_assigned.values()):
             if self._already_served(rec.request_id):
-                self.not_assigned.remove(rec)
+                del self.not_assigned[rec.request_id]
                 continue
             units = self._demand_here(rec.class_id)
             if units is not None and units <= self.available:
-                self.not_assigned.remove(rec)
+                del self.not_assigned[rec.request_id]
                 self.world.log(self.node_id, f"f-scan place r{rec.request_id}")
                 self.world.commit_placement(
                     rec.request_id, self.node_id, from_reservation=False
                 )
-                if rec.request_id in self.pd_pending:
-                    self.pd_pending.remove(rec.request_id)
+                self.pd_pending.pop(rec.request_id, None)
             elif rec.top_feasible == self.node_id:
                 if rec.request_id in self.pd_pending:
                     continue  # its own push-down is already scheduled
                 if self.within_pd:
-                    self.not_assigned.remove(rec)
+                    del self.not_assigned[rec.request_id]
                     self.world.log(self.node_id, f"f-scan failure r{rec.request_id}")
                     self.world.report_failure(rec.request_id, self.node_id)
                 else:
                     schedule_push_down.append(rec.request_id)
         if schedule_push_down:
-            self.pd_pending.extend(schedule_push_down)
+            self.pd_pending.update(dict.fromkeys(schedule_push_down))
             self.world.log(
                 self.node_id,
                 "f-scan push-down-pending [%s]" % _rids(schedule_push_down),
             )
             if not self.within_pd:
                 self._arm_timer("push_down")
-        pending = set(self.pd_pending)
         forward = [
             rec
-            for rec in self.not_assigned
-            if rec.request_id not in pending
+            for rec in self.not_assigned.values()
+            if rec.request_id not in self.pd_pending
             and self.parent is not None
             and self.parent in rec.feasible
         ]
         if forward:
             for rec in forward:
-                self.not_assigned.remove(rec)
+                del self.not_assigned[rec.request_id]
             self.world.log(
                 self.node_id,
                 "f-scan forward [%s] -> s%d" % (_ids(forward), self.parent),
@@ -578,13 +592,15 @@ class ProtocolNode:
     def _forward_and_resolve(self) -> None:
         """Scan epilogue: ship parent-bound records, then settle local adverts."""
         if self.parent is not None:
-            fwd_na = [r for r in self.not_assigned if self.parent in r.feasible]
-            fwd_pu = [r for r in self.push_up if self.parent in r.feasible]
+            fwd_na = [
+                r for r in self.not_assigned.values() if self.parent in r.feasible
+            ]
+            fwd_pu = [r for r in self.push_up.values() if self.parent in r.feasible]
             if fwd_na or fwd_pu:
                 for rec in fwd_na:
-                    self.not_assigned.remove(rec)
+                    del self.not_assigned[rec.request_id]
                 for rec in fwd_pu:
-                    self.push_up.remove(rec)
+                    del self.push_up[rec.request_id]
                     self.outstanding_pu[rec.request_id] = rec
                 self.world.log(
                     self.node_id,
@@ -599,9 +615,8 @@ class ProtocolNode:
             self.run_push_up(())
 
     def _assert_no_stuck_records(self) -> None:
-        pending = set(self.pd_pending)
-        for rec in self.not_assigned:
-            if rec.top_feasible == self.node_id or rec.request_id in pending:
+        for rec in self.not_assigned.values():
+            if rec.top_feasible == self.node_id or rec.request_id in self.pd_pending:
                 continue
             if self.parent is None or self.parent not in rec.feasible:
                 raise AssertionError(
@@ -705,7 +720,7 @@ class ProtocolNode:
         change the churn results.
         """
         offers: list[Record] = []
-        for rec in self.push_up:
+        for rec in self.push_up.values():
             if rec.origin != self.node_id:
                 continue  # advert relayed for a descendant, not ours to move
             if rec.request_id in self.outstanding_pu:
@@ -738,11 +753,10 @@ class ProtocolNode:
     def start_push_down(self) -> None:
         """Open a push-down for locally stuck requests (timer expiry)."""
         pending = [rid for rid in self.pd_pending if self.world.is_active(rid)]
-        self.pd_pending = []
-        by_id = {rec.request_id: rec for rec in self.not_assigned}
+        self.pd_pending = {}
         problematic: list[Record] = []
         for rid in pending:
-            rec = by_id.get(rid)
+            rec = self.not_assigned.get(rid)
             if rec is None or self._already_served(rid):
                 continue
             units = self._demand_here(rec.class_id)
@@ -762,7 +776,7 @@ class ProtocolNode:
             initiator=self.node_id,
             caller=None,
             deficit=deficit,
-            records=records,
+            records=_keyed(records),
             pending_children=list(self.children),
         )
         self.world.log(
@@ -785,7 +799,7 @@ class ProtocolNode:
             initiator=msg.initiator,
             caller=sender,
             deficit=msg.deficit,
-            records=records,
+            records=_keyed(records),
             pending_children=list(self.children),
             received=tuple(msg.records),
         )
@@ -804,7 +818,7 @@ class ProtocolNode:
             return True
         virtual_avail = self.available
         virtual_deficit = session.deficit
-        for rec in session.records:
+        for rec in session.records.values():
             if rec.origin == self.node_id:
                 continue
             if not self.world.record_current(rec):
@@ -845,7 +859,11 @@ class ProtocolNode:
                 session.pending_children.clear()
                 break
             child = session.pending_children.pop(0)
-            offer = [r for r in session.records if self._pd_record_relevant(r, child)]
+            offer = [
+                r
+                for r in session.records.values()
+                if self._pd_record_relevant(r, child)
+            ]
             if not offer:
                 continue
             session.awaiting = child
@@ -877,16 +895,16 @@ class ProtocolNode:
         for rec, hosted in msg.acks:
             if not hosted:
                 continue
-            session.records = _without(session.records, rec.request_id)
+            session.records.pop(rec.request_id, None)
             if rec.request_id in received_ids:
                 session.hosted_ids.add(rec.request_id)
             if rec.origin == self.node_id and rec.request_id in self.assigned:
                 # a reservation of ours was hosted below: release it
                 self.available += self.assigned.pop(rec.request_id)
-                self.push_up = _without(self.push_up, rec.request_id)
+                self.push_up.pop(rec.request_id, None)
                 self.world.log(self.node_id, f"pd release r{rec.request_id}")
             if rec.origin is None:
-                self.not_assigned = _without(self.not_assigned, rec.request_id)
+                self.not_assigned.pop(rec.request_id, None)
         self._continue_push_down()
 
     def _finish_push_down(self) -> None:
@@ -894,11 +912,11 @@ class ProtocolNode:
         session = self.pd_session
         assert session is not None
         received_ids = {r.request_id for r in session.received}
-        for rec in list(session.records):
+        for rec in list(session.records.values()):
             if rec.origin == self.node_id:
                 continue
             if not self.world.is_active(rec.request_id) or not self.world.record_current(rec):
-                session.records.remove(rec)
+                del session.records[rec.request_id]
                 continue
             units = self._demand_here(rec.class_id)
             if units is not None and units <= self.available:
@@ -906,13 +924,13 @@ class ProtocolNode:
                 self.world.commit_placement(
                     rec.request_id, self.node_id, from_reservation=False
                 )
-                session.records.remove(rec)
+                del session.records[rec.request_id]
                 if rec.request_id in received_ids:
                     session.hosted_ids.add(rec.request_id)
                 if self._hosting_reduces_deficit(rec):
                     session.deficit -= rec.beta_at_initiator
                 if rec.origin is None:
-                    self.not_assigned = _without(self.not_assigned, rec.request_id)
+                    self.not_assigned.pop(rec.request_id, None)
         if session.caller is not None:
             payload = tuple(
                 (rec, rec.request_id in session.hosted_ids)

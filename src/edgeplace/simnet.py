@@ -359,7 +359,11 @@ class Simulator:
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._registry: dict[RequestId, _RequestState] = {}
         self._relocating: set[RequestId] = set()
-        self._pending_pool: list[RequestId] = []  # centralized: to place
+        # centralized: requests to place, as an ordered set
+        self._pending_pool: dict[RequestId, None] = {}
+        # centralized: the last epoch the algorithm could not solve; an
+        # unchanged problem gets the same answer without solving it again
+        self._failed_epoch: tuple[EpochProblem, EpochDecision] | None = None
         self.counters = Counters()
         self.event_log: list[str] = []
         self._failed: list[RequestId] = []
@@ -401,7 +405,8 @@ class Simulator:
         self._link_busy_until[(src, dst)] = departure
         arrival = departure + self.link.propagation
         last = self._link_last_arrival.get((src, dst), float("-inf"))
-        assert arrival > last, f"FIFO inversion on link s{src}->s{dst}"
+        if arrival <= last:
+            raise InvariantError(f"FIFO inversion on link s{src}->s{dst}")
         self._link_last_arrival[(src, dst)] = arrival
         self.log(src, f"send {kind} -> s{dst} bits={bits}")
         self._schedule(arrival, "deliver", (src, dst, msg))
@@ -412,17 +417,25 @@ class Simulator:
         """The single mutation path for placements (and thus migrations)."""
         req = self._registry[request_id]
         units = self.demand(req.class_id, node)
-        assert units is not None, "placement at a level that cannot host"
+        if units is None:
+            raise InvariantError(
+                f"r{request_id} placed at s{node}, a level that cannot host it"
+            )
         old_host = req.host
         if self.mode == "protocol":
             state = self.nodes[node]
             if from_reservation:
                 reserved = state.assigned.pop(request_id)
-                assert reserved == units
-            else:
-                assert units <= state.available, (
+                if reserved != units:
+                    raise InvariantError(
+                        f"reservation mismatch at s{node} placing r{request_id}: "
+                        f"{reserved} reserved, {units} needed"
+                    )
+            elif units > state.available:
+                raise InvariantError(
                     f"capacity breach at s{node} placing r{request_id}"
                 )
+            else:
                 state.available -= units
             state.placed[request_id] = units
         self._capacity_used[node] += units
@@ -448,7 +461,11 @@ class Simulator:
         if self.mode == "protocol":
             state = self.nodes[node]
             freed = state.placed.pop(req.request_id)
-            assert freed == units
+            if freed != units:
+                raise InvariantError(
+                    f"release mismatch at s{node} for r{req.request_id}: "
+                    f"{freed} booked, {units} expected"
+                )
             state.available += units
         self._capacity_used[node] -= units
         req.host = None
@@ -531,7 +548,7 @@ class Simulator:
             )
             self.nodes[poa].buffer_scan_input([rec], [])
         else:
-            self._pending_pool.append(user)
+            self._pending_pool[user] = None
 
     def _on_move(self, user: int, poa: DatacenterId) -> None:
         req = self._registry.get(user)
@@ -550,8 +567,7 @@ class Simulator:
                 req.generation += 1
                 self._relocating.discard(user)
                 self._purge(user)
-                if user in self._pending_pool:
-                    self._pending_pool.remove(user)
+                self._pending_pool.pop(user, None)
             return  # the current placement still serves the user
         req.generation += 1
         self.counters.criticals += 1
@@ -572,8 +588,7 @@ class Simulator:
         else:
             if req.state == "placed":
                 self._relocating.add(user)
-            if user not in self._pending_pool:
-                self._pending_pool.append(user)
+            self._pending_pool.setdefault(user)
 
     def _on_depart(self, user: int) -> None:
         req = self._registry.get(user)
@@ -586,19 +601,17 @@ class Simulator:
         self._relocating.discard(user)
         self.log(req.poa, f"depart r{user}")
         self._purge(user)
-        if user in self._pending_pool:
-            self._pending_pool.remove(user)
+        self._pending_pool.pop(user, None)
 
     # -- centralized epochs ---------------------------------------------------
 
     def _run_epoch(self) -> None:
         assert self.algorithm is not None
-        self._pending_pool = [
-            rid for rid in self._pending_pool if self.is_active(rid)
-        ]
+        self._pending_pool = {
+            rid: None for rid in self._pending_pool if self.is_active(rid)
+        }
         if not self._pending_pool:
             return
-        movable = set(self._pending_pool)
         services = []
         for rid in sorted(self._registry):
             req = self._registry[rid]
@@ -611,7 +624,7 @@ class Simulator:
                     poa=req.poa,
                     feasible=req.feasible,
                     current_host=req.host,
-                    movable=rid in movable,
+                    movable=rid in self._pending_pool,
                     is_new=req.is_new,
                 )
             )
@@ -621,7 +634,12 @@ class Simulator:
             costs=self.costs,
             services=tuple(services),
         )
-        decision = self.algorithm(problem)
+        if self._failed_epoch is not None and self._failed_epoch[0] == problem:
+            decision = self._failed_epoch[1]
+        else:
+            decision = self.algorithm(problem)
+            if not decision.solved:
+                self._failed_epoch = (problem, decision)
         if decision.exhausted_budget:
             # A cut-off search that still produced a full placement keeps
             # the run alive (optimality no longer guaranteed, so flag it);
@@ -651,9 +669,9 @@ class Simulator:
                 raise InvariantError(
                     f"capacity breached at s{node} by an epoch decision"
                 )
-        self._pending_pool = [
-            rid for rid in self._pending_pool if rid not in placed_now
-        ]
+        self._pending_pool = {
+            rid: None for rid in self._pending_pool if rid not in placed_now
+        }
         if not decision.solved:
             self._infeasible = True
 

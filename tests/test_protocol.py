@@ -160,6 +160,11 @@ def three_level() -> Topology:
     return build_tree(levels=3, arity=2, leaf_capacity=4)
 
 
+def keyed(*records: Record) -> dict[int, Record]:
+    """Records as a node's id-keyed backlog holds them."""
+    return {r.request_id: r for r in records}
+
+
 def make_node(world: FakeWorld, node_id: int) -> ProtocolNode:
     node = ProtocolNode(world, world.topology, node_id, ProtocolTiming())
     world.nodes[node_id] = node
@@ -267,7 +272,7 @@ def test_scan_full_top_queues_push_down() -> None:
     node = make_node(world, 0)
     node.available = 1  # demand is 2: nothing fits any more
     node.run_scan([rec(1, (1, 0))], [])
-    assert node.pd_pending == [1]
+    assert list(node.pd_pending) == [1]
     assert world.timers == [(0, "push_down", pytest.approx(0.0008))]
     assert world.sent == []  # the push-down epilogue owns the leftovers
 
@@ -441,7 +446,7 @@ def test_fallback_scan_fails_stuck_requests_during_session_wind_down() -> None:
     node.within_pd = True
     node.run_fallback_scan([rec(1, (3,))], [])
     assert world.failures == [(1, 3)]
-    assert node.not_assigned == []
+    assert node.not_assigned == {}
 
 
 def test_fallback_scan_schedules_push_down_when_idle() -> None:
@@ -450,7 +455,7 @@ def test_fallback_scan_schedules_push_down_when_idle() -> None:
     node.available = 0
     node.run_fallback_scan([rec(1, (3,))], [])
     assert world.failures == []
-    assert node.pd_pending == [1]
+    assert list(node.pd_pending) == [1]
     assert [(kind) for _node, kind, _t in world.timers] == ["push_down"]
 
 
@@ -486,8 +491,8 @@ def test_start_push_down_computes_deficit_and_offers_children() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 0)
     node.available = 1
-    node.not_assigned = [rec(1, (1, 0)), rec(2, (2, 0))]
-    node.pd_pending = [1, 2]
+    node.not_assigned = keyed(rec(1, (1, 0)), rec(2, (2, 0)))
+    node.pd_pending = dict.fromkeys([1, 2])
     node.start_push_down()
     assert world.push_down_count == 1
     session = node.pd_session
@@ -509,8 +514,8 @@ def test_push_down_offers_include_own_movable_tenants() -> None:
     node.placed = {7: 2}
     world.placed_set = {7}
     world.views[7] = Request(7, 0, 1, (1, 0))
-    node.not_assigned = [rec(1, (1, 0))]
-    node.pd_pending = [1]
+    node.not_assigned = keyed(rec(1, (1, 0)))
+    node.pd_pending = dict.fromkeys([1])
     node.start_push_down()
     ((_, _dst, msg),) = world.sent
     assert isinstance(msg, PdRequestMsg)
@@ -528,8 +533,8 @@ def test_push_down_offers_skip_relocating_tenants() -> None:
     world.placed_set = {7}
     world.relocating_set = {7}
     world.views[7] = Request(7, 0, 1, (1, 0))
-    node.not_assigned = [rec(1, (1, 0))]
-    node.pd_pending = [1]
+    node.not_assigned = keyed(rec(1, (1, 0)))
+    node.pd_pending = dict.fromkeys([1])
     node.start_push_down()
     ((_, _dst, msg),) = world.sent
     assert isinstance(msg, PdRequestMsg)
@@ -568,8 +573,8 @@ def test_push_down_walks_children_one_at_a_time() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 0)
     node.available = 0
-    node.not_assigned = [rec(1, (1, 0)), rec(2, (2, 0))]
-    node.pd_pending = [1, 2]
+    node.not_assigned = keyed(rec(1, (1, 0)), rec(2, (2, 0)))
+    node.pd_pending = dict.fromkeys([1, 2])
     node.start_push_down()
     assert [dst for _, dst, m in world.sent if isinstance(m, PdRequestMsg)] == [1]
     # the child hosted r1 and knocked two units off the deficit
@@ -577,7 +582,7 @@ def test_push_down_walks_children_one_at_a_time() -> None:
     node.handle_push_down_ack(1, PdAckMsg(initiator=0, deficit=2, acks=((hosted, True),)))
     session = node.pd_session
     assert session is not None and session.deficit == 2
-    assert [r.request_id for r in session.records] == [2]
+    assert [r.request_id for r in session.records.values()] == [2]
     # the walk moved on to the second child with the updated deficit
     last_dst, last_msg = world.sent[-1][1], world.sent[-1][2]
     assert last_dst == 2 and isinstance(last_msg, PdRequestMsg)
@@ -590,9 +595,9 @@ def test_push_down_ack_releases_hosted_reservation() -> None:
     node.available = 0
     node.assigned = {5: 2}
     mine = rec(5, (1, 0), origin=0)
-    node.push_up = [mine]
-    node.not_assigned = [rec(1, (1, 0))]
-    node.pd_pending = [1]
+    node.push_up = keyed(mine)
+    node.not_assigned = keyed(rec(1, (1, 0)))
+    node.pd_pending = dict.fromkeys([1])
     node.start_push_down()
     offered = next(
         m for _, _, m in world.sent if isinstance(m, PdRequestMsg)
@@ -600,11 +605,11 @@ def test_push_down_ack_releases_hosted_reservation() -> None:
     assert [r.request_id for r in offered] == [1, 5]
     acks = tuple((r, r.request_id == 5) for r in offered)
     node.handle_push_down_ack(1, PdAckMsg(initiator=0, deficit=0, acks=acks))
-    assert node.assigned == {} and node.push_up == []
+    assert node.assigned == {} and node.push_up == {}
     assert any("pd release r5" in text for _, text in world.lines)
     # the freed slot goes straight to the stuck request in the local pass
     assert world.placements == [(1, 0, False)]
-    assert node.available == 0 and node.not_assigned == []
+    assert node.available == 0 and node.not_assigned == {}
     assert not node.within_pd and node.pd_session is None
 
 
@@ -615,7 +620,7 @@ def test_finish_push_down_drains_deferred_messages() -> None:
     node.on_message(0, PuAckMsg(acks=((rec(9, (3, 1, 0), origin=3), True),)))
     assert node.deferred and world.sent == []
     node.pd_session = PdSession(
-        initiator=1, caller=None, deficit=0, records=[], pending_children=[]
+        initiator=1, caller=None, deficit=0, records={}, pending_children=[]
     )
     node._finish_push_down()
     assert not node.deferred
@@ -660,11 +665,11 @@ def test_notify_gone_scrubs_every_trace() -> None:
     assert node.assigned == {1: 2} and node.available == 2
     node.notify_gone(1)
     assert node.assigned == {} and node.available == 4
-    assert node.push_up == [] and node.outstanding_pu == {}
+    assert node.push_up == {} and node.outstanding_pu == {}
     node.scan_buf_na = [rec(2, (1, 0))]
-    node.pd_pending = [2]
+    node.pd_pending = dict.fromkeys([2])
     node.notify_gone(2)
-    assert node.scan_buf_na == [] and node.pd_pending == []
+    assert node.scan_buf_na == [] and node.pd_pending == {}
 
 
 def test_on_timer_rejects_unknown_kind() -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -34,7 +36,8 @@ from edgeplace.simnet import (
     overhead_per_request,
     save_trace,
 )
-from edgeplace.scenarios import builtin_scenario, fig_two_tier_scenario
+from edgeplace.baselines import exact_optimal
+from edgeplace.scenarios import builtin_scenario, fig_two_tier_scenario, rand_scenario
 from edgeplace.harness import build_simulator, run_scenario
 
 from .oracles import wire_bits
@@ -418,6 +421,58 @@ def test_epoch_decision_over_capacity_raises() -> None:
         sim.run(trace)
 
 
+def _counting_exact(scenario, calls: list[bool]) -> Simulator:
+    """A centralized world whose solver notes each call's verdict."""
+
+    def counting(problem):
+        decision = exact_optimal(problem)
+        calls.append(decision.solved)
+        return decision
+
+    return Simulator(
+        scenario.topology,
+        scenario.classes,
+        scenario.costs,
+        scenario.rtt_by_level,
+        mode="centralized",
+        algorithm=counting,
+        check_invariants=True,
+    )
+
+
+def test_failed_epoch_is_not_solved_again_on_unchanged_inputs() -> None:
+    # Every epoch (t = 0, 1, 2) has the same 24 requests and no room for
+    # them: one solve answers all three.
+    scenario = rand_scenario(1, leaf_capacity=100)
+    calls: list[bool] = []
+    result = _counting_exact(scenario, calls).run(scenario.trace)
+    assert calls == [False]
+    assert result.verdict == "infeasible"
+    assert result.placements == {}
+    assert len(result.event_log) == 24
+    assert all(" arrive r" in line for line in result.event_log)
+
+
+def test_failed_epoch_reuse_keeps_the_run_unchanged() -> None:
+    # Half the users arrive at t=1.5: epoch 0 places the first half, epoch
+    # 2 cannot place the rest, and epoch 3 sees the same problem again.
+    base = rand_scenario(1, leaf_capacity=180)
+    trace = tuple(
+        dataclasses.replace(ev, time=1.5) if ev.user >= 12 else ev
+        for ev in base.trace
+    )
+    calls: list[bool] = []
+    result = _counting_exact(base, calls).run(trace)
+    assert calls == [True, False]
+    assert result.verdict == "infeasible"
+    assert len(result.placements) == 12
+    # the event log is the one a solver call at every epoch produces
+    assert (
+        hashlib.sha256("\n".join(result.event_log).encode()).hexdigest()
+        == "8c406b0e059c8fdf83c7d3a7572d37158b097fe1dc861dde57f14d0752fba6da"
+    )
+
+
 def test_tiny_event_budget_diverges() -> None:
     sim = _world({})
     sim.event_budget = 2
@@ -505,6 +560,10 @@ try:
     sim.assert_invariants()
 except InvariantError as err:
     print("caught", err)
+try:
+    sim.commit_placement(2, 1, from_reservation=False)  # s1 is full
+except InvariantError as err:
+    print("caught", err)
 """
 
 
@@ -520,7 +579,11 @@ def test_assert_invariants_survives_optimized_python() -> None:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["debug False", "caught capacity breached at s3"]
+    assert proc.stdout.splitlines() == [
+        "debug False",
+        "caught capacity breached at s3",
+        "caught capacity breach at s1 placing r2",
+    ]
 
 
 def test_assert_invariants_catches_availability_drift() -> None:
