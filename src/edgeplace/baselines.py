@@ -33,13 +33,15 @@ __all__ = [
 ]
 
 
-def _residual_capacity(
-    problem: EpochProblem, movable: set[RequestId]
-) -> dict[DatacenterId, int]:
-    """Free capacity per node once immovable placements are accounted for."""
+def _residual_capacity(problem: EpochProblem) -> dict[DatacenterId, int]:
+    """Free capacity per node once every current placement is accounted for.
+
+    A movable service keeps its host until the epoch moves it, and one the
+    algorithm leaves unplaced stays there, so its room is not free.
+    """
     residual = {n: problem.topology.capacity(n) for n in problem.topology.nodes}
     for svc in problem.services:
-        if svc.request_id in movable or svc.current_host is None:
+        if svc.current_host is None:
             continue
         units = problem.demand(svc.class_id, svc.current_host)
         assert units is not None
@@ -81,7 +83,7 @@ def _assign(
 def first_fit(problem: EpochProblem) -> EpochDecision:
     """Arrival order, lowest feasible datacenter with room."""
     todo = sorted(_movable(problem), key=lambda s: s.request_id)
-    residual = _residual_capacity(problem, {s.request_id for s in todo})
+    residual = _residual_capacity(problem)
     placement: dict[RequestId, DatacenterId] = {}
     for svc in todo:
         node = _lowest_with_room(problem, svc, residual)
@@ -106,7 +108,7 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
     """
     topology = problem.topology
     movable_ids = {s.request_id for s in _movable(problem)}
-    residual = _residual_capacity(problem, movable_ids)
+    residual = _residual_capacity(problem)
     # where every immovable service sits, for the push-down recovery
     tenants: dict[DatacenterId, list[ActiveService]] = {}
     for svc in problem.services:
@@ -192,7 +194,7 @@ def cheapest_feasible(problem: EpochProblem) -> EpochDecision:
     """Greedy by demand: big services first, each at the cheapest feasible
     node with room (placement price plus migration charge when moving)."""
     movable = _movable(problem)
-    residual = _residual_capacity(problem, {s.request_id for s in movable})
+    residual = _residual_capacity(problem)
 
     def poa_demand(svc: ActiveService) -> int:
         units = problem.demand(svc.class_id, svc.poa)
@@ -226,7 +228,7 @@ def availability_scaler(problem: EpochProblem) -> EpochDecision:
     options first.  Each lands on the feasible node with the most free
     capacity, falling back to the next roomiest."""
     movable = _movable(problem)
-    residual = _residual_capacity(problem, {s.request_id for s in movable})
+    residual = _residual_capacity(problem)
 
     def allocated(svc: ActiveService) -> int:
         if svc.current_host is None:

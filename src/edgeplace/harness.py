@@ -60,14 +60,14 @@ def build_simulator(
         check_invariants=check_invariants,
     )
     if algo == "dapp":
-        return Simulator(mode="protocol", **common)
+        return Simulator(**common)
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; pick one of {ALGO_CHOICES}")
     if algo == "exact":
         algorithm = lambda problem: exact_optimal(problem, node_budget=bnb_budget)
     else:
         algorithm = ALGORITHMS[algo]
-    return Simulator(mode="centralized", algorithm=algorithm, **common)
+    return Simulator(algorithm=algorithm, **common)
 
 
 def run_scenario(

@@ -24,10 +24,18 @@ __all__ = [
     "build_tree",
     "feasible_set_for",
     "check_feasible",
+    "InvariantError",
 ]
 
 DatacenterId = int
 RequestId = int
+
+
+class InvariantError(AssertionError):
+    """A capacity, bookkeeping or reach invariant of the engine is broken.
+
+    Raised explicitly rather than by ``assert``, so the checks also run
+    under ``python -O``."""
 
 
 @dataclass(frozen=True)

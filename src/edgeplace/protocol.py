@@ -20,8 +20,12 @@ message-driven stages:
   they stand and refuse new reservations, trading optimality for fast
   convergence while the neighbourhood is congested.
 
-Nodes never share memory: all interaction happens through the message and
-timer services of a :class:`World`, which the simulation engine implements.
+Each node owns its books (reservations, placements, free capacity) and the
+demand of each service class at its level.  Nodes never share memory: they
+act through the services of a :class:`World`, which the simulation engine
+implements, and the engine reaches a node only through ``buffer_scan_input``,
+``on_message``, ``on_timer``, ``notify_gone`` and ``release``.
+
 A node holds its backlogs (unassigned records, reservation adverts, a
 push-down session's records, requests awaiting a push-down) as
 insertion-ordered dicts keyed by request id, so withdrawing one request is a
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
-from .model import DatacenterId, Request, RequestId, Topology
+from .model import DatacenterId, InvariantError, Request, RequestId, Topology
 
 __all__ = [
     "Record",
@@ -152,17 +156,17 @@ class ProtocolTiming:
 
 
 class World(Protocol):
-    """Services the engine provides to protocol nodes."""
+    """Services the engine provides to protocol nodes.
+
+    A node books a placement on its own capacity before it reports it with
+    :meth:`commit_placement`; the engine never writes a node's books.
+    """
 
     def now(self) -> float: ...
 
-    def demand(self, class_id: int, node: DatacenterId) -> int | None: ...
-
     def send(self, src: DatacenterId, dst: DatacenterId, msg: ProtocolMsg) -> None: ...
 
-    def commit_placement(
-        self, request_id: RequestId, node: DatacenterId, from_reservation: bool
-    ) -> None: ...
+    def commit_placement(self, request_id: RequestId, node: DatacenterId) -> None: ...
 
     def report_failure(self, request_id: RequestId, node: DatacenterId) -> None: ...
 
@@ -170,9 +174,10 @@ class World(Protocol):
 
     def is_active(self, request_id: RequestId) -> bool: ...
 
-    def is_placed(self, request_id: RequestId) -> bool: ...
-
-    def is_relocating(self, request_id: RequestId) -> bool: ...
+    def is_served(self, request_id: RequestId) -> bool:
+        """Placed, and not awaiting re-placement after its user moved out
+        of the host's reach (such a record stays alive until re-placed)."""
+        ...
 
     def record_current(self, rec: Record) -> bool: ...
 
@@ -260,6 +265,7 @@ class ProtocolNode:
         topology: Topology,
         node_id: DatacenterId,
         timing: ProtocolTiming,
+        demand: Mapping[int, int],
     ) -> None:
         self.world = world
         self.node_id = node_id
@@ -274,6 +280,7 @@ class ProtocolNode:
         self.capacity = topology.capacity(node_id)
         self.available = topology.capacity(node_id)
         self.timing = timing
+        self.demand = demand  # class id -> CPU units here; absent: not hostable
         # request bookkeeping
         self.assigned: dict[RequestId, int] = {}
         self.placed: dict[RequestId, int] = {}
@@ -294,17 +301,9 @@ class ProtocolNode:
 
     # -- small helpers ----------------------------------------------------
 
-    def _demand_here(self, class_id: int) -> int | None:
-        return self.world.demand(class_id, self.node_id)
-
     def _sorted(self, records: Collection[Record]) -> list[Record]:
         """``records`` in placement-attempt order (see :func:`sort_requests`)."""
-        demand = {
-            r.class_id: u
-            for r in records
-            if (u := self._demand_here(r.class_id)) is not None
-        }
-        return sort_requests(records, self.subtree, demand)
+        return sort_requests(records, self.subtree, self.demand)
 
     def _arm_timer(self, kind: str) -> None:
         """Arm the ``scan`` or ``push_down`` batch timer unless it is pending."""
@@ -333,19 +332,26 @@ class ProtocolNode:
     def _child_towards(self, node: DatacenterId) -> DatacenterId:
         child = self._child_of.get(node)
         if child is None:
-            raise AssertionError(f"node {node} is not below {self.node_id}")
+            raise InvariantError(f"node {node} is not below {self.node_id}")
         return child
 
-    def _already_served(self, request_id: RequestId) -> bool:
-        """True when the request sits at a host that still serves its user.
-
-        A placed service awaiting re-placement (its user moved beyond the
-        host's reach) must keep its record alive: the old placement holds
-        capacity but no longer serves, and only a new one retires it.
-        """
-        return self.world.is_placed(request_id) and not self.world.is_relocating(
-            request_id
-        )
+    def _place(self, rec: Record, *, reserved: bool) -> None:
+        """Book ``rec`` here, converting its reservation or taking free
+        units, then report the placement."""
+        rid, units = rec.request_id, self.demand.get(rec.class_id)
+        if reserved:
+            held = self.assigned.pop(rid)
+            if held != units:
+                raise InvariantError(
+                    f"reservation mismatch at s{self.node_id} placing r{rid}: "
+                    f"{held} reserved, {units} needed"
+                )
+        elif units is None or units > self.available:
+            raise InvariantError(f"capacity breach at s{self.node_id} placing r{rid}")
+        else:
+            self.available -= units
+        self.placed[rid] = units
+        self.world.commit_placement(rid, self.node_id)
 
     def _merge_records(
         self, target: dict[RequestId, Record], incoming: Iterable[Record]
@@ -380,7 +386,8 @@ class ProtocolNode:
         """Send push-up verdicts toward their origins, one message per child."""
         by_child: dict[DatacenterId, list[tuple[Record, bool]]] = {}
         for rec, hosted_above in acks:
-            assert rec.origin is not None
+            if rec.origin is None:
+                raise InvariantError(f"push-up ack r{rec.request_id} has no origin")
             by_child.setdefault(self._child_towards(rec.origin), []).append(
                 (rec, hosted_above)
             )
@@ -457,6 +464,13 @@ class ProtocolNode:
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown message {type(msg).__name__}")
 
+    def release(self, request_id: RequestId) -> int:
+        """Free a service hosted here that migrated or departed; returns
+        the units it held."""
+        units = self.placed.pop(request_id)
+        self.available += units
+        return units
+
     def notify_gone(self, request_id: RequestId) -> None:
         """Purge every trace of a departed or withdrawn request."""
         self.not_assigned.pop(request_id, None)
@@ -494,10 +508,10 @@ class ProtocolNode:
         )
         new_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
-            if self._already_served(rec.request_id):
+            if self.world.is_served(rec.request_id):
                 del self.not_assigned[rec.request_id]
                 continue
-            units = self._demand_here(rec.class_id)
+            units = self.demand.get(rec.class_id)
             if units is not None and units <= self.available:
                 del self.not_assigned[rec.request_id]
                 self.available -= units
@@ -505,9 +519,7 @@ class ProtocolNode:
                 owned = replace(rec, origin=self.node_id)
                 if rec.top_feasible == self.node_id:
                     self.world.log(self.node_id, f"scan top-place r{rec.request_id}")
-                    self.world.commit_placement(
-                        rec.request_id, self.node_id, from_reservation=True
-                    )
+                    self._place(rec, reserved=True)
                 else:
                     self.world.log(self.node_id, f"scan assign r{rec.request_id}")
                     self.push_up[rec.request_id] = owned
@@ -540,16 +552,14 @@ class ProtocolNode:
         )
         schedule_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
-            if self._already_served(rec.request_id):
+            if self.world.is_served(rec.request_id):
                 del self.not_assigned[rec.request_id]
                 continue
-            units = self._demand_here(rec.class_id)
+            units = self.demand.get(rec.class_id)
             if units is not None and units <= self.available:
                 del self.not_assigned[rec.request_id]
                 self.world.log(self.node_id, f"f-scan place r{rec.request_id}")
-                self.world.commit_placement(
-                    rec.request_id, self.node_id, from_reservation=False
-                )
+                self._place(rec, reserved=False)
                 self.pd_pending.pop(rec.request_id, None)
             elif rec.top_feasible == self.node_id:
                 if rec.request_id in self.pd_pending:
@@ -619,7 +629,7 @@ class ProtocolNode:
             if rec.top_feasible == self.node_id or rec.request_id in self.pd_pending:
                 continue
             if self.parent is None or self.parent not in rec.feasible:
-                raise AssertionError(
+                raise InvariantError(
                     f"record r{rec.request_id} stranded at s{self.node_id}: "
                     "feasible set is not a contiguous path prefix"
                 )
@@ -640,18 +650,15 @@ class ProtocolNode:
                 # back at its reservation: nothing above took it
                 if rec.request_id in self.assigned:
                     self.world.log(self.node_id, f"pu settle r{rec.request_id}")
-                    self.world.commit_placement(
-                        rec.request_id, self.node_id, from_reservation=True
-                    )
+                    self._place(rec, reserved=True)
                 continue
-            assert rec.origin is not None, "push-up records always carry a reservation site"
+            if rec.origin is None:
+                raise InvariantError(f"push-up record r{rec.request_id} has no origin")
             child = self._child_towards(rec.origin)
-            units = self._demand_here(rec.class_id)
+            units = self.demand.get(rec.class_id)
             if units is not None and units <= self.available:
                 self.world.log(self.node_id, f"pu host r{rec.request_id}")
-                self.world.commit_placement(
-                    rec.request_id, self.node_id, from_reservation=False
-                )
+                self._place(rec, reserved=False)
                 acks.setdefault(child, []).append((rec, True))
             else:
                 downs.setdefault(child, []).append(rec)
@@ -678,9 +685,7 @@ class ProtocolNode:
                     self.world.log(self.node_id, f"pu release r{rec.request_id}")
                 else:
                     self.world.log(self.node_id, f"pu settle r{rec.request_id}")
-                    self.world.commit_placement(
-                        rec.request_id, self.node_id, from_reservation=True
-                    )
+                    self._place(rec, reserved=True)
             else:
                 relay.append((rec, hosted_above))
         self._relay_acks(relay)
@@ -702,9 +707,7 @@ class ProtocolNode:
                 continue
             if rec.origin == self.node_id:
                 if rec.request_id in self.assigned:
-                    self.world.commit_placement(
-                        rec.request_id, self.node_id, from_reservation=True
-                    )
+                    self._place(rec, reserved=True)
             else:
                 relay.append((rec, False))
         self._relay_acks(relay)
@@ -731,7 +734,7 @@ class ProtocolNode:
                 )
             )
         for rid in sorted(self.placed):
-            if self.world.is_relocating(rid):
+            if not self.world.is_served(rid):
                 continue  # a newer placement decision is already in flight
             req = self.world.request_info(rid)
             if req is None:
@@ -757,10 +760,11 @@ class ProtocolNode:
         problematic: list[Record] = []
         for rid in pending:
             rec = self.not_assigned.get(rid)
-            if rec is None or self._already_served(rid):
+            if rec is None or self.world.is_served(rid):
                 continue
-            units = self._demand_here(rec.class_id)
-            assert units is not None, "stuck request must be hostable here"
+            units = self.demand.get(rec.class_id)
+            if units is None:
+                raise InvariantError(f"stuck r{rid} is not hostable at s{self.node_id}")
             # generation 0: see _appended_offer_records
             problematic.append(
                 replace(rec, origin=None, generation=0, beta_at_initiator=units)
@@ -823,7 +827,7 @@ class ProtocolNode:
                 continue
             if not self.world.record_current(rec):
                 continue
-            units = self._demand_here(rec.class_id)
+            units = self.demand.get(rec.class_id)
             if units is None or units > virtual_avail:
                 continue
             virtual_avail -= units
@@ -844,9 +848,8 @@ class ProtocolNode:
 
     def _pd_record_relevant(self, rec: Record, child: DatacenterId) -> bool:
         members = self.child_subtree[child]
-        assert rec.origin is None or rec.origin not in members, (
-            "push-down records never descend past their own origin"
-        )
+        if rec.origin in members:
+            raise InvariantError(f"push-down r{rec.request_id} passes its origin")
         return any(n in members for n in rec.feasible)
 
     def _continue_push_down(self) -> None:
@@ -886,9 +889,10 @@ class ProtocolNode:
 
     def handle_push_down_ack(self, sender: DatacenterId, msg: PdAckMsg) -> None:
         session = self.pd_session
-        assert (
-            session is not None and session.awaiting == sender
-        ), f"unexpected push-down ack from s{sender} at s{self.node_id}"
+        if session is None or session.awaiting != sender:
+            raise InvariantError(
+                f"unexpected push-down ack from s{sender} at s{self.node_id}"
+            )
         session.awaiting = None
         session.deficit = msg.deficit
         received_ids = {r.request_id for r in session.received}
@@ -918,12 +922,10 @@ class ProtocolNode:
             if not self.world.is_active(rec.request_id) or not self.world.record_current(rec):
                 del session.records[rec.request_id]
                 continue
-            units = self._demand_here(rec.class_id)
+            units = self.demand.get(rec.class_id)
             if units is not None and units <= self.available:
                 self.world.log(self.node_id, f"pd host r{rec.request_id}")
-                self.world.commit_placement(
-                    rec.request_id, self.node_id, from_reservation=False
-                )
+                self._place(rec, reserved=False)
                 del session.records[rec.request_id]
                 if rec.request_id in received_ids:
                     session.hosted_ids.add(rec.request_id)

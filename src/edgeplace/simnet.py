@@ -3,13 +3,15 @@
 Events are ordered by ``(time, sequence)`` where the sequence number is
 assigned at scheduling time, so identical inputs always replay to identical
 event orders, logs, and reports.  The engine owns the ground truth about
-requests (the registry) and is the single mutation path for placements, so
-capacity invariants can be checked after every event.
+requests (the registry) and records every placement, so capacity
+invariants can be checked after every event.
 
-Two execution modes share the machinery:
+Two lanes share the machinery, chosen by whether a placement algorithm is
+given:
 
-* ``protocol`` — every datacenter runs a :class:`~.protocol.ProtocolNode`
-  and placement emerges from message exchange; control traffic is metered
+* ``protocol`` (no algorithm) — every datacenter runs a
+  :class:`~.protocol.ProtocolNode` that books its own capacity, and
+  placement emerges from message exchange; control traffic is metered
   through a latency/bandwidth link model.
 * ``centralized`` — a placement algorithm runs at one-second epoch
   boundaries over batched arrivals (plus services orphaned by mobility),
@@ -27,6 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .model import (
     CostModel,
     DatacenterId,
+    InvariantError,
     Request,
     RequestId,
     ServiceClass,
@@ -314,13 +317,6 @@ class EpochDecision:
     exhausted_budget: bool = False
 
 
-class InvariantError(AssertionError):
-    """A capacity, bookkeeping or reach invariant of the engine is broken.
-
-    Raised explicitly rather than by ``assert``, so the checks also run
-    under ``python -O``."""
-
-
 class Simulator:
     """Event-driven world shared by the protocol and the centralized lanes."""
 
@@ -334,22 +330,18 @@ class Simulator:
         rtt_by_level: Mapping[int, float],
         timing: ProtocolTiming | None = None,
         link: LinkModel | None = None,
-        mode: str = "protocol",
         algorithm: EpochAlgorithm | None = None,
         event_budget: int = 500_000,
         check_invariants: bool = False,
     ) -> None:
-        if mode not in ("protocol", "centralized"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "centralized" and algorithm is None:
-            raise ValueError("centralized mode needs an algorithm")
         self.topology = topology
         self.classes = dict(classes)
         self.costs = costs
         self.rtt_by_level = dict(rtt_by_level)
         self.timing = timing or ProtocolTiming()
         self.link = link or LinkModel()
-        self.mode = mode
+        #: the lane: "protocol" without an algorithm, else "centralized"
+        self.mode = "protocol" if algorithm is None else "centralized"
         self.algorithm = algorithm
         self.event_budget = event_budget
         self.check_invariants = check_invariants
@@ -378,10 +370,16 @@ class Simulator:
             n: 0 for n in topology.nodes
         }
         self.nodes: dict[DatacenterId, ProtocolNode] = {}
-        if mode == "protocol":
+        if self.mode == "protocol":
             for node_id in topology.nodes:
+                level = topology.level(node_id)
+                demand = {
+                    cid: svc.cpu_demand[level]
+                    for cid, svc in self.classes.items()
+                    if level in svc.cpu_demand
+                }
                 self.nodes[node_id] = ProtocolNode(
-                    self, topology, node_id, self.timing
+                    self, topology, node_id, self.timing, demand
                 )
 
     # -- World services (protocol mode) ------------------------------------
@@ -389,7 +387,7 @@ class Simulator:
     def now(self) -> float:
         return self._now
 
-    def demand(self, class_id: int, node: DatacenterId) -> int | None:
+    def _demand(self, class_id: int, node: DatacenterId) -> int | None:
         return self.classes[class_id].demand_at(self.topology.level(node))
 
     def send(self, src: DatacenterId, dst: DatacenterId, msg: ProtocolMsg) -> None:
@@ -411,33 +409,16 @@ class Simulator:
         self.log(src, f"send {kind} -> s{dst} bits={bits}")
         self._schedule(arrival, "deliver", (src, dst, msg))
 
-    def commit_placement(
-        self, request_id: RequestId, node: DatacenterId, from_reservation: bool
-    ) -> None:
-        """The single mutation path for placements (and thus migrations)."""
+    def commit_placement(self, request_id: RequestId, node: DatacenterId) -> None:
+        """Record a placement (and thus any migration) that, in the
+        protocol lane, the hosting node has already booked."""
         req = self._registry[request_id]
-        units = self.demand(req.class_id, node)
+        units = self._demand(req.class_id, node)
         if units is None:
             raise InvariantError(
                 f"r{request_id} placed at s{node}, a level that cannot host it"
             )
         old_host = req.host
-        if self.mode == "protocol":
-            state = self.nodes[node]
-            if from_reservation:
-                reserved = state.assigned.pop(request_id)
-                if reserved != units:
-                    raise InvariantError(
-                        f"reservation mismatch at s{node} placing r{request_id}: "
-                        f"{reserved} reserved, {units} needed"
-                    )
-            elif units > state.available:
-                raise InvariantError(
-                    f"capacity breach at s{node} placing r{request_id}"
-                )
-            else:
-                state.available -= units
-            state.placed[request_id] = units
         self._capacity_used[node] += units
         if old_host is not None and old_host != node:
             self._release_host(req)
@@ -456,17 +437,15 @@ class Simulator:
         """Free the capacity of a request's current placement."""
         assert req.host is not None
         node = req.host
-        units = self.demand(req.class_id, node)
+        units = self._demand(req.class_id, node)
         assert units is not None
         if self.mode == "protocol":
-            state = self.nodes[node]
-            freed = state.placed.pop(req.request_id)
+            freed = self.nodes[node].release(req.request_id)
             if freed != units:
                 raise InvariantError(
                     f"release mismatch at s{node} for r{req.request_id}: "
                     f"{freed} booked, {units} expected"
                 )
-            state.available += units
         self._capacity_used[node] -= units
         req.host = None
 
@@ -490,12 +469,13 @@ class Simulator:
         req = self._registry.get(request_id)
         return req is not None and req.state in ("waiting", "placed")
 
-    def is_placed(self, request_id: RequestId) -> bool:
+    def is_served(self, request_id: RequestId) -> bool:
         req = self._registry.get(request_id)
-        return req is not None and req.state == "placed"
-
-    def is_relocating(self, request_id: RequestId) -> bool:
-        return request_id in self._relocating
+        return (
+            req is not None
+            and req.state == "placed"
+            and request_id not in self._relocating
+        )
 
     def record_current(self, rec: Record) -> bool:
         req = self._registry.get(rec.request_id)
@@ -662,7 +642,7 @@ class Simulator:
             if node == req.host:
                 self._relocating.discard(rid)
                 continue
-            self.commit_placement(rid, node, from_reservation=False)
+            self.commit_placement(rid, node)
             targets.add(node)
         for node in sorted(targets):
             if self._capacity_used[node] > self.topology.capacity(node):
@@ -681,10 +661,12 @@ class Simulator:
         """Feed a trace through the world and drive it to quiescence."""
         for ev in trace:
             if ev.kind == "arrive":
-                assert ev.poa is not None and ev.class_id is not None
+                if ev.poa is None or ev.class_id is None:
+                    raise ValueError(f"arrival of user {ev.user} lacks a PoA or class")
                 self._schedule(ev.time, "arrive", (ev.user, ev.poa, ev.class_id))
             elif ev.kind == "move":
-                assert ev.poa is not None
+                if ev.poa is None:
+                    raise ValueError(f"move of user {ev.user} lacks a PoA")
                 self._schedule(ev.time, "move", (ev.user, ev.poa))
             elif ev.kind == "depart":
                 self._schedule(ev.time, "depart", (ev.user,))

@@ -7,11 +7,12 @@ the event loop, link model, or timers getting involved.
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
-from edgeplace.model import Request, Topology, build_tree
+from edgeplace.model import InvariantError, Request, Topology, build_tree
 from edgeplace.protocol import (
     PdAckMsg,
     PdRequestMsg,
@@ -22,31 +23,25 @@ from edgeplace.protocol import (
     PuMsg,
     Record,
     SfsMsg,
+    World,
     sort_requests,
 )
+from edgeplace.simnet import Simulator
 
 
 class FakeWorld:
     """Scripted engine stand-in: records every side effect for assertions."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        class_demand: dict[int, int] | None = None,
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self.time = 0.0
-        self.class_demand = dict(class_demand or {0: 2})
-        self.node_demand: dict[tuple[int, int], int | None] = {}
-        self.nodes: dict[int, ProtocolNode] = {}
         self.sent: list[tuple[int, int, object]] = []
-        self.placements: list[tuple[int, int, bool]] = []
+        self.placements: list[tuple[int, int]] = []
         self.failures: list[tuple[int, int]] = []
         self.timers: list[tuple[int, str, float]] = []
         self.gone: set[int] = set()
         self.placed_set: set[int] = set()
         self.relocating_set: set[int] = set()
-        self.class_of: dict[int, int] = {}
         self.generations: dict[int, int] = {}
         self.views: dict[int, Request] = {}
         self.push_down_count = 0
@@ -57,29 +52,12 @@ class FakeWorld:
     def now(self) -> float:
         return self.time
 
-    def demand(self, class_id: int, node: int) -> int | None:
-        if (class_id, node) in self.node_demand:
-            return self.node_demand[(class_id, node)]
-        return self.class_demand.get(class_id)
-
     def send(self, src: int, dst: int, msg: object) -> None:
         self.sent.append((src, dst, msg))
 
-    def commit_placement(self, request_id: int, node: int, from_reservation: bool) -> None:
-        self.placements.append((request_id, node, from_reservation))
+    def commit_placement(self, request_id: int, node: int) -> None:
+        self.placements.append((request_id, node))
         self.placed_set.add(request_id)
-        # mirror the engine's node bookkeeping so capacity math stays honest
-        state = self.nodes.get(node)
-        if state is not None:
-            units = self.demand(self.class_of.get(request_id, 0), node)
-            assert units is not None
-            if from_reservation:
-                reserved = state.assigned.pop(request_id)
-                assert reserved == units
-            else:
-                assert units <= state.available, "capacity breach"
-                state.available -= units
-            state.placed[request_id] = units
 
     def report_failure(self, request_id: int, node: int) -> None:
         self.failures.append((request_id, node))
@@ -91,11 +69,8 @@ class FakeWorld:
     def is_active(self, request_id: int) -> bool:
         return request_id not in self.gone
 
-    def is_placed(self, request_id: int) -> bool:
-        return request_id in self.placed_set
-
-    def is_relocating(self, request_id: int) -> bool:
-        return request_id in self.relocating_set
+    def is_served(self, request_id: int) -> bool:
+        return request_id in self.placed_set and request_id not in self.relocating_set
 
     def record_current(self, rec: Record) -> bool:
         return rec.generation == self.generations.get(rec.request_id, 0)
@@ -165,10 +140,14 @@ def keyed(*records: Record) -> dict[int, Record]:
     return {r.request_id: r for r in records}
 
 
-def make_node(world: FakeWorld, node_id: int) -> ProtocolNode:
-    node = ProtocolNode(world, world.topology, node_id, ProtocolTiming())
-    world.nodes[node_id] = node
-    return node
+def make_node(
+    world: FakeWorld, node_id: int, demand: dict[int, int] | None = None
+) -> ProtocolNode:
+    """A node whose level hosts class 0 at two units, unless ``demand`` says
+    otherwise."""
+    return ProtocolNode(
+        world, world.topology, node_id, ProtocolTiming(), demand or {0: 2}
+    )
 
 
 def sent_of(world: FakeWorld, kind: type) -> list[tuple[int, int, object]]:
@@ -260,7 +239,7 @@ def test_scan_places_outright_at_top_feasible_node() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 0)
     node.run_scan([rec(1, (1, 0))], [])
-    assert world.placements == [(1, 0, True)]
+    assert world.placements == [(1, 0)]
     assert world.sent == []
     # the reservation converted into a placement without double-charging
     assert node.assigned == {} and node.placed == {1: 2}
@@ -330,7 +309,8 @@ def test_push_up_hosts_when_capacity_allows() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 1)
     node.run_push_up([rec(9, (3, 1, 0), origin=3)])
-    assert world.placements == [(9, 1, False)]
+    assert world.placements == [(9, 1)]
+    assert node.placed == {9: 2} and node.available == 6
     ((_, dst, msg),) = world.sent
     assert dst == 3 and isinstance(msg, PuAckMsg)
     assert msg.acks[0][0].request_id == 9 and msg.acks[0][1] is True
@@ -353,9 +333,10 @@ def test_push_up_settles_record_back_at_its_reservation() -> None:
     node.assigned = {9: 2}
     node.available = 2
     node.run_push_up([rec(9, (3, 1, 0), origin=3)])
-    assert world.placements == [(9, 3, True)]
+    assert world.placements == [(9, 3)]
     assert world.sent == []
     assert node.assigned == {} and node.placed == {9: 2}
+    assert node.available == 2  # the reservation converted, no new units
 
 
 def test_push_up_one_slot_goes_to_first_in_sorted_order() -> None:
@@ -366,7 +347,8 @@ def test_push_up_one_slot_goes_to_first_in_sorted_order() -> None:
     contender_b = rec(4, (4, 1), origin=4)
     node.run_push_up([contender_a, contender_b])
     # same constraint profile: the lower request id wins the slot
-    assert world.placements == [(4, 1, False)]
+    assert world.placements == [(4, 1)]
+    assert node.placed == {4: 2} and node.available == 0
     by_kind = {type(msg): (dst, msg) for _, dst, msg in world.sent}
     assert by_kind[PuAckMsg][0] == 4
     assert by_kind[PuMsg][0] == 3
@@ -385,8 +367,9 @@ def test_push_up_ack_releases_or_settles_reservation() -> None:
     node.assigned = {8: 2}
     node.available = 2
     node.handle_push_up_acks([(rec(8, (3, 1, 0), origin=3), False)])
-    assert world.placements == [(8, 3, True)]
+    assert world.placements == [(8, 3)]
     assert node.assigned == {} and node.placed == {8: 2}
+    assert node.available == 2
 
 
 def test_push_up_ack_relays_toward_origin() -> None:
@@ -423,7 +406,8 @@ def test_fallback_push_up_settles_own_reservation() -> None:
     node.assigned = {9: 2}
     node.available = 2
     node.run_fallback_push_up([rec(9, (3, 1, 0), origin=3)])
-    assert world.placements == [(9, 3, True)]
+    assert world.placements == [(9, 3)]
+    assert node.assigned == {} and node.placed == {9: 2} and node.available == 2
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +419,9 @@ def test_fallback_scan_places_directly() -> None:
     node = make_node(world, 3)
     node.f_mode_until = 100.0
     node.run_fallback_scan([rec(1, (3, 1, 0))], [])
-    assert world.placements == [(1, 3, False)]
+    assert world.placements == [(1, 3)]
     assert node.assigned == {}  # no reservation step in quarantine
+    assert node.placed == {1: 2} and node.available == 2
 
 
 def test_fallback_scan_fails_stuck_requests_during_session_wind_down() -> None:
@@ -546,7 +531,8 @@ def test_accept_push_down_hosts_and_shrinks_deficit() -> None:
     node = make_node(world, 3)
     offer = pd_rec(9, (3, 1, 0), 3)  # three units at the initiator, two here
     node.accept_push_down(1, PdRequestMsg(initiator=0, deficit=5, records=(offer,)))
-    assert world.placements == [(9, 3, False)]
+    assert world.placements == [(9, 3)]
+    assert node.placed == {9: 2} and node.available == 2
     ((_, dst, msg),) = world.sent
     assert dst == 1 and isinstance(msg, PdAckMsg)
     assert msg.deficit == 2  # relieved by the initiator-side demand, not ours
@@ -608,7 +594,7 @@ def test_push_down_ack_releases_hosted_reservation() -> None:
     assert node.assigned == {} and node.push_up == {}
     assert any("pd release r5" in text for _, text in world.lines)
     # the freed slot goes straight to the stuck request in the local pass
-    assert world.placements == [(1, 0, False)]
+    assert world.placements == [(1, 0)]
     assert node.available == 0 and node.not_assigned == {}
     assert not node.within_pd and node.pd_session is None
 
@@ -672,6 +658,27 @@ def test_notify_gone_scrubs_every_trace() -> None:
     assert node.scan_buf_na == [] and node.pd_pending == {}
 
 
+def test_place_books_on_the_nodes_own_capacity() -> None:
+    world = FakeWorld(two_level())
+    node = make_node(world, 1)
+    node.available = 1
+    with pytest.raises(InvariantError, match="capacity breach at s1 placing r1"):
+        node._place(rec(1, (1, 0)), reserved=False)
+    node.available, node.assigned = 2, {2: 3}
+    with pytest.raises(InvariantError, match="reservation mismatch at s1 placing r2"):
+        node._place(rec(2, (1, 0)), reserved=True)
+    assert world.placements == [] and node.placed == {}
+
+
+def test_release_frees_a_hosted_service() -> None:
+    world = FakeWorld(two_level())
+    node = make_node(world, 1)
+    node.run_fallback_scan([rec(1, (1, 0))], [])
+    assert node.placed == {1: 2} and node.available == 2
+    assert node.release(1) == 2
+    assert node.placed == {} and node.available == 4
+
+
 def test_on_timer_rejects_unknown_kind() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 1)
@@ -686,8 +693,8 @@ def test_on_timer_rejects_unknown_kind() -> None:
 def test_scan_never_overcommits_capacity() -> None:
     rng = random.Random(11)
     for _ in range(60):
-        world = FakeWorld(two_level(), class_demand={0: rng.randint(1, 3)})
-        node = make_node(world, 1)
+        world = FakeWorld(two_level())
+        node = make_node(world, 1, demand={0: rng.randint(1, 3)})
         records = [
             rec(rid, (1, 0) if rng.random() < 0.7 else (1,))
             for rid in range(rng.randint(1, 8))
@@ -696,3 +703,29 @@ def test_scan_never_overcommits_capacity() -> None:
         committed = sum(node.assigned.values()) + sum(node.placed.values())
         assert committed <= node.capacity
         assert node.available == node.capacity - committed
+
+
+# ---------------------------------------------------------------------------
+# the World seam
+
+
+def _public_methods(cls: type) -> set[str]:
+    return {
+        name
+        for name, value in vars(cls).items()
+        if callable(value) and not name.startswith("_")
+    }
+
+
+def test_fake_and_engine_implement_exactly_the_world_seam() -> None:
+    seam = _public_methods(World)
+    assert len(seam) <= 11
+    assert _public_methods(FakeWorld) == seam
+    assert seam <= _public_methods(Simulator)
+    for name in sorted(seam):
+        params = list(inspect.signature(getattr(World, name)).parameters)
+        for impl in (FakeWorld, Simulator):
+            assert list(inspect.signature(getattr(impl, name)).parameters) == params, (
+                impl.__name__,
+                name,
+            )

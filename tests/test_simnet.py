@@ -37,7 +37,12 @@ from edgeplace.simnet import (
     save_trace,
 )
 from edgeplace.baselines import exact_optimal
-from edgeplace.scenarios import builtin_scenario, fig_two_tier_scenario, rand_scenario
+from edgeplace.scenarios import (
+    builtin_scenario,
+    fig_two_tier_scenario,
+    rand_scenario,
+    synth_scenario,
+)
 from edgeplace.harness import build_simulator, run_scenario
 
 from .oracles import wire_bits
@@ -232,16 +237,6 @@ def _world(capacity_overrides: dict[int, int]) -> Simulator:
     )
 
 
-def test_engine_rejects_bad_configuration() -> None:
-    topo = build_tree(levels=2, arity=2, leaf_capacity=1)
-    svc = _unit_class()
-    costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 1.0, 1: 1.0}})
-    with pytest.raises(ValueError):
-        Simulator(topo, {0: svc}, costs, {0: 0.001, 1: 0.002}, mode="psychic")
-    with pytest.raises(ValueError):
-        Simulator(topo, {0: svc}, costs, {0: 0.001, 1: 0.002}, mode="centralized")
-
-
 def test_arrival_with_no_reachable_datacenter_raises() -> None:
     sim = _world({})
     hopeless = ServiceClass(class_id=1, name="nope", max_delay=0.0, cpu_demand={0: 1})
@@ -262,6 +257,19 @@ def test_unknown_trace_kind_raises() -> None:
     sim = _world({})
     with pytest.raises(ValueError):
         sim.run([TraceEvent(0.0, 1, "teleport", 3, 0)])
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        TraceEvent(0.0, 1, "arrive", None, 0),
+        TraceEvent(0.0, 1, "arrive", 3, None),
+        TraceEvent(0.0, 1, "move", None),
+    ],
+)
+def test_trace_event_missing_a_field_raises(event: TraceEvent) -> None:
+    with pytest.raises(ValueError, match="lacks a PoA"):
+        _world({}).run([event])
 
 
 def test_empty_trace_runs_to_an_empty_ok_report() -> None:
@@ -340,7 +348,6 @@ def test_stranded_relocation_ends_infeasible() -> None:
         {0: _unit_class()},
         costs,
         {0: 0.001, 1: 0.002},
-        mode="centralized",
         algorithm=new_only,
         check_invariants=True,
     )
@@ -366,7 +373,6 @@ def test_exhausted_budget_with_answer_keeps_run_alive() -> None:
         {0: _unit_class()},
         costs,
         {0: 0.001, 1: 0.002},
-        mode="centralized",
         algorithm=cutoff_but_solved,
     )
     result = sim.run([TraceEvent(0.0, 1, "arrive", 1, 0)])
@@ -385,7 +391,6 @@ def test_exhausted_budget_without_answer_diverges() -> None:
         {0: _unit_class()},
         costs,
         {0: 0.001, 1: 0.002},
-        mode="centralized",
         algorithm=cutoff_empty,
     )
     result = sim.run([TraceEvent(0.0, 1, "arrive", 1, 0)])
@@ -402,6 +407,16 @@ def test_epoch_moves_may_pass_through_a_node_the_decision_frees() -> None:
         assert result.verdict == "ok", seed
 
 
+@pytest.mark.parametrize("algo", ["ffit", "bupu", "cpvnf", "multiscaler"])
+def test_epoch_keeps_room_for_relocations_it_leaves_unplaced(algo: str) -> None:
+    # Epochs here leave relocating services unplaced (at t=2.0 bupu leaves
+    # r22 and r26 on s2): they keep their hosts, whose room is not free.
+    scenario = synth_scenario(3, users=120, leaf_capacity=200)
+    result = run_scenario(scenario, algo, check_invariants=True)
+    assert result.counters.criticals > 0
+    assert result.verdict == "infeasible" and result.failed == ()
+
+
 def test_epoch_decision_over_capacity_raises() -> None:
     def crowd_one_leaf(problem):
         return EpochDecision(placement={svc.request_id: 1 for svc in problem.services})
@@ -413,7 +428,6 @@ def test_epoch_decision_over_capacity_raises() -> None:
         {0: _unit_class()},
         costs,
         {0: 0.001, 1: 0.002},
-        mode="centralized",
         algorithm=crowd_one_leaf,
     )
     trace = [TraceEvent(0.0, 1, "arrive", 1, 0), TraceEvent(0.0, 2, "arrive", 1, 0)]
@@ -434,7 +448,6 @@ def _counting_exact(scenario, calls: list[bool]) -> Simulator:
         scenario.classes,
         scenario.costs,
         scenario.rtt_by_level,
-        mode="centralized",
         algorithm=counting,
         check_invariants=True,
     )
@@ -547,6 +560,7 @@ def test_assert_invariants_catches_capacity_corruption() -> None:
 _CORRUPT_CAPACITY = """
 import sys
 from edgeplace.harness import build_simulator
+from edgeplace.protocol import PdAckMsg, Record
 from edgeplace.scenarios import fig_two_tier_scenario
 from edgeplace.simnet import InvariantError
 
@@ -560,8 +574,15 @@ try:
     sim.assert_invariants()
 except InvariantError as err:
     print("caught", err)
-try:
-    sim.commit_placement(2, 1, from_reservation=False)  # s1 is full
+req = sim.request_info(2)
+try:  # s1 is full
+    sim.nodes[1]._place(
+        Record(2, req.class_id, None, req.feasible, is_new=False), reserved=False
+    )
+except InvariantError as err:
+    print("caught", err)
+try:  # s1 runs no push-down
+    sim.nodes[1].handle_push_down_ack(3, PdAckMsg(initiator=1, deficit=0, acks=()))
 except InvariantError as err:
     print("caught", err)
 """
@@ -583,6 +604,7 @@ def test_assert_invariants_survives_optimized_python() -> None:
         "debug False",
         "caught capacity breached at s3",
         "caught capacity breach at s1 placing r2",
+        "caught unexpected push-down ack from s3 at s1",
     ]
 
 
