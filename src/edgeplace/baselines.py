@@ -9,13 +9,14 @@ request id, so results are deterministic.
 The exact solver is a depth-first branch-and-bound over all active
 services (a full re-solve, not an incremental patch), with an admissible
 capacity-relaxed bound; it is the cost yardstick the others are normalized
-against and the reference for the minimum-capacity searches.
+against and, stopped at its first feasible placement, the reference for
+the minimum-capacity searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .model import DatacenterId, RequestId
 from .simnet import ActiveService, EpochDecision, EpochProblem
@@ -267,6 +268,8 @@ def exact_optimal(
     problem: EpochProblem,
     node_budget: int = 500_000,
     stats: ExactSolverStats | None = None,
+    *,
+    first_solution: bool = False,
 ) -> EpochDecision:
     """Minimum-cost placement of every active service, by branch and bound.
 
@@ -276,14 +279,21 @@ def exact_optimal(
     overestimates, so the first complete solution kept is optimal when the
     search runs to completion.  Budget exhaustion is reported, never
     silently truncated.
+
+    With ``first_solution`` the solver answers only whether a placement
+    exists: it returns the warm start when that is feasible, or else the
+    first complete assignment the search reaches (the one the full search
+    keeps first, after the same nodes), as solved and not exhausted.
     """
     topology = problem.topology
     services = sorted(
         problem.services, key=lambda s: (len(s.feasible), s.request_id)
     )
-    residual = {n: topology.capacity(n) for n in topology.nodes}
+    nodes = topology.nodes
+    slot = {node: i for i, node in enumerate(nodes)}
 
-    options: list[list[tuple[float, DatacenterId, int]]] = []
+    # per service, its (price, slot, units) options, cheapest first
+    options: list[tuple[tuple[float, int, int], ...]] = []
     for svc in services:
         cand = []
         for node in svc.feasible:
@@ -294,7 +304,7 @@ def exact_optimal(
         if not cand:
             return EpochDecision(placement={}, solved=False)
         cand.sort(key=lambda t: (t[0], t[1]))
-        options.append(cand)
+        options.append(tuple((price, slot[node], units) for price, node, units in cand))
     # admissible tail bound: cheapest option of every undecided service
     tail = [0.0] * (len(services) + 1)
     for i in range(len(services) - 1, -1, -1):
@@ -329,35 +339,15 @@ def exact_optimal(
         ):
             incumbent_cost = seed_cost
             incumbent = candidate
-    assignment: list[DatacenterId] = [0] * len(services)
     expanded = 0
     exhausted = False
-
-    def descend(index: int, cost: float) -> None:
-        nonlocal incumbent_cost, incumbent, expanded, exhausted
-        if exhausted:
-            return
-        expanded += 1
-        if expanded > node_budget:
-            exhausted = True
-            return
-        if cost + tail[index] >= incumbent_cost:
-            return
-        if index == len(services):
-            incumbent_cost = cost
-            incumbent = assignment.copy()
-            return
-        for price, node, units in options[index]:
-            if units > residual[node]:
-                continue
-            residual[node] -= units
-            assignment[index] = node
-            descend(index + 1, cost + price)
-            residual[node] += units
-            if exhausted:
-                return
-
-    descend(0, 0.0)
+    if incumbent is None or not first_solution:
+        residual = [topology.capacity(n) for n in nodes]
+        expanded, exhausted, found = _branch_and_bound(
+            options, tail, residual, incumbent_cost, node_budget, first_solution
+        )
+        if found is not None:
+            incumbent = [nodes[i] for i in found]
     if stats is not None:
         stats.nodes_expanded = expanded
     if incumbent is None:
@@ -370,6 +360,78 @@ def exact_optimal(
     return EpochDecision(
         placement=placement, solved=True, exhausted_budget=exhausted
     )
+
+
+def _branch_and_bound(
+    options: list[tuple[tuple[float, int, int], ...]],
+    tail: list[float],
+    residual: list[int],
+    incumbent_cost: float,
+    node_budget: int,
+    first_solution: bool,
+) -> tuple[int, bool, list[int] | None]:
+    """Depth-first search over ``options``, one service per depth.
+
+    A node is one partial assignment: entering it counts against
+    ``node_budget``, and it is cut when its cost plus ``tail`` cannot beat
+    the incumbent.  The loop keeps its own stack (per depth, the iterator
+    over the options left and the cost above), so no input is too deep to
+    search.  Returns the nodes expanded, whether the budget ran out, and
+    the slots of the cheapest complete assignment found (None when none
+    beat ``incumbent_cost``).
+    """
+    last = len(options) - 1
+    best: list[int] | None = None
+    expanded = 1  # the root: nothing assigned yet
+    if expanded > node_budget:
+        return expanded, True, None
+    if tail[0] >= incumbent_cost:
+        return expanded, False, None
+    if last < 0:
+        return expanded, False, []
+    depth = 0
+    base = 0.0
+    rest = tail[1]
+    options_left = iter(options[0])
+    assignment = [0] * (last + 1)
+    taken = [0] * (last + 1)  # units of the option assigned at each depth
+    above = [0.0] * (last + 1)  # cost of the assignment above each depth
+    # options left to try at each depth
+    pending: list[Iterator[tuple[float, int, int]]] = [options_left] * (last + 1)
+    while True:
+        for price, node, units in options_left:
+            if units > residual[node]:
+                continue
+            cost = base + price
+            expanded += 1
+            if expanded > node_budget:
+                return expanded, True, best
+            if cost + rest >= incumbent_cost:
+                continue
+            assignment[depth] = node
+            if depth == last:
+                incumbent_cost = cost
+                best = assignment.copy()
+                if first_solution:
+                    return expanded, False, best
+                continue
+            residual[node] -= units
+            taken[depth] = units
+            pending[depth] = options_left
+            above[depth] = base
+            depth += 1
+            base = cost
+            rest = tail[depth + 1]
+            options_left = iter(options[depth])
+            break
+        else:  # every option at this depth tried: back up one
+            depth -= 1
+            if depth < 0:
+                return expanded, False, best
+            residual[assignment[depth]] += taken[depth]
+            options_left = pending[depth]
+            base = above[depth]
+            rest = tail[depth + 1]
 
 
 #: Registry used by the harness CLI (`--algo` values).

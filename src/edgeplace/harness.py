@@ -47,8 +47,14 @@ def build_simulator(
     event_budget: int = 500_000,
     check_invariants: bool = False,
     bnb_budget: int = 200_000,
+    first_solution: bool = False,
 ) -> Simulator:
-    """A fresh simulator for one run of ``algo`` over ``scenario``."""
+    """A fresh simulator for one run of ``algo`` over ``scenario``.
+
+    ``first_solution`` makes the ``exact`` lane stop at its first feasible
+    placement instead of optimising it (see ``exact_optimal``); the other
+    lanes ignore it.
+    """
     common = dict(
         topology=scenario.topology,
         classes=scenario.classes,
@@ -64,7 +70,9 @@ def build_simulator(
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; pick one of {ALGO_CHOICES}")
     if algo == "exact":
-        algorithm = lambda problem: exact_optimal(problem, node_budget=bnb_budget)
+        algorithm = lambda problem: exact_optimal(
+            problem, node_budget=bnb_budget, first_solution=first_solution
+        )
     else:
         algorithm = ALGORITHMS[algo]
     return Simulator(algorithm=algorithm, **common)
@@ -333,8 +341,13 @@ def min_cpu_for(
 
     The scenario family is regenerated at each probed capacity with the same
     seed, so the workload is identical and only the tree scales.  A probe
-    succeeds only on a fully clean run (everything placed, no failures, no
-    budget exhaustion).
+    succeeds when the run's verdict is ``ok``: every request placed and none
+    failed, which a search cut off by its budget can still reach when it
+    holds a placement.  A probe treats ``exact`` as a feasibility oracle:
+    the solver stops at its first feasible placement instead of looking
+    for the cheapest.  The verdict is the same as the full optimiser's only
+    because both families hand every arrival to one epoch, so no later
+    epoch starts from the placement chosen.
     """
     if family == "rand":
         make = rand_scenario
@@ -352,10 +365,14 @@ def min_cpu_for(
             levels=levels,
             arity=arity,
         )
-        result = run_scenario(
-            scenario, algo, event_budget=event_budget, bnb_budget=bnb_budget
+        simulator = build_simulator(
+            scenario,
+            algo,
+            event_budget=event_budget,
+            bnb_budget=bnb_budget,
+            first_solution=True,
         )
-        return result.verdict == "ok"
+        return simulator.run(scenario.trace).verdict == "ok"
 
     return min_cpu_binary_search(
         probe, start=start, max_capacity=max_capacity, tolerance=tolerance

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -24,8 +25,9 @@ from edgeplace.model import (
     build_tree,
     feasible_set_for,
 )
-from edgeplace.scenarios import NONRT_CLASS, RT_CLASS, default_profile
-from edgeplace.simnet import ActiveService, EpochProblem
+from edgeplace.harness import build_simulator
+from edgeplace.scenarios import NONRT_CLASS, RT_CLASS, default_profile, rand_scenario
+from edgeplace.simnet import ActiveService, EpochDecision, EpochProblem
 
 from .oracles import enumerate_optimal
 
@@ -448,6 +450,109 @@ def test_exact_populates_stats() -> None:
     assert stats.nodes_expanded > 0
     # the cheap level-1 slot
     assert decision_cost(problem, dict(decision.placement)) == pytest.approx(2.0)
+
+
+def probe_problem(seed: int, p_rt: float, leaf_capacity: int) -> EpochProblem:
+    """The epoch problem a ``min_cpu_for`` probe of ``exact`` hands the
+    solver: 24 ``rand`` users on a binary 4-level tree, all at t=0."""
+    scenario = rand_scenario(
+        seed=seed, users=24, p_rt=p_rt, leaf_capacity=leaf_capacity, levels=4, arity=2
+    )
+    simulator = build_simulator(scenario, "ffit")
+    seen: list[EpochProblem] = []
+    simulator.algorithm = lambda problem: (
+        seen.append(problem) or EpochDecision(placement={}, solved=False)
+    )
+    simulator.run(scenario.trace)
+    return seen[0]
+
+
+def placement_digest(placement: dict[int, int]) -> str:
+    return hashlib.sha256(repr(sorted(placement.items())).encode()).hexdigest()[:16]
+
+
+NO_PLACEMENT = placement_digest({})
+
+
+# (nodes expanded, solved, exhausted, placement digest) per budget, recorded
+# with the recursive search this loop replaced.
+@pytest.mark.parametrize(
+    "p_rt, leaf_capacity, budget, expected",
+    [
+        # the warm start is feasible, and 200,000 nodes find a cheaper one
+        (0.5, 256, 2, (3, True, True, "82667ed39fab54c0")),
+        (0.5, 256, 37, (38, True, True, "82667ed39fab54c0")),
+        (0.5, 256, 1_000, (1001, True, True, "82667ed39fab54c0")),
+        (0.5, 256, 200_000, (200001, True, True, "047b6aa335f1c480")),
+        # no placement exists, proven after 144,984 nodes
+        (0.5, 184, 2, (3, False, True, NO_PLACEMENT)),
+        (0.5, 184, 37, (38, False, True, NO_PLACEMENT)),
+        (0.5, 184, 1_000, (1001, False, True, NO_PLACEMENT)),
+        (0.5, 184, 200_000, (144985, False, False, NO_PLACEMENT)),
+        # the budget always runs out before a placement is found
+        (1.0, 256, 2, (3, False, True, NO_PLACEMENT)),
+        (1.0, 256, 37, (38, False, True, NO_PLACEMENT)),
+        (1.0, 256, 1_000, (1001, False, True, NO_PLACEMENT)),
+        (1.0, 256, 200_000, (200001, False, True, NO_PLACEMENT)),
+    ],
+)
+def test_exact_search_is_frozen_on_probe_problems(
+    p_rt: float, leaf_capacity: int, budget: int, expected: tuple
+) -> None:
+    problem = probe_problem(1, p_rt, leaf_capacity)
+    stats = ExactSolverStats()
+    decision = exact_optimal(problem, node_budget=budget, stats=stats)
+    assert (
+        stats.nodes_expanded,
+        decision.solved,
+        decision.exhausted_budget,
+        placement_digest(dict(decision.placement)),
+    ) == expected
+
+
+def test_first_solution_returns_a_feasible_warm_start_unsearched() -> None:
+    problem = probe_problem(1, 0.5, 256)
+    stats = ExactSolverStats()
+    decision = exact_optimal(problem, stats=stats, first_solution=True)
+    assert decision.solved and not decision.exhausted_budget
+    assert stats.nodes_expanded == 0
+    # the warm start is what a search cut off at once keeps
+    assert decision.placement == exact_optimal(problem, node_budget=0).placement
+
+
+def test_first_solution_stops_where_the_full_search_keeps_its_first() -> None:
+    rng = random.Random(5)
+    searched = 0
+    for _ in range(200):
+        problem = _random_problem(rng)
+        stats = ExactSolverStats()
+        decision = exact_optimal(problem, stats=stats, first_solution=True)
+        assert not decision.exhausted_budget
+        full = exact_optimal(problem)
+        assert decision.solved == full.solved
+        if not decision.solved or stats.nodes_expanded == 0:
+            continue
+        searched += 1
+        # the full search holds this assignment after the same nodes, and
+        # nothing one node earlier
+        nodes = stats.nodes_expanded
+        assert exact_optimal(problem, node_budget=nodes).placement == decision.placement
+        assert not exact_optimal(problem, node_budget=nodes - 1).solved
+    assert searched >= 3
+
+
+def test_exact_searches_deeper_than_the_recursion_limit() -> None:
+    topo = build_tree(levels=3, arity=2, leaf_capacity=2_000)
+    # prices rise with height, so the search dives 1,200 services deep to
+    # beat the lift-to-the-top warm start
+    prices = {0: {0: 1.0, 1: 2.0, 2: 3.0}}
+    services = [svc(rid, 3, (3, 1, 0)) for rid in range(1_200)]
+    problem = problem_of(topo, services, prices=prices)
+    stats = ExactSolverStats()
+    decision = exact_optimal(problem, node_budget=2_000, stats=stats)
+    assert decision.solved and decision.exhausted_budget
+    assert stats.nodes_expanded == 2_001
+    assert set(decision.placement.values()) == {3}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from edgeplace import harness
+from edgeplace.baselines import exact_optimal
 from edgeplace.cli import main
 from edgeplace.golden_logs import GOLDEN_LOGS
 from edgeplace.harness import (
@@ -32,7 +34,7 @@ from edgeplace.scenarios import (
     fig_flat_scenario,
     rand_scenario,
 )
-from edgeplace.simnet import save_trace, TraceEvent
+from edgeplace.simnet import EpochDecision, EpochProblem, save_trace, TraceEvent
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,72 @@ def test_min_cpu_for_finds_a_tight_threshold() -> None:
 
     assert clean(value)
     assert value == 1 or not clean(value - 1)
+
+
+# Recorded before the probes stopped the exact solver at its first feasible
+# placement: the answers must not move.
+@pytest.mark.parametrize(
+    "algo, answers",
+    [
+        ("exact", [170, 170, 255]),
+        ("bupu", [170, 170, 255]),
+        ("ffit", [170, 254, 255]),
+        ("dapp", [170, 170, 255]),
+    ],
+)
+def test_min_cpu_for_answers_are_frozen(algo: str, answers: list[int]) -> None:
+    assert [
+        min_cpu_for(
+            algo, seed=1, users=80, p_rt=p_rt, levels=4, arity=4, family="rand"
+        )
+        for p_rt in (0.0, 0.5, 1.0)
+    ] == answers
+
+
+def _recording_exact(
+    monkeypatch: pytest.MonkeyPatch,
+) -> list[tuple[EpochProblem, dict, EpochDecision]]:
+    """Record every call the harness makes to the exact solver."""
+    calls: list[tuple[EpochProblem, dict, EpochDecision]] = []
+    solve = harness.exact_optimal
+
+    def recording(problem: EpochProblem, **kwargs: object) -> EpochDecision:
+        decision = solve(problem, **kwargs)
+        calls.append((problem, kwargs, decision))
+        return decision
+
+    monkeypatch.setattr(harness, "exact_optimal", recording)
+    return calls
+
+
+def test_min_cpu_for_probes_exact_for_a_first_solution_only(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    calls = _recording_exact(monkeypatch)
+    min_cpu_for("exact", seed=1, users=24, p_rt=0.5, levels=4, arity=2)
+    assert len(calls) == 13
+    kinds = set()
+    for problem, kwargs, decision in calls:
+        assert kwargs == {"node_budget": 200_000, "first_solution": True}
+        full = exact_optimal(problem, node_budget=200_000)
+        assert decision.solved == full.solved
+        if decision.solved:
+            assert not decision.exhausted_budget
+        else:  # nothing found: the same search as the full one
+            assert decision.exhausted_budget == full.exhausted_budget
+        kinds.add((decision.solved, full.exhausted_budget))
+    # placements the full search kept improving until its budget ran out,
+    # and infeasibility proven within the budget
+    assert kinds == {(True, True), (False, False)}
+
+
+def test_runs_keep_the_full_exact_search(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = _recording_exact(monkeypatch)
+    run_scenario(rand_scenario(seed=1, users=8, levels=3), "exact")
+    metrics_rows_for(rand_scenario(seed=2, users=8, levels=3), ["dapp"], 2)
+    assert [kwargs for _problem, kwargs, _decision in calls] == [
+        {"node_budget": 200_000, "first_solution": False}
+    ] * 2
 
 
 def test_min_cpu_for_rejects_unknown_family() -> None:

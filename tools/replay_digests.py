@@ -12,9 +12,11 @@ equal files mean every covered run replays byte for byte.
 
 The runs cover the fig2 and fig3 walkthroughs; the rand, synth and jitter
 families at seeds 1-12; a 300-user churn trace with moves, departures and
-push-downs; and a 1,000-user, 5-level burst, each in every lane.  The
-package is imported from ``--src`` (default: this checkout's ``src``).
-Standard library only; the package does not import this script.
+push-downs; and a 1,000-user, 5-level burst, each in every lane.  Then
+come least-capacity answers, ``min-cpu-p<share> <algorithm> <answer>``,
+for 80 ``rand`` users on a 4-ary, 4-level tree at seed 1.  The package is
+imported from ``--src`` (default: this checkout's ``src``).  Standard
+library only; the package does not import this script.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from typing import Any, Iterator
 
 SEEDS = range(1, 13)
 FAMILIES = ("rand", "synth", "jitter")
+MIN_CPU_ALGOS = ("exact", "bupu", "ffit", "dapp")
+MIN_CPU_SHARES = (0.0, 0.5, 1.0)
+MIN_CPU_FAMILY = dict(seed=1, users=80, levels=4, arity=4, family="rand")
 
 
 def _sha256(text: str) -> str:
@@ -85,6 +90,16 @@ def digest_line(ep: Any, label: str, scenario: Any, lane: str) -> str:
     )
 
 
+def min_cpu_line(ep: Any, algo: str, p_rt: float) -> str:
+    """The least capacity ``algo`` needs at tight-class share ``p_rt``."""
+    label = f"min-cpu-p{p_rt}"
+    try:
+        answer = ep.harness.min_cpu_for(algo, p_rt=p_rt, **MIN_CPU_FAMILY)
+    except Exception as err:
+        return f"{label} {algo} raised {type(err).__name__}"
+    return f"{label} {algo} {answer}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -99,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
     for label, scenario in scenarios(ep):
         for lane in ep.harness.ALGO_CHOICES:
             print(digest_line(ep, label, scenario, lane), flush=True)
+    for algo in MIN_CPU_ALGOS:
+        for p_rt in MIN_CPU_SHARES:
+            print(min_cpu_line(ep, algo, p_rt), flush=True)
     return 0
 
 
