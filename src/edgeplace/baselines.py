@@ -8,9 +8,11 @@ request id, so results are deterministic.
 
 The exact solver is a depth-first branch-and-bound over all active
 services (a full re-solve, not an incremental patch), with an admissible
-capacity-relaxed bound; it is the cost yardstick the others are normalized
-against and, stopped at its first feasible placement, the reference for
-the minimum-capacity searches.
+capacity-relaxed bound.  A slot count in front of it proves most
+infeasible problems without searching, so "no placement" is a proof, not
+a spent budget.  The solver is the cost yardstick the others are
+normalized against and, stopped at its first feasible placement, the
+reference for the minimum-capacity searches.
 """
 
 from __future__ import annotations
@@ -274,11 +276,13 @@ def exact_optimal(
     """Minimum-cost placement of every active service, by branch and bound.
 
     The whole state is re-decided: each service may stay (free) or move
-    (one migration charge), and capacity binds per node.  The bound adds
-    each undecided service's cheapest capacity-relaxed option, which never
-    overestimates, so the first complete solution kept is optimal when the
-    search runs to completion.  Budget exhaustion is reported, never
-    silently truncated.
+    (one migration charge), and capacity binds per node.  Before any search,
+    a slot count (see ``_slots_suffice``) may prove that no placement
+    exists; such a verdict is unsolved and not exhausted, after 0 nodes.
+    The bound adds each undecided service's cheapest capacity-relaxed
+    option, which never overestimates, so the first complete solution kept
+    is optimal when the search runs to completion.  Budget exhaustion is
+    reported, never silently truncated.
 
     With ``first_solution`` the solver answers only whether a placement
     exists: it returns the warm start when that is feasible, or else the
@@ -290,25 +294,11 @@ def exact_optimal(
         problem.services, key=lambda s: (len(s.feasible), s.request_id)
     )
     nodes = topology.nodes
-    slot = {node: i for i, node in enumerate(nodes)}
-
-    # per service, its (price, slot, units) options, cheapest first
-    options: list[tuple[tuple[float, int, int], ...]] = []
-    for svc in services:
-        cand = []
-        for node in svc.feasible:
-            units = problem.demand(svc.class_id, node)
-            if units is None:
-                continue
-            cand.append((problem.price(svc, node), node, units))
-        if not cand:
-            return EpochDecision(placement={}, solved=False)
-        cand.sort(key=lambda t: (t[0], t[1]))
-        options.append(tuple((price, slot[node], units) for price, node, units in cand))
-    # admissible tail bound: cheapest option of every undecided service
-    tail = [0.0] * (len(services) + 1)
-    for i in range(len(services) - 1, -1, -1):
-        tail[i] = tail[i + 1] + options[i][0][0]
+    options = _options(problem, services)
+    if options is None or not _slots_suffice(problem, services):
+        if stats is not None:
+            stats.nodes_expanded = 0
+        return EpochDecision(placement={}, solved=False)
 
     incumbent_cost = float("inf")
     incumbent: list[DatacenterId] | None = None
@@ -344,7 +334,7 @@ def exact_optimal(
     if incumbent is None or not first_solution:
         residual = [topology.capacity(n) for n in nodes]
         expanded, exhausted, found = _branch_and_bound(
-            options, tail, residual, incumbent_cost, node_budget, first_solution
+            options, residual, incumbent_cost, node_budget, first_solution
         )
         if found is not None:
             incumbent = [nodes[i] for i in found]
@@ -362,9 +352,82 @@ def exact_optimal(
     )
 
 
+def _options(
+    problem: EpochProblem, services: list[ActiveService]
+) -> list[tuple[tuple[float, int, int], ...]] | None:
+    """Per service, its (price, node index, units) options, cheapest first;
+    None when some service has no node that can host it."""
+    index = {node: i for i, node in enumerate(problem.topology.nodes)}
+    options = []
+    for svc in services:
+        cand = []
+        for node in svc.feasible:
+            units = problem.demand(svc.class_id, node)
+            if units is not None:
+                cand.append((problem.price(svc, node), node, units))
+        if not cand:
+            return None
+        cand.sort(key=lambda t: (t[0], t[1]))
+        options.append(tuple((price, index[node], units) for price, node, units in cand))
+    return options
+
+
+def _slots_suffice(problem: EpochProblem, services: list[ActiveService]) -> bool:
+    """False only when no placement of ``services`` can exist.
+
+    A node hosts at most ``capacity // least`` services, its slots, where
+    ``least`` is the smallest demand at its level among the classes of the
+    services that can reach it (a least demand of 0 leaves it unlimited).
+    A reach is a path prefix from the PoA toward the root, so the reaches
+    form a laminar family, and a greedy walk decides whether every service
+    gets a slot (Hall's condition): bottom-up, each node fills its slots
+    with the waiting services whose reach tops out lowest and passes the
+    rest to its parent.  A service still waiting at the top of its reach
+    proves infeasibility.  Every real placement also fits the slots, so a
+    False is never wrong; a True only means the search has to decide.
+    """
+    topology = problem.topology
+    # per node, the services waiting there: (level of the reach's top,
+    # class) -> how many
+    waiting: dict[DatacenterId, dict[tuple[int, int], int]] = {
+        node: {} for node in topology.nodes
+    }
+    for svc in services:
+        usable = [
+            node for node in svc.feasible
+            if problem.demand(svc.class_id, node) is not None
+        ]
+        key = (topology.level(usable[-1]), svc.class_id)
+        entry = waiting[usable[0]]
+        entry[key] = entry.get(key, 0) + 1
+    for node in sorted(topology.nodes, key=topology.level):
+        here = waiting[node]
+        if not here:
+            continue
+        demands = [
+            units for _top, class_id in here
+            if (units := problem.demand(class_id, node)) is not None
+        ]
+        if demands and min(demands) == 0:
+            continue  # unlimited slots: everyone waiting is served here
+        slots = topology.capacity(node) // min(demands) if demands else 0
+        level = topology.level(node)
+        parent = topology.parent(node)
+        for key in sorted(here):  # reaches that top out lowest first
+            served = min(slots, here[key])
+            slots -= served
+            unserved = here[key] - served
+            if not unserved:
+                continue
+            if key[0] == level:
+                return False
+            above = waiting[parent]
+            above[key] = above.get(key, 0) + unserved
+    return True
+
+
 def _branch_and_bound(
     options: list[tuple[tuple[float, int, int], ...]],
-    tail: list[float],
     residual: list[int],
     incumbent_cost: float,
     node_budget: int,
@@ -373,14 +436,18 @@ def _branch_and_bound(
     """Depth-first search over ``options``, one service per depth.
 
     A node is one partial assignment: entering it counts against
-    ``node_budget``, and it is cut when its cost plus ``tail`` cannot beat
-    the incumbent.  The loop keeps its own stack (per depth, the iterator
-    over the options left and the cost above), so no input is too deep to
-    search.  Returns the nodes expanded, whether the budget ran out, and
-    the slots of the cheapest complete assignment found (None when none
-    beat ``incumbent_cost``).
+    ``node_budget``, and it is cut when its cost plus the tail bound (each
+    undecided service's cheapest option) cannot beat the incumbent.  The
+    loop keeps its own stack (per depth, the iterator over the options left
+    and the cost above), so no input is too deep to search.  Returns the
+    nodes expanded, whether the budget ran out, and the node indices of the
+    cheapest complete assignment found (None when none beat
+    ``incumbent_cost``).
     """
     last = len(options) - 1
+    tail = [0.0] * (last + 2)
+    for i in range(last, -1, -1):
+        tail[i] = tail[i + 1] + options[i][0][0]
     best: list[int] | None = None
     expanded = 1  # the root: nothing assigned yet
     if expanded > node_budget:

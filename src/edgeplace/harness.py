@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from io import StringIO
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import golden_logs
 from .baselines import ALGORITHMS, exact_optimal, min_cpu_binary_search
+from .model import build_tree
 from .protocol import ProtocolTiming
 from .scenarios import Scenario, builtin_scenario, jittered_scenario, rand_scenario
 from .simnet import RunResult, Simulator
@@ -339,15 +340,16 @@ def min_cpu_for(
 ) -> int:
     """Least leaf capacity at which ``algo`` serves the whole scenario.
 
-    The scenario family is regenerated at each probed capacity with the same
-    seed, so the workload is identical and only the tree scales.  A probe
-    succeeds when the run's verdict is ``ok``: every request placed and none
-    failed, which a search cut off by its budget can still reach when it
-    holds a placement.  A probe treats ``exact`` as a feasibility oracle:
-    the solver stops at its first feasible placement instead of looking
-    for the cheapest.  The verdict is the same as the full optimiser's only
-    because both families hand every arrival to one epoch, so no later
-    epoch starts from the placement chosen.
+    The scenario, trace included, is built once per search; each probe
+    runs it on a fresh tree of the same shape at the probed capacity, so
+    the workload is identical and only the capacities scale.  A probe
+    succeeds when the run's verdict is ``ok``: every request placed and
+    none failed, which a search cut off by its budget can still reach when
+    it holds a placement.  A probe treats ``exact`` as a feasibility
+    oracle: the solver stops at its first feasible placement instead of
+    looking for the cheapest.  The verdict is the same as the full
+    optimiser's only because both families hand every arrival to one
+    epoch, so no later epoch starts from the placement chosen.
     """
     if family == "rand":
         make = rand_scenario
@@ -355,18 +357,19 @@ def min_cpu_for(
         make = jittered_scenario
     else:
         raise ValueError(f"unknown scenario family {family!r}")
+    scenario = make(
+        seed=seed,
+        users=users,
+        p_rt=p_rt,
+        leaf_capacity=start,
+        levels=levels,
+        arity=arity,
+    )
 
     def probe(leaf_capacity: int) -> bool:
-        scenario = make(
-            seed=seed,
-            users=users,
-            p_rt=p_rt,
-            leaf_capacity=leaf_capacity,
-            levels=levels,
-            arity=arity,
-        )
+        topology = build_tree(levels=levels, arity=arity, leaf_capacity=leaf_capacity)
         simulator = build_simulator(
-            scenario,
+            replace(scenario, topology=topology),
             algo,
             event_budget=event_budget,
             bnb_budget=bnb_budget,

@@ -11,6 +11,9 @@ from edgeplace.baselines import (
     ALGORITHMS,
     ExactSolverStats,
     NoUpperBoundError,
+    _branch_and_bound,
+    _options,
+    _slots_suffice,
     availability_scaler,
     bottom_up_push_up,
     cheapest_feasible,
@@ -474,6 +477,28 @@ def placement_digest(placement: dict[int, int]) -> str:
 NO_PLACEMENT = placement_digest({})
 
 
+def search_core(problem: EpochProblem, budget: int) -> tuple:
+    """What the search alone does with ``problem``: no slot count and no
+    warm start, which holds nothing on an infeasible problem anyway."""
+    services = sorted(problem.services, key=lambda s: (len(s.feasible), s.request_id))
+    options = _options(problem, services)
+    assert options is not None
+    nodes = problem.topology.nodes
+    residual = [problem.topology.capacity(n) for n in nodes]
+    expanded, exhausted, found = _branch_and_bound(
+        options, residual, float("inf"), budget, False
+    )
+    placement = {} if found is None else {
+        s.request_id: nodes[i] for s, i in zip(services, found)
+    }
+    return expanded, found is not None, exhausted, placement_digest(placement)
+
+
+# Probe problems the slot count proves infeasible, so that ``exact_optimal``
+# never searches them: their frozen node counts are the search core's.
+PROVEN_UNSEARCHED = {(1.0, 256)}
+
+
 # (nodes expanded, solved, exhausted, placement digest) per budget, recorded
 # with the recursive search this loop replaced.
 @pytest.mark.parametrize(
@@ -489,7 +514,7 @@ NO_PLACEMENT = placement_digest({})
         (0.5, 184, 37, (38, False, True, NO_PLACEMENT)),
         (0.5, 184, 1_000, (1001, False, True, NO_PLACEMENT)),
         (0.5, 184, 200_000, (144985, False, False, NO_PLACEMENT)),
-        # the budget always runs out before a placement is found
+        # the search's budget always runs out before a placement is found
         (1.0, 256, 2, (3, False, True, NO_PLACEMENT)),
         (1.0, 256, 37, (38, False, True, NO_PLACEMENT)),
         (1.0, 256, 1_000, (1001, False, True, NO_PLACEMENT)),
@@ -500,6 +525,9 @@ def test_exact_search_is_frozen_on_probe_problems(
     p_rt: float, leaf_capacity: int, budget: int, expected: tuple
 ) -> None:
     problem = probe_problem(1, p_rt, leaf_capacity)
+    if (p_rt, leaf_capacity) in PROVEN_UNSEARCHED:
+        assert search_core(problem, budget) == expected
+        return
     stats = ExactSolverStats()
     decision = exact_optimal(problem, node_budget=budget, stats=stats)
     assert (
@@ -508,6 +536,21 @@ def test_exact_search_is_frozen_on_probe_problems(
         decision.exhausted_budget,
         placement_digest(dict(decision.placement)),
     ) == expected
+
+
+@pytest.mark.parametrize("p_rt, leaf_capacity", sorted(PROVEN_UNSEARCHED))
+def test_exact_proves_probe_problems_infeasible_unsearched(
+    p_rt: float, leaf_capacity: int
+) -> None:
+    problem = probe_problem(1, p_rt, leaf_capacity)
+    stats = ExactSolverStats()
+    decision = exact_optimal(problem, node_budget=200_000, stats=stats)
+    assert (stats.nodes_expanded, decision.solved, decision.exhausted_budget) == (
+        0,
+        False,
+        False,
+    )
+    assert decision.placement == {}
 
 
 def test_first_solution_returns_a_feasible_warm_start_unsearched() -> None:
@@ -553,6 +596,154 @@ def test_exact_searches_deeper_than_the_recursion_limit() -> None:
     assert decision.solved and decision.exhausted_budget
     assert stats.nodes_expanded == 2_001
     assert set(decision.placement.values()) == {3}
+
+
+# ---------------------------------------------------------------------------
+# the slot-count certificate
+
+
+def _slot_problem(
+    rng: random.Random, services: int, leaf_capacity: int
+) -> EpochProblem:
+    """A random world for the certificate: 1-3 classes whose demands may be
+    0 and may skip levels (but every class runs at its PoA), RTT bounds that
+    cut reaches short, a pruned subtree, capacity overrides (0 among them)
+    and current hosts."""
+    levels = rng.randint(1, 4)
+    arity = rng.randint(1, 3)
+    prune: tuple[int, ...] = ()
+    if levels > 1 and arity > 1 and rng.random() < 0.3:
+        # one child of a node with siblings: every leaf stays at level 0
+        prune = (rng.randint(1, (arity**levels - 1) // (arity - 1) - 1),)
+    topo = build_tree(levels=levels, arity=arity, leaf_capacity=0, prune=prune)
+    overrides = {
+        node: rng.choice((0, rng.randint(0, (topo.level(node) + 1) * leaf_capacity)))
+        for node in rng.sample(topo.nodes, rng.randint(0, len(topo.nodes)))
+    }
+    topo = build_tree(
+        levels=levels,
+        arity=arity,
+        leaf_capacity=leaf_capacity,
+        capacity_overrides=overrides,
+        prune=prune,
+    )
+    rtt = {lvl: 0.001 * (lvl + 1) for lvl in range(levels)}
+    classes = {}
+    for cid in range(rng.randint(1, 3)):
+        demand = {
+            lvl: rng.choice((0, 1, 2, 2, 3, 3, 4))
+            for lvl in range(levels)
+            if lvl == 0 or rng.random() < 0.8
+        }
+        max_delay = 0.001 * rng.randint(1, levels) + 0.0005
+        classes[cid] = ServiceClass(cid, f"c{cid}", max_delay, demand)
+    prices = {
+        cid: {lvl: float(rng.randint(1, 9)) for lvl in range(levels)}
+        for cid in classes
+    }
+    rows = []
+    for rid in range(services):
+        klass = classes[rng.randrange(len(classes))]
+        poa = rng.choice(topo.leaves)
+        if rng.random() < 0.2:  # the whole RTT-bounded prefix, holes included
+            reach = tuple(
+                n
+                for n in topo.path_to_root(poa)
+                if rtt[topo.level(n)] <= klass.max_delay
+            )
+        else:
+            reach = feasible_set_for(topo, poa, klass, rtt)
+        usable = [n for n in reach if topo.level(n) in klass.cpu_demand]
+        host = rng.choice(usable) if usable and rng.random() < 0.3 else None
+        rows.append(svc(rid, poa, reach, class_id=klass.class_id, current_host=host))
+    return EpochProblem(
+        topology=topo,
+        classes=classes,
+        costs=CostModel(
+            migration_cost={cid: 2.0 for cid in classes}, placement_cost=prices
+        ),
+        services=tuple(rows),
+    )
+
+
+def test_slot_count_never_rejects_a_problem_enumeration_solves() -> None:
+    rng = random.Random(61)
+    outcomes = {"solved": 0, "rejected": 0, "searched": 0}
+    while sum(outcomes.values()) < 2_000:
+        problem = _slot_problem(rng, rng.randint(1, 5), rng.randint(0, 5))
+        services = list(problem.services)
+        best = enumerate_optimal(
+            problem.topology,
+            {cid: dict(k.cpu_demand) for cid, k in problem.classes.items()},
+            problem.costs.placement_cost,
+            problem.costs.migration_cost,
+            [(s.request_id, s.class_id, s.feasible, s.current_host) for s in services],
+        )
+        fits = _slots_suffice(problem, services)
+        if best is not None:
+            assert fits
+            outcomes["solved"] += 1
+        else:
+            outcomes["rejected" if not fits else "searched"] += 1
+        assert exact_optimal(problem).solved == (best is not None)
+    # both verdicts occur, and the count proves most infeasible problems
+    assert outcomes["solved"] > 500
+    assert outcomes["rejected"] > 2 * outcomes["searched"] > 0
+
+
+def test_slot_count_never_rejects_a_problem_milp_solves() -> None:
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    np = pytest.importorskip("numpy")
+    rng = random.Random(67)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        users = rng.randint(20, 60)
+        problem = _slot_problem(rng, users, rng.randint(0, 3 * users))
+        services = list(problem.services)
+        # one binary per (service, usable node): each service placed once,
+        # each node's load within its capacity
+        columns = [
+            (i, node, units)
+            for i, s in enumerate(services)
+            for node in s.feasible
+            if (units := problem.demand(s.class_id, node)) is not None
+        ]
+        nodes = problem.topology.nodes
+        row_of = {node: len(services) + k for k, node in enumerate(nodes)}
+        a = np.zeros((len(services) + len(row_of), len(columns)))
+        for j, (i, node, units) in enumerate(columns):
+            a[i, j] = 1
+            a[row_of[node], j] = units
+        upper = [1] * len(services) + [problem.topology.capacity(n) for n in row_of]
+        lower = [1] * len(services) + [0] * len(row_of)
+        result = scipy_optimize.milp(
+            np.zeros(len(columns)),
+            constraints=scipy_optimize.LinearConstraint(a, lower, upper),
+            integrality=np.ones(len(columns)),
+            bounds=scipy_optimize.Bounds(0, 1),
+        )
+        assert result.status in (0, 2)  # optimal or infeasible, never cut off
+        fits = _slots_suffice(problem, services)
+        if result.status == 0:
+            assert fits
+        verdicts[fits] += 1
+    assert min(verdicts.values()) >= 5
+
+
+def test_slot_count_respects_the_reach_top() -> None:
+    # two unit services on leaf 1, whose room is full: one can rise to the
+    # root and one cannot, so the leaf slot goes to the one that cannot
+    topo = build_tree(levels=2, arity=2, leaf_capacity=1)
+    pair = [svc(1, 1, (1, 0)), svc(2, 1, (1,))]
+    assert _slots_suffice(problem_of(topo, pair), pair)
+    stuck = pair + [svc(3, 1, (1,))]
+    stats = ExactSolverStats()
+    decision = exact_optimal(problem_of(topo, stuck), stats=stats)
+    assert (decision.solved, decision.exhausted_budget, stats.nodes_expanded) == (
+        False,
+        False,
+        0,
+    )
 
 
 # ---------------------------------------------------------------------------

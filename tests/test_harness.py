@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from edgeplace import harness
+from edgeplace import harness, scenarios
 from edgeplace.baselines import exact_optimal
 from edgeplace.cli import main
 from edgeplace.golden_logs import GOLDEN_LOGS
@@ -34,7 +34,13 @@ from edgeplace.scenarios import (
     fig_flat_scenario,
     rand_scenario,
 )
-from edgeplace.simnet import EpochDecision, EpochProblem, save_trace, TraceEvent
+from edgeplace.simnet import (
+    EpochDecision,
+    EpochProblem,
+    Simulator,
+    TraceEvent,
+    save_trace,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +235,67 @@ def test_min_cpu_for_answers_are_frozen(algo: str, answers: list[int]) -> None:
         )
         for p_rt in (0.0, 0.5, 1.0)
     ] == answers
+
+
+# Recorded at the parent of the change that builds one trace per search.
+@pytest.mark.parametrize(
+    "seed, answers",
+    [(1, [254, 254, 304, 255]), (2, [170, 170, 255, 170]), (3, [170, 170, 240, 170])],
+)
+def test_min_cpu_for_jitter_answers_are_frozen(seed: int, answers: list[int]) -> None:
+    assert [
+        min_cpu_for(algo, seed=seed, users=60, p_rt=0.5, levels=6, family="jitter")
+        for algo in ("exact", "bupu", "ffit", "dapp")
+    ] == answers
+
+
+def test_min_cpu_for_synthesizes_one_trace_per_search(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    traces: list[tuple] = []
+    synthesize = scenarios.synthesize_trace
+
+    def recording(topology: object, **kwargs: object) -> tuple:
+        traces.append(synthesize(topology, **kwargs))
+        return traces[-1]
+
+    runs: list[tuple] = []
+    run = Simulator.run
+
+    def recording_run(sim: Simulator, trace: tuple, **kwargs: object) -> object:
+        runs.append(trace)
+        return run(sim, trace, **kwargs)
+
+    monkeypatch.setattr(scenarios, "synthesize_trace", recording)
+    monkeypatch.setattr(Simulator, "run", recording_run)
+    for family in ("rand", "jitter"):
+        min_cpu_for("ffit", seed=1, users=12, levels=3, family=family)
+    assert len(traces) == 2
+    assert len(runs) > 10
+    assert {id(trace) for trace in runs} == {id(trace) for trace in traces}
+
+
+def test_a_proven_infeasible_exact_run_reads_infeasible(capsys) -> None:
+    # the search spends its whole budget here; the slot count proves that
+    # no placement exists, so the run is infeasible, not diverged
+    code = main(
+        [
+            "run",
+            "--users",
+            "24",
+            "--p-rt",
+            "1.0",
+            "--leaf-capacity",
+            "256",
+            "--algo",
+            "exact",
+            "--format",
+            "json",
+        ]
+    )
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [(row["verdict"], row["placed"]) for row in rows] == [("infeasible", 0)]
 
 
 def _recording_exact(

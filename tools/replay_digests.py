@@ -4,19 +4,22 @@ Usage::
 
     python3 tools/replay_digests.py [--src DIR] > digests.txt
 
-Each line reads ``<run> <lane> <log sha256> <row sha256>``: the sha256
-of the run's event log (lines joined by newlines) and of its JSON report
-row.  A run that raises prints ``<run> <lane> raised <exception type>``
-instead.  Run the script against two checkouts and ``diff`` the outputs:
-equal files mean every covered run replays byte for byte.
+Each line reads ``<run> <lane> <verdict> <log sha256> <row sha256>``:
+the run's verdict, then the sha256 of its event log (lines joined by
+newlines) and of its JSON report row.  A run that raises prints
+``<run> <lane> raised <exception type>`` instead.  Run the script against
+two checkouts and ``diff`` the outputs: equal files mean every covered
+run replays byte for byte.
 
 The runs cover the fig2 and fig3 walkthroughs; the rand, synth and jitter
 families at seeds 1-12; a 300-user churn trace with moves, departures and
 push-downs; and a 1,000-user, 5-level burst, each in every lane.  Then
-come least-capacity answers, ``min-cpu-p<share> <algorithm> <answer>``,
-for 80 ``rand`` users on a 4-ary, 4-level tree at seed 1.  The package is
-imported from ``--src`` (default: this checkout's ``src``).  Standard
-library only; the package does not import this script.
+come least-capacity answers, ``min-cpu-<family>-p<share> <algorithm>
+<answer>``: for 80 ``rand`` users on a 4-ary, 4-level tree at shares 0,
+0.5 and 1, and for 60 ``jitter`` users on a binary 6-level tree at share
+0.5, both at seed 1.  The package is imported from ``--src`` (default:
+this checkout's ``src``).  Standard library only; the package does not
+import this script.
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ from typing import Any, Iterator
 SEEDS = range(1, 13)
 FAMILIES = ("rand", "synth", "jitter")
 MIN_CPU_ALGOS = ("exact", "bupu", "ffit", "dapp")
-MIN_CPU_SHARES = (0.0, 0.5, 1.0)
-MIN_CPU_FAMILY = dict(seed=1, users=80, levels=4, arity=4, family="rand")
+#: per family, the shares searched and the rest of the search's inputs
+MIN_CPU_SEARCHES = (
+    ("rand", (0.0, 0.5, 1.0), dict(seed=1, users=80, levels=4, arity=4)),
+    ("jitter", (0.5,), dict(seed=1, users=60, levels=6, arity=2)),
+)
 
 
 def _sha256(text: str) -> str:
@@ -84,17 +90,20 @@ def digest_line(ep: Any, label: str, scenario: Any, lane: str) -> str:
         (
             label,
             lane,
+            result.verdict,
             _sha256("\n".join(result.event_log)),
             _sha256(ep.harness.render_rows([row], "json")),
         )
     )
 
 
-def min_cpu_line(ep: Any, algo: str, p_rt: float) -> str:
+def min_cpu_line(
+    ep: Any, algo: str, family: str, p_rt: float, inputs: dict[str, int]
+) -> str:
     """The least capacity ``algo`` needs at tight-class share ``p_rt``."""
-    label = f"min-cpu-p{p_rt}"
+    label = f"min-cpu-{family}-p{p_rt}"
     try:
-        answer = ep.harness.min_cpu_for(algo, p_rt=p_rt, **MIN_CPU_FAMILY)
+        answer = ep.harness.min_cpu_for(algo, p_rt=p_rt, family=family, **inputs)
     except Exception as err:
         return f"{label} {algo} raised {type(err).__name__}"
     return f"{label} {algo} {answer}"
@@ -114,9 +123,10 @@ def main(argv: list[str] | None = None) -> int:
     for label, scenario in scenarios(ep):
         for lane in ep.harness.ALGO_CHOICES:
             print(digest_line(ep, label, scenario, lane), flush=True)
-    for algo in MIN_CPU_ALGOS:
-        for p_rt in MIN_CPU_SHARES:
-            print(min_cpu_line(ep, algo, p_rt), flush=True)
+    for family, shares, inputs in MIN_CPU_SEARCHES:
+        for algo in MIN_CPU_ALGOS:
+            for p_rt in shares:
+                print(min_cpu_line(ep, algo, family, p_rt, inputs), flush=True)
     return 0
 
 
