@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .model import DatacenterId, RequestId
+from .model import DatacenterId, RequestId, Topology
 from .simnet import ActiveService, EpochDecision, EpochProblem
 
 __all__ = [
@@ -295,7 +295,7 @@ def exact_optimal(
     )
     nodes = topology.nodes
     options = _options(problem, services)
-    if options is None or not _slots_suffice(problem, services):
+    if options is None or not _slots_suffice(topology, options):
         if stats is not None:
             stats.nodes_expanded = 0
         return EpochDecision(placement={}, solved=False)
@@ -372,57 +372,56 @@ def _options(
     return options
 
 
-def _slots_suffice(problem: EpochProblem, services: list[ActiveService]) -> bool:
-    """False only when no placement of ``services`` can exist.
+def _slots_suffice(
+    topology: Topology, options: list[tuple[tuple[float, int, int], ...]]
+) -> bool:
+    """False only when no assignment of one option per service fits.
 
     A node hosts at most ``capacity // least`` services, its slots, where
-    ``least`` is the smallest demand at its level among the classes of the
-    services that can reach it (a least demand of 0 leaves it unlimited).
-    A reach is a path prefix from the PoA toward the root, so the reaches
-    form a laminar family, and a greedy walk decides whether every service
-    gets a slot (Hall's condition): bottom-up, each node fills its slots
-    with the waiting services whose reach tops out lowest and passes the
-    rest to its parent.  A service still waiting at the top of its reach
-    proves infeasibility.  Every real placement also fits the slots, so a
-    False is never wrong; a True only means the search has to decide.
+    ``least`` is the smallest demand at the node among all the services
+    that can use it (a least demand of 0 leaves it unlimited).  A service
+    may take a slot anywhere from its lowest usable node to its highest:
+    a path from the PoA toward the root.  Those paths form a laminar
+    family, so with the slots fixed a greedy walk decides whether every
+    service gets one (Hall's condition): bottom-up, each node fills its
+    slots with the waiting services whose reach tops out lowest and passes
+    the rest to its parent.  A service still waiting at the top of its
+    reach proves infeasibility.  Every real placement also fits the slots,
+    so a False is never wrong; a True only means the search has to decide.
     """
-    topology = problem.topology
-    # per node, the services waiting there: (level of the reach's top,
-    # class) -> how many
-    waiting: dict[DatacenterId, dict[tuple[int, int], int]] = {
-        node: {} for node in topology.nodes
-    }
-    for svc in services:
-        usable = [
-            node for node in svc.feasible
-            if problem.demand(svc.class_id, node) is not None
-        ]
-        key = (topology.level(usable[-1]), svc.class_id)
-        entry = waiting[usable[0]]
-        entry[key] = entry.get(key, 0) + 1
-    for node in sorted(topology.nodes, key=topology.level):
-        here = waiting[node]
-        if not here:
-            continue
-        demands = [
-            units for _top, class_id in here
-            if (units := problem.demand(class_id, node)) is not None
-        ]
-        if demands and min(demands) == 0:
-            continue  # unlimited slots: everyone waiting is served here
-        slots = topology.capacity(node) // min(demands) if demands else 0
+    nodes = topology.nodes
+    least: list[int | None] = [None] * len(nodes)
+    # per node index, the services whose reach starts there: level of the
+    # reach's top -> how many
+    waiting: list[dict[int, int]] = [{} for _ in nodes]
+    for service_options in options:
+        reach = []
+        for _price, i, units in service_options:
+            if least[i] is None or units < least[i]:
+                least[i] = units
+            reach.append((topology.level(nodes[i]), i))
+        top, _ = max(reach)
+        entry = waiting[min(reach)[1]]
+        entry[top] = entry.get(top, 0) + 1
+    index = {node: i for i, node in enumerate(nodes)}
+    for node in sorted(nodes, key=topology.level):
+        i = index[node]
+        here = waiting[i]
+        if not here or least[i] == 0:
+            continue  # nobody waits, or unlimited slots serve everyone
+        slots = 0 if least[i] is None else topology.capacity(node) // least[i]
         level = topology.level(node)
         parent = topology.parent(node)
-        for key in sorted(here):  # reaches that top out lowest first
-            served = min(slots, here[key])
+        for top in sorted(here):  # reaches that top out lowest first
+            served = min(slots, here[top])
             slots -= served
-            unserved = here[key] - served
+            unserved = here[top] - served
             if not unserved:
                 continue
-            if key[0] == level:
+            if top == level:
                 return False
-            above = waiting[parent]
-            above[key] = above.get(key, 0) + unserved
+            above = waiting[index[parent]]
+            above[top] = above.get(top, 0) + unserved
     return True
 
 

@@ -15,9 +15,14 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from . import golden_logs
 from .baselines import ALGORITHMS, exact_optimal, min_cpu_binary_search
-from .model import build_tree
 from .protocol import ProtocolTiming
-from .scenarios import Scenario, builtin_scenario, jittered_scenario, rand_scenario
+from .scenarios import (
+    Scenario,
+    builtin_scenario,
+    default_profile,
+    jittered_scenario,
+    rand_scenario,
+)
 from .simnet import RunResult, Simulator
 
 __all__ = [
@@ -341,8 +346,9 @@ def min_cpu_for(
     """Least leaf capacity at which ``algo`` serves the whole scenario.
 
     The scenario, trace included, is built once per search; each probe
-    runs it on a fresh tree of the same shape at the probed capacity, so
-    the workload is identical and only the capacities scale.  A probe
+    runs it on the families' profile tree (``default_profile``) at the
+    probed capacity, so the workload is identical and only the capacities
+    scale.  A probe
     succeeds when the run's verdict is ``ok``: every request placed and
     none failed, which a search cut off by its budget can still reach when
     it holds a placement.  A probe treats ``exact`` as a feasibility
@@ -367,7 +373,7 @@ def min_cpu_for(
     )
 
     def probe(leaf_capacity: int) -> bool:
-        topology = build_tree(levels=levels, arity=arity, leaf_capacity=leaf_capacity)
+        topology, _, _, _ = default_profile(leaf_capacity, levels, arity)
         simulator = build_simulator(
             replace(scenario, topology=topology),
             algo,

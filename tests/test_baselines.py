@@ -679,7 +679,7 @@ def test_slot_count_never_rejects_a_problem_enumeration_solves() -> None:
             problem.costs.migration_cost,
             [(s.request_id, s.class_id, s.feasible, s.current_host) for s in services],
         )
-        fits = _slots_suffice(problem, services)
+        fits = _slots_suffice(problem.topology, _options(problem, services))
         if best is not None:
             assert fits
             outcomes["solved"] += 1
@@ -723,7 +723,7 @@ def test_slot_count_never_rejects_a_problem_milp_solves() -> None:
             bounds=scipy_optimize.Bounds(0, 1),
         )
         assert result.status in (0, 2)  # optimal or infeasible, never cut off
-        fits = _slots_suffice(problem, services)
+        fits = _slots_suffice(problem.topology, _options(problem, services))
         if result.status == 0:
             assert fits
         verdicts[fits] += 1
@@ -735,7 +735,7 @@ def test_slot_count_respects_the_reach_top() -> None:
     # root and one cannot, so the leaf slot goes to the one that cannot
     topo = build_tree(levels=2, arity=2, leaf_capacity=1)
     pair = [svc(1, 1, (1, 0)), svc(2, 1, (1,))]
-    assert _slots_suffice(problem_of(topo, pair), pair)
+    assert _slots_suffice(topo, _options(problem_of(topo, pair), pair))
     stuck = pair + [svc(3, 1, (1,))]
     stats = ExactSolverStats()
     decision = exact_optimal(problem_of(topo, stuck), stats=stats)
@@ -744,6 +744,64 @@ def test_slot_count_respects_the_reach_top() -> None:
         False,
         0,
     )
+
+
+
+def test_slot_count_sizes_slots_by_every_service_that_can_use_a_node() -> None:
+    # a one-unit leaf under a five-unit root; both classes take one unit at
+    # the leaf, but the heavy class takes four at the root.  The light
+    # service and one heavy one share the root (1 + 4 = 5) while the other
+    # heavy one takes the leaf, so the root's slots must count the light
+    # service's demand even when the walk seats it at the leaf.
+    topo = build_tree(levels=2, arity=1, leaf_capacity=1, capacity_overrides={0: 5})
+    light = ServiceClass(0, "light", 1.0, {0: 1, 1: 1})
+    heavy = ServiceClass(1, "heavy", 1.0, {0: 1, 1: 4})
+    trio = [svc(1, 1, (1, 0)), svc(2, 1, (1, 0), class_id=1), svc(3, 1, (1, 0), class_id=1)]
+    problem = problem_of(topo, trio, classes={0: light, 1: heavy})
+    assert _slots_suffice(topo, _options(problem, trio))
+    decision = exact_optimal(problem)
+    assert decision.solved
+    assert sorted(decision.placement.values()) == [0, 0, 1]
+
+
+def test_slot_count_never_rejects_a_solvable_problem_on_one_path() -> None:
+    # every service on one leaf, two classes whose demands differ by level:
+    # the walk seats some services low, and the slots above must still
+    # count them
+    rng = random.Random(71)
+    solved = 0
+    for _ in range(3_000):
+        levels = rng.randint(2, 3)
+        topo = build_tree(
+            levels=levels,
+            arity=1,
+            leaf_capacity=rng.randint(0, 4),
+            capacity_overrides={node: rng.randint(0, 8) for node in range(levels - 1)},
+        )
+        classes = {
+            cid: ServiceClass(
+                cid, f"c{cid}", 1.0, {lvl: rng.randint(0, 4) for lvl in range(levels)}
+            )
+            for cid in range(2)
+        }
+        leaf = topo.leaves[0]
+        path = topo.path_to_root(leaf)
+        services = [
+            svc(rid, leaf, path[: rng.randint(1, levels)], class_id=rng.randrange(2))
+            for rid in range(rng.randint(2, 6))
+        ]
+        problem = problem_of(topo, services, classes=classes)
+        best = enumerate_optimal(
+            topo,
+            {cid: dict(k.cpu_demand) for cid, k in classes.items()},
+            problem.costs.placement_cost,
+            problem.costs.migration_cost,
+            [(s.request_id, s.class_id, s.feasible, s.current_host) for s in services],
+        )
+        if best is not None:
+            assert _slots_suffice(topo, _options(problem, services))
+            solved += 1
+    assert solved > 1_000
 
 
 # ---------------------------------------------------------------------------
