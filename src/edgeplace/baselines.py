@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .model import DatacenterId, RequestId, Topology
+from .model import DatacenterId, RequestId, Topology, check_feasible
 from .simnet import ActiveService, EpochDecision, EpochProblem
 
 __all__ = [
@@ -305,30 +305,16 @@ def exact_optimal(
     # Warm start from the bottom-up heuristic: a ready incumbent means a
     # feasible answer survives even a budget cut-off, and its cost prunes
     # the search from the first node.
-    seed = bottom_up_push_up(problem).placement
-    candidate: list[DatacenterId] = []
-    for svc in services:
-        node = seed.get(svc.request_id, svc.current_host)
-        if node is None:
-            candidate = []
-            break
-        candidate.append(node)
-    if candidate:
-        load: dict[DatacenterId, int] = {}
-        seed_cost = 0.0
-        usable = True
-        for svc, node in zip(services, candidate):
-            units = problem.demand(svc.class_id, node)
-            if units is None or node not in svc.feasible:
-                usable = False
-                break
-            load[node] = load.get(node, 0) + units
-            seed_cost += problem.price(svc, node)
-        if usable and all(
-            load[n] <= topology.capacity(n) for n in load
-        ):
-            incumbent_cost = seed_cost
-            incumbent = candidate
+    warm = {
+        s.request_id: s.current_host for s in services if s.current_host is not None
+    }
+    warm.update(bottom_up_push_up(problem).placement)
+    requests = {svc.request_id: svc for svc in services}
+    if check_feasible(topology, problem.classes, requests, warm).ok:
+        incumbent = [warm[svc.request_id] for svc in services]
+        incumbent_cost = sum(
+            problem.price(svc, node) for svc, node in zip(services, incumbent)
+        )
     expanded = 0
     exhausted = False
     if incumbent is None or not first_solution:

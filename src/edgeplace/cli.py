@@ -35,7 +35,12 @@ from .harness import (
     sweep_overhead,
     write_rows,
 )
-from .scenarios import BUILTIN_SCENARIOS, builtin_scenario, load_config
+from .scenarios import (
+    BUILTIN_SCENARIOS,
+    builtin_scenario,
+    check_trace_classes,
+    load_config,
+)
 from .simnet import load_trace
 
 __all__ = ["main", "build_parser"]
@@ -105,6 +110,7 @@ def _scenario_for(args: argparse.Namespace, seed: int):
         scenario = builtin_scenario(args.scenario, seed=seed, **overrides)
     if args.trace is not None:
         events = tuple(load_trace(args.trace))
+        check_trace_classes(events, scenario.classes, f"--trace {args.trace}")
         scenario = replace(
             scenario,
             trace=events,
@@ -323,12 +329,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except NoUpperBoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError) as err:
+    except (_CliError, NoUpperBoundError, ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

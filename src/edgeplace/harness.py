@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from io import StringIO
+from itertools import zip_longest
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import golden_logs
@@ -184,29 +186,24 @@ def metrics_rows_for(
     (reusing it if it is itself on the algorithm list).  Scenarios with no
     requests produce no rows.
     """
+    run = partial(
+        run_scenario,
+        scenario,
+        event_budget=event_budget,
+        bnb_budget=bnb_budget,
+        check_invariants=check_invariants,
+    )
     results: dict[str, RunResult] = {}
     reference_cost: float | None = None
     if normalize:
-        reference = run_scenario(
-            scenario,
-            "exact",
-            event_budget=event_budget,
-            bnb_budget=bnb_budget,
-            check_invariants=check_invariants,
-        )
+        reference = run("exact")
         if "exact" in algos:
             results["exact"] = reference
         if reference.verdict == "ok" and not reference.solver_exhausted:
             reference_cost = reference.decision_cost
     for algo in algos:
         if algo not in results:
-            results[algo] = run_scenario(
-                scenario,
-                algo,
-                event_budget=event_budget,
-                bnb_budget=bnb_budget,
-                check_invariants=check_invariants,
-            )
+            results[algo] = run(algo)
     rows = [
         metrics_row(scenario.name, algo, seed, results[algo], reference_cost)
         for algo in algos
@@ -270,22 +267,14 @@ class ReplayOutcome:
 
 
 def _first_divergence(expected: Sequence[str], actual: Sequence[str]) -> list[str]:
-    for index, (exp, act) in enumerate(zip(expected, actual)):
+    lines = zip_longest(expected, actual, fillvalue="<end of log>")
+    for index, (exp, act) in enumerate(lines):
         if exp != act:
             return [
                 f"first difference at event {index + 1}:",
                 f"  expected: {exp}",
                 f"  actual:   {act}",
             ]
-    if len(expected) != len(actual):
-        index = min(len(expected), len(actual))
-        exp = expected[index] if index < len(expected) else "<end of log>"
-        act = actual[index] if index < len(actual) else "<end of log>"
-        return [
-            f"first difference at event {index + 1}:",
-            f"  expected: {exp}",
-            f"  actual:   {act}",
-        ]
     return []
 
 
@@ -307,21 +296,22 @@ def replay_fixture(
                 f"no frozen log for {name!r}; choose one of "
                 f"{sorted(golden_logs.GOLDEN_LOGS)}"
             )
-    scenario = builtin_scenario(name)
-    result = run_scenario(
-        scenario, "dapp", event_budget=event_budget, check_invariants=True
-    )
+    result = _fixture_run(name, event_budget)
     diff = _first_divergence(golden_text.splitlines(), result.event_log)
     return ReplayOutcome(name=name, ok=not diff, diff=tuple(diff), result=result)
 
 
 def golden_text_for(name: str, *, event_budget: int = 500_000) -> str:
     """The event log a fixture produces right now (for regeneration)."""
-    scenario = builtin_scenario(name)
-    result = run_scenario(
-        scenario, "dapp", event_budget=event_budget, check_invariants=True
+    return "\n".join(_fixture_run(name, event_budget).event_log) + "\n"
+
+
+def _fixture_run(name: str, event_budget: int) -> RunResult:
+    """The ``dapp`` run of a built-in fixture, invariants checked, that
+    its golden log freezes."""
+    return run_scenario(
+        builtin_scenario(name), "dapp", event_budget=event_budget, check_invariants=True
     )
-    return "\n".join(result.event_log) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +328,18 @@ def min_cpu_for(
     arity: int = 2,
     family: str = "rand",
     tolerance: int = 1,
-    start: int = 8,
-    max_capacity: int = 1 << 20,
     event_budget: int = 500_000,
     bnb_budget: int = 200_000,
 ) -> int:
     """Least leaf capacity at which ``algo`` serves the whole scenario.
 
-    The scenario, trace included, is built once per search; each probe
-    runs it on the families' profile tree (``default_profile``) at the
-    probed capacity, so the workload is identical and only the capacities
-    scale.  A probe
+    The search is :func:`min_cpu_binary_search` with its own bracket:
+    doubling from 8 units, then bisecting to within ``tolerance``; past
+    2**20 units it raises :class:`NoUpperBoundError`.  The scenario, trace
+    included, is built once per search at the family's default capacity;
+    each probe runs it on the families' profile tree (``default_profile``)
+    at the probed capacity, so the workload is identical and only the
+    capacities scale.  A probe
     succeeds when the run's verdict is ``ok``: every request placed and
     none failed, which a search cut off by its budget can still reach when
     it holds a placement.  A probe treats ``exact`` as a feasibility
@@ -363,14 +354,7 @@ def min_cpu_for(
         make = jittered_scenario
     else:
         raise ValueError(f"unknown scenario family {family!r}")
-    scenario = make(
-        seed=seed,
-        users=users,
-        p_rt=p_rt,
-        leaf_capacity=start,
-        levels=levels,
-        arity=arity,
-    )
+    scenario = make(seed=seed, users=users, p_rt=p_rt, levels=levels, arity=arity)
 
     def probe(leaf_capacity: int) -> bool:
         topology, _, _, _ = default_profile(leaf_capacity, levels, arity)
@@ -383,9 +367,7 @@ def min_cpu_for(
         )
         return simulator.run(scenario.trace).verdict == "ok"
 
-    return min_cpu_binary_search(
-        probe, start=start, max_capacity=max_capacity, tolerance=tolerance
-    )
+    return min_cpu_binary_search(probe, tolerance=tolerance)
 
 
 def sweep_overhead(

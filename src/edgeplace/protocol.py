@@ -353,17 +353,17 @@ class ProtocolNode:
         self.placed[rid] = units
         self.world.commit_placement(rid, self.node_id)
 
+    def _live(self, rec: Record) -> bool:
+        """``rec``'s request is active, and no newer copy issued after a user
+        move has superseded ``rec``."""
+        return self.world.is_active(rec.request_id) and self.world.record_current(rec)
+
     def _merge_records(
         self, target: dict[RequestId, Record], incoming: Iterable[Record]
     ) -> None:
         for rec in incoming:
-            if rec.request_id in target:
-                continue
-            if not self.world.is_active(rec.request_id):
-                continue
-            if not self.world.record_current(rec):
-                continue  # superseded by a newer copy after a user move
-            target[rec.request_id] = rec
+            if rec.request_id not in target and self._live(rec):
+                target[rec.request_id] = rec
 
     def _take_scan_input(
         self, incoming_na: Sequence[Record], incoming_pu: Sequence[Record]
@@ -429,18 +429,15 @@ class ProtocolNode:
     def on_message(self, sender: DatacenterId, msg: ProtocolMsg) -> None:
         if isinstance(msg, SfsMsg):
             self.buffer_scan_input(msg.not_assigned, msg.push_up)
+        elif isinstance(msg, (PuMsg, PuAckMsg)) and self.within_pd:
+            self.deferred.append((sender, msg))  # replayed when the session ends
         elif isinstance(msg, PuMsg):
-            if self.within_pd:
-                self.deferred.append((sender, msg))
-            elif self.in_f_mode():
+            if self.in_f_mode():
                 self.run_fallback_push_up(msg.records)
             else:
                 self.run_push_up(msg.records)
         elif isinstance(msg, PuAckMsg):
-            if self.within_pd:
-                self.deferred.append((sender, msg))
-            else:
-                self.handle_push_up_acks(msg.acks)
+            self.handle_push_up_acks(msg.acks)
         elif isinstance(msg, PdRequestMsg):
             if self.within_pd:
                 self.world.log(
@@ -772,17 +769,8 @@ class ProtocolNode:
         if not problematic:
             return
         deficit = sum(r.beta_at_initiator for r in problematic) - self.available
-        records = problematic + self._appended_offer_records()
-        self.within_pd = True
         self.world.note_push_down()
-        self.enter_f_mode()
-        self.pd_session = PdSession(
-            initiator=self.node_id,
-            caller=None,
-            deficit=deficit,
-            records=_keyed(records),
-            pending_children=list(self.children),
-        )
+        records = self._open_push_down(problematic, self.node_id, None, deficit)
         self.world.log(
             self.node_id, "pd start deficit=%d records=[%s]" % (deficit, _ids(records))
         )
@@ -790,22 +778,9 @@ class ProtocolNode:
 
     def accept_push_down(self, sender: DatacenterId, msg: PdRequestMsg) -> None:
         """Join a push-down chain started above us."""
-        usable = [
-            rec
-            for rec in msg.records
-            if self.world.is_active(rec.request_id)
-            and self.world.record_current(rec)
-        ]
-        records = usable + self._appended_offer_records()
-        self.within_pd = True
-        self.enter_f_mode()
-        self.pd_session = PdSession(
-            initiator=msg.initiator,
-            caller=sender,
-            deficit=msg.deficit,
-            records=_keyed(records),
-            pending_children=list(self.children),
-            received=tuple(msg.records),
+        usable = [rec for rec in msg.records if self._live(rec)]
+        records = self._open_push_down(
+            usable, msg.initiator, sender, msg.deficit, tuple(msg.records)
         )
         self.world.log(
             self.node_id,
@@ -814,37 +789,52 @@ class ProtocolNode:
         )
         self._continue_push_down()
 
+    def _open_push_down(
+        self,
+        offered: list[Record],
+        initiator: DatacenterId,
+        caller: DatacenterId | None,
+        deficit: int,
+        received: tuple[Record, ...] = (),
+    ) -> list[Record]:
+        """Open a session over ``offered`` plus the services this node may
+        move itself, and enter quarantine; returns the session's records."""
+        records = offered + self._appended_offer_records()
+        self.within_pd = True
+        self.enter_f_mode()
+        self.pd_session = PdSession(
+            initiator, caller, deficit, _keyed(records), list(self.children), received
+        )
+        return records
+
+    def _hosting_pass(self) -> tuple[list[Record], int]:
+        """The session records that fit here, in order (own and stale ones
+        skipped), and the deficit left once they are hosted."""
+        session = self.pd_session
+        assert session is not None
+        # Only capacity that reappears at the initiator counts: moving an
+        # unplaced or initiator-held service away from there shrinks the
+        # deficit; shuffling a relay's own services does not.
+        credits = self.node_id != session.initiator
+        available, deficit = self.available, session.deficit
+        fits: list[Record] = []
+        for rec in session.records.values():
+            if rec.origin == self.node_id or not self._live(rec):
+                continue
+            units = self.demand.get(rec.class_id)
+            if units is None or units > available:
+                continue
+            available -= units
+            fits.append(rec)
+            if credits and rec.origin in (None, session.initiator):
+                deficit -= rec.beta_at_initiator
+        return fits, deficit
+
     def _push_down_satisfied(self) -> bool:
         """Would hosting what fits here already clear the deficit?"""
         session = self.pd_session
         assert session is not None
-        if session.deficit <= 0:
-            return True
-        virtual_avail = self.available
-        virtual_deficit = session.deficit
-        for rec in session.records.values():
-            if rec.origin == self.node_id:
-                continue
-            if not self.world.record_current(rec):
-                continue
-            units = self.demand.get(rec.class_id)
-            if units is None or units > virtual_avail:
-                continue
-            virtual_avail -= units
-            if self._hosting_reduces_deficit(rec):
-                virtual_deficit -= rec.beta_at_initiator
-            if virtual_deficit <= 0:
-                return True
-        return virtual_deficit <= 0
-
-    def _hosting_reduces_deficit(self, rec: Record) -> bool:
-        # Only capacity that reappears at the initiator counts: moving an
-        # unplaced or initiator-held service away from there shrinks the
-        # deficit; shuffling a relay's own services does not.
-        session = self.pd_session
-        assert session is not None
-        from_initiator = rec.origin is None or rec.origin == session.initiator
-        return from_initiator and self.node_id != session.initiator
+        return session.deficit <= 0 or self._hosting_pass()[1] <= 0
 
     def _pd_record_relevant(self, rec: Record, child: DatacenterId) -> bool:
         members = self.child_subtree[child]
@@ -916,23 +906,14 @@ class ProtocolNode:
         session = self.pd_session
         assert session is not None
         received_ids = {r.request_id for r in session.received}
-        for rec in list(session.records.values()):
-            if rec.origin == self.node_id:
-                continue
-            if not self.world.is_active(rec.request_id) or not self.world.record_current(rec):
-                del session.records[rec.request_id]
-                continue
-            units = self.demand.get(rec.class_id)
-            if units is not None and units <= self.available:
-                self.world.log(self.node_id, f"pd host r{rec.request_id}")
-                self._place(rec, reserved=False)
-                del session.records[rec.request_id]
-                if rec.request_id in received_ids:
-                    session.hosted_ids.add(rec.request_id)
-                if self._hosting_reduces_deficit(rec):
-                    session.deficit -= rec.beta_at_initiator
-                if rec.origin is None:
-                    self.not_assigned.pop(rec.request_id, None)
+        hosted, session.deficit = self._hosting_pass()
+        for rec in hosted:
+            self.world.log(self.node_id, f"pd host r{rec.request_id}")
+            self._place(rec, reserved=False)
+            if rec.request_id in received_ids:
+                session.hosted_ids.add(rec.request_id)
+            if rec.origin is None:
+                self.not_assigned.pop(rec.request_id, None)
         if session.caller is not None:
             payload = tuple(
                 (rec, rec.request_id in session.hosted_ids)

@@ -9,11 +9,12 @@ scenario can be described as a JSON file; see :func:`load_config`.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .model import CostModel, ServiceClass, Topology, build_tree
 from .protocol import ProtocolTiming
@@ -31,8 +32,11 @@ __all__ = [
     "builtin_scenario",
     "BUILTIN_SCENARIOS",
     "load_config",
+    "check_trace_classes",
     "synthesize_trace",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -178,14 +182,8 @@ def fig_two_tier_scenario() -> Scenario:
 
 def empty_scenario() -> Scenario:
     """No users at all: the run must end immediately with empty reports."""
-    topology, classes, costs, rtt = default_profile(leaf_capacity=340, levels=3)
-    return Scenario(
-        name="empty",
-        topology=topology,
-        classes=classes,
-        costs=costs,
-        rtt_by_level=rtt,
-        trace=(),
+    return _family(
+        "empty", leaf_capacity=340, levels=3, arity=2, seed=1, users=0, p_rt=0.0
     )
 
 
@@ -256,6 +254,30 @@ def synthesize_trace(
     return tuple(events)
 
 
+def _family(
+    name: str,
+    leaf_capacity: int,
+    levels: int,
+    arity: int,
+    timing: ProtocolTiming = ProtocolTiming(),
+    **trace_args: Any,
+) -> Scenario:
+    """A scenario on the reference world (:func:`default_profile`) whose
+    trace :func:`synthesize_trace` draws from ``trace_args``."""
+    topology, classes, costs, rtt = default_profile(
+        leaf_capacity=leaf_capacity, levels=levels, arity=arity
+    )
+    return Scenario(
+        name=name,
+        topology=topology,
+        classes=classes,
+        costs=costs,
+        rtt_by_level=rtt,
+        trace=synthesize_trace(topology, **trace_args),
+        timing=timing,
+    )
+
+
 def rand_scenario(
     seed: int,
     users: int = 24,
@@ -266,17 +288,8 @@ def rand_scenario(
 ) -> Scenario:
     """Uniform single-burst scenario: all arrivals in one decision period,
     no mobility — the family used for cost comparisons across algorithms."""
-    topology, classes, costs, rtt = default_profile(
-        leaf_capacity=leaf_capacity, levels=levels, arity=arity
-    )
-    trace = synthesize_trace(topology, seed=seed, users=users, p_rt=p_rt, burst=True)
-    return Scenario(
-        name=f"rand-{seed}",
-        topology=topology,
-        classes=classes,
-        costs=costs,
-        rtt_by_level=rtt,
-        trace=trace,
+    return _family(
+        f"rand-{seed}", leaf_capacity, levels, arity, seed=seed, users=users, p_rt=p_rt
     )
 
 
@@ -294,25 +307,17 @@ def jittered_scenario(
     This is the family for signaling sweeps: gaps are of the same order as
     the accumulation windows, so widening a window genuinely merges more
     requests per run."""
-    topology, classes, costs, rtt = default_profile(
-        leaf_capacity=leaf_capacity, levels=levels, arity=arity
-    )
-    trace = synthesize_trace(
-        topology,
+    return _family(
+        f"jitter-{seed}",
+        leaf_capacity,
+        levels,
+        arity,
+        timing,
         seed=seed,
         users=users,
         p_rt=p_rt,
         burst=False,
         arrival_rate=8000.0,
-    )
-    return Scenario(
-        name=f"jitter-{seed}",
-        topology=topology,
-        classes=classes,
-        costs=costs,
-        rtt_by_level=rtt,
-        trace=trace,
-        timing=timing,
     )
 
 
@@ -323,30 +328,23 @@ def synth_scenario(
     leaf_capacity: int = 600,
     levels: int = 4,
     arity: int = 2,
-    churn: bool = True,
 ) -> Scenario:
-    """Streaming scenario with Poisson arrivals and optional churn."""
-    topology, classes, costs, rtt = default_profile(
-        leaf_capacity=leaf_capacity, levels=levels, arity=arity
-    )
-    trace = synthesize_trace(
-        topology,
+    """Streaming scenario with churn: Poisson arrivals at 40 per second,
+    each user holding for 2 s on average and hopping to a new leaf about
+    every 0.8 s, over a 3 s horizon."""
+    return _family(
+        f"synth-{seed}",
+        leaf_capacity,
+        levels,
+        arity,
         seed=seed,
         users=users,
         p_rt=p_rt,
         burst=False,
         arrival_rate=40.0,
-        hold_mean=2.0 if churn else None,
-        move_period=0.8 if churn else None,
+        hold_mean=2.0,
+        move_period=0.8,
         horizon=3.0,
-    )
-    return Scenario(
-        name=f"synth-{seed}",
-        topology=topology,
-        classes=classes,
-        costs=costs,
-        rtt_by_level=rtt,
-        trace=trace,
     )
 
 
@@ -381,6 +379,47 @@ def _class_from_config(entry: Mapping[str, Any]) -> ServiceClass:
         max_delay=float(entry["max_delay"]),
         cpu_demand={int(k): int(v) for k, v in entry["cpu_demand"].items()},
     )
+
+
+#: Keys a config's ``synth`` block may set: the arguments of
+#: :func:`synthesize_trace` after the topology.
+_SYNTH_KEYS = tuple(inspect.signature(synthesize_trace).parameters)[1:]
+
+
+def _block(
+    cfg: Mapping[str, Any], name: str, allowed: Sequence[str], path: Path
+) -> dict[str, Any]:
+    """The config's optional ``name`` block; a key outside ``allowed`` is
+    an error, so a typo is not silently ignored."""
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ValueError(f"config {path}: the {name!r} block must be an object")
+    unknown = sorted(set(block).difference(allowed))
+    if unknown:
+        raise ValueError(
+            f"config {path}: unknown key(s) {', '.join(unknown)} in the {name!r} "
+            f"block (allowed: {', '.join(allowed)})"
+        )
+    return dict(block)
+
+
+def _overrides(cls: type[_T], cfg: Mapping[str, Any], name: str, path: Path) -> _T:
+    """A ``cls`` whose defaults the config's ``name`` block overrides."""
+    block = _block(cfg, name, [f.name for f in fields(cls)], path)
+    return cls(**{key: float(value) for key, value in block.items()})
+
+
+def check_trace_classes(
+    trace: Iterable[TraceEvent], classes: Mapping[int, ServiceClass], source: str
+) -> None:
+    """Raise ValueError when an arrival in ``trace`` uses a class that
+    ``classes`` does not define; ``source`` names the input in the message."""
+    for event in trace:
+        if event.kind == "arrive" and event.class_id not in classes:
+            raise ValueError(
+                f"{source}: trace uses class {event.class_id}, which the "
+                f"scenario does not define (classes: {sorted(classes)})"
+            )
 
 
 def load_config(path: str | Path, seed: int = 1) -> Scenario:
@@ -426,21 +465,12 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         rtt = {int(k): float(v) for k, v in cfg["rtt_by_level"].items()}
     except KeyError as missing:
         raise ValueError(f"config {path} lacks required key {missing}") from None
-    timing = ProtocolTiming(
-        scan_window=float(cfg.get("timing", {}).get("scan_window", 0.0001)),
-        push_down_window=float(
-            cfg.get("timing", {}).get("push_down_window", 0.0004)
-        ),
-        fallback_period=float(cfg.get("timing", {}).get("fallback_period", 10.0)),
-    )
-    link = LinkModel(
-        propagation=float(cfg.get("link", {}).get("propagation", 22e-6)),
-        capacity_bps=float(cfg.get("link", {}).get("capacity_bps", 10e6)),
-    )
+    timing = _overrides(ProtocolTiming, cfg, "timing", path)
+    link = _overrides(LinkModel, cfg, "link", path)
     if "trace" in cfg:
         trace = tuple(load_trace(path.parent / cfg["trace"]))
     elif "synth" in cfg:
-        synth = dict(cfg["synth"])
+        synth = _block(cfg, "synth", _SYNTH_KEYS, path)
         trace = synthesize_trace(
             topology,
             seed=int(synth.pop("seed", seed)),
@@ -450,12 +480,7 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         )
     else:
         trace = ()
-    for event in trace:
-        if event.kind == "arrive" and event.class_id not in classes:
-            raise ValueError(
-                f"config {path}: trace uses class {event.class_id}, which the "
-                f"config does not define (classes: {sorted(classes)})"
-            )
+    check_trace_classes(trace, classes, f"config {path}")
     return Scenario(
         name=str(cfg.get("name", path.stem)),
         topology=topology,

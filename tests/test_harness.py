@@ -192,6 +192,18 @@ def test_replay_reports_a_truncated_golden_log() -> None:
     assert "<end of log>" in outcome.diff[1]
 
 
+def test_replay_reports_a_golden_log_longer_than_the_run() -> None:
+    text = GOLDEN_LOGS["fig2"] + "9.000000 s0 never happens\n"
+    outcome = replay_fixture("fig2", golden_text=text)
+    assert not outcome.ok
+    events = len(GOLDEN_LOGS["fig2"].splitlines())
+    assert outcome.diff == (
+        f"first difference at event {events + 1}:",
+        "  expected: 9.000000 s0 never happens",
+        "  actual:   <end of log>",
+    )
+
+
 def test_replay_unknown_fixture() -> None:
     with pytest.raises(ValueError):
         replay_fixture("fig9")
@@ -483,8 +495,8 @@ def test_cli_run_log_needs_a_single_run(capsys) -> None:
     assert "--log needs exactly one algorithm and one seed" in capsys.readouterr().err
 
 
-def test_cli_run_with_config_and_trace(tmp_path: Path, capsys) -> None:
-    config = {
+def _tiny_config() -> dict:
+    return {
         "tree": {"levels": 2, "arity": 2, "leaf_capacity": 4},
         "classes": [
             {
@@ -498,6 +510,10 @@ def test_cli_run_with_config_and_trace(tmp_path: Path, capsys) -> None:
         "rtt_by_level": {"0": 0.001, "1": 0.002},
         "synth": {"users": 3, "p_rt": 1.0},
     }
+
+
+def test_cli_run_with_config_and_trace(tmp_path: Path, capsys) -> None:
+    config = _tiny_config()
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(config))
     code = main(["run", "--config", str(cfg_path), "--algo", "ffit"])
@@ -515,6 +531,34 @@ def test_cli_run_with_config_and_trace(tmp_path: Path, capsys) -> None:
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[1].startswith("tiny+two,ffit,1,ok,2,2,")
+
+
+def test_cli_run_rejects_an_unknown_config_key(tmp_path: Path, capsys) -> None:
+    config = _tiny_config()
+    config["synth"] = {"users": 5, "hold": 2.0}
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg_path), "--algo", "ffit"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown key(s) hold in the 'synth' block" in err
+    assert "Traceback" not in err
+
+
+def test_cli_run_rejects_a_trace_with_an_undefined_class(
+    tmp_path: Path, capsys
+) -> None:
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    trace_path = tmp_path / "odd.csv"
+    save_trace(trace_path, (TraceEvent(0.0, 1, "arrive", 1, 7),))
+    code = main(
+        ["run", "--config", str(cfg_path), "--trace", str(trace_path), "--algo", "ffit"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: --trace {trace_path}: trace uses class 7, which" in err
+    assert "(classes: [0])" in err
 
 
 def test_cli_replay_passes_the_fixtures(capsys) -> None:

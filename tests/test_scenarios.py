@@ -332,6 +332,40 @@ def test_load_config_rejects_trace_with_undefined_class(tmp_path: Path) -> None:
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "block, entry, allowed",
+    [
+        ("synth", {"users": 5, "hold": 2.0}, "seed, users, p_rt, burst"),
+        ("timing", {"hold": 0.001}, "scan_window, push_down_window"),
+        ("link", {"hold": 1e6}, "propagation, capacity_bps"),
+    ],
+)
+def test_load_config_rejects_unknown_block_keys(
+    tmp_path: Path, block: str, entry: dict, allowed: str
+) -> None:
+    cfg = _base_config()
+    cfg[block] = entry
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    message = str(err.value)
+    assert f"unknown key(s) hold in the '{block}' block" in message
+    assert allowed in message
+
+
+@pytest.mark.parametrize("block", ["synth", "timing", "link"])
+def test_load_config_rejects_a_block_that_is_not_an_object(
+    tmp_path: Path, block: str
+) -> None:
+    cfg = _base_config()
+    cfg[block] = 5
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=f"the '{block}' block must be an object"):
+        load_config(path)
+
+
 def test_load_config_synth_honours_default_seed(tmp_path: Path) -> None:
     cfg = _base_config()
     cfg["synth"] = {"users": 5, "p_rt": 1.0}

@@ -522,8 +522,9 @@ def test_link_serializes_and_delivers_in_order() -> None:
     small = PuAckMsg(acks=())
     sim.send(3, 1, big)
     sim.send(3, 1, small)
+    deliver = sim.nodes[1].on_message
     deliveries = sorted(
-        (time, data[2]) for time, _seq, kind, data in sim._heap if kind == "deliver"
+        (time, args[1]) for time, _seq, handler, args in sim._heap if handler == deliver
     )
     big_bits, small_bits = message_bits(big), message_bits(small)
     expected_first = big_bits / 10e6 + 22e-6
