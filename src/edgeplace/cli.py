@@ -38,7 +38,7 @@ from .harness import (
 from .scenarios import (
     BUILTIN_SCENARIOS,
     builtin_scenario,
-    check_trace_classes,
+    check_trace,
     load_config,
 )
 from .simnet import load_trace
@@ -109,13 +109,12 @@ def _scenario_for(args: argparse.Namespace, seed: int):
             )
         scenario = builtin_scenario(args.scenario, seed=seed, **overrides)
     if args.trace is not None:
-        events = tuple(load_trace(args.trace))
-        check_trace_classes(events, scenario.classes, f"--trace {args.trace}")
         scenario = replace(
             scenario,
-            trace=events,
+            trace=tuple(load_trace(args.trace)),
             name=f"{scenario.name}+{Path(args.trace).stem}",
         )
+        check_trace(scenario, f"--trace {args.trace}")
     return scenario
 
 
@@ -329,6 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_CliError, NoUpperBoundError, ValueError, OSError, KeyError) as err:
+    except (_CliError, NoUpperBoundError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -26,13 +26,18 @@ act through the services of a :class:`World`, which the simulation engine
 implements, and the engine reaches a node only through ``buffer_scan_input``,
 ``on_message``, ``on_timer``, ``notify_gone`` and ``release``.
 
-A node holds its backlogs (unassigned records, reservation adverts, a
-push-down session's records, requests awaiting a push-down) as
-insertion-ordered dicts keyed by request id, so withdrawing one request is a
-single pop; a periodic re-sort rebuilds the unassigned backlog in placement
-order.  Scan buffers stay lists, because one can briefly hold two
-generations of a request.  Every container iterates in a deterministic
-order, so identical inputs replay to identical traces.
+A record's fields fix its role: a record without an ``origin`` is
+unassigned, and one with an origin advertises that datacenter's reservation
+(an advert); a record without a ``current_host`` is a brand-new request.
+A scan batch is therefore one list, which a node splits by origin.
+
+A node holds its backlogs (unassigned records, adverts, a push-down
+session's records, requests awaiting a push-down) as insertion-ordered
+dicts keyed by request id, so withdrawing one request is a single pop; a
+periodic re-sort rebuilds the unassigned backlog in placement order.  The
+scan buffer stays a list, because it can briefly hold two generations of a
+request.  Every container iterates in a deterministic order, so identical
+inputs replay to identical traces.
 """
 
 from __future__ import annotations
@@ -68,17 +73,17 @@ class Record:
     ``origin`` is the datacenter currently holding the request's
     reservation or placement (None while nobody does).  ``current_host``
     remembers where a relocated user's service still runs, so hosting the
-    record elsewhere is billed as a migration.  Push-down records also
-    carry ``beta_at_initiator``, the request's CPU demand at the push-down
-    initiator, so deficit bookkeeping survives relaying into subtrees where
-    the demand differs; scan and push-up records leave it None.
+    record elsewhere is billed as a migration; a record without one is a
+    brand-new request.  Push-down records also carry ``beta_at_initiator``,
+    the request's CPU demand at the push-down initiator, so deficit
+    bookkeeping survives relaying into subtrees where the demand differs;
+    scan and push-up records leave it None.
     """
 
     request_id: RequestId
     class_id: int
     origin: DatacenterId | None
     feasible: tuple[DatacenterId, ...]
-    is_new: bool
     current_host: DatacenterId | None = None
     #: bumped by the engine when a user movement re-issues the record, so
     #: stale in-flight copies are dropped on merge (simulator bookkeeping
@@ -93,10 +98,10 @@ class Record:
 
 @dataclass(frozen=True)
 class SfsMsg:
-    """Bottom-up scan batch: unassigned records plus reservation adverts."""
+    """Bottom-up scan batch: unassigned records (no origin) first, then
+    reservation adverts (an origin)."""
 
-    not_assigned: tuple[Record, ...]
-    push_up: tuple[Record, ...]
+    records: tuple[Record, ...]
 
 
 @dataclass(frozen=True)
@@ -207,13 +212,9 @@ def sort_requests(
     def key(rec: Record) -> tuple[int, int, int, int]:
         outside = sum(1 for n in rec.feasible if n not in local_subtree)
         units = demand_here.get(rec.class_id, 1 << 30)
-        return (outside, units, 1 if rec.is_new else 0, rec.request_id)
+        return (outside, units, 1 if rec.current_host is None else 0, rec.request_id)
 
     return sorted(records, key=key)
-
-
-def _without(records: list[Record], request_id: RequestId) -> list[Record]:
-    return [r for r in records if r.request_id != request_id]
 
 
 def _keyed(records: Iterable[Record]) -> dict[RequestId, Record]:
@@ -286,15 +287,13 @@ class ProtocolNode:
         self.placed: dict[RequestId, int] = {}
         self.not_assigned: dict[RequestId, Record] = {}
         self.push_up: dict[RequestId, Record] = {}
-        self.outstanding_pu: dict[RequestId, Record] = {}
-        # batching buffers + timers
-        self.scan_buf_na: list[Record] = []
-        self.scan_buf_pu: list[Record] = []
+        self.outstanding_pu: set[RequestId] = set()
+        # batching buffer + timers
+        self.scan_buf: list[Record] = []
         self.scan_timer_armed = False
         self.pd_pending: dict[RequestId, None] = {}  # an ordered set
         self.pd_timer_armed = False
         # push-down session & quarantine
-        self.within_pd = False
         self.pd_session: PdSession | None = None
         self.deferred: list[tuple[DatacenterId, ProtocolMsg]] = []
         self.f_mode_until = float("-inf")
@@ -365,18 +364,18 @@ class ProtocolNode:
             if rec.request_id not in target and self._live(rec):
                 target[rec.request_id] = rec
 
-    def _take_scan_input(
-        self, incoming_na: Sequence[Record], incoming_pu: Sequence[Record]
-    ) -> None:
-        """Scan prelude: merge a batch into the backlog, most constrained first."""
-        self._merge_records(self.not_assigned, incoming_na)
-        self._merge_records(self.push_up, incoming_pu)
+    def _take_scan_input(self, incoming: Sequence[Record]) -> None:
+        """Scan prelude: merge a batch into the backlogs (a record with an
+        origin is an advert), the unassigned one most constrained first."""
+        unassigned = [r for r in incoming if r.origin is None]
+        self._merge_records(self.not_assigned, unassigned)
+        self._merge_records(self.push_up, (r for r in incoming if r.origin is not None))
         self.not_assigned = _keyed(self._sorted(self.not_assigned.values()))
 
     def _take_push_up(self, incoming: Sequence[Record]) -> list[Record]:
         """Push-up prelude: claim the advert backlog plus ``incoming``."""
         for rec in incoming:
-            self.outstanding_pu.pop(rec.request_id, None)
+            self.outstanding_pu.discard(rec.request_id)
         records = self.push_up
         self.push_up = {}
         self._merge_records(records, incoming)
@@ -396,31 +395,25 @@ class ProtocolNode:
 
     # -- engine entry points ----------------------------------------------
 
-    def buffer_scan_input(
-        self,
-        not_assigned: Sequence[Record],
-        push_up: Sequence[Record],
-    ) -> None:
+    def buffer_scan_input(self, records: Sequence[Record]) -> None:
         """Queue scan work (arrivals or a child's batch) behind the timer."""
-        self.scan_buf_na.extend(not_assigned)
-        self.scan_buf_pu.extend(push_up)
-        if self.scan_buf_na or self.scan_buf_pu:
+        self.scan_buf.extend(records)
+        if self.scan_buf:
             self._arm_timer("scan")
 
     def on_timer(self, kind: str) -> None:
         if kind == "scan":
             self.scan_timer_armed = False
-            if self.within_pd:
+            if self.pd_session is not None:
                 return  # the session's end re-arms if work remains
-            na, pu = self.scan_buf_na, self.scan_buf_pu
-            self.scan_buf_na, self.scan_buf_pu = [], []
+            records, self.scan_buf = self.scan_buf, []
             if self.in_f_mode():
-                self.run_fallback_scan(na, pu)
+                self.run_fallback_scan(records)
             else:
-                self.run_scan(na, pu)
+                self.run_scan(records)
         elif kind == "push_down":
             self.pd_timer_armed = False
-            if self.within_pd:
+            if self.pd_session is not None:
                 return
             self.start_push_down()
         else:  # pragma: no cover - defensive
@@ -428,8 +421,8 @@ class ProtocolNode:
 
     def on_message(self, sender: DatacenterId, msg: ProtocolMsg) -> None:
         if isinstance(msg, SfsMsg):
-            self.buffer_scan_input(msg.not_assigned, msg.push_up)
-        elif isinstance(msg, (PuMsg, PuAckMsg)) and self.within_pd:
+            self.buffer_scan_input(msg.records)
+        elif isinstance(msg, (PuMsg, PuAckMsg)) and self.pd_session is not None:
             self.deferred.append((sender, msg))  # replayed when the session ends
         elif isinstance(msg, PuMsg):
             if self.in_f_mode():
@@ -439,7 +432,7 @@ class ProtocolNode:
         elif isinstance(msg, PuAckMsg):
             self.handle_push_up_acks(msg.acks)
         elif isinstance(msg, PdRequestMsg):
-            if self.within_pd:
+            if self.pd_session is not None:
                 self.world.log(
                     self.node_id,
                     f"pd busy, refusing offer from s{sender} "
@@ -472,11 +465,9 @@ class ProtocolNode:
         """Purge every trace of a departed or withdrawn request."""
         self.not_assigned.pop(request_id, None)
         self.push_up.pop(request_id, None)
-        if self.scan_buf_na:
-            self.scan_buf_na = _without(self.scan_buf_na, request_id)
-        if self.scan_buf_pu:
-            self.scan_buf_pu = _without(self.scan_buf_pu, request_id)
-        self.outstanding_pu.pop(request_id, None)
+        if self.scan_buf:
+            self.scan_buf = [r for r in self.scan_buf if r.request_id != request_id]
+        self.outstanding_pu.discard(request_id)
         self.pd_pending.pop(request_id, None)
         if request_id in self.assigned:
             self.available += self.assigned.pop(request_id)
@@ -485,11 +476,7 @@ class ProtocolNode:
 
     # -- bottom-up scan ----------------------------------------------------
 
-    def run_scan(
-        self,
-        incoming_na: Sequence[Record],
-        incoming_pu: Sequence[Record],
-    ) -> None:
+    def run_scan(self, incoming: Sequence[Record]) -> None:
         """Normal-mode batch: reserve locally, else route toward a decision.
 
         Requests whose highest feasible node is here and that do not fit
@@ -497,7 +484,7 @@ class ProtocolNode:
         together with reservation adverts, and when nothing is pending
         above, the node resolves its own advert backlog locally.
         """
-        self._take_scan_input(incoming_na, incoming_pu)
+        self._take_scan_input(incoming)
         self.world.log(
             self.node_id,
             "scan run na=[%s] pu=[%s]"
@@ -511,15 +498,14 @@ class ProtocolNode:
             units = self.demand.get(rec.class_id)
             if units is not None and units <= self.available:
                 del self.not_assigned[rec.request_id]
-                self.available -= units
-                self.assigned[rec.request_id] = units
-                owned = replace(rec, origin=self.node_id)
                 if rec.top_feasible == self.node_id:
                     self.world.log(self.node_id, f"scan top-place r{rec.request_id}")
-                    self._place(rec, reserved=True)
+                    self._place(rec, reserved=False)
                 else:
+                    self.available -= units
+                    self.assigned[rec.request_id] = units
                     self.world.log(self.node_id, f"scan assign r{rec.request_id}")
-                    self.push_up[rec.request_id] = owned
+                    self.push_up[rec.request_id] = replace(rec, origin=self.node_id)
             elif rec.top_feasible == self.node_id:
                 if rec.request_id not in self.pd_pending:
                     new_push_down.append(rec.request_id)
@@ -532,18 +518,14 @@ class ProtocolNode:
             return  # the push-down epilogue will move the leftovers
         self._forward_and_resolve()
 
-    def run_fallback_scan(
-        self,
-        incoming_na: Sequence[Record],
-        incoming_pu: Sequence[Record],
-    ) -> None:
+    def run_fallback_scan(self, incoming: Sequence[Record]) -> None:
         """Quarantine-mode batch: place immediately, never reserve.
 
         Requests that top out here and do not fit either wait for this
         node's own pending push-down, schedule one, or — while a push-down
         is still winding down — are failed outright.
         """
-        self._take_scan_input(incoming_na, incoming_pu)
+        self._take_scan_input(incoming)
         self.world.log(
             self.node_id, "f-scan run na=[%s]" % _ids(self.not_assigned.values())
         )
@@ -561,7 +543,7 @@ class ProtocolNode:
             elif rec.top_feasible == self.node_id:
                 if rec.request_id in self.pd_pending:
                     continue  # its own push-down is already scheduled
-                if self.within_pd:
+                if self.pd_session is not None:
                     del self.not_assigned[rec.request_id]
                     self.world.log(self.node_id, f"f-scan failure r{rec.request_id}")
                     self.world.report_failure(rec.request_id, self.node_id)
@@ -573,8 +555,7 @@ class ProtocolNode:
                 self.node_id,
                 "f-scan push-down-pending [%s]" % _rids(schedule_push_down),
             )
-            if not self.within_pd:
-                self._arm_timer("push_down")
+            self._arm_timer("push_down")
         forward = [
             rec
             for rec in self.not_assigned.values()
@@ -589,9 +570,7 @@ class ProtocolNode:
                 self.node_id,
                 "f-scan forward [%s] -> s%d" % (_ids(forward), self.parent),
             )
-            self.world.send(
-                self.node_id, self.parent, SfsMsg(tuple(forward), ())
-            )
+            self.world.send(self.node_id, self.parent, SfsMsg(tuple(forward)))
         self._assert_no_stuck_records()
         if self.push_up:
             self.run_fallback_push_up(())
@@ -608,14 +587,14 @@ class ProtocolNode:
                     del self.not_assigned[rec.request_id]
                 for rec in fwd_pu:
                     del self.push_up[rec.request_id]
-                    self.outstanding_pu[rec.request_id] = rec
+                    self.outstanding_pu.add(rec.request_id)
                 self.world.log(
                     self.node_id,
                     "scan forward na=[%s] pu=[%s] -> s%d"
                     % (_ids(fwd_na), _ids(fwd_pu), self.parent),
                 )
                 self.world.send(
-                    self.node_id, self.parent, SfsMsg(tuple(fwd_na), tuple(fwd_pu))
+                    self.node_id, self.parent, SfsMsg(tuple(fwd_na + fwd_pu))
                 )
         self._assert_no_stuck_records()
         if not self.outstanding_pu and self.push_up:
@@ -671,7 +650,7 @@ class ProtocolNode:
         """Apply verdicts from above: free or convert reservations, relay the rest."""
         relay: list[tuple[Record, bool]] = []
         for rec, hosted_above in ack_records:
-            self.outstanding_pu.pop(rec.request_id, None)
+            self.outstanding_pu.discard(rec.request_id)
             if not self.world.is_active(rec.request_id):
                 continue
             if rec.origin == self.node_id:
@@ -686,7 +665,7 @@ class ProtocolNode:
             else:
                 relay.append((rec, hosted_above))
         self._relay_acks(relay)
-        if not self.outstanding_pu and self.push_up and not self.within_pd:
+        if not self.outstanding_pu and self.push_up and self.pd_session is None:
             if self.in_f_mode():
                 self.run_fallback_push_up(())
             else:
@@ -742,7 +721,6 @@ class ProtocolNode:
                     class_id=req.class_id,
                     origin=self.node_id,
                     feasible=req.feasible,
-                    is_new=False,
                     current_host=self.node_id,
                     generation=0,
                     beta_at_initiator=self.placed[rid],
@@ -800,7 +778,6 @@ class ProtocolNode:
         """Open a session over ``offered`` plus the services this node may
         move itself, and enter quarantine; returns the session's records."""
         records = offered + self._appended_offer_records()
-        self.within_pd = True
         self.enter_f_mode()
         self.pd_session = PdSession(
             initiator, caller, deficit, _keyed(records), list(self.children), received
@@ -936,12 +913,11 @@ class ProtocolNode:
         self.world.log(self.node_id, "pd end")
         # trailing fallback scan runs with the session still marked open so
         # that requests this push-down could not save fail loudly
-        self.run_fallback_scan((), ())
-        self.within_pd = False
+        self.run_fallback_scan(())
         self.pd_session = None
         if self.pd_pending:
             self._arm_timer("push_down")
-        if self.scan_buf_na or self.scan_buf_pu:
+        if self.scan_buf:
             self._arm_timer("scan")
         backlog = self.deferred
         self.deferred = []

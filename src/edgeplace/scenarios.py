@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Mapping, Sequence, TypeVar
 
 from .model import CostModel, ServiceClass, Topology, build_tree
 from .protocol import ProtocolTiming
@@ -32,7 +32,7 @@ __all__ = [
     "builtin_scenario",
     "BUILTIN_SCENARIOS",
     "load_config",
-    "check_trace_classes",
+    "check_trace",
     "synthesize_trace",
 ]
 
@@ -409,16 +409,21 @@ def _overrides(cls: type[_T], cfg: Mapping[str, Any], name: str, path: Path) -> 
     return cls(**{key: float(value) for key, value in block.items()})
 
 
-def check_trace_classes(
-    trace: Iterable[TraceEvent], classes: Mapping[int, ServiceClass], source: str
-) -> None:
-    """Raise ValueError when an arrival in ``trace`` uses a class that
-    ``classes`` does not define; ``source`` names the input in the message."""
-    for event in trace:
+def check_trace(scenario: Scenario, source: str) -> None:
+    """Raise ValueError when an arrival in ``scenario``'s trace uses a class
+    the scenario does not define, or an arrival or move names a PoA that is
+    not a leaf of its tree; ``source`` names the input in the message."""
+    classes, leaves = scenario.classes, set(scenario.topology.leaves)
+    for event in scenario.trace:
         if event.kind == "arrive" and event.class_id not in classes:
             raise ValueError(
                 f"{source}: trace uses class {event.class_id}, which the "
                 f"scenario does not define (classes: {sorted(classes)})"
+            )
+        if event.kind != "depart" and event.poa not in leaves:
+            raise ValueError(
+                f"{source}: trace names PoA {event.poa}, which is not a leaf "
+                f"of the scenario's tree"
             )
 
 
@@ -465,6 +470,14 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         rtt = {int(k): float(v) for k, v in cfg["rtt_by_level"].items()}
     except KeyError as missing:
         raise ValueError(f"config {path} lacks required key {missing}") from None
+    tree_levels = {topology.level(n) for n in topology.nodes}
+    for cid, klass in classes.items():
+        for level in sorted(tree_levels.intersection(klass.cpu_demand)):
+            if level not in costs.placement_cost[cid]:
+                raise ValueError(
+                    f"config {path}: class {cid} can be hosted at level {level}, "
+                    "but its placement_cost has no price for that level"
+                )
     timing = _overrides(ProtocolTiming, cfg, "timing", path)
     link = _overrides(LinkModel, cfg, "link", path)
     if "trace" in cfg:
@@ -480,8 +493,7 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         )
     else:
         trace = ()
-    check_trace_classes(trace, classes, f"config {path}")
-    return Scenario(
+    scenario = Scenario(
         name=str(cfg.get("name", path.stem)),
         topology=topology,
         classes=classes,
@@ -491,4 +503,6 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         timing=timing,
         link=link,
     )
+    check_trace(scenario, f"config {path}")
+    return scenario
 

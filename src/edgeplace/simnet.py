@@ -90,11 +90,7 @@ def _record_bits(rec: Record) -> int:
 
 def message_bits(msg: ProtocolMsg) -> int:
     """Size of a protocol message on the wire, in bits."""
-    if isinstance(msg, SfsMsg):
-        return _HEADER_BITS + sum(
-            _record_bits(r) for r in msg.not_assigned + msg.push_up
-        )
-    if isinstance(msg, PuMsg):
+    if isinstance(msg, (SfsMsg, PuMsg)):
         return _HEADER_BITS + sum(_record_bits(r) for r in msg.records)
     if isinstance(msg, PuAckMsg):
         return _HEADER_BITS + len(msg.acks) * (_REQUEST_ID_BITS + _STATUS_BITS)
@@ -200,7 +196,6 @@ class Counters:
     bits: dict[str, int] = field(default_factory=dict)
     migrations: int = 0
     placements: int = 0
-    failures: int = 0
     push_downs: int = 0
     criticals: int = 0
     events: int = 0
@@ -255,7 +250,6 @@ class _RequestState:
         "feasible",
         "state",
         "host",
-        "is_new",
         "generation",
     )
 
@@ -267,7 +261,6 @@ class _RequestState:
         self.feasible = feasible
         self.state = "waiting"
         self.host: DatacenterId | None = None
-        self.is_new = True
         self.generation = 0
 
 
@@ -276,12 +269,11 @@ class _RequestState:
 # consume it live in `baselines`.
 @dataclass(frozen=True)
 class ActiveService(Request):
-    """A request as one epoch sees it: where it runs now, and whether the
-    epoch may (re)place it."""
+    """A request as one epoch sees it: where it runs now (None for a new
+    request), and whether the epoch may (re)place it."""
 
     current_host: DatacenterId | None
     movable: bool
-    is_new: bool
 
 
 @dataclass(frozen=True)
@@ -435,7 +427,6 @@ class Simulator:
             self.log(node, f"place r{request_id}")
         req.host = node
         req.state = "placed"
-        req.is_new = False
         self._relocating.discard(request_id)
         self.counters.placements += 1
 
@@ -458,7 +449,6 @@ class Simulator:
     def report_failure(self, request_id: RequestId, node: DatacenterId) -> None:
         req = self._registry[request_id]
         req.state = "failed"
-        self.counters.failures += 1
         self._failed.append(request_id)
         self.log(node, f"failure r{request_id}")
         self._purge(request_id)
@@ -537,11 +527,10 @@ class Simulator:
             class_id=req.class_id,
             origin=None,
             feasible=req.feasible,
-            is_new=req.is_new,
             current_host=req.host,
             generation=req.generation,
         )
-        self.nodes[req.poa].buffer_scan_input([rec], [])
+        self.nodes[req.poa].buffer_scan_input([rec])
 
     def _on_move(self, user: int, poa: DatacenterId) -> None:
         req = self._registry.get(user)
@@ -609,7 +598,6 @@ class Simulator:
                     feasible=req.feasible,
                     current_host=req.host,
                     movable=rid in self._pending_pool,
-                    is_new=req.is_new,
                 )
             )
         problem = EpochProblem(

@@ -47,11 +47,7 @@ def ack_bits() -> int:
 
 def wire_bits(msg: object) -> int:
     """Size any protocol message by summing its declared fields."""
-    if isinstance(msg, SfsMsg):
-        return HEADER + sum(
-            record_bits(r) for r in (*msg.not_assigned, *msg.push_up)
-        )
-    if isinstance(msg, PuMsg):
+    if isinstance(msg, (SfsMsg, PuMsg)):
         return HEADER + sum(record_bits(r) for r in msg.records)
     if isinstance(msg, PuAckMsg):
         return HEADER + len(msg.acks) * ack_bits()

@@ -271,7 +271,7 @@ def test_exact_solver_dominance() -> None:
                 services.append(
                     ActiveService(
                         request_id=rid, class_id=0, poa=poa, feasible=feas,
-                        current_host=host, movable=True, is_new=host is None,
+                        current_host=host, movable=True,
                     )
                 )
             problem = EpochProblem(

@@ -45,7 +45,6 @@ def svc(
     class_id: int = 0,
     current_host: int | None = None,
     movable: bool = True,
-    is_new: bool | None = None,
 ) -> ActiveService:
     return ActiveService(
         request_id=rid,
@@ -54,7 +53,6 @@ def svc(
         feasible=feasible,
         current_host=current_host,
         movable=movable,
-        is_new=current_host is None if is_new is None else is_new,
     )
 
 
@@ -147,7 +145,7 @@ def test_bottom_up_frees_room_by_pushing_a_tenant_down() -> None:
     topo = build_tree(
         levels=2, arity=2, leaf_capacity=1, capacity_overrides={0: 1, 2: 0}
     )
-    tenant = svc(2, 1, (1, 0), current_host=0, movable=False, is_new=False)
+    tenant = svc(2, 1, (1, 0), current_host=0, movable=False)
     newcomer = svc(1, 2, (2, 0))
     decision = bottom_up_push_up(problem_of(topo, [newcomer, tenant]))
     # the immovable-looking tenant is exactly what the recovery may move
@@ -237,7 +235,7 @@ def test_cheapest_feasible_breaks_price_ties_toward_lower_node_id() -> None:
 def test_cheapest_feasible_stays_put_when_moving_costs_more() -> None:
     topo = build_tree(levels=2, arity=2, leaf_capacity=4)
     prices = {0: {0: 1.0, 1: 3.0}}
-    staying = svc(1, 1, (1, 0), current_host=1, is_new=False)
+    staying = svc(1, 1, (1, 0), current_host=1)
     decision = cheapest_feasible(
         problem_of(topo, [staying], prices=prices, migration=10.0)
     )
@@ -257,8 +255,8 @@ def test_availability_scaler_serves_most_starved_critical_first() -> None:
         capacity_overrides={0: 2, 1: 1, 2: 5},
     )
     wide = ServiceClass(class_id=0, name="wide", max_delay=1.0, cpu_demand={0: 2, 1: 2})
-    starved = svc(7, 3, (3, 0), current_host=1, is_new=False)
-    comfy = svc(4, 3, (3, 0), current_host=2, is_new=False)
+    starved = svc(7, 3, (3, 0), current_host=1)
+    comfy = svc(4, 3, (3, 0), current_host=2)
     problem = problem_of(topo, [comfy, starved], classes={0: wide})
     decision = availability_scaler(problem)
     # the service whose old host is starved picks first and takes the root
@@ -270,7 +268,7 @@ def test_availability_scaler_serves_criticals_before_new_arrivals() -> None:
         levels=2, arity=2, leaf_capacity=2, capacity_overrides={0: 0, 2: 0}
     )
     wide = ServiceClass(class_id=0, name="wide", max_delay=1.0, cpu_demand={0: 2, 1: 2})
-    critical = svc(9, 1, (1,), current_host=2, is_new=False)
+    critical = svc(9, 1, (1,), current_host=2)
     fresh = svc(1, 1, (1,))
     decision = availability_scaler(
         problem_of(topo, [fresh, critical], classes={0: wide})
@@ -349,7 +347,7 @@ def test_exact_matches_exhaustive_enumeration() -> None:
             feas = feasible_set_for(topo, poa, klass, rtt)
             host = rng.choice(list(feas)) if rng.random() < 0.4 else None
             services.append(
-                svc(rid, poa, feas, current_host=host, is_new=host is None)
+                svc(rid, poa, feas, current_host=host)
             )
         problem = EpochProblem(
             topology=topo,
@@ -833,7 +831,7 @@ def _random_problem(rng: random.Random) -> EpochProblem:
             else:
                 pinned[host] = pinned.get(host, 0) + units
         services.append(
-            svc(rid, poa, feas, current_host=host, movable=movable, is_new=host is None)
+            svc(rid, poa, feas, current_host=host, movable=movable)
         )
     return EpochProblem(
         topology=topo,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -561,6 +562,48 @@ def test_cli_run_rejects_a_trace_with_an_undefined_class(
     assert "(classes: [0])" in err
 
 
+@pytest.mark.parametrize("algo", [["dapp", "--no-normalize"], ["ffit"]])
+def test_cli_run_rejects_a_class_without_a_price_for_a_usable_level(
+    tmp_path: Path, capsys, algo: list[str]
+) -> None:
+    config = _tiny_config()
+    config["classes"][0]["placement_cost"] = {"0": 2}  # level 1 can host it too
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg_path), "--algo", *algo])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: config {cfg_path}: class 0 can be hosted at level 1, but its "
+        "placement_cost has no price for that level"
+    ) in err
+
+
+@pytest.mark.parametrize("algo", ["dapp", "ffit"])
+@pytest.mark.parametrize(
+    "events",
+    [
+        (TraceEvent(0.0, 1, "arrive", 99, 0),),
+        (TraceEvent(0.0, 1, "arrive", 7, 0), TraceEvent(0.5, 1, "move", 99)),
+    ],
+    ids=["arrival", "move"],
+)
+def test_cli_run_rejects_a_trace_poa_outside_the_tree(
+    tmp_path: Path, capsys, algo: str, events: tuple[TraceEvent, ...]
+) -> None:
+    trace_path = tmp_path / "far.csv"
+    save_trace(trace_path, events)
+    code = main(
+        ["run", "--scenario", "rand", "--trace", str(trace_path), "--algo", algo]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: --trace {trace_path}: trace names PoA 99, which is not a leaf "
+        "of the scenario's tree"
+    ) in err
+
+
 def test_cli_replay_passes_the_fixtures(capsys) -> None:
     for name in ("fig2", "fig3"):
         code = main(["replay", name])
@@ -639,11 +682,15 @@ def test_cli_reports_are_reproducible(capsys) -> None:
 
 
 def test_cli_module_entry_point() -> None:
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "edgeplace", "run", "--scenario", "fig2",
          "--algo", "dapp"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("fig2,dapp,1,ok,")

@@ -213,7 +213,6 @@ def _one_service(topo: Topology, current_host: int | None = None) -> ActiveServi
         feasible=feasible_set_for(topo, leaf, NONRT_CLASS, PROFILE_RTT),
         current_host=current_host,
         movable=True,
-        is_new=current_host is None,
     )
 
 

@@ -91,7 +91,6 @@ def rec(
     *,
     class_id: int = 0,
     origin: int | None = None,
-    is_new: bool = True,
     current_host: int | None = None,
 ) -> Record:
     return Record(
@@ -99,7 +98,6 @@ def rec(
         class_id=class_id,
         origin=origin,
         feasible=feasible,
-        is_new=is_new,
         current_host=current_host,
     )
 
@@ -111,7 +109,6 @@ def pd_rec(
     *,
     class_id: int = 0,
     origin: int | None = None,
-    is_new: bool = True,
     current_host: int | None = None,
 ) -> Record:
     return Record(
@@ -119,7 +116,6 @@ def pd_rec(
         class_id=class_id,
         origin=origin,
         feasible=feasible,
-        is_new=is_new,
         beta_at_initiator=beta,
         current_host=current_host,
     )
@@ -150,6 +146,13 @@ def make_node(
     )
 
 
+def idle_session(node_id: int) -> PdSession:
+    """A push-down session this node started, with nothing left to do."""
+    return PdSession(
+        initiator=node_id, caller=None, deficit=0, records={}, pending_children=[]
+    )
+
+
 def sent_of(world: FakeWorld, kind: type) -> list[tuple[int, int, object]]:
     return [entry for entry in world.sent if isinstance(entry[2], kind)]
 
@@ -170,8 +173,8 @@ def test_sort_requests_breaks_ties_by_demand_then_age_then_id() -> None:
     light = rec(7, (1, 0), class_id=1)
     heavy = rec(3, (1, 0), class_id=0)
     assert sort_requests([heavy, light], subtree, {0: 5, 1: 2}) == [light, heavy]
-    relocated = rec(8, (1, 0), is_new=False)
-    fresh = rec(4, (1, 0), is_new=True)
+    relocated = rec(8, (1, 0), current_host=2)
+    fresh = rec(4, (1, 0))
     assert sort_requests([fresh, relocated], subtree, {0: 2}) == [relocated, fresh]
     a, b = rec(6, (1, 0)), rec(5, (1, 0))
     assert sort_requests([a, b], subtree, {0: 2}) == [b, a]
@@ -202,16 +205,16 @@ def test_buffer_scan_input_arms_one_timer_and_merges() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 1)
     first, second = rec(1, (1, 0)), rec(2, (1, 0))
-    node.buffer_scan_input([first], [])
-    node.buffer_scan_input([second], [])
+    node.buffer_scan_input([first])
+    node.buffer_scan_input([second])
     assert world.timers == [(1, "scan", pytest.approx(0.0001))]
-    assert node.scan_buf_na == [first, second]
+    assert node.scan_buf == [first, second]
 
 
 def test_empty_buffer_does_not_arm() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 1)
-    node.buffer_scan_input([], [])
+    node.buffer_scan_input([])
     assert world.timers == []
     assert not node.scan_timer_armed
 
@@ -223,25 +226,24 @@ def test_empty_buffer_does_not_arm() -> None:
 def test_scan_reserves_locally_and_adverts_upward() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 1)
-    node.run_scan([rec(1, (1, 0))], [])
+    node.run_scan([rec(1, (1, 0))])
     assert node.assigned == {1: 2}
     assert node.available == 2
     assert world.placements == []  # reserved, not yet placed
     ((src, dst, msg),) = world.sent
     assert (src, dst) == (1, 0)
     assert isinstance(msg, SfsMsg)
-    assert msg.not_assigned == ()
-    assert len(msg.push_up) == 1 and msg.push_up[0].origin == 1
-    assert node.outstanding_pu.keys() == {1}
+    assert len(msg.records) == 1 and msg.records[0].origin == 1
+    assert node.outstanding_pu == {1}
 
 
 def test_scan_places_outright_at_top_feasible_node() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 0)
-    node.run_scan([rec(1, (1, 0))], [])
+    node.run_scan([rec(1, (1, 0))])
     assert world.placements == [(1, 0)]
     assert world.sent == []
-    # the reservation converted into a placement without double-charging
+    # booked once, straight into a placement: no reservation, no double charge
     assert node.assigned == {} and node.placed == {1: 2}
     assert node.available == 6
 
@@ -250,7 +252,7 @@ def test_scan_full_top_queues_push_down() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 0)
     node.available = 1  # demand is 2: nothing fits any more
-    node.run_scan([rec(1, (1, 0))], [])
+    node.run_scan([rec(1, (1, 0))])
     assert list(node.pd_pending) == [1]
     assert world.timers == [(0, "push_down", pytest.approx(0.0008))]
     assert world.sent == []  # the push-down epilogue owns the leftovers
@@ -260,12 +262,12 @@ def test_scan_forwards_unassignable_records_to_parent() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 1)
     node.available = 0
-    node.run_scan([rec(1, (1, 0))], [])
+    node.run_scan([rec(1, (1, 0))])
     ((_, dst, msg),) = world.sent
     assert dst == 0
     assert isinstance(msg, SfsMsg)
-    assert len(msg.not_assigned) == 1 and msg.not_assigned[0].request_id == 1
-    assert msg.push_up == ()
+    assert len(msg.records) == 1 and msg.records[0].request_id == 1
+    assert msg.records[0].origin is None
 
 
 def test_scan_drops_served_but_processes_relocating_records() -> None:
@@ -273,7 +275,7 @@ def test_scan_drops_served_but_processes_relocating_records() -> None:
     node = make_node(world, 1)
     world.placed_set = {1, 2}
     world.relocating_set = {2}
-    node.run_scan([rec(1, (1, 0)), rec(2, (1, 0), is_new=False)], [])
+    node.run_scan([rec(1, (1, 0)), rec(2, (1, 0), current_host=2)])
     # the served record evaporates; the relocating one is real work
     assert 1 not in node.assigned
     assert node.assigned == {2: 2}
@@ -287,18 +289,30 @@ def test_merge_records_dedupes_and_filters() -> None:
     stale = rec(3, (1, 0))
     world.gone.add(2)
     world.generations[3] = 1  # a newer copy exists somewhere
-    node.run_scan([live, live, dead, stale], [])
+    node.run_scan([live, live, dead, stale])
     assert set(node.assigned) == {1}
 
 
 def test_scan_timer_respects_push_down_session() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 1)
-    node.buffer_scan_input([rec(1, (1, 0))], [])
-    node.within_pd = True
+    node.buffer_scan_input([rec(1, (1, 0))])
+    node.pd_session = idle_session(1)
     node.on_timer("scan")
-    # nothing ran: the buffers survive for the session epilogue
-    assert node.scan_buf_na and not node.assigned
+    # nothing ran: the buffer survives for the session epilogue
+    assert node.scan_buf and not node.assigned
+
+
+def test_scan_splits_one_batch_into_unassigned_and_adverts() -> None:
+    world = FakeWorld(two_level())
+    node = make_node(world, 0)
+    node.available = 0  # r1 tops out here and waits for a push-down
+    unassigned, advert = rec(1, (1, 0)), rec(2, (2, 0), origin=2)
+    node.on_message(2, SfsMsg((unassigned, advert)))
+    node.on_timer("scan")
+    assert node.not_assigned == keyed(unassigned)
+    assert node.push_up == keyed(advert)
+    assert (0, "scan run na=[r1] pu=[r2]") in world.lines
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +432,7 @@ def test_fallback_scan_places_directly() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 3)
     node.f_mode_until = 100.0
-    node.run_fallback_scan([rec(1, (3, 1, 0))], [])
+    node.run_fallback_scan([rec(1, (3, 1, 0))])
     assert world.placements == [(1, 3)]
     assert node.assigned == {}  # no reservation step in quarantine
     assert node.placed == {1: 2} and node.available == 2
@@ -428,8 +442,8 @@ def test_fallback_scan_fails_stuck_requests_during_session_wind_down() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 3)
     node.available = 0
-    node.within_pd = True
-    node.run_fallback_scan([rec(1, (3,))], [])
+    node.pd_session = idle_session(3)
+    node.run_fallback_scan([rec(1, (3,))])
     assert world.failures == [(1, 3)]
     assert node.not_assigned == {}
 
@@ -438,7 +452,7 @@ def test_fallback_scan_schedules_push_down_when_idle() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 3)
     node.available = 0
-    node.run_fallback_scan([rec(1, (3,))], [])
+    node.run_fallback_scan([rec(1, (3,))])
     assert world.failures == []
     assert list(node.pd_pending) == [1]
     assert [(kind) for _node, kind, _t in world.timers] == ["push_down"]
@@ -448,11 +462,11 @@ def test_fallback_scan_forwards_what_it_cannot_hold() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 3)
     node.available = 0
-    node.run_fallback_scan([rec(1, (3, 1, 0))], [])
+    node.run_fallback_scan([rec(1, (3, 1, 0))])
     ((_, dst, msg),) = world.sent
     assert dst == 1 and isinstance(msg, SfsMsg)
-    assert msg.push_up == ()
-    assert msg.not_assigned[0].request_id == 1
+    assert [r.origin for r in msg.records] == [None]
+    assert msg.records[0].request_id == 1
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +476,14 @@ def test_fallback_scan_forwards_what_it_cannot_hold() -> None:
 def test_busy_node_refuses_push_down_offer() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 2)
-    node.within_pd = True
+    busy = node.pd_session = idle_session(2)
     offer = pd_rec(9, (5, 2, 0), 2)
     node.on_message(0, PdRequestMsg(initiator=0, deficit=4, records=(offer,)))
     ((_, dst, msg),) = world.sent
     assert dst == 0 and isinstance(msg, PdAckMsg)
     assert msg.deficit == 4
     assert msg.acks == ((offer, False),)
-    assert node.pd_session is None
+    assert node.pd_session is busy  # no second session opened
 
 
 def test_start_push_down_computes_deficit_and_offers_children() -> None:
@@ -507,7 +521,7 @@ def test_push_down_offers_include_own_movable_tenants() -> None:
     assert [r.request_id for r in msg.records] == [1, 7]
     offered = msg.records[1]
     assert offered.origin == 0 and offered.current_host == 0
-    assert offered.beta_at_initiator == 2 and not offered.is_new
+    assert offered.beta_at_initiator == 2
 
 
 def test_push_down_offers_skip_relocating_tenants() -> None:
@@ -537,7 +551,7 @@ def test_accept_push_down_hosts_and_shrinks_deficit() -> None:
     assert dst == 1 and isinstance(msg, PdAckMsg)
     assert msg.deficit == 2  # relieved by the initiator-side demand, not ours
     assert msg.acks == ((offer, True),)
-    assert node.pd_session is None and not node.within_pd
+    assert node.pd_session is None
     assert node.in_f_mode()
 
 
@@ -596,18 +610,15 @@ def test_push_down_ack_releases_hosted_reservation() -> None:
     # the freed slot goes straight to the stuck request in the local pass
     assert world.placements == [(1, 0)]
     assert node.available == 0 and node.not_assigned == {}
-    assert not node.within_pd and node.pd_session is None
+    assert node.pd_session is None
 
 
 def test_finish_push_down_drains_deferred_messages() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 1)
-    node.within_pd = True
+    node.pd_session = idle_session(1)
     node.on_message(0, PuAckMsg(acks=((rec(9, (3, 1, 0), origin=3), True),)))
     assert node.deferred and world.sent == []
-    node.pd_session = PdSession(
-        initiator=1, caller=None, deficit=0, records={}, pending_children=[]
-    )
     node._finish_push_down()
     assert not node.deferred
     # the parked ack was relayed toward its origin after the session closed
@@ -647,15 +658,15 @@ def test_f_mode_boundary_is_exclusive() -> None:
 def test_notify_gone_scrubs_every_trace() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 1)
-    node.run_scan([rec(1, (1, 0))], [])
+    node.run_scan([rec(1, (1, 0))])
     assert node.assigned == {1: 2} and node.available == 2
     node.notify_gone(1)
     assert node.assigned == {} and node.available == 4
-    assert node.push_up == {} and node.outstanding_pu == {}
-    node.scan_buf_na = [rec(2, (1, 0))]
+    assert node.push_up == {} and node.outstanding_pu == set()
+    node.scan_buf = [rec(2, (1, 0))]
     node.pd_pending = dict.fromkeys([2])
     node.notify_gone(2)
-    assert node.scan_buf_na == [] and node.pd_pending == {}
+    assert node.scan_buf == [] and node.pd_pending == {}
 
 
 def test_place_books_on_the_nodes_own_capacity() -> None:
@@ -673,7 +684,7 @@ def test_place_books_on_the_nodes_own_capacity() -> None:
 def test_release_frees_a_hosted_service() -> None:
     world = FakeWorld(two_level())
     node = make_node(world, 1)
-    node.run_fallback_scan([rec(1, (1, 0))], [])
+    node.run_fallback_scan([rec(1, (1, 0))])
     assert node.placed == {1: 2} and node.available == 2
     assert node.release(1) == 2
     assert node.placed == {} and node.available == 4
@@ -699,7 +710,7 @@ def test_scan_never_overcommits_capacity() -> None:
             rec(rid, (1, 0) if rng.random() < 0.7 else (1,))
             for rid in range(rng.randint(1, 8))
         ]
-        node.run_scan(records, [])
+        node.run_scan(records)
         committed = sum(node.assigned.values()) + sum(node.placed.values())
         assert committed <= node.capacity
         assert node.available == node.capacity - committed
