@@ -222,13 +222,13 @@ def _keyed(records: Iterable[Record]) -> dict[RequestId, Record]:
     return {rec.request_id: rec for rec in records}
 
 
-def _rids(request_ids: Iterable[RequestId]) -> str:
+def _rids(request_ids: Collection[RequestId]) -> str:
     """Request ids as the event log lists them: ``r1,r4,r9``."""
-    return ",".join(f"r{rid}" for rid in request_ids)
+    return "r" + ",r".join(map(str, request_ids)) if request_ids else ""
 
 
 def _ids(records: Iterable[Record]) -> str:
-    return _rids(r.request_id for r in records)
+    return _rids([r.request_id for r in records])
 
 
 # --------------------------------------------------------------------------
@@ -297,6 +297,8 @@ class ProtocolNode:
         self.pd_session: PdSession | None = None
         self.deferred: list[tuple[DatacenterId, ProtocolMsg]] = []
         self.f_mode_until = float("-inf")
+        # push-down offer records of hosted services; see _appended_offer_records
+        self.hosted_offers: dict[RequestId, Record] = {}
 
     # -- small helpers ----------------------------------------------------
 
@@ -459,6 +461,7 @@ class ProtocolNode:
         the units it held."""
         units = self.placed.pop(request_id)
         self.available += units
+        self.hosted_offers.pop(request_id, None)
         return units
 
     def notify_gone(self, request_id: RequestId) -> None:
@@ -488,7 +491,7 @@ class ProtocolNode:
         self.world.log(
             self.node_id,
             "scan run na=[%s] pu=[%s]"
-            % (_ids(self.not_assigned.values()), _ids(self.push_up.values())),
+            % (_rids(self.not_assigned), _rids(self.push_up)),
         )
         new_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
@@ -527,7 +530,7 @@ class ProtocolNode:
         """
         self._take_scan_input(incoming)
         self.world.log(
-            self.node_id, "f-scan run na=[%s]" % _ids(self.not_assigned.values())
+            self.node_id, "f-scan run na=[%s]" % _rids(self.not_assigned)
         )
         schedule_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
@@ -693,6 +696,14 @@ class ProtocolNode:
     def _appended_offer_records(self) -> list[Record]:
         """Own reserved-then-stalled and hosted services a push-down may move.
 
+        A hosted service's offer depends only on the service and its
+        user's current reach: the other fields are fixed while it stays
+        here.  So the record is built once and kept in ``hosted_offers``, then
+        reused while the request's ``feasible`` is unchanged.  A move to a
+        new PoA that leaves the service hosted brings a new ``feasible``,
+        and the next offer rebuilds the record; ``release`` drops it when
+        the service leaves.
+
         Push-down records carry generation 0, not the request's current
         one, so those of a user who has moved arrive stale (the FOUND line
         on push-down generations in CHANGES.md); the real generation would
@@ -709,14 +720,16 @@ class ProtocolNode:
                     rec, generation=0, beta_at_initiator=self.assigned[rec.request_id]
                 )
             )
+        cache = self.hosted_offers
         for rid in sorted(self.placed):
             if not self.world.is_served(rid):
                 continue  # a newer placement decision is already in flight
             req = self.world.request_info(rid)
             if req is None:
                 continue
-            offers.append(
-                Record(
+            offer = cache.get(rid)
+            if offer is None or offer.feasible != req.feasible:
+                offer = cache[rid] = Record(
                     request_id=rid,
                     class_id=req.class_id,
                     origin=self.node_id,
@@ -725,7 +738,7 @@ class ProtocolNode:
                     generation=0,
                     beta_at_initiator=self.placed[rid],
                 )
-            )
+            offers.append(offer)
         return offers
 
     def start_push_down(self) -> None:
@@ -814,10 +827,12 @@ class ProtocolNode:
         return session.deficit <= 0 or self._hosting_pass()[1] <= 0
 
     def _pd_record_relevant(self, rec: Record, child: DatacenterId) -> bool:
-        members = self.child_subtree[child]
-        if rec.origin in members:
+        """Does ``child``'s subtree hold part of ``rec``'s reach?  A reach is
+        a path prefix from the PoA up, so it enters the subtree exactly
+        when the PoA lies in it."""
+        if rec.origin in self.child_subtree[child]:
             raise InvariantError(f"push-down r{rec.request_id} passes its origin")
-        return any(n in members for n in rec.feasible)
+        return self._child_of.get(rec.feasible[0]) == child
 
     def _continue_push_down(self) -> None:
         """Advance the depth-first walk: next child offer, or wrap up."""

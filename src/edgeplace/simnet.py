@@ -243,22 +243,19 @@ class RunResult:
 
 
 class _RequestState:
-    __slots__ = (
-        "request_id",
-        "class_id",
-        "poa",
-        "feasible",
-        "state",
-        "host",
-        "generation",
-    )
+    """The engine's view of one request.
 
-    def __init__(self, request_id: RequestId, class_id: int, poa: DatacenterId,
-                 feasible: tuple[DatacenterId, ...]) -> None:
-        self.request_id = request_id
-        self.class_id = class_id
-        self.poa = poa
-        self.feasible = feasible
+    ``request`` is the user's current attachment and reach, replaced on a
+    move (so ``World.request_info`` hands it out without allocating).
+    ``reached`` lists every node of every reach the request has had, the
+    only nodes that can hold a trace of it (see ``Simulator._purge``).
+    """
+
+    __slots__ = ("request", "reached", "state", "host", "generation")
+
+    def __init__(self, request: Request) -> None:
+        self.request = request
+        self.reached = request.feasible
         self.state = "waiting"
         self.host: DatacenterId | None = None
         self.generation = 0
@@ -343,6 +340,8 @@ class Simulator:
         # (time, sequence, handler, the handler's arguments)
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._registry: dict[RequestId, _RequestState] = {}
+        # (PoA, class id) -> reach; see _feasible_for
+        self._reaches: dict[tuple[DatacenterId, int], tuple[DatacenterId, ...]] = {}
         self._relocating: set[RequestId] = set()
         # centralized: requests to place, as an ordered set
         self._pending_pool: dict[RequestId, None] = {}
@@ -356,6 +355,9 @@ class Simulator:
         self._failed_epoch: tuple[EpochProblem, EpochDecision] | None = None
         self.counters = Counters()
         self.event_log: list[str] = []
+        # the time stamp of log lines, formatted once per event time
+        self._stamp_time: float | None = None
+        self._stamp = ""
         self._failed: list[RequestId] = []
         self._diverged = False
         self._solver_exhausted = False
@@ -411,7 +413,8 @@ class Simulator:
         """Record a placement (and thus any migration) that, in the
         protocol lane, the hosting node has already booked."""
         req = self._registry[request_id]
-        units = self._demand(req.class_id, node)
+        class_id = req.request.class_id
+        units = self._demand(class_id, node)
         if units is None:
             raise InvariantError(
                 f"r{request_id} placed at s{node}, a level that cannot host it"
@@ -421,7 +424,7 @@ class Simulator:
         if old_host is not None and old_host != node:
             self._release_host(req)
             self.counters.migrations += 1
-            self._migration_cost += self.costs.move_price(req.class_id)
+            self._migration_cost += self.costs.move_price(class_id)
             self.log(node, f"place r{request_id} (migrated from s{old_host})")
         else:
             self.log(node, f"place r{request_id}")
@@ -433,14 +436,14 @@ class Simulator:
     def _release_host(self, req: _RequestState) -> None:
         """Free the capacity of a request's current placement."""
         assert req.host is not None
-        node = req.host
-        units = self._demand(req.class_id, node)
+        node, rid = req.host, req.request.request_id
+        units = self._demand(req.request.class_id, node)
         assert units is not None
         if self.mode == "protocol":
-            freed = self.nodes[node].release(req.request_id)
+            freed = self.nodes[node].release(rid)
             if freed != units:
                 raise InvariantError(
-                    f"release mismatch at s{node} for r{req.request_id}: "
+                    f"release mismatch at s{node} for r{rid}: "
                     f"{freed} booked, {units} expected"
                 )
         self._capacity_used[node] -= units
@@ -454,9 +457,21 @@ class Simulator:
         self._purge(request_id)
 
     def _purge(self, request_id: RequestId) -> None:
-        """Drop a request from every protocol node (none in centralized mode)."""
-        for state in self.nodes.values():
-            state.notify_gone(request_id)
+        """Drop every trace of a request from the protocol nodes (there are
+        none in centralized mode).
+
+        Only the nodes of the reaches the request has had are visited.
+        That is sound because a reach is a contiguous prefix of a
+        leaf-to-root path, PoA first, and every message routes a record
+        within the reach it carries: a scan climbs only to a parent in the
+        reach, push-up and its acks descend toward an origin in it, and a
+        push-down offers a record only to the child above its PoA.  So a
+        record, reservation or pending push-down of the request sits on a
+        node of one of its reaches, old or current.
+        """
+        if self.mode == "protocol":
+            for node in self._registry[request_id].reached:
+                self.nodes[node].notify_gone(request_id)
 
     def arm_timer(self, node: DatacenterId, kind: str, deadline: float) -> None:
         self._schedule(deadline, self.nodes[node].on_timer, (kind,))
@@ -479,15 +494,16 @@ class Simulator:
 
     def request_info(self, request_id: RequestId) -> Request | None:
         req = self._registry.get(request_id)
-        if req is None:
-            return None
-        return Request(request_id, req.class_id, req.poa, req.feasible)
+        return None if req is None else req.request
 
     def note_push_down(self) -> None:
         self.counters.push_downs += 1
 
     def log(self, node: DatacenterId, text: str) -> None:
-        self.event_log.append(f"{self._now:.6f} s{node} {text}")
+        if self._now != self._stamp_time:
+            self._stamp_time = self._now
+            self._stamp = f"{self._now:.6f} s"
+        self.event_log.append(f"{self._stamp}{node} {text}")
 
     # -- scheduling ---------------------------------------------------------
 
@@ -500,9 +516,15 @@ class Simulator:
     # -- trace ingestion ----------------------------------------------------
 
     def _feasible_for(self, poa: DatacenterId, class_id: int) -> tuple[int, ...]:
-        return feasible_set_for(
-            self.topology, poa, self.classes[class_id], self.rtt_by_level
-        )
+        """The reach of ``class_id`` at ``poa``, computed once per pair: the
+        same tuple object for every request with that attachment."""
+        key = (poa, class_id)
+        reach = self._reaches.get(key)
+        if reach is None:
+            reach = self._reaches[key] = feasible_set_for(
+                self.topology, poa, self.classes[class_id], self.rtt_by_level
+            )
+        return reach
 
     def _on_arrive(self, user: int, poa: DatacenterId, class_id: int) -> None:
         if user in self._registry:
@@ -512,7 +534,7 @@ class Simulator:
             raise ValueError(
                 f"user {user} (class {class_id}) has no feasible datacenter at s{poa}"
             )
-        req = _RequestState(user, class_id, poa, feasible)
+        req = _RequestState(Request(user, class_id, poa, feasible))
         self._registry[user] = req
         self.log(poa, f"arrive r{user} class={class_id}")
         if self.mode == "protocol":
@@ -522,26 +544,29 @@ class Simulator:
 
     def _issue(self, req: _RequestState) -> None:
         """Hand a request's current record to the protocol at its PoA."""
+        request = req.request
         rec = Record(
-            request_id=req.request_id,
-            class_id=req.class_id,
+            request_id=request.request_id,
+            class_id=request.class_id,
             origin=None,
-            feasible=req.feasible,
+            feasible=request.feasible,
             current_host=req.host,
             generation=req.generation,
         )
-        self.nodes[req.poa].buffer_scan_input([rec])
+        self.nodes[request.poa].buffer_scan_input([rec])
 
     def _on_move(self, user: int, poa: DatacenterId) -> None:
         req = self._registry.get(user)
         if req is None or req.state in ("departed", "failed"):
             return
-        req.poa = poa
-        req.feasible = self._feasible_for(poa, req.class_id)
-        if not req.feasible:
+        class_id = req.request.class_id
+        feasible = self._feasible_for(poa, class_id)
+        if not feasible:
             raise ValueError(f"user {user} moved to s{poa} with empty reach")
+        req.request = Request(user, class_id, poa, feasible)
+        req.reached += tuple(n for n in feasible if n not in req.reached)
         self.log(poa, f"move r{user}")
-        if req.state == "placed" and req.host in req.feasible:
+        if req.state == "placed" and req.host in feasible:
             if user in self._relocating:
                 # The move brought the old host back into reach: retire the
                 # in-flight re-placement, which was scoped to the previous
@@ -572,7 +597,7 @@ class Simulator:
         req.state = "departed"
         req.generation += 1
         self._relocating.discard(user)
-        self.log(req.poa, f"depart r{user}")
+        self.log(req.request.poa, f"depart r{user}")
         self._purge(user)
         self._pending_pool.pop(user, None)
 
@@ -590,12 +615,13 @@ class Simulator:
             req = self._registry[rid]
             if req.state not in ("waiting", "placed"):
                 continue
+            request = req.request
             services.append(
                 ActiveService(
                     request_id=rid,
-                    class_id=req.class_id,
-                    poa=req.poa,
-                    feasible=req.feasible,
+                    class_id=request.class_id,
+                    poa=request.poa,
+                    feasible=request.feasible,
                     current_host=req.host,
                     movable=rid in self._pending_pool,
                 )
@@ -704,7 +730,7 @@ class Simulator:
             verdict = "ok"
         final_placement_cost = sum(
             self.costs.place_price(
-                self._registry[rid].class_id, self.topology.level(node)
+                self._registry[rid].request.class_id, self.topology.level(node)
             )
             for rid, node in placements.items()
         )
@@ -752,7 +778,7 @@ class Simulator:
                     raise InvariantError(f"r{rid} placed without a host")
                 if self.mode == "protocol" and host_of.get(rid) != req.host:
                     raise InvariantError(f"r{rid} host mismatch")
-                if rid not in self._relocating and req.host not in req.feasible:
+                if rid not in self._relocating and req.host not in req.request.feasible:
                     raise InvariantError(
                         f"r{rid} placed at s{req.host}, outside its reach"
                     )

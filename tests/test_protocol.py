@@ -11,6 +11,8 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplace.model import InvariantError, Request, Topology, build_tree
 from edgeplace.protocol import (
@@ -538,6 +540,103 @@ def test_push_down_offers_skip_relocating_tenants() -> None:
     ((_, _dst, msg),) = world.sent
     assert isinstance(msg, PdRequestMsg)
     assert [r.request_id for r in msg.records] == [1]
+
+
+def _offer_of(world: FakeWorld, rid: int) -> Record:
+    """The record for ``rid`` in the one push-down offer just sent."""
+    ((_, _dst, msg),) = world.sent
+    assert isinstance(msg, PdRequestMsg)
+    (offered,) = (r for r in msg.records if r.request_id == rid)
+    return offered
+
+
+def _stall(node: ProtocolNode, stuck: Record) -> None:
+    """Queue ``stuck`` for a push-down at ``node``, the last one closed."""
+    node.pd_session = None
+    node.world.sent.clear()
+    node.not_assigned = keyed(stuck)
+    node.pd_pending = dict.fromkeys([stuck.request_id])
+
+
+def test_push_down_offer_follows_a_move_within_reach() -> None:
+    world = FakeWorld(three_level())
+    node = make_node(world, 1)
+    node.available = 0
+    node.placed = {7: 2}
+    world.placed_set = {7}
+    world.views[7] = Request(7, 0, 3, (3, 1, 0))
+    _stall(node, rec(1, (3, 1)))
+    node.start_push_down()
+    first = _offer_of(world, 7)
+    assert first.feasible == (3, 1, 0)
+    _stall(node, rec(2, (3, 1)))
+    node.start_push_down()
+    assert _offer_of(world, 7) is first  # reach unchanged: the record is reused
+    # the user moves to leaf 4; s1 stays in reach, so the service stays here
+    world.views[7] = Request(7, 0, 4, (4, 1, 0))
+    _stall(node, rec(3, (4, 1)))
+    node.start_push_down()
+    moved = _offer_of(world, 7)
+    assert moved.feasible == (4, 1, 0)
+    assert (moved.origin, moved.current_host, moved.beta_at_initiator) == (1, 1, 2)
+
+
+def test_release_drops_the_cached_offer() -> None:
+    world = FakeWorld(two_level())
+    node = make_node(world, 0)
+    node.available = 0
+    node.placed = {7: 2}
+    world.placed_set = {7}
+    world.views[7] = Request(7, 0, 1, (1, 0))
+    _stall(node, rec(1, (1, 0)))
+    node.start_push_down()
+    assert set(node.hosted_offers) == {7}
+    node.release(7)
+    assert node.hosted_offers == {}
+
+
+def _relevant_by_scan(node: ProtocolNode, record: Record, child: int) -> bool:
+    """Push-down relevance as a scan of the child's subtree."""
+    members = node.child_subtree[child]
+    if record.origin in members:
+        raise InvariantError(f"push-down r{record.request_id} passes its origin")
+    return any(n in members for n in record.feasible)
+
+
+@st.composite
+def _pruned_tree(draw: st.DrawFn) -> Topology:
+    """A tree of arity 1-4 and 2-5 levels with random subtrees pruned; a
+    node always keeps its first child, so every leaf stays at level 0."""
+    arity = draw(st.integers(1, 4))
+    levels = draw(st.integers(2, 5))
+    full = build_tree(levels=levels, arity=arity, leaf_capacity=4)
+    prune = tuple(
+        child
+        for parent in full.nodes
+        for child in full.children(parent)[1:]
+        if draw(st.booleans())
+    )
+    return build_tree(levels=levels, arity=arity, leaf_capacity=4, prune=prune)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_push_down_relevance_agrees_with_a_subtree_scan(data: st.DataObject) -> None:
+    topology = data.draw(_pruned_tree())
+    inner = [n for n in topology.nodes if topology.children(n)]
+    node = make_node(FakeWorld(topology), data.draw(st.sampled_from(inner)))
+    child = data.draw(st.sampled_from(node.children))
+    path = topology.path_to_root(data.draw(st.sampled_from(topology.leaves)))
+    feasible = path[: data.draw(st.integers(1, len(path)))]
+    origin = data.draw(st.none() | st.sampled_from(topology.nodes))
+    record = rec(1, feasible, origin=origin)
+    if origin in topology.subtree(child):
+        with pytest.raises(InvariantError, match="passes its origin"):
+            node._pd_record_relevant(record, child)
+    else:
+        assert node._pd_record_relevant(record, child) == _relevant_by_scan(
+            node, record, child
+        )
 
 
 def test_accept_push_down_hosts_and_shrinks_deficit() -> None:

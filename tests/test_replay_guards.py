@@ -1,4 +1,5 @@
-"""Replay guards: whole runs pinned by hash, and no record comparisons.
+"""Replay guards: whole runs pinned by hash, no record comparisons, and
+protocol work bounded by the requests' reaches.
 
 Each hash covers a run's full event log or its JSON report row, so any
 change to an event, its order or a reported figure shows.  A change meant
@@ -12,7 +13,7 @@ import hashlib
 
 import pytest
 
-from edgeplace import harness, protocol, scenarios
+from edgeplace import harness, model, protocol, scenarios, simnet
 
 LANES = ("dapp", "ffit", "bupu", "cpvnf", "multiscaler")
 
@@ -130,3 +131,50 @@ def test_protocol_burst_compares_no_records(monkeypatch) -> None:
 
 def test_protocol_churn_compares_no_records(monkeypatch, small_churn) -> None:
     assert _count_record_comparisons(monkeypatch, small_churn) == 0
+
+
+def _reach_union(scenario: scenarios.Scenario, user: int) -> set[int]:
+    """Every node of every reach ``user`` has anywhere in the trace."""
+    events = [ev for ev in scenario.trace if ev.user == user]
+    service = scenario.classes[events[0].class_id]
+    return {
+        node
+        for ev in events
+        if ev.poa is not None
+        for node in model.feasible_set_for(
+            scenario.topology, ev.poa, service, scenario.rtt_by_level
+        )
+    }
+
+
+def test_protocol_churn_work_stays_within_the_reaches(monkeypatch, small_churn) -> None:
+    # Reaches are computed once per (PoA, class), and a purge visits only
+    # the nodes of the purged request's reaches, not the whole tree.
+    reaches = gones = 0
+    purged: list[int] = []
+    feasible_set_for = simnet.feasible_set_for
+    notify_gone = protocol.ProtocolNode.notify_gone
+    purge = simnet.Simulator._purge
+
+    def counted_reach(*args):
+        nonlocal reaches
+        reaches += 1
+        return feasible_set_for(*args)
+
+    def counted_gone(self, request_id):
+        nonlocal gones
+        gones += 1
+        notify_gone(self, request_id)
+
+    def logged_purge(self, request_id):
+        purged.append(request_id)
+        purge(self, request_id)
+
+    monkeypatch.setattr(simnet, "feasible_set_for", counted_reach)
+    monkeypatch.setattr(protocol.ProtocolNode, "notify_gone", counted_gone)
+    monkeypatch.setattr(simnet.Simulator, "_purge", logged_purge)
+    harness.run_scenario(small_churn, "dapp")
+    topology = small_churn.topology
+    assert 0 < reaches <= len(topology.leaves) * len(small_churn.classes)
+    bound = sum(len(_reach_union(small_churn, rid)) for rid in purged)
+    assert 0 < gones <= bound < len(purged) * len(topology.nodes)

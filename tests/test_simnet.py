@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -19,6 +20,7 @@ from edgeplace.model import CostModel, ServiceClass, build_tree
 from edgeplace.protocol import (
     PdAckMsg,
     PdRequestMsg,
+    ProtocolNode,
     PuAckMsg,
     PuMsg,
     Record,
@@ -38,10 +40,13 @@ from edgeplace.simnet import (
 )
 from edgeplace.baselines import exact_optimal
 from edgeplace.scenarios import (
+    Scenario,
     builtin_scenario,
+    default_profile,
     fig_two_tier_scenario,
     rand_scenario,
     synth_scenario,
+    synthesize_trace,
 )
 from edgeplace.harness import build_simulator, run_scenario
 
@@ -663,3 +668,120 @@ def test_runs_are_deterministic() -> None:
     assert results[0].event_log == results[1].event_log
     assert results[0].placements == results[1].placements
     assert results[0].counters.messages == results[1].counters.messages
+
+
+# ---------------------------------------------------------------------------
+# purges and push-down offers under churn
+
+
+def _churn_scenario(seed: int) -> Scenario:
+    """300 users with moves, departures and push-downs (4-level tree)."""
+    topology, classes, costs, rtt = default_profile(leaf_capacity=1200, levels=4)
+    trace = synthesize_trace(
+        topology,
+        seed=seed,
+        users=300,
+        p_rt=0.5,
+        burst=False,
+        arrival_rate=400.0,
+        hold_mean=2.0,
+        move_period=0.5,
+        horizon=3.0,
+    )
+    return Scenario(
+        name=f"churn-{seed}",
+        topology=topology,
+        classes=classes,
+        costs=costs,
+        rtt_by_level=rtt,
+        trace=trace,
+    )
+
+
+def _holders(sim: Simulator, rid: int) -> list[str]:
+    """Where any protocol node still holds a trace of ``rid``."""
+    found = []
+    for node_id, node in sim.nodes.items():
+        session = node.pd_session
+        places = {
+            "not_assigned": rid in node.not_assigned,
+            "push_up": rid in node.push_up,
+            "scan_buf": any(r.request_id == rid for r in node.scan_buf),
+            "outstanding_pu": rid in node.outstanding_pu,
+            "pd_pending": rid in node.pd_pending,
+            "assigned": rid in node.assigned,
+            "pd_session.records": session is not None and rid in session.records,
+        }
+        found += [f"s{node_id}.{name}" for name, held in places.items() if held]
+    return found
+
+
+def _purge_sweep() -> Iterator[Scenario]:
+    for users, capacity in ((60, 250), (60, 400), (120, 400), (120, 600)):
+        for seed in range(1, 41):
+            yield synth_scenario(seed, users=users, leaf_capacity=capacity)
+    for seed in (1, 2, 3):
+        yield _churn_scenario(seed)
+
+
+def test_purge_leaves_no_trace_on_any_node(monkeypatch) -> None:
+    # A purge visits only the nodes of the reaches the request has had;
+    # check every node of the tree after each one.
+    purge = Simulator._purge
+    purges = 0
+
+    def checked(self: Simulator, request_id: int) -> None:
+        nonlocal purges
+        purge(self, request_id)
+        purges += 1
+        assert _holders(self, request_id) == [], (self._now, request_id)
+
+    monkeypatch.setattr(Simulator, "_purge", checked)
+    for scenario in _purge_sweep():
+        run_scenario(scenario, "dapp")
+    assert purges > 10_000
+
+
+def _offers_built_afresh(node: ProtocolNode) -> list[Record]:
+    """A node's push-down offer records, each built anew from the world."""
+    world = node.world
+    offers = [
+        dataclasses.replace(rec, generation=0, beta_at_initiator=node.assigned[rid])
+        for rid, rec in node.push_up.items()
+        if rec.origin == node.node_id and rid not in node.outstanding_pu
+    ]
+    for rid in sorted(node.placed):
+        req = world.request_info(rid)
+        if world.is_served(rid) and req is not None:
+            offers.append(
+                Record(
+                    request_id=rid,
+                    class_id=req.class_id,
+                    origin=node.node_id,
+                    feasible=req.feasible,
+                    current_host=node.node_id,
+                    beta_at_initiator=node.placed[rid],
+                )
+            )
+    return offers
+
+
+def test_cached_offers_equal_offers_built_afresh(monkeypatch) -> None:
+    appended = ProtocolNode._appended_offer_records
+    hosted = reused = 0
+
+    def checked(self: ProtocolNode) -> list[Record]:
+        nonlocal hosted, reused
+        before = dict(self.hosted_offers)
+        offers = appended(self)
+        assert offers == _offers_built_afresh(self)
+        for rec in offers:
+            if rec.current_host == self.node_id:
+                hosted += 1
+                reused += before.get(rec.request_id) is rec
+        return offers
+
+    monkeypatch.setattr(ProtocolNode, "_appended_offer_records", checked)
+    for seed in (1, 2, 3):
+        run_scenario(_churn_scenario(seed), "dapp")
+    assert 0 < reused < hosted

@@ -13,8 +13,11 @@ run replays byte for byte.
 
 The runs cover the fig2 and fig3 walkthroughs; the rand, synth and jitter
 families at seeds 1-12; a 300-user churn trace with moves, departures and
-push-downs; and a 1,000-user, 5-level burst, each in every lane.  Then
-come least-capacity answers, ``min-cpu-<family>-p<share> <algorithm>
+push-downs; and a 1,000-user, 5-level burst, each in every lane.  A
+``churn-3000 dapp`` line follows: the benchmark's churn shape at seed 1
+(3,000 users, Poisson arrivals at 1,000/s, 2 s hold, a move every 0.5 s,
+4 s horizon, leaf capacity 4,500, 5 levels), in the protocol lane only.
+Then come least-capacity answers, ``min-cpu-<family>-p<share> <algorithm>
 <answer>``: for 80 ``rand`` users on a 4-ary, 4-level tree at shares 0,
 0.5 and 1, and for 60 ``jitter`` users on a binary 6-level tree at share
 0.5, both at seed 1.  The package is imported from ``--src`` (default:
@@ -52,30 +55,45 @@ def scenarios(ep: Any) -> Iterator[tuple[str, Any]]:
     for family in FAMILIES:
         for seed in SEEDS:
             yield f"{family}-{seed}", ep.scenarios.builtin_scenario(family, seed=seed)
+    yield "churn-300", churn_scenario(
+        ep, users=300, leaf_capacity=1200, levels=4, arrival_rate=400.0, horizon=3.0
+    )
+    yield "burst-1000", ep.scenarios.rand_scenario(
+        1, users=1000, leaf_capacity=5000, levels=5
+    )
+
+
+def churn_scenario(
+    ep: Any,
+    *,
+    users: int,
+    leaf_capacity: int,
+    levels: int,
+    arrival_rate: float,
+    horizon: float,
+) -> Any:
+    """Seed-1 Poisson churn: 2 s mean hold, a move every 0.5 s."""
     topology, classes, costs, rtt = ep.scenarios.default_profile(
-        leaf_capacity=1200, levels=4
+        leaf_capacity=leaf_capacity, levels=levels
     )
     trace = ep.scenarios.synthesize_trace(
         topology,
         seed=1,
-        users=300,
+        users=users,
         p_rt=0.5,
         burst=False,
-        arrival_rate=400.0,
+        arrival_rate=arrival_rate,
         hold_mean=2.0,
         move_period=0.5,
-        horizon=3.0,
+        horizon=horizon,
     )
-    yield "churn-300", ep.scenarios.Scenario(
+    return ep.scenarios.Scenario(
         name="churn-1",
         topology=topology,
         classes=classes,
         costs=costs,
         rtt_by_level=rtt,
         trace=trace,
-    )
-    yield "burst-1000", ep.scenarios.rand_scenario(
-        1, users=1000, leaf_capacity=5000, levels=5
     )
 
 
@@ -123,6 +141,10 @@ def main(argv: list[str] | None = None) -> int:
     for label, scenario in scenarios(ep):
         for lane in ep.harness.ALGO_CHOICES:
             print(digest_line(ep, label, scenario, lane), flush=True)
+    churn = churn_scenario(
+        ep, users=3000, leaf_capacity=4500, levels=5, arrival_rate=1000.0, horizon=4.0
+    )
+    print(digest_line(ep, "churn-3000", churn, "dapp"), flush=True)
     for family, shares, inputs in MIN_CPU_SEARCHES:
         for algo in MIN_CPU_ALGOS:
             for p_rt in shares:
