@@ -16,7 +16,14 @@ from itertools import zip_longest
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import golden_logs
-from .baselines import ALGORITHMS, exact_optimal, min_cpu_binary_search
+from .baselines import (
+    ALGORITHMS,
+    _options,
+    _slots_suffice,
+    exact_optimal,
+    min_cpu_binary_search,
+)
+from .model import feasible_set_for
 from .protocol import ProtocolTiming
 from .scenarios import (
     Scenario,
@@ -25,7 +32,7 @@ from .scenarios import (
     jittered_scenario,
     rand_scenario,
 )
-from .simnet import RunResult, Simulator
+from .simnet import ActiveService, EpochProblem, RunResult, Simulator
 
 __all__ = [
     "ALGO_CHOICES",
@@ -339,14 +346,24 @@ def min_cpu_for(
     included, is built once per search at the family's default capacity;
     each probe runs it on the families' profile tree (``default_profile``)
     at the probed capacity, so the workload is identical and only the
-    capacities scale.  A probe
-    succeeds when the run's verdict is ``ok``: every request placed and
-    none failed, which a search cut off by its budget can still reach when
-    it holds a placement.  A probe treats ``exact`` as a feasibility
-    oracle: the solver stops at its first feasible placement instead of
-    looking for the cheapest.  The verdict is the same as the full
-    optimiser's only because both families hand every arrival to one
-    epoch, so no later epoch starts from the placement chosen.
+    capacities scale.  A probe succeeds when the run's verdict is ``ok``:
+    every request placed and none failed, which a search cut off by its
+    budget can still reach when it holds a placement.
+
+    A probe is answered without a run when the slot count (the exact
+    solver's infeasibility certificate) proves that no placement of the
+    search's users fits at the probed capacity.  That is sound because
+    both families have arrivals only: an ``ok`` run ends with every user
+    placed inside its reach, all at once, and any such placement also fits
+    the slots.  So a rejected probe could never have read ``ok``, in any
+    lane, and the probe sequence and the answer stay those of running
+    every probe.
+
+    A probe treats ``exact`` as a feasibility oracle: the solver stops at
+    its first feasible placement instead of looking for the cheapest.  The
+    verdict is the same as the full optimiser's only because both families
+    hand every arrival to one epoch, so no later epoch starts from the
+    placement chosen.
     """
     if family == "rand":
         make = rand_scenario
@@ -355,9 +372,12 @@ def min_cpu_for(
     else:
         raise ValueError(f"unknown scenario family {family!r}")
     scenario = make(seed=seed, users=users, p_rt=p_rt, levels=levels, arity=arity)
+    options = _arrival_options(scenario)
 
     def probe(leaf_capacity: int) -> bool:
         topology, _, _, _ = default_profile(leaf_capacity, levels, arity)
+        if options is not None and not _slots_suffice(topology, options):
+            return False
         simulator = build_simulator(
             replace(scenario, topology=topology),
             algo,
@@ -368,6 +388,42 @@ def min_cpu_for(
         return simulator.run(scenario.trace).verdict == "ok"
 
     return min_cpu_binary_search(probe, tolerance=tolerance)
+
+
+def _arrival_options(
+    scenario: Scenario,
+) -> list[tuple[tuple[float, int, int], ...]] | None:
+    """The slot count's options for every user of an arrival-only trace,
+    as one epoch with none of them placed sees them.
+
+    An option's price, node index and units do not depend on capacity, so
+    they serve every probe of a search.  None when the trace has anything
+    but arrivals, or when some user has no node that can host it: the runs
+    then decide every probe.
+    """
+    topology, classes = scenario.topology, scenario.classes
+    reaches: dict[tuple[int, int], tuple[int, ...]] = {}
+    services = []
+    for ev in scenario.trace:
+        if ev.kind != "arrive" or ev.poa is None or ev.class_id is None:
+            return None
+        key = (ev.poa, ev.class_id)
+        if key not in reaches:
+            reaches[key] = feasible_set_for(
+                topology, ev.poa, classes[ev.class_id], scenario.rtt_by_level
+            )
+        services.append(
+            ActiveService(
+                ev.user,
+                ev.class_id,
+                ev.poa,
+                reaches[key],
+                current_host=None,
+                movable=True,
+            )
+        )
+    problem = EpochProblem(topology, classes, scenario.costs, tuple(services))
+    return _options(problem, services)
 
 
 def sweep_overhead(

@@ -347,11 +347,11 @@ class Simulator:
         self._pending_pool: dict[RequestId, None] = {}
         # centralized: the last epoch the algorithm could not solve; an
         # unchanged problem gets the same answer without solving it again.
-        # The slot count proves most such problems at once, yet the reuse
-        # still pays: without it the 12 least-capacity `exact` searches of
-        # 80 users (seeds 1-4, shares 0, 0.5 and 1) call the solver 372
-        # times, not 158, and take 0.37-0.51 s of CPU, not 0.31-0.35 s
-        # (Python 3.11, 2-core Xeon).
+        # The least-capacity searches skip the probes the slot count
+        # rejects, so their 12 `exact` searches of 80 `rand` users (seeds
+        # 1-4, shares 0, 0.5 and 1) call the solver 51 times with or
+        # without the reuse.  Their `jitter` searches of 60 users (share
+        # 0.5, seeds 1-3) still gain: 16 calls with it, 20 without.
         self._failed_epoch: tuple[EpochProblem, EpochDecision] | None = None
         self.counters = Counters()
         self.event_log: list[str] = []

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 from edgeplace import harness, scenarios
-from edgeplace.baselines import exact_optimal
+from edgeplace.baselines import ExactSolverStats, exact_optimal
 from edgeplace.cli import main
 from edgeplace.golden_logs import GOLDEN_LOGS
 from edgeplace.harness import (
@@ -29,10 +31,13 @@ from edgeplace.harness import (
     sweep_overhead,
     write_rows,
 )
+from edgeplace.model import Topology
 from edgeplace.scenarios import (
+    Scenario,
     builtin_scenario,
     empty_scenario,
     fig_flat_scenario,
+    jittered_scenario,
     rand_scenario,
 )
 from edgeplace.simnet import (
@@ -281,11 +286,96 @@ def test_min_cpu_for_synthesizes_one_trace_per_search(
 
     monkeypatch.setattr(scenarios, "synthesize_trace", recording)
     monkeypatch.setattr(Simulator, "run", recording_run)
+    verdicts = _recording_slot_count(monkeypatch)
     for family in ("rand", "jitter"):
         min_cpu_for("ffit", seed=1, users=12, levels=3, family=family)
     assert len(traces) == 2
-    assert len(runs) > 10
+    # one run per probe the slot count lets through, none for the others
+    assert len(runs) == verdicts.count(True)
+    assert False in verdicts
     assert {id(trace) for trace in runs} == {id(trace) for trace in traces}
+
+
+def _recording_slot_count(monkeypatch: pytest.MonkeyPatch) -> list[bool]:
+    """Record the slot count's verdict on every probe the harness gates."""
+    verdicts: list[bool] = []
+    suffice = harness._slots_suffice
+
+    def recording(topology: Topology, options: list) -> bool:
+        verdicts.append(suffice(topology, options))
+        return verdicts[-1]
+
+    monkeypatch.setattr(harness, "_slots_suffice", recording)
+    return verdicts
+
+
+def _recording_probes(
+    monkeypatch: pytest.MonkeyPatch, work: list
+) -> list[tuple[int, int]]:
+    """Record every probe of the harness's capacity searches: the capacity,
+    and how many entries the probe added to ``work``."""
+    probes: list[tuple[int, int]] = []
+    search = harness.min_cpu_binary_search
+
+    def recording_search(succeeds: Callable[[int], bool], **kwargs: int) -> int:
+        def probe(capacity: int) -> bool:
+            before = len(work)
+            fits = succeeds(capacity)
+            probes.append((capacity, len(work) - before))
+            return fits
+
+        return search(probe, **kwargs)
+
+    monkeypatch.setattr(harness, "min_cpu_binary_search", recording_search)
+    return probes
+
+
+@pytest.mark.parametrize(
+    "family, make, users, levels, arity, shares, seeds",
+    [
+        ("rand", rand_scenario, 80, 4, 4, (0.0, 0.5, 1.0), (1, 2, 3, 4)),
+        ("jitter", jittered_scenario, 60, 6, 2, (0.5,), (1, 2, 3)),
+    ],
+)
+def test_min_cpu_for_skips_only_probes_no_run_passes(
+    monkeypatch: pytest.MonkeyPatch,
+    family: str,
+    make: Callable[..., Scenario],
+    users: int,
+    levels: int,
+    arity: int,
+    shares: tuple[float, ...],
+    seeds: tuple[int, ...],
+) -> None:
+    runs: list[tuple] = []
+    run = Simulator.run
+
+    def recording_run(sim: Simulator, trace: tuple, **kwargs: object) -> object:
+        runs.append(trace)
+        return run(sim, trace, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", recording_run)
+    probes = _recording_probes(monkeypatch, runs)
+    skipped = 0
+    for seed in seeds:
+        for p_rt in shares:
+            shape = dict(seed=seed, users=users, p_rt=p_rt, levels=levels, arity=arity)
+            scenario = make(**shape)
+            for algo in ALGO_CHOICES:
+                probes.clear()
+                min_cpu_for(algo, family=family, **shape)
+                for capacity in [c for c, ran in probes if not ran]:
+                    # the run the probe would have made without the slot count
+                    topology, _, _, _ = scenarios.default_profile(
+                        capacity, levels, arity
+                    )
+                    sim = build_simulator(
+                        replace(scenario, topology=topology), algo, first_solution=True
+                    )
+                    verdict = sim.run(scenario.trace).verdict
+                    assert verdict != "ok", (algo, seed, p_rt, capacity)
+                    skipped += 1
+    assert skipped > 100
 
 
 def test_a_proven_infeasible_exact_run_reads_infeasible(capsys) -> None:
@@ -331,8 +421,10 @@ def test_min_cpu_for_probes_exact_for_a_first_solution_only(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     calls = _recording_exact(monkeypatch)
+    probes = _recording_probes(monkeypatch, calls)
     min_cpu_for("exact", seed=1, users=24, p_rt=0.5, levels=4, arity=2)
-    assert len(calls) == 13
+    assert len(probes) == 13
+    assert len(calls) == 7
     kinds = set()
     for problem, kwargs, decision in calls:
         assert kwargs == {"node_budget": 200_000, "first_solution": True}
@@ -346,6 +438,22 @@ def test_min_cpu_for_probes_exact_for_a_first_solution_only(
     # placements the full search kept improving until its budget ran out,
     # and infeasibility proven within the budget
     assert kinds == {(True, True), (False, False)}
+    # every probe reaching the solver asks once, about all 24 users; the
+    # ones that never reach it are those the solver proves at 0 nodes
+    assert {n for _capacity, n in probes} == {0, 1}
+    problem = calls[0][0]
+    assert len(problem.services) == 24
+    skipped = [capacity for capacity, n in probes if n == 0]
+    assert len(skipped) == 6
+    for capacity in skipped:
+        topology, _, _, _ = scenarios.default_profile(capacity, 4, 2)
+        stats = ExactSolverStats()
+        decision = exact_optimal(
+            replace(problem, topology=topology), node_budget=200_000, stats=stats
+        )
+        assert not decision.solved
+        assert not decision.exhausted_budget
+        assert stats.nodes_expanded == 0
 
 
 def test_runs_keep_the_full_exact_search(monkeypatch: pytest.MonkeyPatch) -> None:

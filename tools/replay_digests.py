@@ -18,11 +18,11 @@ push-downs; and a 1,000-user, 5-level burst, each in every lane.  A
 (3,000 users, Poisson arrivals at 1,000/s, 2 s hold, a move every 0.5 s,
 4 s horizon, leaf capacity 4,500, 5 levels), in the protocol lane only.
 Then come least-capacity answers, ``min-cpu-<family>-p<share> <algorithm>
-<answer>``: for 80 ``rand`` users on a 4-ary, 4-level tree at shares 0,
-0.5 and 1, and for 60 ``jitter`` users on a binary 6-level tree at share
-0.5, both at seed 1.  The package is imported from ``--src`` (default:
-this checkout's ``src``).  Standard library only; the package does not
-import this script.
+<answer>``, in every lane: for 80 ``rand`` users on a 4-ary, 4-level tree
+at shares 0, 0.5 and 1, and for 60 ``jitter`` users on a binary 6-level
+tree at share 0.5, both at seed 1.  The package is imported from
+``--src`` (default: this checkout's ``src``).  Standard library only; the
+package does not import this script.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Any, Iterator
 
 SEEDS = range(1, 13)
 FAMILIES = ("rand", "synth", "jitter")
-MIN_CPU_ALGOS = ("exact", "bupu", "ffit", "dapp")
+MIN_CPU_ALGOS = ("exact", "bupu", "ffit", "dapp", "cpvnf", "multiscaler")
 #: per family, the shares searched and the rest of the search's inputs
 MIN_CPU_SEARCHES = (
     ("rand", (0.0, 0.5, 1.0), dict(seed=1, users=80, levels=4, arity=4)),
