@@ -8,7 +8,8 @@ request id, so results are deterministic.
 
 The exact solver is a depth-first branch-and-bound over all active
 services (a full re-solve, not an incremental patch), with an admissible
-capacity-relaxed bound.  A slot count in front of it proves most
+capacity-relaxed bound.  A slot count in front of it, prepared once from
+the services and then checked against any tree's capacities, proves most
 infeasible problems without searching, so "no placement" is a proof, not
 a spent budget.  The solver is the cost yardstick the others are
 normalized against and, stopped at its first feasible placement, the
@@ -18,9 +19,16 @@ reference for the minimum-capacity searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .model import DatacenterId, RequestId, Topology, check_feasible
+from .model import (
+    DatacenterId,
+    Request,
+    RequestId,
+    ServiceClass,
+    Topology,
+    check_feasible,
+)
 from .simnet import ActiveService, EpochDecision, EpochProblem
 
 __all__ = [
@@ -277,7 +285,8 @@ def exact_optimal(
 
     The whole state is re-decided: each service may stay (free) or move
     (one migration charge), and capacity binds per node.  Before any search,
-    a slot count (see ``_slots_suffice``) may prove that no placement
+    the slot count (see ``_slot_count``), prepared from the services and
+    checked against the tree's capacities, may prove that no placement
     exists; such a verdict is unsolved and not exhausted, after 0 nodes.
     The bound adds each undecided service's cheapest capacity-relaxed
     option, which never overestimates, so the first complete solution kept
@@ -290,15 +299,16 @@ def exact_optimal(
     keeps first, after the same nodes), as solved and not exhausted.
     """
     topology = problem.topology
+    suffices = _slot_count(topology, problem.classes, problem.services)
+    if suffices is None or not suffices(topology.capacity):
+        if stats is not None:
+            stats.nodes_expanded = 0
+        return EpochDecision(placement={}, solved=False)
     services = sorted(
         problem.services, key=lambda s: (len(s.feasible), s.request_id)
     )
     nodes = topology.nodes
     options = _options(problem, services)
-    if options is None or not _slots_suffice(topology, options):
-        if stats is not None:
-            stats.nodes_expanded = 0
-        return EpochDecision(placement={}, solved=False)
 
     incumbent_cost = float("inf")
     incumbent: list[DatacenterId] | None = None
@@ -340,9 +350,9 @@ def exact_optimal(
 
 def _options(
     problem: EpochProblem, services: list[ActiveService]
-) -> list[tuple[tuple[float, int, int], ...]] | None:
-    """Per service, its (price, node index, units) options, cheapest first;
-    None when some service has no node that can host it."""
+) -> list[tuple[tuple[float, int, int], ...]]:
+    """Per service, its (price, node index, units) options, cheapest first.
+    The slot count has already seen that every service has one."""
     index = {node: i for i, node in enumerate(problem.topology.nodes)}
     options = []
     for svc in services:
@@ -351,64 +361,76 @@ def _options(
             units = problem.demand(svc.class_id, node)
             if units is not None:
                 cand.append((problem.price(svc, node), node, units))
-        if not cand:
-            return None
         cand.sort(key=lambda t: (t[0], t[1]))
         options.append(tuple((price, index[node], units) for price, node, units in cand))
     return options
 
 
-def _slots_suffice(
-    topology: Topology, options: list[tuple[tuple[float, int, int], ...]]
-) -> bool:
-    """False only when no assignment of one option per service fits.
+def _slot_count(
+    topology: Topology,
+    classes: Mapping[int, ServiceClass],
+    services: Iterable[Request],
+) -> Callable[[Callable[[DatacenterId], int]], bool] | None:
+    """A check that is False only when no placement of ``services`` fits;
+    None when some service has no node that can host it.
 
-    A node hosts at most ``capacity // least`` services, its slots, where
-    ``least`` is the smallest demand at the node among all the services
-    that can use it (a least demand of 0 leaves it unlimited).  A service
-    may take a slot anywhere from its lowest usable node to its highest:
-    a path from the PoA toward the root.  Those paths form a laminar
-    family, so with the slots fixed a greedy walk decides whether every
-    service gets one (Hall's condition): bottom-up, each node fills its
-    slots with the waiting services whose reach tops out lowest and passes
-    the rest to its parent.  A service still waiting at the top of its
-    reach proves infeasibility.  Every real placement also fits the slots,
-    so a False is never wrong; a True only means the search has to decide.
+    The check takes the capacity per node, so one count serves every tree
+    of ``topology``'s shape.  A node hosts at most ``capacity // least``
+    services, its slots, where ``least`` is the smallest demand at the node
+    among all the services that can use it (a least demand of 0 leaves it
+    unlimited).  A service may take a slot anywhere from its lowest usable
+    node to its highest: a path from the PoA toward the root.  Those paths
+    form a laminar family, so with the slots fixed a greedy walk decides
+    whether every service gets one (Hall's condition): bottom-up, each node
+    fills its slots with the waiting services whose reach tops out lowest
+    and passes the rest to its parent.  A service still waiting at the top
+    of its reach proves infeasibility.  Every real placement also fits the
+    slots, so a False is never wrong; a True only means the search has to
+    decide.  Everything but the slots is prepared here, once.
     """
-    nodes = topology.nodes
-    least: list[int | None] = [None] * len(nodes)
-    # per node index, the services whose reach starts there: level of the
-    # reach's top -> how many
-    waiting: list[dict[int, int]] = [{} for _ in nodes]
-    for service_options in options:
-        reach = []
-        for _price, i, units in service_options:
-            if least[i] is None or units < least[i]:
-                least[i] = units
-            reach.append((topology.level(nodes[i]), i))
-        top, _ = max(reach)
-        entry = waiting[min(reach)[1]]
+    least: dict[DatacenterId, int] = {}
+    # per node, the services whose reach starts there: level of the reach's
+    # top -> how many
+    waiting: dict[DatacenterId, dict[int, int]] = {}
+    for svc in services:
+        demand = classes[svc.class_id].cpu_demand
+        usable = [n for n in svc.feasible if topology.level(n) in demand]
+        if not usable:
+            return None
+        for node in usable:
+            units = demand[topology.level(node)]
+            least[node] = min(units, least.get(node, units))
+        top = topology.level(usable[-1])  # a reach runs PoA to root
+        entry = waiting.setdefault(usable[0], {})
         entry[top] = entry.get(top, 0) + 1
-    index = {node: i for i, node in enumerate(nodes)}
-    for node in sorted(nodes, key=topology.level):
-        i = index[node]
-        here = waiting[i]
-        if not here or least[i] == 0:
-            continue  # nobody waits, or unlimited slots serve everyone
-        slots = 0 if least[i] is None else topology.capacity(node) // least[i]
-        level = topology.level(node)
-        parent = topology.parent(node)
-        for top in sorted(here):  # reaches that top out lowest first
-            served = min(slots, here[top])
-            slots -= served
-            unserved = here[top] - served
-            if not unserved:
-                continue
-            if top == level:
-                return False
-            above = waiting[index[parent]]
-            above[top] = above.get(top, 0) + unserved
-    return True
+    # bottom-up, every node but those whose least demand of 0 leaves their
+    # slots unlimited, which serves everyone who waits there
+    walk = [
+        (node, topology.level(node), topology.parent(node), least.get(node))
+        for node in sorted(topology.nodes, key=topology.level)
+        if least.get(node) != 0
+    ]
+
+    def suffices(capacity: Callable[[DatacenterId], int]) -> bool:
+        carry = {node: dict(entry) for node, entry in waiting.items()}
+        for node, level, parent, unit in walk:
+            here = carry.get(node)
+            if not here:
+                continue  # nobody waits here
+            slots = 0 if unit is None else capacity(node) // unit
+            for top in sorted(here):  # reaches that top out lowest first
+                served = min(slots, here[top])
+                slots -= served
+                unserved = here[top] - served
+                if not unserved:
+                    continue
+                if top == level:
+                    return False
+                above = carry.setdefault(parent, {})
+                above[top] = above.get(top, 0) + unserved
+        return True
+
+    return suffices
 
 
 def _branch_and_bound(

@@ -13,17 +13,16 @@ from dataclasses import dataclass, replace
 from functools import partial
 from io import StringIO
 from itertools import zip_longest
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import golden_logs
 from .baselines import (
     ALGORITHMS,
-    _options,
-    _slots_suffice,
+    _slot_count,
     exact_optimal,
     min_cpu_binary_search,
 )
-from .model import feasible_set_for
+from .model import Request, feasible_set_for
 from .protocol import ProtocolTiming
 from .scenarios import (
     Scenario,
@@ -32,7 +31,7 @@ from .scenarios import (
     jittered_scenario,
     rand_scenario,
 )
-from .simnet import ActiveService, EpochProblem, RunResult, Simulator
+from .simnet import RunResult, Simulator
 
 __all__ = [
     "ALGO_CHOICES",
@@ -351,13 +350,13 @@ def min_cpu_for(
     budget can still reach when it holds a placement.
 
     A probe is answered without a run when the slot count (the exact
-    solver's infeasibility certificate) proves that no placement of the
-    search's users fits at the probed capacity.  That is sound because
-    both families have arrivals only: an ``ok`` run ends with every user
-    placed inside its reach, all at once, and any such placement also fits
-    the slots.  So a rejected probe could never have read ``ok``, in any
-    lane, and the probe sequence and the answer stay those of running
-    every probe.
+    solver's infeasibility certificate, prepared once per search) proves
+    that no placement of the search's users fits at the probed capacity.
+    That is sound because both families have arrivals only: an ``ok`` run
+    ends with every user placed inside its reach, all at once, and any
+    such placement also fits the slots.  So a rejected probe could never
+    have read ``ok``, in any lane, and the probe sequence and the answer
+    stay those of running every probe.
 
     A probe treats ``exact`` as a feasibility oracle: the solver stops at
     its first feasible placement instead of looking for the cheapest.  The
@@ -372,11 +371,11 @@ def min_cpu_for(
     else:
         raise ValueError(f"unknown scenario family {family!r}")
     scenario = make(seed=seed, users=users, p_rt=p_rt, levels=levels, arity=arity)
-    options = _arrival_options(scenario)
+    suffices = _arrival_slot_count(scenario)
 
     def probe(leaf_capacity: int) -> bool:
         topology, _, _, _ = default_profile(leaf_capacity, levels, arity)
-        if options is not None and not _slots_suffice(topology, options):
+        if suffices is not None and not suffices(topology.capacity):
             return False
         simulator = build_simulator(
             replace(scenario, topology=topology),
@@ -390,20 +389,16 @@ def min_cpu_for(
     return min_cpu_binary_search(probe, tolerance=tolerance)
 
 
-def _arrival_options(
-    scenario: Scenario,
-) -> list[tuple[tuple[float, int, int], ...]] | None:
-    """The slot count's options for every user of an arrival-only trace,
-    as one epoch with none of them placed sees them.
+def _arrival_slot_count(scenario: Scenario) -> Callable[..., bool] | None:
+    """The slot count of every user of an arrival-only trace, prepared once
+    for all the probes of a search (see ``baselines._slot_count``).
 
-    An option's price, node index and units do not depend on capacity, so
-    they serve every probe of a search.  None when the trace has anything
-    but arrivals, or when some user has no node that can host it: the runs
-    then decide every probe.
+    None when the trace has anything but arrivals, or when some user has no
+    node that can host it: the runs then decide every probe.
     """
     topology, classes = scenario.topology, scenario.classes
     reaches: dict[tuple[int, int], tuple[int, ...]] = {}
-    services = []
+    requests = []
     for ev in scenario.trace:
         if ev.kind != "arrive" or ev.poa is None or ev.class_id is None:
             return None
@@ -412,18 +407,8 @@ def _arrival_options(
             reaches[key] = feasible_set_for(
                 topology, ev.poa, classes[ev.class_id], scenario.rtt_by_level
             )
-        services.append(
-            ActiveService(
-                ev.user,
-                ev.class_id,
-                ev.poa,
-                reaches[key],
-                current_host=None,
-                movable=True,
-            )
-        )
-    problem = EpochProblem(topology, classes, scenario.costs, tuple(services))
-    return _options(problem, services)
+        requests.append(Request(ev.user, ev.class_id, ev.poa, reaches[key]))
+    return _slot_count(topology, classes, requests)
 
 
 def sweep_overhead(

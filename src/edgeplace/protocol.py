@@ -837,7 +837,12 @@ class ProtocolNode:
     def _continue_push_down(self) -> None:
         """Advance the depth-first walk: next child offer, or wrap up."""
         session = self.pd_session
-        assert session is not None and session.awaiting is None
+        assert session is not None
+        if session.awaiting is not None:
+            raise InvariantError(
+                f"push-down at s{self.node_id} resumed while its offer to "
+                f"s{session.awaiting} is unanswered"
+            )
         while session.pending_children:
             if self._push_down_satisfied():
                 self.world.log(self.node_id, "pd break")

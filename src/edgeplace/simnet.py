@@ -343,8 +343,6 @@ class Simulator:
         # (PoA, class id) -> reach; see _feasible_for
         self._reaches: dict[tuple[DatacenterId, int], tuple[DatacenterId, ...]] = {}
         self._relocating: set[RequestId] = set()
-        # centralized: requests to place, as an ordered set
-        self._pending_pool: dict[RequestId, None] = {}
         # centralized: the last epoch the algorithm could not solve; an
         # unchanged problem gets the same answer without solving it again.
         # The least-capacity searches skip the probes the slot count
@@ -539,8 +537,6 @@ class Simulator:
         self.log(poa, f"arrive r{user} class={class_id}")
         if self.mode == "protocol":
             self._issue(req)
-        else:
-            self._pending_pool[user] = None
 
     def _issue(self, req: _RequestState) -> None:
         """Hand a request's current record to the protocol at its PoA."""
@@ -574,19 +570,14 @@ class Simulator:
                 req.generation += 1
                 self._relocating.discard(user)
                 self._purge(user)
-                self._pending_pool.pop(user, None)
             return  # the current placement still serves the user
         req.generation += 1
         self.counters.criticals += 1
+        if req.state == "placed":
+            self._relocating.add(user)
         if self.mode == "protocol":
             self._purge(user)
-            if req.state == "placed":
-                self._relocating.add(user)
             self._issue(req)
-        else:
-            if req.state == "placed":
-                self._relocating.add(user)
-            self._pending_pool.setdefault(user)
 
     def _on_depart(self, user: int) -> None:
         req = self._registry.get(user)
@@ -599,16 +590,16 @@ class Simulator:
         self._relocating.discard(user)
         self.log(req.request.poa, f"depart r{user}")
         self._purge(user)
-        self._pending_pool.pop(user, None)
 
     # -- centralized epochs ---------------------------------------------------
 
     def _run_epoch(self) -> None:
         assert self.algorithm is not None
-        self._pending_pool = {
-            rid: None for rid in self._pending_pool if self.is_active(rid)
-        }
-        if not self._pending_pool:
+        # The epoch may (re)place the requests still waiting and the ones
+        # relocating after a move; with none of them it has nothing to do.
+        if not self._relocating and all(
+            req.state != "waiting" for req in self._registry.values()
+        ):
             return
         services = []
         for rid in sorted(self._registry):
@@ -623,7 +614,7 @@ class Simulator:
                     poa=request.poa,
                     feasible=request.feasible,
                     current_host=req.host,
-                    movable=rid in self._pending_pool,
+                    movable=req.state == "waiting" or rid in self._relocating,
                 )
             )
         problem = EpochProblem(
@@ -649,14 +640,12 @@ class Simulator:
         # Moves land one at a time, so a node may briefly hold a service
         # that a later move of the same decision frees: capacity binds on
         # the decision as a whole.
-        placed_now: set[RequestId] = set()
         targets: set[DatacenterId] = set()
         for rid in sorted(decision.placement):
             node = decision.placement[rid]
             req = self._registry[rid]
             if req.state not in ("waiting", "placed"):
                 continue
-            placed_now.add(rid)
             if node == req.host:
                 self._relocating.discard(rid)
                 continue
@@ -667,9 +656,6 @@ class Simulator:
                 raise InvariantError(
                     f"capacity breached at s{node} by an epoch decision"
                 )
-        self._pending_pool = {
-            rid: None for rid in self._pending_pool if rid not in placed_now
-        }
         if not decision.solved:
             self._infeasible = True
 

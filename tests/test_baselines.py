@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplace.baselines import (
     ALGORITHMS,
@@ -13,7 +16,7 @@ from edgeplace.baselines import (
     NoUpperBoundError,
     _branch_and_bound,
     _options,
-    _slots_suffice,
+    _slot_count,
     availability_scaler,
     bottom_up_push_up,
     cheapest_feasible,
@@ -600,6 +603,13 @@ def test_exact_searches_deeper_than_the_recursion_limit() -> None:
 # the slot-count certificate
 
 
+def slots_suffice(problem: EpochProblem) -> bool:
+    """The verdict of a slot count prepared afresh for ``problem``."""
+    suffices = _slot_count(problem.topology, problem.classes, problem.services)
+    assert suffices is not None
+    return suffices(problem.topology.capacity)
+
+
 def _slot_problem(
     rng: random.Random, services: int, leaf_capacity: int
 ) -> EpochProblem:
@@ -677,7 +687,7 @@ def test_slot_count_never_rejects_a_problem_enumeration_solves() -> None:
             problem.costs.migration_cost,
             [(s.request_id, s.class_id, s.feasible, s.current_host) for s in services],
         )
-        fits = _slots_suffice(problem.topology, _options(problem, services))
+        fits = slots_suffice(problem)
         if best is not None:
             assert fits
             outcomes["solved"] += 1
@@ -721,11 +731,52 @@ def test_slot_count_never_rejects_a_problem_milp_solves() -> None:
             bounds=scipy_optimize.Bounds(0, 1),
         )
         assert result.status in (0, 2)  # optimal or infeasible, never cut off
-        fits = _slots_suffice(problem.topology, _options(problem, services))
+        fits = slots_suffice(problem)
         if result.status == 0:
             assert fits
         verdicts[fits] += 1
     assert min(verdicts.values()) >= 5
+
+
+def _at_leaf_capacity(topology: Topology, leaf_capacity: int) -> Topology:
+    """``topology``'s tree with every node at ``(level + 1) * leaf_capacity``
+    units, as the probe trees of a capacity search scale."""
+    nodes = topology.nodes
+    return Topology(
+        parents={n: topology.parent(n) for n in nodes},
+        levels={n: topology.level(n) for n in nodes},
+        capacities={n: (topology.level(n) + 1) * leaf_capacity for n in nodes},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    leaf_capacities=st.lists(st.integers(0, 6), min_size=3, max_size=6),
+)
+def test_a_prepared_slot_count_carries_nothing_between_checks(
+    rng: random.Random, leaf_capacities: list[int]
+) -> None:
+    problem = _slot_problem(rng, rng.randint(1, 5), rng.randint(0, 5))
+    suffices = _slot_count(problem.topology, problem.classes, problem.services)
+    assert suffices is not None
+    trees = {c: _at_leaf_capacity(problem.topology, c) for c in leaf_capacities}
+    for order in (sorted(leaf_capacities), sorted(leaf_capacities, reverse=True)):
+        for leaf_capacity in order:
+            tree = trees[leaf_capacity]
+            fits = suffices(tree.capacity)
+            assert fits == slots_suffice(replace(problem, topology=tree))
+            best = enumerate_optimal(
+                tree,
+                {cid: dict(k.cpu_demand) for cid, k in problem.classes.items()},
+                problem.costs.placement_cost,
+                problem.costs.migration_cost,
+                [
+                    (s.request_id, s.class_id, s.feasible, s.current_host)
+                    for s in problem.services
+                ],
+            )
+            assert fits or best is None
 
 
 def test_slot_count_respects_the_reach_top() -> None:
@@ -733,7 +784,7 @@ def test_slot_count_respects_the_reach_top() -> None:
     # root and one cannot, so the leaf slot goes to the one that cannot
     topo = build_tree(levels=2, arity=2, leaf_capacity=1)
     pair = [svc(1, 1, (1, 0)), svc(2, 1, (1,))]
-    assert _slots_suffice(topo, _options(problem_of(topo, pair), pair))
+    assert slots_suffice(problem_of(topo, pair))
     stuck = pair + [svc(3, 1, (1,))]
     stats = ExactSolverStats()
     decision = exact_optimal(problem_of(topo, stuck), stats=stats)
@@ -756,7 +807,7 @@ def test_slot_count_sizes_slots_by_every_service_that_can_use_a_node() -> None:
     heavy = ServiceClass(1, "heavy", 1.0, {0: 1, 1: 4})
     trio = [svc(1, 1, (1, 0)), svc(2, 1, (1, 0), class_id=1), svc(3, 1, (1, 0), class_id=1)]
     problem = problem_of(topo, trio, classes={0: light, 1: heavy})
-    assert _slots_suffice(topo, _options(problem, trio))
+    assert slots_suffice(problem)
     decision = exact_optimal(problem)
     assert decision.solved
     assert sorted(decision.placement.values()) == [0, 0, 1]
@@ -797,7 +848,7 @@ def test_slot_count_never_rejects_a_solvable_problem_on_one_path() -> None:
             [(s.request_id, s.class_id, s.feasible, s.current_host) for s in services],
         )
         if best is not None:
-            assert _slots_suffice(topo, _options(problem, services))
+            assert slots_suffice(problem)
             solved += 1
     assert solved > 1_000
 

@@ -31,7 +31,6 @@ from edgeplace.harness import (
     sweep_overhead,
     write_rows,
 )
-from edgeplace.model import Topology
 from edgeplace.scenarios import (
     Scenario,
     builtin_scenario,
@@ -299,13 +298,20 @@ def test_min_cpu_for_synthesizes_one_trace_per_search(
 def _recording_slot_count(monkeypatch: pytest.MonkeyPatch) -> list[bool]:
     """Record the slot count's verdict on every probe the harness gates."""
     verdicts: list[bool] = []
-    suffice = harness._slots_suffice
+    prepare = harness._slot_count
 
-    def recording(topology: Topology, options: list) -> bool:
-        verdicts.append(suffice(topology, options))
-        return verdicts[-1]
+    def recording(*args: object) -> Callable[..., bool] | None:
+        suffices = prepare(*args)
+        if suffices is None:
+            return None
 
-    monkeypatch.setattr(harness, "_slots_suffice", recording)
+        def check(capacity: Callable[[int], int]) -> bool:
+            verdicts.append(suffices(capacity))
+            return verdicts[-1]
+
+        return check
+
+    monkeypatch.setattr(harness, "_slot_count", recording)
     return verdicts
 
 

@@ -559,7 +559,7 @@ def test_assert_invariants_catches_capacity_corruption() -> None:
 _CORRUPT_CAPACITY = """
 import sys
 from edgeplace.harness import build_simulator
-from edgeplace.protocol import PdAckMsg, Record
+from edgeplace.protocol import PdAckMsg, PdSession, Record
 from edgeplace.scenarios import fig_two_tier_scenario
 from edgeplace.simnet import InvariantError
 
@@ -584,6 +584,11 @@ try:  # s1 runs no push-down
     sim.nodes[1].handle_push_down_ack(3, PdAckMsg(initiator=1, deficit=0, acks=()))
 except InvariantError as err:
     print("caught", err)
+sim.nodes[1].pd_session = PdSession(1, None, 1, {}, [4], awaiting=3)
+try:  # s1's offer to s3 is still unanswered
+    sim.nodes[1]._continue_push_down()
+except InvariantError as err:
+    print("caught", err)
 """
 
 
@@ -604,6 +609,7 @@ def test_assert_invariants_survives_optimized_python() -> None:
         "caught capacity breached at s3",
         "caught capacity breach at s1 placing r2",
         "caught unexpected push-down ack from s3 at s1",
+        "caught push-down at s1 resumed while its offer to s3 is unanswered",
     ]
 
 

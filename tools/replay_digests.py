@@ -17,10 +17,12 @@ push-downs; and a 1,000-user, 5-level burst, each in every lane.  A
 ``churn-3000 dapp`` line follows: the benchmark's churn shape at seed 1
 (3,000 users, Poisson arrivals at 1,000/s, 2 s hold, a move every 0.5 s,
 4 s horizon, leaf capacity 4,500, 5 levels), in the protocol lane only.
-Then come least-capacity answers, ``min-cpu-<family>-p<share> <algorithm>
-<answer>``, in every lane: for 80 ``rand`` users on a 4-ary, 4-level tree
-at shares 0, 0.5 and 1, and for 60 ``jitter`` users on a binary 6-level
-tree at share 0.5, both at seed 1.  The package is imported from
+Then come least-capacity answers, ``min-cpu-<family>-s<seed>-p<share>
+<algorithm> <answer>``, in every lane: for 80 ``rand`` users on a 4-ary,
+4-level tree at shares 0, 0.5 and 1, at seeds 1, 100001, 200001 and
+300001 (the instance seeds of the benchmark's ``capacity`` workload at
+seed 1), and for 60 ``jitter`` users on a binary 6-level tree at share
+0.5, at seed 1.  The package is imported from
 ``--src`` (default: this checkout's ``src``).  Standard library only; the
 package does not import this script.
 """
@@ -37,10 +39,15 @@ from typing import Any, Iterator
 SEEDS = range(1, 13)
 FAMILIES = ("rand", "synth", "jitter")
 MIN_CPU_ALGOS = ("exact", "bupu", "ffit", "dapp", "cpvnf", "multiscaler")
-#: per family, the shares searched and the rest of the search's inputs
+#: per family, the seeds and shares searched and the rest of the inputs
 MIN_CPU_SEARCHES = (
-    ("rand", (0.0, 0.5, 1.0), dict(seed=1, users=80, levels=4, arity=4)),
-    ("jitter", (0.5,), dict(seed=1, users=60, levels=6, arity=2)),
+    (
+        "rand",
+        (1, 100001, 200001, 300001),
+        (0.0, 0.5, 1.0),
+        dict(users=80, levels=4, arity=4),
+    ),
+    ("jitter", (1,), (0.5,), dict(users=60, levels=6, arity=2)),
 )
 
 
@@ -116,12 +123,14 @@ def digest_line(ep: Any, label: str, scenario: Any, lane: str) -> str:
 
 
 def min_cpu_line(
-    ep: Any, algo: str, family: str, p_rt: float, inputs: dict[str, int]
+    ep: Any, algo: str, family: str, seed: int, p_rt: float, inputs: dict[str, int]
 ) -> str:
     """The least capacity ``algo`` needs at tight-class share ``p_rt``."""
-    label = f"min-cpu-{family}-p{p_rt}"
+    label = f"min-cpu-{family}-s{seed}-p{p_rt}"
     try:
-        answer = ep.harness.min_cpu_for(algo, p_rt=p_rt, family=family, **inputs)
+        answer = ep.harness.min_cpu_for(
+            algo, seed=seed, p_rt=p_rt, family=family, **inputs
+        )
     except Exception as err:
         return f"{label} {algo} raised {type(err).__name__}"
     return f"{label} {algo} {answer}"
@@ -145,10 +154,12 @@ def main(argv: list[str] | None = None) -> int:
         ep, users=3000, leaf_capacity=4500, levels=5, arrival_rate=1000.0, horizon=4.0
     )
     print(digest_line(ep, "churn-3000", churn, "dapp"), flush=True)
-    for family, shares, inputs in MIN_CPU_SEARCHES:
-        for algo in MIN_CPU_ALGOS:
-            for p_rt in shares:
-                print(min_cpu_line(ep, algo, family, p_rt, inputs), flush=True)
+    for family, seeds, shares, inputs in MIN_CPU_SEARCHES:
+        for seed in seeds:
+            for algo in MIN_CPU_ALGOS:
+                for p_rt in shares:
+                    line = min_cpu_line(ep, algo, family, seed, p_rt, inputs)
+                    print(line, flush=True)
     return 0
 
 
