@@ -32,7 +32,6 @@ from .harness import (
     replay_fixture,
     run_scenario,
     sweep_overhead,
-    write_rows,
 )
 from .model import (
     CostModel,
@@ -69,7 +68,6 @@ from .simnet import (
     load_trace,
     message_bits,
     overhead_per_request,
-    save_trace,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +95,6 @@ __all__ = [
     "LinkModel",
     "TraceEvent",
     "load_trace",
-    "save_trace",
     "message_bits",
     "overhead_per_request",
     "EpochProblem",
@@ -127,5 +124,4 @@ __all__ = [
     "replay_fixture",
     "sweep_overhead",
     "min_cpu_for",
-    "write_rows",
 ]

@@ -526,31 +526,23 @@ class NoUpperBoundError(RuntimeError):
     """Doubling the capacity never produced a feasible run."""
 
 
-def min_cpu_binary_search(
-    succeeds: Callable[[int], bool],
-    start: int = 8,
-    max_capacity: int = 1 << 20,
-    tolerance: int = 1,
-) -> int:
+def min_cpu_binary_search(succeeds: Callable[[int], bool], tolerance: int = 1) -> int:
     """Least leaf capacity (in CPU units) for which ``succeeds`` holds.
 
-    Assumes success is monotone in capacity.  Brackets by doubling from
-    ``start``, then bisects until the bracket is within ``tolerance`` units,
-    returning the known-good upper end.
+    Assumes success is monotone in capacity.  The bracket is fixed: it
+    doubles from 8 units, and past 2**20 units the search gives up with
+    :class:`NoUpperBoundError`.  It then bisects until the bracket is within
+    ``tolerance`` units, returning the known-good upper end.
     """
-    if start < 1:
-        raise ValueError("start must be >= 1")
     if tolerance < 1:
         raise ValueError("tolerance must be >= 1")
     lo = 0  # capacity 0 hosts nothing: a safe known-failure floor
-    hi = start
+    hi = 8
     while not succeeds(hi):
         lo = hi
         hi *= 2
-        if hi > max_capacity:
-            raise NoUpperBoundError(
-                f"no feasible capacity at or below {max_capacity}"
-            )
+        if hi > 1 << 20:
+            raise NoUpperBoundError(f"no feasible capacity at or below {1 << 20}")
     while hi - lo > tolerance:
         mid = (lo + hi) // 2
         if succeeds(mid):

@@ -31,9 +31,9 @@ from .harness import (
     ALGO_CHOICES,
     metrics_rows_for,
     min_cpu_for,
+    render_rows,
     replay_fixture,
     sweep_overhead,
-    write_rows,
 )
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -119,9 +119,11 @@ def _scenario_for(args: argparse.Namespace, seed: int):
 
 
 def _emit(rows, args) -> None:
-    text = write_rows(rows, args.out, args.format)
+    text = render_rows(rows, args.format)
     if args.out is None:
         sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text, newline="")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

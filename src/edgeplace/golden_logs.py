@@ -8,7 +8,7 @@ Regenerate (after an intentional behaviour change) with::
 
     python -m edgeplace run --scenario fig2 --algo dapp --log -
 
-and paste the output here, or use ``harness.golden_text_for``.
+and paste the event log it prints after the report row here.
 """
 
 from __future__ import annotations

@@ -40,10 +40,8 @@ __all__ = [
     "metrics_row",
     "metrics_rows_for",
     "render_rows",
-    "write_rows",
     "ReplayOutcome",
     "replay_fixture",
-    "golden_text_for",
     "sweep_overhead",
     "min_cpu_for",
     "METRIC_FIELDS",
@@ -99,7 +97,6 @@ def run_scenario(
     event_budget: int = 500_000,
     check_invariants: bool = False,
     bnb_budget: int = 200_000,
-    until: float | None = None,
 ) -> RunResult:
     """Run one algorithm over one scenario to quiescence."""
     sim = build_simulator(
@@ -109,7 +106,7 @@ def run_scenario(
         check_invariants=check_invariants,
         bnb_budget=bnb_budget,
     )
-    return sim.run(scenario.trace, until=until)
+    return sim.run(scenario.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +244,6 @@ def render_rows(rows: Sequence[Mapping[str, Any]], fmt: str) -> str:
     return out.getvalue()
 
 
-def write_rows(
-    rows: Sequence[Mapping[str, Any]], path: str | None, fmt: str
-) -> str:
-    """Render rows; write them to ``path`` when given.  Returns the text."""
-    text = render_rows(rows, fmt)
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
-
-
 # ---------------------------------------------------------------------------
 # golden replays
 
@@ -302,22 +288,12 @@ def replay_fixture(
                 f"no frozen log for {name!r}; choose one of "
                 f"{sorted(golden_logs.GOLDEN_LOGS)}"
             )
-    result = _fixture_run(name, event_budget)
-    diff = _first_divergence(golden_text.splitlines(), result.event_log)
-    return ReplayOutcome(name=name, ok=not diff, diff=tuple(diff), result=result)
-
-
-def golden_text_for(name: str, *, event_budget: int = 500_000) -> str:
-    """The event log a fixture produces right now (for regeneration)."""
-    return "\n".join(_fixture_run(name, event_budget).event_log) + "\n"
-
-
-def _fixture_run(name: str, event_budget: int) -> RunResult:
-    """The ``dapp`` run of a built-in fixture, invariants checked, that
-    its golden log freezes."""
-    return run_scenario(
+    # the ``dapp`` run, invariants checked, that the golden log freezes
+    result = run_scenario(
         builtin_scenario(name), "dapp", event_budget=event_budget, check_invariants=True
     )
+    diff = _first_divergence(golden_text.splitlines(), result.event_log)
+    return ReplayOutcome(name=name, ok=not diff, diff=tuple(diff), result=result)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +315,7 @@ def min_cpu_for(
 ) -> int:
     """Least leaf capacity at which ``algo`` serves the whole scenario.
 
-    The search is :func:`min_cpu_binary_search` with its own bracket:
+    The search is :func:`min_cpu_binary_search` and its fixed bracket:
     doubling from 8 units, then bisecting to within ``tolerance``; past
     2**20 units it raises :class:`NoUpperBoundError`.  The scenario, trace
     included, is built once per search at the family's default capacity;
@@ -430,6 +406,8 @@ def sweep_overhead(
     window at four times the scan window.  ``leaf_capacity`` overrides the
     sizing step.  Rows are sorted, one per grid point and seed.
     """
+    # (window, timing) pairs, built first so a bad window fails before sizing
+    windows = [(t, ProtocolTiming(t, push_down_window=4.0 * t)) for t in t_ad_grid]
     rows: list[dict[str, Any]] = []
     for seed in sorted(set(seeds)):
         if leaf_capacity is None:
@@ -447,10 +425,7 @@ def sweep_overhead(
         else:
             capacity = leaf_capacity
         for p_rt in p_rt_grid:
-            for t_ad in t_ad_grid:
-                timing = ProtocolTiming(
-                    scan_window=t_ad, push_down_window=4.0 * t_ad
-                )
+            for t_ad, timing in windows:
                 scenario = jittered_scenario(
                     seed=seed,
                     users=users,

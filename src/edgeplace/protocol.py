@@ -42,6 +42,7 @@ inputs replay to identical traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
@@ -152,6 +153,11 @@ class ProtocolTiming:
     scan_window: float = 0.0001
     push_down_window: float = 0.0004
     fallback_period: float = 10.0
+
+    def __post_init__(self) -> None:
+        for name in ("scan_window", "push_down_window", "fallback_period"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"timing {name} must be finite and >= 0")
 
     def scan_deadline(self, level: int, now: float) -> float:
         return now + (level + 1) * self.scan_window

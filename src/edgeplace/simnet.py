@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .model import (
     CostModel,
@@ -53,7 +54,6 @@ __all__ = [
     "message_bits",
     "TraceEvent",
     "load_trace",
-    "save_trace",
     "Counters",
     "RunResult",
     "Simulator",
@@ -118,8 +118,11 @@ class LinkModel:
     propagation: float = 22e-6
     capacity_bps: float = 10e6
 
-    def delay(self, bits: int) -> float:
-        return self.propagation + bits / self.capacity_bps
+    def __post_init__(self) -> None:
+        if not 0 <= self.propagation < math.inf:
+            raise ValueError("link propagation must be finite and >= 0")
+        if not 0 < self.capacity_bps < math.inf:
+            raise ValueError("link capacity_bps must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -168,24 +171,6 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
                     raise ValueError(f"arrival of user {user} lacks a class id")
                 events.append(TraceEvent(time, user, "arrive", poa, int(class_field)))
     return events
-
-
-def save_trace(path: str | Path, events: Iterable[TraceEvent]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "user", "poa", "class"])
-        for ev in events:
-            if ev.kind == "depart":
-                writer.writerow([f"{ev.time:.6f}", ev.user, DEPARTED_POA, ""])
-            else:
-                writer.writerow(
-                    [
-                        f"{ev.time:.6f}",
-                        ev.user,
-                        ev.poa,
-                        ev.class_id if ev.class_id is not None else "",
-                    ]
-                )
 
 
 @dataclass
@@ -242,6 +227,11 @@ class RunResult:
         return overhead_per_request(self.counters, self.request_count)
 
 
+_HOSTED = ("placed", "relocating")
+_MOVABLE = ("waiting", "relocating")
+_ACTIVE = ("waiting", "placed", "relocating")
+
+
 class _RequestState:
     """The engine's view of one request.
 
@@ -249,6 +239,14 @@ class _RequestState:
     move (so ``World.request_info`` hands it out without allocating).
     ``reached`` lists every node of every reach the request has had, the
     only nodes that can hold a trace of it (see ``Simulator._purge``).
+
+    ``state`` is the one record of its status: ``waiting`` (not placed
+    yet), ``placed``, ``relocating`` (still placed, but its user moved out
+    of the host's reach and a new placement is in flight), ``failed`` or
+    ``departed``.  ``is_served`` reads placed; ``is_active`` also waiting
+    and relocating (``_ACTIVE``); an epoch may (re)place, and a run lists
+    as unplaced, the waiting and relocating ones (``_MOVABLE``); the
+    placed and relocating ones hold a host (``_HOSTED``).
     """
 
     __slots__ = ("request", "reached", "state", "host", "generation")
@@ -342,7 +340,6 @@ class Simulator:
         self._registry: dict[RequestId, _RequestState] = {}
         # (PoA, class id) -> reach; see _feasible_for
         self._reaches: dict[tuple[DatacenterId, int], tuple[DatacenterId, ...]] = {}
-        self._relocating: set[RequestId] = set()
         # centralized: the last epoch the algorithm could not solve; an
         # unchanged problem gets the same answer without solving it again.
         # The least-capacity searches skip the probes the slot count
@@ -356,7 +353,6 @@ class Simulator:
         # the time stamp of log lines, formatted once per event time
         self._stamp_time: float | None = None
         self._stamp = ""
-        self._failed: list[RequestId] = []
         self._diverged = False
         self._solver_exhausted = False
         self._infeasible = False
@@ -428,7 +424,6 @@ class Simulator:
             self.log(node, f"place r{request_id}")
         req.host = node
         req.state = "placed"
-        self._relocating.discard(request_id)
         self.counters.placements += 1
 
     def _release_host(self, req: _RequestState) -> None:
@@ -450,7 +445,6 @@ class Simulator:
     def report_failure(self, request_id: RequestId, node: DatacenterId) -> None:
         req = self._registry[request_id]
         req.state = "failed"
-        self._failed.append(request_id)
         self.log(node, f"failure r{request_id}")
         self._purge(request_id)
 
@@ -476,15 +470,11 @@ class Simulator:
 
     def is_active(self, request_id: RequestId) -> bool:
         req = self._registry.get(request_id)
-        return req is not None and req.state in ("waiting", "placed")
+        return req is not None and req.state in _ACTIVE
 
     def is_served(self, request_id: RequestId) -> bool:
         req = self._registry.get(request_id)
-        return (
-            req is not None
-            and req.state == "placed"
-            and request_id not in self._relocating
-        )
+        return req is not None and req.state == "placed"
 
     def record_current(self, rec: Record) -> bool:
         req = self._registry.get(rec.request_id)
@@ -562,19 +552,19 @@ class Simulator:
         req.request = Request(user, class_id, poa, feasible)
         req.reached += tuple(n for n in feasible if n not in req.reached)
         self.log(poa, f"move r{user}")
-        if req.state == "placed" and req.host in feasible:
-            if user in self._relocating:
+        if req.state in _HOSTED and req.host in feasible:
+            if req.state == "relocating":
                 # The move brought the old host back into reach: retire the
                 # in-flight re-placement, which was scoped to the previous
                 # attachment and could migrate the service out of reach.
                 req.generation += 1
-                self._relocating.discard(user)
+                req.state = "placed"
                 self._purge(user)
             return  # the current placement still serves the user
         req.generation += 1
         self.counters.criticals += 1
         if req.state == "placed":
-            self._relocating.add(user)
+            req.state = "relocating"
         if self.mode == "protocol":
             self._purge(user)
             self._issue(req)
@@ -587,7 +577,6 @@ class Simulator:
             self._release_host(req)
         req.state = "departed"
         req.generation += 1
-        self._relocating.discard(user)
         self.log(req.request.poa, f"depart r{user}")
         self._purge(user)
 
@@ -597,14 +586,12 @@ class Simulator:
         assert self.algorithm is not None
         # The epoch may (re)place the requests still waiting and the ones
         # relocating after a move; with none of them it has nothing to do.
-        if not self._relocating and all(
-            req.state != "waiting" for req in self._registry.values()
-        ):
+        if all(req.state not in _MOVABLE for req in self._registry.values()):
             return
         services = []
         for rid in sorted(self._registry):
             req = self._registry[rid]
-            if req.state not in ("waiting", "placed"):
+            if req.state not in _ACTIVE:
                 continue
             request = req.request
             services.append(
@@ -614,7 +601,7 @@ class Simulator:
                     poa=request.poa,
                     feasible=request.feasible,
                     current_host=req.host,
-                    movable=req.state == "waiting" or rid in self._relocating,
+                    movable=req.state in _MOVABLE,
                 )
             )
         problem = EpochProblem(
@@ -644,10 +631,10 @@ class Simulator:
         for rid in sorted(decision.placement):
             node = decision.placement[rid]
             req = self._registry[rid]
-            if req.state not in ("waiting", "placed"):
+            if req.state not in _ACTIVE:
                 continue
             if node == req.host:
-                self._relocating.discard(rid)
+                req.state = "placed"
                 continue
             self.commit_placement(rid, node)
             targets.add(node)
@@ -696,29 +683,33 @@ class Simulator:
         placements = {
             rid: req.host
             for rid, req in self._registry.items()
-            if req.state == "placed" and req.host is not None
+            if req.state in _HOSTED and req.host is not None
         }
         # Unserved at the end: never placed, or left stranded at a host the
         # user moved away from (a re-placement that never landed).
-        unplaced = tuple(
-            rid
-            for rid, req in sorted(self._registry.items())
-            if req.state == "waiting"
-            or (req.state == "placed" and rid in self._relocating)
-        )
+        unplaced: list[RequestId] = []
+        failed: list[RequestId] = []
+        for rid, req in sorted(self._registry.items()):
+            if req.state in _MOVABLE:
+                unplaced.append(rid)
+            elif req.state == "failed":
+                failed.append(rid)
         if self._diverged:
             verdict = "diverged"
-        elif self._failed:
+        elif failed:
             verdict = "failure"
         elif self._infeasible or unplaced:
             verdict = "infeasible"
         else:
             verdict = "ok"
         final_placement_cost = sum(
-            self.costs.place_price(
-                self._registry[rid].request.class_id, self.topology.level(node)
-            )
-            for rid, node in placements.items()
+            (
+                self.costs.place_price(
+                    self._registry[rid].request.class_id, self.topology.level(node)
+                )
+                for rid, node in placements.items()
+            ),
+            0.0,
         )
         return RunResult(
             verdict=verdict,
@@ -726,8 +717,8 @@ class Simulator:
             counters=self.counters,
             event_log=self.event_log,
             end_time=self._now,
-            failed=tuple(self._failed),
-            unplaced=unplaced,
+            failed=tuple(failed),
+            unplaced=tuple(unplaced),
             migration_cost=self._migration_cost,
             final_placement_cost=final_placement_cost,
             comm_cost=self.costs.per_bit_cost * self.counters.total_bits(),
@@ -759,12 +750,12 @@ class Simulator:
                         raise InvariantError(f"r{rid} placed twice")
                     host_of[rid] = node_id
         for rid, req in self._registry.items():
-            if req.state == "placed":
+            if req.state in _HOSTED:
                 if req.host is None:
                     raise InvariantError(f"r{rid} placed without a host")
                 if self.mode == "protocol" and host_of.get(rid) != req.host:
                     raise InvariantError(f"r{rid} host mismatch")
-                if rid not in self._relocating and req.host not in req.request.feasible:
+                if req.state == "placed" and req.host not in req.request.feasible:
                     raise InvariantError(
                         f"r{rid} placed at s{req.host}, outside its reach"
                     )

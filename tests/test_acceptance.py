@@ -15,6 +15,7 @@ from typing import Iterator
 
 from edgeplace.baselines import ALGORITHMS, exact_optimal
 from edgeplace.harness import (
+    build_simulator,
     metrics_rows_for,
     min_cpu_for,
     render_rows,
@@ -109,7 +110,7 @@ def test_two_tier_walkthrough_suite() -> None:
         assert naive[3] is None
 
         # (b) the protocol serves all four, relocating exactly one service
-        early = run_scenario(scenario, "dapp", until=0.035)
+        early = build_simulator(scenario, "dapp").run(scenario.trace, until=0.035)
         assert early.placements == {0: 0, 1: 3, 2: 4, 3: 1}
         assert early.counters.push_downs == 1
         assert early.counters.migrations == 1

@@ -44,6 +44,35 @@ def test_module_exports_resolve(module: str) -> None:
     assert missing == []
 
 
+def _names_used_outside_tests() -> set[str]:
+    """Every ``Name`` and ``Attribute`` in the package's modules other than
+    ``__init__.py``, in ``bench/`` and in ``tools/``."""
+    root = Path(edgeplace.__file__).resolve().parent
+    files = [p for p in root.glob("*.py") if p.name != "__init__.py"]
+    for folder in (BENCH, BENCH.parent / "tools"):
+        files += sorted(folder.rglob("*.py"))
+    used: set[str] = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_outside_the_tests() -> None:
+    # A public name that only tests reach is code to delete.  Imports and
+    # definitions do not count as uses; dunders such as __version__ are
+    # metadata, not code.
+    exported = set(edgeplace.__all__)
+    for module in _modules():
+        mod = importlib.import_module(f"edgeplace.{module}")
+        exported.update(getattr(mod, "__all__", ()))
+    public = {name for name in exported if not name.startswith("__")}
+    assert sorted(public - _names_used_outside_tests()) == []
+
+
 def _ep_lookups(path: Path) -> set[tuple[str, str]]:
     """``(module, attribute)`` pairs a benchmark file looks up on the package.
 

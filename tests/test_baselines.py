@@ -956,12 +956,18 @@ def test_min_cpu_search_honours_tolerance() -> None:
 
 
 def test_min_cpu_search_raises_without_an_upper_bound() -> None:
+    probes: list[int] = []
+
+    def never(capacity: int) -> bool:
+        probes.append(capacity)
+        return False
+
     with pytest.raises(NoUpperBoundError):
-        min_cpu_binary_search(lambda c: False, max_capacity=64)
+        min_cpu_binary_search(never)
+    # the fixed bracket: doubling from 8, giving up past 2**20
+    assert probes == [8 << k for k in range(18)]
 
 
 def test_min_cpu_search_validates_arguments() -> None:
-    with pytest.raises(ValueError):
-        min_cpu_binary_search(lambda c: True, start=0)
     with pytest.raises(ValueError):
         min_cpu_binary_search(lambda c: True, tolerance=0)

@@ -21,7 +21,6 @@ from edgeplace.harness import (
     ALGO_CHOICES,
     METRIC_FIELDS,
     build_simulator,
-    golden_text_for,
     metrics_row,
     metrics_rows_for,
     min_cpu_for,
@@ -29,7 +28,6 @@ from edgeplace.harness import (
     replay_fixture,
     run_scenario,
     sweep_overhead,
-    write_rows,
 )
 from edgeplace.scenarios import (
     Scenario,
@@ -39,13 +37,7 @@ from edgeplace.scenarios import (
     jittered_scenario,
     rand_scenario,
 )
-from edgeplace.simnet import (
-    EpochDecision,
-    EpochProblem,
-    Simulator,
-    TraceEvent,
-    save_trace,
-)
+from edgeplace.simnet import EpochDecision, EpochProblem, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +154,26 @@ def test_render_rows_unknown_format() -> None:
         render_rows([], "xml")
 
 
-def test_write_rows_writes_the_file(tmp_path: Path) -> None:
+def test_cli_out_writes_the_report_it_would_print(tmp_path: Path, capsys) -> None:
     target = tmp_path / "report.csv"
-    text = write_rows(_sample_rows(), str(target), "csv")
-    assert target.read_text() == text
+    argv = ["run", "--scenario", "fig3", "--algo", "dapp", "--no-normalize"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
+
+
+def test_a_run_that_places_nothing_reports_a_float_placement_cost() -> None:
+    scenario = rand_scenario(1, leaf_capacity=100)  # no room for its 24 users
+    rows, results = metrics_rows_for(scenario, ["exact"], 1, normalize=False)
+    assert results["exact"].placements == {}
+    cost = rows[0]["placement_cost"]
+    assert isinstance(cost, float) and cost == 0.0
+    header, line = render_rows(rows, "csv").splitlines()
+    assert dict(zip(header.split(","), line.split(",")))["placement_cost"] == "0.000000"
+    (parsed,) = json.loads(render_rows(rows, "json"))
+    assert isinstance(parsed["placement_cost"], float)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +220,6 @@ def test_replay_reports_a_golden_log_longer_than_the_run() -> None:
 def test_replay_unknown_fixture() -> None:
     with pytest.raises(ValueError):
         replay_fixture("fig9")
-
-
-def test_golden_text_matches_the_committed_logs() -> None:
-    for name in ("fig2", "fig3"):
-        assert golden_text_for(name) == GOLDEN_LOGS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +640,7 @@ def test_cli_run_with_config_and_trace(tmp_path: Path, capsys) -> None:
     assert out.splitlines()[1].startswith("tiny,ffit,1,ok,3,3,")
 
     trace_path = tmp_path / "two.csv"
-    save_trace(trace_path, (TraceEvent(0.0, 1, "arrive", 1, 0),
-                            TraceEvent(0.0, 2, "arrive", 2, 0)))
+    trace_path.write_text("time,user,poa,class\n0.0,1,1,0\n0.0,2,2,0\n")
     code = main(
         ["run", "--config", str(cfg_path), "--trace", str(trace_path),
          "--algo", "ffit"]
@@ -666,7 +668,7 @@ def test_cli_run_rejects_a_trace_with_an_undefined_class(
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(_tiny_config()))
     trace_path = tmp_path / "odd.csv"
-    save_trace(trace_path, (TraceEvent(0.0, 1, "arrive", 1, 7),))
+    trace_path.write_text("time,user,poa,class\n0.0,1,1,7\n")
     code = main(
         ["run", "--config", str(cfg_path), "--trace", str(trace_path), "--algo", "ffit"]
     )
@@ -695,18 +697,15 @@ def test_cli_run_rejects_a_class_without_a_price_for_a_usable_level(
 
 @pytest.mark.parametrize("algo", ["dapp", "ffit"])
 @pytest.mark.parametrize(
-    "events",
-    [
-        (TraceEvent(0.0, 1, "arrive", 99, 0),),
-        (TraceEvent(0.0, 1, "arrive", 7, 0), TraceEvent(0.5, 1, "move", 99)),
-    ],
+    "rows",
+    ["0.0,1,99,0\n", "0.0,1,7,0\n0.5,1,99,\n"],
     ids=["arrival", "move"],
 )
 def test_cli_run_rejects_a_trace_poa_outside_the_tree(
-    tmp_path: Path, capsys, algo: str, events: tuple[TraceEvent, ...]
+    tmp_path: Path, capsys, algo: str, rows: str
 ) -> None:
     trace_path = tmp_path / "far.csv"
-    save_trace(trace_path, events)
+    trace_path.write_text("time,user,poa,class\n" + rows)
     code = main(
         ["run", "--scenario", "rand", "--trace", str(trace_path), "--algo", algo]
     )
@@ -716,6 +715,41 @@ def test_cli_run_rejects_a_trace_poa_outside_the_tree(
         f"error: --trace {trace_path}: trace names PoA 99, which is not a leaf "
         "of the scenario's tree"
     ) in err
+
+
+@pytest.mark.parametrize(
+    "block, entry, message",
+    [
+        ("link", {"capacity_bps": 0}, "link capacity_bps must be finite and > 0"),
+        ("link", {"capacity_bps": -5}, "link capacity_bps must be finite and > 0"),
+        ("link", {"propagation": -1}, "link propagation must be finite and >= 0"),
+        ("link", {"propagation": math.nan}, "link propagation must be finite"),
+        ("timing", {"scan_window": math.nan}, "timing scan_window must be finite"),
+        ("timing", {"push_down_window": -4e-4}, "timing push_down_window must"),
+    ],
+    ids=["zero-capacity", "negative-capacity", "negative-propagation",
+         "nan-propagation", "nan-window", "negative-window"],
+)
+def test_cli_run_rejects_bad_link_and_timing_values(
+    tmp_path: Path, capsys, block: str, entry: dict, message: str
+) -> None:
+    config = _tiny_config()
+    config[block] = entry
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg_path), "--algo", "dapp"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_overhead_rejects_a_negative_window(capsys) -> None:
+    code = main(["sweep-overhead", "--t-ad=-1e-4"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: timing scan_window must be finite and >= 0\n"
+    )
 
 
 def test_cli_replay_passes_the_fixtures(capsys) -> None:

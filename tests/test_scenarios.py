@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,6 @@ from edgeplace.scenarios import (
     load_config,
     synthesize_trace,
 )
-from edgeplace.simnet import TraceEvent, save_trace
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +290,9 @@ def test_load_config_full(tmp_path: Path) -> None:
 
 
 def test_load_config_reads_trace_csv_next_to_it(tmp_path: Path) -> None:
-    events = (
-        TraceEvent(0.0, 1, "arrive", 1, 0),
-        TraceEvent(0.5, 1, "move", 2),
-        TraceEvent(1.0, 1, "depart"),
+    (tmp_path / "users.csv").write_text(
+        "time,user,poa,class\n0.0,1,1,0\n0.5,1,2,\n1.0,1,OUT,\n"
     )
-    save_trace(tmp_path / "users.csv", events)
     cfg = _base_config()
     cfg["trace"] = "users.csv"
     path = tmp_path / "world.json"
@@ -352,6 +349,37 @@ def test_load_config_rejects_unknown_block_keys(
     message = str(err.value)
     assert f"unknown key(s) hold in the '{block}' block" in message
     assert allowed in message
+
+
+#: link and timing values no run can use, with the message each gets
+BAD_LINK_AND_TIMING = [
+    ("link", "capacity_bps", 0, "link capacity_bps must be finite and > 0"),
+    ("link", "capacity_bps", -5, "link capacity_bps must be finite and > 0"),
+    ("link", "capacity_bps", float("inf"), "link capacity_bps must be finite"),
+    ("link", "propagation", -1, "link propagation must be finite and >= 0"),
+    ("link", "propagation", float("nan"), "link propagation must be finite"),
+    ("timing", "scan_window", -1e-4, "timing scan_window must be finite and >= 0"),
+    ("timing", "push_down_window", -1, "timing push_down_window must be finite"),
+    ("timing", "push_down_window", float("nan"), "timing push_down_window must"),
+    ("timing", "fallback_period", -10, "timing fallback_period must be finite"),
+    ("timing", "fallback_period", float("inf"), "timing fallback_period must"),
+]
+
+
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    BAD_LINK_AND_TIMING,
+    ids=[f"{block}.{key}={value}" for block, key, value, _ in BAD_LINK_AND_TIMING],
+)
+def test_load_config_rejects_bad_link_and_timing_values(
+    tmp_path: Path, block: str, key: str, value: float, message: str
+) -> None:
+    cfg = _base_config()
+    cfg[block] = {key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity are JSON extensions
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)
 
 
 @pytest.mark.parametrize("block", ["synth", "timing", "link"])

@@ -13,10 +13,19 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgeplace
 
-from edgeplace.model import CostModel, ServiceClass, build_tree
+from edgeplace.model import (
+    CostModel,
+    Request,
+    ServiceClass,
+    build_tree,
+    check_feasible,
+    feasible_set_for,
+)
 from edgeplace.protocol import (
     PdAckMsg,
     PdRequestMsg,
@@ -36,7 +45,6 @@ from edgeplace.simnet import (
     load_trace,
     message_bits,
     overhead_per_request,
-    save_trace,
 )
 from edgeplace.baselines import exact_optimal
 from edgeplace.scenarios import (
@@ -102,7 +110,13 @@ def test_trace_round_trips_through_csv(tmp_path) -> None:
         TraceEvent(0.75, 1, "depart"),
     ]
     path = tmp_path / "trace.csv"
-    save_trace(path, events)
+    path.write_text(
+        "time,user,poa,class\n"
+        "0.000000,1,5,0\n"
+        "0.250000,2,6,1\n"
+        "0.500000,1,6,\n"
+        "0.750000,1,OUT,\n"
+    )
     assert load_trace(path) == events
 
 
@@ -186,8 +200,12 @@ def test_link_delay_is_propagation_plus_serialization() -> None:
     link = LinkModel()
     assert link.propagation == pytest.approx(22e-6)
     assert link.capacity_bps == pytest.approx(10e6)
-    assert link.delay(1000) == pytest.approx(22e-6 + 1000 / 10e6)
-    assert link.delay(0) == pytest.approx(22e-6)
+    sim = _world({})
+    msg = SfsMsg((Record(request_id=1, class_id=0, origin=None, feasible=(3, 1)),))
+    sim.send(3, 1, msg)
+    ((arrival, _seq, _handler, args),) = sim._heap
+    assert args == (3, msg)
+    assert arrival == pytest.approx(22e-6 + message_bits(msg) / 10e6)
 
 
 # ---------------------------------------------------------------------------
@@ -791,3 +809,107 @@ def test_cached_offers_equal_offers_built_afresh(monkeypatch) -> None:
     for seed in (1, 2, 3):
         run_scenario(_churn_scenario(seed), "dapp")
     assert 0 < reused < hosted
+
+
+# ---------------------------------------------------------------------------
+# invariants on random worlds
+
+
+@st.composite
+def _random_world(draw: st.DrawFn, moves: bool) -> Scenario:
+    """A pruned tree of arity 1-4 and 2-5 levels with up to 4 capacity
+    overrides, 1-4 classes each hostable from level 0 up to a drawn level,
+    and up to 30 users who arrive and may depart; with ``moves``, each user
+    also moves 1-3 times."""
+    arity = draw(st.integers(1, 4))
+    levels = draw(st.integers(2, 5))
+    leaf_capacity = draw(st.integers(0, 4))
+    full = build_tree(levels=levels, arity=arity, leaf_capacity=leaf_capacity)
+    # a node always keeps its first child, so every leaf stays at level 0
+    prune = tuple(
+        child
+        for parent in full.nodes
+        for child in full.children(parent)[1:]
+        if draw(st.booleans())
+    )
+    kept = build_tree(levels, arity, leaf_capacity, prune=prune).nodes
+    overrides = draw(
+        st.dictionaries(st.sampled_from(kept), st.integers(0, 8), max_size=4)
+    )
+    topology = build_tree(levels, arity, leaf_capacity, overrides, prune)
+    classes: dict[int, ServiceClass] = {}
+    migration: dict[int, float] = {}
+    placement: dict[int, dict[int, float]] = {}
+    for cid in range(draw(st.integers(1, 4))):
+        top = draw(st.integers(0, levels - 1))
+        demand = {lvl: draw(st.integers(1, 3)) for lvl in range(top + 1)}
+        classes[cid] = ServiceClass(cid, f"c{cid}", 1.0, demand)
+        migration[cid] = float(draw(st.integers(0, 5)))
+        placement[cid] = {lvl: float(draw(st.integers(1, 9))) for lvl in demand}
+    ticks = st.integers(0, 300)  # event times on a 10 ms grid, up to 3 s
+    trace: list[tuple[int, int, int, TraceEvent]] = []
+    for user in range(draw(st.integers(0, 30))):
+        hops = draw(st.integers(1, 3)) if moves else 0
+        kinds = ["arrive"] + ["move"] * hops + ["depart"] * draw(st.booleans())
+        count = len(kinds)
+        times = draw(st.lists(ticks, min_size=count, max_size=count, unique=True))
+        cid = draw(st.sampled_from(sorted(classes)))
+        for step, (tick, kind) in enumerate(zip(sorted(times), kinds)):
+            if kind == "depart":
+                event = TraceEvent(tick / 100, user, kind)
+            else:
+                poa = draw(st.sampled_from(topology.leaves))
+                arriving = cid if kind == "arrive" else None
+                event = TraceEvent(tick / 100, user, kind, poa, arriving)
+            trace.append((tick, user, step, event))
+    return Scenario(
+        name="random",
+        topology=topology,
+        classes=classes,
+        costs=CostModel(migration_cost=migration, placement_cost=placement),
+        rtt_by_level={lvl: 0.001 * (lvl + 1) for lvl in range(levels)},
+        trace=tuple(event for *_, event in sorted(trace, key=lambda t: t[:3])),
+    )
+
+
+def _check_random_world(scenario: Scenario, algo: str) -> None:
+    """Invariants after every event, equal logs on a rerun, and a feasible
+    final placement for every attached user not failed or unplaced."""
+    result = run_scenario(scenario, algo, check_invariants=True)
+    again = run_scenario(scenario, algo)
+    assert again.event_log == result.event_log
+    attached: dict[int, Request] = {}
+    for ev in scenario.trace:
+        if ev.kind == "depart":
+            del attached[ev.user]
+            continue
+        cid = ev.class_id if ev.kind == "arrive" else attached[ev.user].class_id
+        reach = feasible_set_for(
+            scenario.topology, ev.poa, scenario.classes[cid], scenario.rtt_by_level
+        )
+        attached[ev.user] = Request(ev.user, cid, ev.poa, reach)
+    dropped = set(result.failed) | set(result.unplaced)
+    requests = {user: req for user, req in attached.items() if user not in dropped}
+    report = check_feasible(
+        scenario.topology, scenario.classes, requests, result.placements
+    )
+    assert report.ok, report
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_world(moves=False))
+def test_dapp_keeps_its_invariants_on_random_worlds(scenario: Scenario) -> None:
+    # Moves wait for the fix of push-down records that carry generation 0
+    # (ROADMAP item 1): with them, dapp breaks "placed but not recorded".
+    _check_random_world(scenario, "dapp")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _random_world(moves=True),
+    st.sampled_from(["ffit", "bupu", "cpvnf", "multiscaler", "exact"]),
+)
+def test_epoch_lanes_keep_their_invariants_on_random_worlds(
+    scenario: Scenario, algo: str
+) -> None:
+    _check_random_world(scenario, algo)
