@@ -9,119 +9,16 @@ centralized algorithms that re-place everything once per epoch.  The
 ``harness`` module and the ``python -m edgeplace`` CLI drive experiments:
 single runs, golden-log replays, signaling-overhead sweeps, and
 minimum-capacity searches.
+
+The modules are the API: each module's ``__all__`` lists its public names,
+and each name has one import path, through the module that defines it.
+``import edgeplace`` loads every module listed in ``__all__`` below, so
+``edgeplace.harness.run_scenario`` works without a further import; the
+command line is ``edgeplace.cli``.
 """
 
-from __future__ import annotations
-
-from .baselines import (
-    ALGORITHMS,
-    ExactSolverStats,
-    NoUpperBoundError,
-    availability_scaler,
-    bottom_up_push_up,
-    cheapest_feasible,
-    exact_optimal,
-    first_fit,
-    min_cpu_binary_search,
-)
-from .harness import (
-    ALGO_CHOICES,
-    build_simulator,
-    metrics_rows_for,
-    min_cpu_for,
-    replay_fixture,
-    run_scenario,
-    sweep_overhead,
-)
-from .model import (
-    CostModel,
-    FeasibilityReport,
-    Request,
-    ServiceClass,
-    Topology,
-    build_tree,
-    check_feasible,
-    feasible_set_for,
-)
-from .protocol import (
-    ProtocolNode,
-    ProtocolTiming,
-    Record,
-)
-from .scenarios import (
-    BUILTIN_SCENARIOS,
-    Scenario,
-    builtin_scenario,
-    default_profile,
-    load_config,
-    synthesize_trace,
-)
-from .simnet import (
-    Counters,
-    EpochDecision,
-    EpochProblem,
-    InvariantError,
-    LinkModel,
-    RunResult,
-    Simulator,
-    TraceEvent,
-    load_trace,
-    message_bits,
-    overhead_per_request,
-)
+from . import baselines, harness, model, protocol, scenarios, simnet
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "Topology",
-    "build_tree",
-    "ServiceClass",
-    "CostModel",
-    "Request",
-    "FeasibilityReport",
-    "feasible_set_for",
-    "check_feasible",
-    # protocol
-    "ProtocolNode",
-    "ProtocolTiming",
-    "Record",
-    # simulation
-    "Simulator",
-    "RunResult",
-    "Counters",
-    "InvariantError",
-    "LinkModel",
-    "TraceEvent",
-    "load_trace",
-    "message_bits",
-    "overhead_per_request",
-    "EpochProblem",
-    "EpochDecision",
-    # algorithms
-    "ALGORITHMS",
-    "first_fit",
-    "bottom_up_push_up",
-    "cheapest_feasible",
-    "availability_scaler",
-    "exact_optimal",
-    "ExactSolverStats",
-    "min_cpu_binary_search",
-    "NoUpperBoundError",
-    # scenarios
-    "Scenario",
-    "BUILTIN_SCENARIOS",
-    "builtin_scenario",
-    "default_profile",
-    "load_config",
-    "synthesize_trace",
-    # harness
-    "ALGO_CHOICES",
-    "build_simulator",
-    "run_scenario",
-    "metrics_rows_for",
-    "replay_fixture",
-    "sweep_overhead",
-    "min_cpu_for",
-]
+__all__ = ["baselines", "harness", "model", "protocol", "scenarios", "simnet"]

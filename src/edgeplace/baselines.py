@@ -41,7 +41,12 @@ __all__ = [
     "min_cpu_binary_search",
     "NoUpperBoundError",
     "ALGORITHMS",
+    "NODE_BUDGET",
 ]
+
+#: Search nodes the exact solver may expand before it reports its budget
+#: exhausted.
+NODE_BUDGET = 200_000
 
 
 def _residual_capacity(problem: EpochProblem) -> dict[DatacenterId, int]:
@@ -276,7 +281,7 @@ class ExactSolverStats:
 
 def exact_optimal(
     problem: EpochProblem,
-    node_budget: int = 500_000,
+    node_budget: int = NODE_BUDGET,
     stats: ExactSolverStats | None = None,
     *,
     first_solution: bool = False,

@@ -26,7 +26,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .baselines import NoUpperBoundError
+from .baselines import NODE_BUDGET, NoUpperBoundError
+from .golden_logs import GOLDEN_LOGS
 from .harness import (
     ALGO_CHOICES,
     metrics_rows_for,
@@ -41,7 +42,7 @@ from .scenarios import (
     check_trace,
     load_config,
 )
-from .simnet import load_trace
+from .simnet import EVENT_BUDGET, load_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -161,12 +162,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    golden_text = None
-    if args.golden is not None:
-        golden_text = Path(args.golden).read_text()
-    outcome = replay_fixture(
-        args.fixture, golden_text=golden_text, event_budget=args.budget
-    )
+    outcome = replay_fixture(args.fixture)
     if outcome.ok:
         print(f"replay {args.fixture}: PASS ({len(outcome.result.event_log)} events)")
         return 0
@@ -234,11 +230,11 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--budget", type=int, default=500_000,
+        "--budget", type=int, default=EVENT_BUDGET,
         help="event budget before a run is declared diverged",
     )
     sub.add_argument(
-        "--bnb-budget", type=int, default=200_000,
+        "--bnb-budget", type=int, default=NODE_BUDGET,
         help="search-node budget for the exact solver",
     )
 
@@ -285,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = commands.add_parser(
         "replay", help="check a fixture against its frozen event log"
     )
-    rep.add_argument("fixture", choices=("fig2", "fig3"), help="fixture name")
-    rep.add_argument("--golden", help="compare against this log file instead")
-    rep.add_argument("--budget", type=int, default=500_000)
+    rep.add_argument("fixture", choices=sorted(GOLDEN_LOGS), help="fixture name")
     rep.set_defaults(func=_cmd_replay)
 
     sweep = commands.add_parser(
@@ -303,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--leaf-capacity", type=int,
         help="skip the sizing run and use this capacity directly",
     )
-    sweep.add_argument("--budget", type=int, default=500_000)
+    sweep.add_argument("--budget", type=int, default=EVENT_BUDGET)
     _add_report_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep_overhead)
 

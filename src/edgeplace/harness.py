@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from . import golden_logs
 from .baselines import (
     ALGORITHMS,
+    NODE_BUDGET,
     _slot_count,
     exact_optimal,
     min_cpu_binary_search,
@@ -31,7 +32,7 @@ from .scenarios import (
     jittered_scenario,
     rand_scenario,
 )
-from .simnet import RunResult, Simulator
+from .simnet import EVENT_BUDGET, RunResult, Simulator
 
 __all__ = [
     "ALGO_CHOICES",
@@ -56,9 +57,9 @@ def build_simulator(
     scenario: Scenario,
     algo: str,
     *,
-    event_budget: int = 500_000,
+    event_budget: int = EVENT_BUDGET,
     check_invariants: bool = False,
-    bnb_budget: int = 200_000,
+    bnb_budget: int = NODE_BUDGET,
     first_solution: bool = False,
 ) -> Simulator:
     """A fresh simulator for one run of ``algo`` over ``scenario``.
@@ -94,9 +95,9 @@ def run_scenario(
     scenario: Scenario,
     algo: str,
     *,
-    event_budget: int = 500_000,
+    event_budget: int = EVENT_BUDGET,
     check_invariants: bool = False,
-    bnb_budget: int = 200_000,
+    bnb_budget: int = NODE_BUDGET,
 ) -> RunResult:
     """Run one algorithm over one scenario to quiescence."""
     sim = build_simulator(
@@ -178,16 +179,17 @@ def metrics_rows_for(
     algos: Sequence[str],
     seed: int,
     *,
-    event_budget: int = 500_000,
-    bnb_budget: int = 200_000,
+    event_budget: int = EVENT_BUDGET,
+    bnb_budget: int = NODE_BUDGET,
     check_invariants: bool = False,
     normalize: bool = True,
 ) -> tuple[list[dict[str, Any]], dict[str, RunResult]]:
     """Run every requested algorithm once and build their report rows.
 
     Also runs the exact solver as the normalization reference when asked
-    (reusing it if it is itself on the algorithm list).  Scenarios with no
-    requests produce no rows.
+    (reusing it if it is itself on the algorithm list).  A scenario whose
+    trace has an arrival gets a row for every algorithm, also for a run
+    that stopped before that arrival; one without gets no rows.
     """
     run = partial(
         run_scenario,
@@ -207,10 +209,11 @@ def metrics_rows_for(
     for algo in algos:
         if algo not in results:
             results[algo] = run(algo)
+    has_arrival = any(ev.kind == "arrive" for ev in scenario.trace)
     rows = [
         metrics_row(scenario.name, algo, seed, results[algo], reference_cost)
         for algo in algos
-        if results[algo].request_count > 0
+        if has_arrival
     ]
     return rows, results
 
@@ -270,28 +273,17 @@ def _first_divergence(expected: Sequence[str], actual: Sequence[str]) -> list[st
     return []
 
 
-def replay_fixture(
-    name: str,
-    golden_text: str | None = None,
-    *,
-    event_budget: int = 500_000,
-) -> ReplayOutcome:
-    """Re-run a built-in fixture and compare its event log to the frozen one.
-
-    ``golden_text`` overrides the embedded log (used to test the comparison
-    itself); otherwise the fixture's committed log is used.
-    """
+def replay_fixture(name: str) -> ReplayOutcome:
+    """Re-run a built-in fixture and compare its event log to the frozen
+    one in ``golden_logs.GOLDEN_LOGS``."""
+    golden_text = golden_logs.GOLDEN_LOGS.get(name)
     if golden_text is None:
-        golden_text = golden_logs.GOLDEN_LOGS.get(name)
-        if golden_text is None:
-            raise ValueError(
-                f"no frozen log for {name!r}; choose one of "
-                f"{sorted(golden_logs.GOLDEN_LOGS)}"
-            )
+        raise ValueError(
+            f"no frozen log for {name!r}; choose one of "
+            f"{sorted(golden_logs.GOLDEN_LOGS)}"
+        )
     # the ``dapp`` run, invariants checked, that the golden log freezes
-    result = run_scenario(
-        builtin_scenario(name), "dapp", event_budget=event_budget, check_invariants=True
-    )
+    result = run_scenario(builtin_scenario(name), "dapp", check_invariants=True)
     diff = _first_divergence(golden_text.splitlines(), result.event_log)
     return ReplayOutcome(name=name, ok=not diff, diff=tuple(diff), result=result)
 
@@ -310,8 +302,8 @@ def min_cpu_for(
     arity: int = 2,
     family: str = "rand",
     tolerance: int = 1,
-    event_budget: int = 500_000,
-    bnb_budget: int = 200_000,
+    event_budget: int = EVENT_BUDGET,
+    bnb_budget: int = NODE_BUDGET,
 ) -> int:
     """Least leaf capacity at which ``algo`` serves the whole scenario.
 
@@ -395,7 +387,7 @@ def sweep_overhead(
     users: int = 24,
     levels: int = 6,
     arity: int = 2,
-    event_budget: int = 500_000,
+    event_budget: int = EVENT_BUDGET,
     leaf_capacity: int | None = None,
 ) -> list[dict[str, Any]]:
     """Signaling cost of the protocol across class-mix and batching grids.

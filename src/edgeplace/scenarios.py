@@ -217,8 +217,13 @@ def synthesize_trace(
     otherwise arrivals are Poisson at ``arrival_rate`` per second.  Users
     optionally depart after an exponential hold and hop to a fresh uniform
     leaf every ``move_period`` seconds (first hop no earlier than 50 ms
-    after arrival, so placement has settled).
+    after arrival, so placement has settled).  A share outside [0, 1] or a
+    negative user count is a ValueError.
     """
+    if not 0.0 <= p_rt <= 1.0:
+        raise ValueError(f"the tight-class share p_rt must be in [0, 1], not {p_rt}")
+    if users < 0:
+        raise ValueError(f"the user count must be >= 0, not {users}")
     rng = random.Random(seed)
     leaves = list(topology.leaves)
     events: list[TraceEvent] = []
@@ -433,43 +438,54 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
     The file describes the tree (levels, arity, leaf capacity, optional
     per-node capacity overrides and pruned subtrees), the service classes
     with their prices, per-level round-trip times, optional timing and link
-    overrides, and either a trace CSV path or a synthetic-trace block.
+    overrides, and either a trace CSV path or a synthetic-trace block.  A
+    missing key or a value of the wrong JSON type is a ValueError naming
+    the file.
     """
     path = Path(path)
     with open(path) as fh:
         cfg = json.load(fh)
     try:
-        tree = cfg["tree"]
-        topology = build_tree(
-            levels=int(tree["levels"]),
-            arity=int(tree["arity"]),
-            leaf_capacity=int(tree["leaf_capacity"]),
-            capacity_overrides={
-                int(k): int(v)
-                for k, v in tree.get("capacity_overrides", {}).items()
-            },
-            prune=tuple(int(n) for n in tree.get("prune", ())),
-        )
-        classes = {
-            int(entry["class_id"]): _class_from_config(entry)
-            for entry in cfg["classes"]
-        }
-        costs = CostModel(
-            migration_cost={
-                int(entry["class_id"]): float(entry["migration_cost"])
-                for entry in cfg["classes"]
-            },
-            placement_cost={
-                int(entry["class_id"]): {
-                    int(k): float(v) for k, v in entry["placement_cost"].items()
-                }
-                for entry in cfg["classes"]
-            },
-            per_bit_cost=float(cfg.get("per_bit_cost", 0.0)),
-        )
-        rtt = {int(k): float(v) for k, v in cfg["rtt_by_level"].items()}
+        scenario = _config_scenario(cfg, path, seed)
     except KeyError as missing:
         raise ValueError(f"config {path} lacks required key {missing}") from None
+    except (AttributeError, TypeError) as err:
+        raise ValueError(f"config {path}: a value has the wrong type ({err})") from None
+    check_trace(scenario, f"config {path}")
+    return scenario
+
+
+def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
+    """The scenario a parsed config describes; see :func:`load_config`."""
+    tree = cfg["tree"]
+    topology = build_tree(
+        levels=int(tree["levels"]),
+        arity=int(tree["arity"]),
+        leaf_capacity=int(tree["leaf_capacity"]),
+        capacity_overrides={
+            int(k): int(v)
+            for k, v in tree.get("capacity_overrides", {}).items()
+        },
+        prune=tuple(int(n) for n in tree.get("prune", ())),
+    )
+    classes = {
+        int(entry["class_id"]): _class_from_config(entry)
+        for entry in cfg["classes"]
+    }
+    costs = CostModel(
+        migration_cost={
+            int(entry["class_id"]): float(entry["migration_cost"])
+            for entry in cfg["classes"]
+        },
+        placement_cost={
+            int(entry["class_id"]): {
+                int(k): float(v) for k, v in entry["placement_cost"].items()
+            }
+            for entry in cfg["classes"]
+        },
+        per_bit_cost=float(cfg.get("per_bit_cost", 0.0)),
+    )
+    rtt = {int(k): float(v) for k, v in cfg["rtt_by_level"].items()}
     tree_levels = {topology.level(n) for n in topology.nodes}
     for cid, klass in classes.items():
         for level in sorted(tree_levels.intersection(klass.cpu_demand)):
@@ -493,7 +509,7 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         )
     else:
         trace = ()
-    scenario = Scenario(
+    return Scenario(
         name=str(cfg.get("name", path.stem)),
         topology=topology,
         classes=classes,
@@ -503,6 +519,4 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         timing=timing,
         link=link,
     )
-    check_trace(scenario, f"config {path}")
-    return scenario
 

@@ -57,10 +57,15 @@ __all__ = [
     "Counters",
     "RunResult",
     "Simulator",
-    "InvariantError",
+    "EVENT_BUDGET",
+    "EpochProblem",
+    "EpochDecision",
     "overhead_per_request",
     "DEPARTED_POA",
 ]
+
+#: Events a run may process before it stops and reads ``diverged``.
+EVENT_BUDGET = 500_000
 
 #: PoA column value marking a departure row in trace files.
 DEPARTED_POA = "OUT"
@@ -318,7 +323,7 @@ class Simulator:
         timing: ProtocolTiming | None = None,
         link: LinkModel | None = None,
         algorithm: EpochAlgorithm | None = None,
-        event_budget: int = 500_000,
+        event_budget: int = EVENT_BUDGET,
         check_invariants: bool = False,
     ) -> None:
         self.topology = topology

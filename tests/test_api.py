@@ -10,8 +10,11 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,39 @@ def test_module_exports_resolve(module: str) -> None:
     mod = importlib.import_module(f"edgeplace.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def _defined_names(path: Path) -> set[str]:
+    """Names a module binds at its top level by ``def``, ``class`` or
+    assignment, not by import."""
+    names: set[str] = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_each_public_name_has_one_import_path() -> None:
+    # The modules are the API: the package root lists and binds only
+    # modules, and a module lists only what it defines itself.
+    assert set(edgeplace.__all__) <= set(_modules()) | {"__version__"}
+    loose = sorted(
+        name
+        for name, value in vars(edgeplace).items()
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
+    )
+    assert loose == []
+    root = Path(edgeplace.__file__).resolve().parent
+    foreign = []
+    for module in _modules():
+        mod = importlib.import_module(f"edgeplace.{module}")
+        exported = getattr(mod, "__all__", ())
+        defined = _defined_names(root / f"{module}.py")
+        foreign += [f"{module}.{name}" for name in exported if name not in defined]
+    assert foreign == []
 
 
 def _names_used_outside_tests() -> set[str]:
@@ -119,6 +155,25 @@ def test_benchmark_module_lookups_resolve() -> None:
         if not hasattr(importlib.import_module(f"edgeplace.{mod}"), attr)
     )
     assert missing == []
+
+
+@needs_bench
+def test_importing_the_package_binds_the_modules_the_benchmark_reads() -> None:
+    # the benchmark reads ep.<module> right after ``import edgeplace``; in a
+    # fresh interpreter, so imports made by other tests cannot bind them
+    modules = {mod for f in BENCH_FILES for mod, _ in _ep_lookups(BENCH / f)}
+    src = str(Path(edgeplace.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import edgeplace; print(*dir(edgeplace))"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(modules - set(proc.stdout.split())) == []
 
 
 @needs_bench

@@ -13,7 +13,7 @@ from typing import Callable
 
 import pytest
 
-from edgeplace import harness, scenarios
+from edgeplace import golden_logs, harness, scenarios
 from edgeplace.baselines import ExactSolverStats, exact_optimal
 from edgeplace.cli import main
 from edgeplace.golden_logs import GOLDEN_LOGS
@@ -188,28 +188,31 @@ def test_replay_fixtures_match_their_frozen_logs() -> None:
         assert outcome.result.verdict == "ok"
 
 
-def test_replay_reports_the_first_divergence() -> None:
+def test_replay_reports_the_first_divergence(monkeypatch) -> None:
     lines = GOLDEN_LOGS["fig2"].splitlines()
     lines[4] = lines[4] + " (tampered)"
-    outcome = replay_fixture("fig2", golden_text="\n".join(lines) + "\n")
+    monkeypatch.setitem(golden_logs.GOLDEN_LOGS, "fig2", "\n".join(lines) + "\n")
+    outcome = replay_fixture("fig2")
     assert not outcome.ok
     assert outcome.diff[0] == "first difference at event 5:"
     assert "(tampered)" in outcome.diff[1]
 
 
-def test_replay_reports_a_truncated_golden_log() -> None:
+def test_replay_reports_a_truncated_golden_log(monkeypatch) -> None:
     lines = GOLDEN_LOGS["fig3"].splitlines()[:10]
-    outcome = replay_fixture("fig3", golden_text="\n".join(lines) + "\n")
+    monkeypatch.setitem(golden_logs.GOLDEN_LOGS, "fig3", "\n".join(lines) + "\n")
+    outcome = replay_fixture("fig3")
     assert not outcome.ok
     assert outcome.diff[0] == "first difference at event 11:"
     assert "<end of log>" in outcome.diff[1]
 
 
-def test_replay_reports_a_golden_log_longer_than_the_run() -> None:
-    text = GOLDEN_LOGS["fig2"] + "9.000000 s0 never happens\n"
-    outcome = replay_fixture("fig2", golden_text=text)
-    assert not outcome.ok
+def test_replay_reports_a_golden_log_longer_than_the_run(monkeypatch) -> None:
     events = len(GOLDEN_LOGS["fig2"].splitlines())
+    text = GOLDEN_LOGS["fig2"] + "9.000000 s0 never happens\n"
+    monkeypatch.setitem(golden_logs.GOLDEN_LOGS, "fig2", text)
+    outcome = replay_fixture("fig2")
+    assert not outcome.ok
     assert outcome.diff == (
         f"first difference at event {events + 1}:",
         "  expected: 9.000000 s0 never happens",
@@ -585,6 +588,42 @@ def test_cli_run_reports_divergence_with_exit_2(capsys) -> None:
     assert ",diverged," in out
 
 
+@pytest.mark.parametrize(
+    "scenario, algo, budget",
+    [("jitter", "ffit", "1"), ("synth", "bupu", "1"), ("fig3", "dapp", "0")],
+)
+def test_cli_run_reports_a_run_cut_before_its_first_arrival(
+    capsys, scenario: str, algo: str, budget: str
+) -> None:
+    # the budget runs out before the first arrival is reached, so the run
+    # counts no requests; its row must still show that it diverged
+    code = main(
+        ["run", "--scenario", scenario, "--algo", algo, "--budget", budget,
+         "--no-normalize"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 2 and ",diverged," in lines[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--p-rt", "2"],
+        ["run", "--p-rt", "nan"],
+        ["run", "--users", "-3"],
+        ["min-cpu", "--p-rt", "1.5", "--users", "4"],
+    ],
+    ids=["share-above-one", "nan-share", "negative-users", "min-cpu-share"],
+)
+def test_cli_rejects_out_of_range_family_inputs(capsys, argv: list[str]) -> None:
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_run_writes_report_and_log(tmp_path: Path, capsys) -> None:
     report = tmp_path / "report.csv"
     log = tmp_path / "events.log"
@@ -744,6 +783,33 @@ def test_cli_run_rejects_bad_link_and_timing_values(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: {**c, "tree": {**c["tree"], "levels": None}},
+        lambda c: {**c, "link": {"capacity_bps": None}},
+        lambda c: {**c, "synth": {**c["synth"], "users": None}},
+        lambda c: {**c, "synth": {**c["synth"], "hold_mean": "x"}},
+        lambda c: {**c, "classes": [{**c["classes"][0], "cpu_demand": [1, 1]}]},
+        lambda c: {**c, "rtt_by_level": None},
+        lambda c: {**c, "classes": {"a": 1}},
+        lambda c: [c],
+    ],
+    ids=["null-levels", "null-capacity", "null-users", "text-hold-mean",
+         "list-demand", "null-rtt", "classes-object", "top-level-list"],
+)
+def test_cli_run_rejects_config_values_of_the_wrong_type(
+    tmp_path: Path, capsys, edit: Callable[[dict], object]
+) -> None:
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(edit(_tiny_config())))
+    code = main(["run", "--config", str(cfg_path), "--algo", "dapp"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg_path}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_sweep_overhead_rejects_a_negative_window(capsys) -> None:
     code = main(["sweep-overhead", "--t-ad=-1e-4"])
     assert code == 1
@@ -760,12 +826,11 @@ def test_cli_replay_passes_the_fixtures(capsys) -> None:
         assert out.startswith(f"replay {name}: PASS")
 
 
-def test_cli_replay_fails_on_a_tampered_log(tmp_path: Path, capsys) -> None:
+def test_cli_replay_fails_on_a_tampered_log(monkeypatch, capsys) -> None:
     lines = GOLDEN_LOGS["fig2"].splitlines()
     lines[0] = lines[0] + " oops"
-    golden = tmp_path / "golden.log"
-    golden.write_text("\n".join(lines) + "\n")
-    code = main(["replay", "fig2", "--golden", str(golden)])
+    monkeypatch.setitem(golden_logs.GOLDEN_LOGS, "fig2", "\n".join(lines) + "\n")
+    code = main(["replay", "fig2"])
     out = capsys.readouterr().out
     assert code == 2
     assert "replay fig2: FAIL" in out

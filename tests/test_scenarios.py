@@ -157,6 +157,17 @@ def test_synthesis_is_deterministic() -> None:
     )
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [dict(p_rt=1.5), dict(p_rt=-0.1), dict(p_rt=float("nan")), dict(users=-3)],
+    ids=["share-above-one", "negative-share", "nan-share", "negative-users"],
+)
+def test_synthesis_rejects_out_of_range_inputs(bad: dict) -> None:
+    topology, _, _, _ = default_profile(leaf_capacity=10, levels=3)
+    with pytest.raises(ValueError):
+        synthesize_trace(topology, **{"seed": 1, "users": 4, "p_rt": 0.5, **bad})
+
+
 def test_poisson_arrivals_accumulate() -> None:
     topology, _, _, _ = default_profile(leaf_capacity=10, levels=3)
     trace = synthesize_trace(
