@@ -42,7 +42,7 @@ from .scenarios import (
     check_trace,
     load_config,
 )
-from .simnet import EVENT_BUDGET, load_trace
+from .simnet import EVENT_BUDGET, EventLog, load_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -133,7 +133,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.log is not None and (len(algos) != 1 or len(seeds) != 1):
         raise _CliError("--log needs exactly one algorithm and one seed")
     rows = []
-    log_lines: list[str] | None = None
+    log_lines: EventLog | None = None
     for seed in seeds:
         scenario = _scenario_for(args, seed)
         seed_rows, results = metrics_rows_for(

@@ -43,6 +43,7 @@ inputs replay to identical traces.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Protocol, Sequence
 
@@ -60,6 +61,8 @@ __all__ = [
     "PdSession",
     "ProtocolNode",
     "sort_requests",
+    "pack_ids",
+    "unpack_ids",
 ]
 
 
@@ -190,13 +193,20 @@ class World(Protocol):
         of the host's reach (such a record stays alive until re-placed)."""
         ...
 
-    def record_current(self, rec: Record) -> bool: ...
+    def record_current(self, rec: Record) -> bool:
+        """``rec``'s request is active, and no newer copy issued after a
+        user move has superseded ``rec``."""
+        ...
 
     def request_info(self, request_id: RequestId) -> Request | None: ...
 
     def note_push_down(self) -> None: ...
 
-    def log(self, node: DatacenterId, text: str) -> None: ...
+    def log(self, node: DatacenterId, template: str, *args: object) -> None:
+        """Record an event at ``node``: a constant ``%``-template and the
+        values it formats, ints, floats, strings or :func:`pack_ids` lists.
+        The caller builds no text; the engine renders it when it is read."""
+        ...
 
 
 # --------------------------------------------------------------------------
@@ -228,13 +238,23 @@ def _keyed(records: Iterable[Record]) -> dict[RequestId, Record]:
     return {rec.request_id: rec for rec in records}
 
 
-def _rids(request_ids: Collection[RequestId]) -> str:
-    """Request ids as the event log lists them: ``r1,r4,r9``."""
-    return "r" + ",r".join(map(str, request_ids)) if request_ids else ""
+#: ``array`` type code of packed request ids: signed 64-bit ints.
+_ID_TYPECODE = "q"
 
 
-def _ids(records: Iterable[Record]) -> str:
-    return _rids([r.request_id for r in records])
+def pack_ids(request_ids: Iterable[RequestId]) -> bytes:
+    """A request-id list as :meth:`World.log` takes it: a bytes snapshot,
+    which the garbage collector does not track; see :func:`unpack_ids`."""
+    return array(_ID_TYPECODE, request_ids).tobytes()
+
+
+def unpack_ids(packed: bytes) -> array:
+    """The request ids :func:`pack_ids` packed, in their order."""
+    return array(_ID_TYPECODE, packed)
+
+
+def _pack_records(records: Iterable[Record]) -> bytes:
+    return pack_ids([r.request_id for r in records])
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +354,7 @@ class ProtocolNode:
         deadline = self.world.now() + self.timing.fallback_period
         if deadline > self.f_mode_until:
             self.f_mode_until = deadline
-            self.world.log(self.node_id, f"f-mode until {deadline:.6f}")
+            self.world.log(self.node_id, "f-mode until %.6f", deadline)
 
     def _child_towards(self, node: DatacenterId) -> DatacenterId:
         child = self._child_of.get(node)
@@ -360,16 +380,11 @@ class ProtocolNode:
         self.placed[rid] = units
         self.world.commit_placement(rid, self.node_id)
 
-    def _live(self, rec: Record) -> bool:
-        """``rec``'s request is active, and no newer copy issued after a user
-        move has superseded ``rec``."""
-        return self.world.is_active(rec.request_id) and self.world.record_current(rec)
-
     def _merge_records(
         self, target: dict[RequestId, Record], incoming: Iterable[Record]
     ) -> None:
         for rec in incoming:
-            if rec.request_id not in target and self._live(rec):
+            if rec.request_id not in target and self.world.record_current(rec):
                 target[rec.request_id] = rec
 
     def _take_scan_input(self, incoming: Sequence[Record]) -> None:
@@ -443,8 +458,9 @@ class ProtocolNode:
             if self.pd_session is not None:
                 self.world.log(
                     self.node_id,
-                    f"pd busy, refusing offer from s{sender} "
-                    f"({len(msg.records)} records)",
+                    "pd busy, refusing offer from s%d (%d records)",
+                    sender,
+                    len(msg.records),
                 )
                 self.world.send(
                     self.node_id,
@@ -496,8 +512,9 @@ class ProtocolNode:
         self._take_scan_input(incoming)
         self.world.log(
             self.node_id,
-            "scan run na=[%s] pu=[%s]"
-            % (_rids(self.not_assigned), _rids(self.push_up)),
+            "scan run na=[%s] pu=[%s]",
+            pack_ids(self.not_assigned),
+            pack_ids(self.push_up),
         )
         new_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
@@ -508,12 +525,12 @@ class ProtocolNode:
             if units is not None and units <= self.available:
                 del self.not_assigned[rec.request_id]
                 if rec.top_feasible == self.node_id:
-                    self.world.log(self.node_id, f"scan top-place r{rec.request_id}")
+                    self.world.log(self.node_id, "scan top-place r%d", rec.request_id)
                     self._place(rec, reserved=False)
                 else:
                     self.available -= units
                     self.assigned[rec.request_id] = units
-                    self.world.log(self.node_id, f"scan assign r{rec.request_id}")
+                    self.world.log(self.node_id, "scan assign r%d", rec.request_id)
                     self.push_up[rec.request_id] = replace(rec, origin=self.node_id)
             elif rec.top_feasible == self.node_id:
                 if rec.request_id not in self.pd_pending:
@@ -521,7 +538,7 @@ class ProtocolNode:
         if new_push_down:
             self.pd_pending.update(dict.fromkeys(new_push_down))
             self.world.log(
-                self.node_id, "scan push-down-pending [%s]" % _rids(new_push_down)
+                self.node_id, "scan push-down-pending [%s]", pack_ids(new_push_down)
             )
             self._arm_timer("push_down")
             return  # the push-down epilogue will move the leftovers
@@ -535,9 +552,7 @@ class ProtocolNode:
         is still winding down — are failed outright.
         """
         self._take_scan_input(incoming)
-        self.world.log(
-            self.node_id, "f-scan run na=[%s]" % _rids(self.not_assigned)
-        )
+        self.world.log(self.node_id, "f-scan run na=[%s]", pack_ids(self.not_assigned))
         schedule_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
             if self.world.is_served(rec.request_id):
@@ -546,7 +561,7 @@ class ProtocolNode:
             units = self.demand.get(rec.class_id)
             if units is not None and units <= self.available:
                 del self.not_assigned[rec.request_id]
-                self.world.log(self.node_id, f"f-scan place r{rec.request_id}")
+                self.world.log(self.node_id, "f-scan place r%d", rec.request_id)
                 self._place(rec, reserved=False)
                 self.pd_pending.pop(rec.request_id, None)
             elif rec.top_feasible == self.node_id:
@@ -554,7 +569,7 @@ class ProtocolNode:
                     continue  # its own push-down is already scheduled
                 if self.pd_session is not None:
                     del self.not_assigned[rec.request_id]
-                    self.world.log(self.node_id, f"f-scan failure r{rec.request_id}")
+                    self.world.log(self.node_id, "f-scan failure r%d", rec.request_id)
                     self.world.report_failure(rec.request_id, self.node_id)
                 else:
                     schedule_push_down.append(rec.request_id)
@@ -562,7 +577,8 @@ class ProtocolNode:
             self.pd_pending.update(dict.fromkeys(schedule_push_down))
             self.world.log(
                 self.node_id,
-                "f-scan push-down-pending [%s]" % _rids(schedule_push_down),
+                "f-scan push-down-pending [%s]",
+                pack_ids(schedule_push_down),
             )
             self._arm_timer("push_down")
         forward = [
@@ -577,7 +593,9 @@ class ProtocolNode:
                 del self.not_assigned[rec.request_id]
             self.world.log(
                 self.node_id,
-                "f-scan forward [%s] -> s%d" % (_ids(forward), self.parent),
+                "f-scan forward [%s] -> s%d",
+                _pack_records(forward),
+                self.parent,
             )
             self.world.send(self.node_id, self.parent, SfsMsg(tuple(forward)))
         self._assert_no_stuck_records()
@@ -599,8 +617,10 @@ class ProtocolNode:
                     self.outstanding_pu.add(rec.request_id)
                 self.world.log(
                     self.node_id,
-                    "scan forward na=[%s] pu=[%s] -> s%d"
-                    % (_ids(fwd_na), _ids(fwd_pu), self.parent),
+                    "scan forward na=[%s] pu=[%s] -> s%d",
+                    _pack_records(fwd_na),
+                    _pack_records(fwd_pu),
+                    self.parent,
                 )
                 self.world.send(
                     self.node_id, self.parent, SfsMsg(tuple(fwd_na + fwd_pu))
@@ -627,14 +647,14 @@ class ProtocolNode:
         if not records:
             return
         records = self._sorted(records)
-        self.world.log(self.node_id, "pu run [%s]" % _ids(records))
+        self.world.log(self.node_id, "pu run [%s]", _pack_records(records))
         acks: dict[DatacenterId, list[tuple[Record, bool]]] = {}
         downs: dict[DatacenterId, list[Record]] = {}
         for rec in records:
             if rec.origin == self.node_id:
                 # back at its reservation: nothing above took it
                 if rec.request_id in self.assigned:
-                    self.world.log(self.node_id, f"pu settle r{rec.request_id}")
+                    self.world.log(self.node_id, "pu settle r%d", rec.request_id)
                     self._place(rec, reserved=True)
                 continue
             if rec.origin is None:
@@ -642,7 +662,7 @@ class ProtocolNode:
             child = self._child_towards(rec.origin)
             units = self.demand.get(rec.class_id)
             if units is not None and units <= self.available:
-                self.world.log(self.node_id, f"pu host r{rec.request_id}")
+                self.world.log(self.node_id, "pu host r%d", rec.request_id)
                 self._place(rec, reserved=False)
                 acks.setdefault(child, []).append((rec, True))
             else:
@@ -667,9 +687,9 @@ class ProtocolNode:
                     continue  # resolved through another path meanwhile
                 if hosted_above:
                     self.available += self.assigned.pop(rec.request_id)
-                    self.world.log(self.node_id, f"pu release r{rec.request_id}")
+                    self.world.log(self.node_id, "pu release r%d", rec.request_id)
                 else:
-                    self.world.log(self.node_id, f"pu settle r{rec.request_id}")
+                    self.world.log(self.node_id, "pu settle r%d", rec.request_id)
                     self._place(rec, reserved=True)
             else:
                 relay.append((rec, hosted_above))
@@ -685,7 +705,7 @@ class ProtocolNode:
         records = self._take_push_up(incoming)
         if not records:
             return
-        self.world.log(self.node_id, "f-pu refuse [%s]" % _ids(records))
+        self.world.log(self.node_id, "f-pu refuse [%s]", _pack_records(records))
         relay: list[tuple[Record, bool]] = []
         for rec in records:
             if not self.world.is_active(rec.request_id):
@@ -769,20 +789,25 @@ class ProtocolNode:
         self.world.note_push_down()
         records = self._open_push_down(problematic, self.node_id, None, deficit)
         self.world.log(
-            self.node_id, "pd start deficit=%d records=[%s]" % (deficit, _ids(records))
+            self.node_id,
+            "pd start deficit=%d records=[%s]",
+            deficit,
+            _pack_records(records),
         )
         self._continue_push_down()
 
     def accept_push_down(self, sender: DatacenterId, msg: PdRequestMsg) -> None:
         """Join a push-down chain started above us."""
-        usable = [rec for rec in msg.records if self._live(rec)]
+        usable = [rec for rec in msg.records if self.world.record_current(rec)]
         records = self._open_push_down(
             usable, msg.initiator, sender, msg.deficit, tuple(msg.records)
         )
         self.world.log(
             self.node_id,
-            "pd accept from s%d deficit=%d records=[%s]"
-            % (sender, msg.deficit, _ids(records)),
+            "pd accept from s%d deficit=%d records=[%s]",
+            sender,
+            msg.deficit,
+            _pack_records(records),
         )
         self._continue_push_down()
 
@@ -815,7 +840,7 @@ class ProtocolNode:
         available, deficit = self.available, session.deficit
         fits: list[Record] = []
         for rec in session.records.values():
-            if rec.origin == self.node_id or not self._live(rec):
+            if rec.origin == self.node_id or not self.world.record_current(rec):
                 continue
             units = self.demand.get(rec.class_id)
             if units is None or units > available:
@@ -865,8 +890,10 @@ class ProtocolNode:
             session.awaiting = child
             self.world.log(
                 self.node_id,
-                "pd offer -> s%d records=[%s] deficit=%d"
-                % (child, _ids(offer), session.deficit),
+                "pd offer -> s%d records=[%s] deficit=%d",
+                child,
+                _pack_records(offer),
+                session.deficit,
             )
             self.world.send(
                 self.node_id,
@@ -899,7 +926,7 @@ class ProtocolNode:
                 # a reservation of ours was hosted below: release it
                 self.available += self.assigned.pop(rec.request_id)
                 self.push_up.pop(rec.request_id, None)
-                self.world.log(self.node_id, f"pd release r{rec.request_id}")
+                self.world.log(self.node_id, "pd release r%d", rec.request_id)
             if rec.origin is None:
                 self.not_assigned.pop(rec.request_id, None)
         self._continue_push_down()
@@ -911,7 +938,7 @@ class ProtocolNode:
         received_ids = {r.request_id for r in session.received}
         hosted, session.deficit = self._hosting_pass()
         for rec in hosted:
-            self.world.log(self.node_id, f"pd host r{rec.request_id}")
+            self.world.log(self.node_id, "pd host r%d", rec.request_id)
             self._place(rec, reserved=False)
             if rec.request_id in received_ids:
                 session.hosted_ids.add(rec.request_id)
@@ -924,8 +951,10 @@ class ProtocolNode:
             )
             self.world.log(
                 self.node_id,
-                "pd ack -> s%d deficit=%d hosted=[%s]"
-                % (session.caller, session.deficit, _rids(sorted(session.hosted_ids))),
+                "pd ack -> s%d deficit=%d hosted=[%s]",
+                session.caller,
+                session.deficit,
+                pack_ids(sorted(session.hosted_ids)),
             )
             self.world.send(
                 self.node_id,

@@ -9,9 +9,9 @@ scenario can be described as a JSON file; see :func:`load_config`.
 
 from __future__ import annotations
 
-import inspect
 import json
 import random
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence, TypeVar
@@ -377,18 +377,67 @@ def builtin_scenario(name: str, seed: int = 1, **overrides: Any) -> Scenario:
 # config files
 
 
-def _class_from_config(entry: Mapping[str, Any]) -> ServiceClass:
+#: The JSON type a config value must have, by the type it is read as.
+_JSON_TYPES = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+}
+
+
+def _read(value: Any, kind: Any, key: str, path: Path) -> Any:
+    """``value``, the config's ``key``, read as ``kind``: an int must be a
+    JSON integer and a bool ``true`` or ``false``; a float may be any JSON
+    number, and a ``float | None`` also ``null``.  Anything else is a
+    ValueError naming the file and the key."""
+    if kind == float | None:
+        if value is None:
+            return None
+        kind = float
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ValueError(
+            f"config {path}: {key} must be {_JSON_TYPES[kind]}, not {json.dumps(value)}"
+        )
+    return value
+
+
+def _read_keyed(
+    block: Mapping[str, Any], kind: type, key: str, path: Path
+) -> dict[int, Any]:
+    """A JSON object keyed by level or node id, its values read as ``kind``."""
+    out = {}
+    for name, value in block.items():
+        try:
+            number = int(name)
+        except ValueError:
+            raise ValueError(
+                f"config {path}: {key} has key {name!r}, not an integer"
+            ) from None
+        out[number] = _read(value, kind, f"{key}.{name}", path)
+    return out
+
+
+def _class_from_config(entry: Mapping[str, Any], path: Path) -> ServiceClass:
+    class_id = _read(entry["class_id"], int, "classes.class_id", path)
+    where = f"classes[{class_id}]"
     return ServiceClass(
-        class_id=int(entry["class_id"]),
-        name=str(entry.get("name", f"class{entry['class_id']}")),
-        max_delay=float(entry["max_delay"]),
-        cpu_demand={int(k): int(v) for k, v in entry["cpu_demand"].items()},
+        class_id=class_id,
+        name=_read(entry.get("name", f"class{class_id}"), str, f"{where}.name", path),
+        max_delay=_read(entry["max_delay"], float, f"{where}.max_delay", path),
+        cpu_demand=_read_keyed(entry["cpu_demand"], int, f"{where}.cpu_demand", path),
     )
 
 
-#: Keys a config's ``synth`` block may set: the arguments of
-#: :func:`synthesize_trace` after the topology.
-_SYNTH_KEYS = tuple(inspect.signature(synthesize_trace).parameters)[1:]
+#: The keys a config's ``synth`` block may set, the arguments of
+#: :func:`synthesize_trace` after the topology, and the type of each.
+_SYNTH_TYPES = {
+    name: kind
+    for name, kind in typing.get_type_hints(synthesize_trace).items()
+    if name not in ("topology", "return")
+}
 
 
 def _block(
@@ -411,7 +460,9 @@ def _block(
 def _overrides(cls: type[_T], cfg: Mapping[str, Any], name: str, path: Path) -> _T:
     """A ``cls`` whose defaults the config's ``name`` block overrides."""
     block = _block(cfg, name, [f.name for f in fields(cls)], path)
-    return cls(**{key: float(value) for key, value in block.items()})
+    return cls(
+        **{key: _read(v, float, f"{name}.{key}", path) for key, v in block.items()}
+    )
 
 
 def check_trace(scenario: Scenario, source: str) -> None:
@@ -459,33 +510,33 @@ def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
     """The scenario a parsed config describes; see :func:`load_config`."""
     tree = cfg["tree"]
     topology = build_tree(
-        levels=int(tree["levels"]),
-        arity=int(tree["arity"]),
-        leaf_capacity=int(tree["leaf_capacity"]),
-        capacity_overrides={
-            int(k): int(v)
-            for k, v in tree.get("capacity_overrides", {}).items()
-        },
-        prune=tuple(int(n) for n in tree.get("prune", ())),
+        levels=_read(tree["levels"], int, "tree.levels", path),
+        arity=_read(tree["arity"], int, "tree.arity", path),
+        leaf_capacity=_read(tree["leaf_capacity"], int, "tree.leaf_capacity", path),
+        capacity_overrides=_read_keyed(
+            tree.get("capacity_overrides", {}), int, "tree.capacity_overrides", path
+        ),
+        prune=tuple(_read(n, int, "tree.prune", path) for n in tree.get("prune", ())),
     )
-    classes = {
-        int(entry["class_id"]): _class_from_config(entry)
-        for entry in cfg["classes"]
-    }
+    classes = {}
+    migration_cost = {}
+    placement_cost = {}
+    for entry in cfg["classes"]:
+        klass = _class_from_config(entry, path)
+        where = f"classes[{klass.class_id}]"
+        classes[klass.class_id] = klass
+        migration_cost[klass.class_id] = _read(
+            entry["migration_cost"], float, f"{where}.migration_cost", path
+        )
+        placement_cost[klass.class_id] = _read_keyed(
+            entry["placement_cost"], float, f"{where}.placement_cost", path
+        )
     costs = CostModel(
-        migration_cost={
-            int(entry["class_id"]): float(entry["migration_cost"])
-            for entry in cfg["classes"]
-        },
-        placement_cost={
-            int(entry["class_id"]): {
-                int(k): float(v) for k, v in entry["placement_cost"].items()
-            }
-            for entry in cfg["classes"]
-        },
-        per_bit_cost=float(cfg.get("per_bit_cost", 0.0)),
+        migration_cost=migration_cost,
+        placement_cost=placement_cost,
+        per_bit_cost=_read(cfg.get("per_bit_cost", 0.0), float, "per_bit_cost", path),
     )
-    rtt = {int(k): float(v) for k, v in cfg["rtt_by_level"].items()}
+    rtt = _read_keyed(cfg["rtt_by_level"], float, "rtt_by_level", path)
     tree_levels = {topology.level(n) for n in topology.nodes}
     for cid, klass in classes.items():
         for level in sorted(tree_levels.intersection(klass.cpu_demand)):
@@ -497,20 +548,23 @@ def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
     timing = _overrides(ProtocolTiming, cfg, "timing", path)
     link = _overrides(LinkModel, cfg, "link", path)
     if "trace" in cfg:
-        trace = tuple(load_trace(path.parent / cfg["trace"]))
+        trace = tuple(load_trace(path.parent / _read(cfg["trace"], str, "trace", path)))
     elif "synth" in cfg:
-        synth = _block(cfg, "synth", _SYNTH_KEYS, path)
+        synth = {
+            key: _read(value, _SYNTH_TYPES[key], f"synth.{key}", path)
+            for key, value in _block(cfg, "synth", list(_SYNTH_TYPES), path).items()
+        }
         trace = synthesize_trace(
             topology,
-            seed=int(synth.pop("seed", seed)),
-            users=int(synth.pop("users", 20)),
-            p_rt=float(synth.pop("p_rt", 0.5)),
+            seed=synth.pop("seed", seed),
+            users=synth.pop("users", 20),
+            p_rt=synth.pop("p_rt", 0.5),
             **synth,
         )
     else:
         trace = ()
     return Scenario(
-        name=str(cfg.get("name", path.stem)),
+        name=_read(cfg.get("name", path.stem), str, "name", path),
         topology=topology,
         classes=classes,
         costs=costs,

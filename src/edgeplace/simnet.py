@@ -16,6 +16,16 @@ given:
 * ``centralized`` — a placement algorithm runs at one-second epoch
   boundaries over batched arrivals (plus services orphaned by mobility),
   with no control traffic at all.
+
+Every run records its events, but builds no text while it runs.
+``Simulator.log`` appends each event's time, node, constant ``%``-template
+and raw arguments (ints, floats, strings, request-id lists packed into
+bytes) flat into fixed-size chunk lists, so the record adds nothing the
+garbage collector walks.  ``RunResult.event_log`` is an :class:`EventLog`
+over that record: it renders the golden-log text lines only as it is
+read, and keeps none of them.  So only a reader of the text pays for it
+(``run --log``, ``replay``, the golden-log tests); ``run``, ``min-cpu``,
+``sweep-overhead`` and every capacity probe never build a log string.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .model import (
     CostModel,
@@ -47,6 +57,7 @@ from .protocol import (
     PuMsg,
     Record,
     SfsMsg,
+    unpack_ids,
 )
 
 __all__ = [
@@ -56,6 +67,7 @@ __all__ = [
     "load_trace",
     "Counters",
     "RunResult",
+    "EventLog",
     "Simulator",
     "EVENT_BUDGET",
     "EpochProblem",
@@ -69,6 +81,10 @@ EVENT_BUDGET = 500_000
 
 #: PoA column value marking a departure row in trace files.
 DEPARTED_POA = "OUT"
+
+#: Atoms per chunk of a run's event record (see ``Simulator.log``): small
+#: enough that no chunk grows into a large reallocation.
+_CHUNK_ATOMS = 1 << 14
 
 # Wire layout (bits).  Every message pays a fixed header; scan/push traffic
 # carries full per-request records while acks carry only ids and a status
@@ -146,7 +162,7 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
 
     A user's first row is an arrival and must carry a class id; later rows
     are movements, and a PoA of ``OUT`` is a departure.  Rows must be in
-    non-decreasing time order.
+    non-decreasing time order, and user ids signed 64-bit integers.
     """
     events: list[TraceEvent] = []
     seen: set[int] = set()
@@ -162,6 +178,9 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
                 raise ValueError(f"trace {path} is not time-sorted at t={time}")
             last_time = time
             user = int(row["user"])
+            # the event log packs request ids as signed 64-bit ints
+            if not -(1 << 63) <= user < 1 << 63:
+                raise ValueError(f"trace {path}: user id {user} is not 64-bit")
             poa_field = row["poa"].strip()
             if poa_field == DEPARTED_POA:
                 events.append(TraceEvent(time, user, "depart"))
@@ -206,12 +225,83 @@ def overhead_per_request(counters: Counters, request_count: int) -> float:
     return counters.total_bits() / 8.0 / triggers
 
 
+def _rids(packed: bytes) -> str:
+    """A packed request-id list as the text log lists it: ``r1,r4,r9``."""
+    return "r" + ",r".join(map(str, unpack_ids(packed))) if packed else ""
+
+
+class EventLog(Sequence[str]):
+    """The events of one run, one text line each: ``<time> s<node> <text>``.
+
+    The engine records each event as flat atoms, its time, node,
+    ``%``-template and raw arguments (see ``Simulator.log``).  Reading the
+    log renders the lines one at a time and keeps none of them, so a run
+    whose log is never read builds no text; :meth:`events` yields the same
+    events decoded instead of rendered.
+    """
+
+    __slots__ = ("_chunks", "_count")
+
+    def __init__(self, chunks: list[list[object]], count: int) -> None:
+        self._chunks = chunks
+        self._count = count
+
+    def _recorded(self) -> Iterator[tuple[float, DatacenterId, str, list[object]]]:
+        """Each event as recorded, an id list still packed: the one decode
+        loop under the text and :meth:`events`."""
+        arity: dict[str, int] = {}  # template -> its argument count
+        for chunk in self._chunks:
+            at, end = 0, len(chunk)
+            while at < end:
+                now, node, template = chunk[at : at + 3]
+                count = arity.get(template)
+                if count is None:
+                    count = arity[template] = template.count("%")
+                at += 3 + count
+                yield now, node, template, chunk[at - count : at]
+
+    def events(self) -> Iterator[tuple[float, DatacenterId, str, tuple[object, ...]]]:
+        """Each event as ``(time, node, template, args)``, where ``args``
+        are the values the template formats and an id list is a tuple."""
+        for now, node, template, args in self._recorded():
+            yield now, node, template, tuple(
+                tuple(unpack_ids(a)) if type(a) is bytes else a for a in args
+            )
+
+    def __iter__(self) -> Iterator[str]:
+        line_of: dict[str, str] = {}  # template -> its whole line's format
+        stamp_time = None
+        for now, node, template, args in self._recorded():
+            if now != stamp_time:
+                stamp_time, stamp = now, f"{now:.6f} s"
+            line = line_of.get(template)
+            if line is None:
+                line = line_of[template] = "%s%d " + template
+            for i, arg in enumerate(args):
+                if type(arg) is bytes:
+                    args[i] = _rids(arg)
+            yield line % (stamp, node, *args)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return list(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventLog, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass
 class RunResult:
     verdict: str  # "ok" | "failure" | "infeasible" | "diverged"
     placements: dict[RequestId, DatacenterId]
     counters: Counters
-    event_log: list[str]
+    event_log: EventLog
     end_time: float
     failed: tuple[RequestId, ...]
     unplaced: tuple[RequestId, ...]
@@ -354,10 +444,10 @@ class Simulator:
         # 0.5, seeds 1-3) still gain: 16 calls with it, 20 without.
         self._failed_epoch: tuple[EpochProblem, EpochDecision] | None = None
         self.counters = Counters()
-        self.event_log: list[str] = []
-        # the time stamp of log lines, formatted once per event time
-        self._stamp_time: float | None = None
-        self._stamp = ""
+        # the event record: see log
+        self._chunk: list[object] = []
+        self._chunks = [self._chunk]
+        self._logged = 0
         self._diverged = False
         self._solver_exhausted = False
         self._infeasible = False
@@ -405,7 +495,7 @@ class Simulator:
         if arrival <= last:
             raise InvariantError(f"FIFO inversion on link s{src}->s{dst}")
         self._link_last_arrival[(src, dst)] = arrival
-        self.log(src, f"send {kind} -> s{dst} bits={bits}")
+        self.log(src, "send %s -> s%d bits=%d", kind, dst, bits)
         self._schedule(arrival, self.nodes[dst].on_message, (src, msg))
 
     def commit_placement(self, request_id: RequestId, node: DatacenterId) -> None:
@@ -424,9 +514,9 @@ class Simulator:
             self._release_host(req)
             self.counters.migrations += 1
             self._migration_cost += self.costs.move_price(class_id)
-            self.log(node, f"place r{request_id} (migrated from s{old_host})")
+            self.log(node, "place r%d (migrated from s%d)", request_id, old_host)
         else:
-            self.log(node, f"place r{request_id}")
+            self.log(node, "place r%d", request_id)
         req.host = node
         req.state = "placed"
         self.counters.placements += 1
@@ -450,7 +540,7 @@ class Simulator:
     def report_failure(self, request_id: RequestId, node: DatacenterId) -> None:
         req = self._registry[request_id]
         req.state = "failed"
-        self.log(node, f"failure r{request_id}")
+        self.log(node, "failure r%d", request_id)
         self._purge(request_id)
 
     def _purge(self, request_id: RequestId) -> None:
@@ -483,7 +573,11 @@ class Simulator:
 
     def record_current(self, rec: Record) -> bool:
         req = self._registry.get(rec.request_id)
-        return req is not None and rec.generation == req.generation
+        return (
+            req is not None
+            and rec.generation == req.generation
+            and req.state in _ACTIVE
+        )
 
     def request_info(self, request_id: RequestId) -> Request | None:
         req = self._registry.get(request_id)
@@ -492,11 +586,18 @@ class Simulator:
     def note_push_down(self) -> None:
         self.counters.push_downs += 1
 
-    def log(self, node: DatacenterId, text: str) -> None:
-        if self._now != self._stamp_time:
-            self._stamp_time = self._now
-            self._stamp = f"{self._now:.6f} s"
-        self.event_log.append(f"{self._stamp}{node} {text}")
+    def log(self, node: DatacenterId, template: str, *args: object) -> None:
+        """Record an event: the time, node, template and arguments go flat
+        into the current chunk, with no tuple or text per event, so the
+        record holds nothing the garbage collector tracks but its chunk
+        lists.  ``EventLog`` renders the text when it is read."""
+        chunk = self._chunk
+        chunk += (self._now, node, template)
+        chunk += args
+        self._logged += 1
+        if len(chunk) >= _CHUNK_ATOMS:
+            self._chunk = []
+            self._chunks.append(self._chunk)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -529,7 +630,7 @@ class Simulator:
             )
         req = _RequestState(Request(user, class_id, poa, feasible))
         self._registry[user] = req
-        self.log(poa, f"arrive r{user} class={class_id}")
+        self.log(poa, "arrive r%d class=%d", user, class_id)
         if self.mode == "protocol":
             self._issue(req)
 
@@ -556,7 +657,7 @@ class Simulator:
             raise ValueError(f"user {user} moved to s{poa} with empty reach")
         req.request = Request(user, class_id, poa, feasible)
         req.reached += tuple(n for n in feasible if n not in req.reached)
-        self.log(poa, f"move r{user}")
+        self.log(poa, "move r%d", user)
         if req.state in _HOSTED and req.host in feasible:
             if req.state == "relocating":
                 # The move brought the old host back into reach: retire the
@@ -582,7 +683,7 @@ class Simulator:
             self._release_host(req)
         req.state = "departed"
         req.generation += 1
-        self.log(req.request.poa, f"depart r{user}")
+        self.log(req.request.poa, "depart r%d", user)
         self._purge(user)
 
     # -- centralized epochs ---------------------------------------------------
@@ -720,7 +821,7 @@ class Simulator:
             verdict=verdict,
             placements=placements,
             counters=self.counters,
-            event_log=self.event_log,
+            event_log=EventLog(self._chunks, self._logged),
             end_time=self._now,
             failed=tuple(failed),
             unplaced=tuple(unplaced),

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 import time
 from contextlib import contextmanager
 from typing import Iterator
@@ -72,10 +71,11 @@ def test_flat_walkthrough_replay() -> None:
         assert result.placements[3] == 3
         assert result.placements[5] == 0
         assert result.placements[6] == 0
+        # the deficit opening the push-down, then as each ack reports it
         deficits = [
-            int(m.group(1))
-            for line in result.event_log
-            if (m := re.search(r"pd (?:start|ack ->).*deficit=(-?\d+)", line))
+            args[0] if template.startswith("pd start") else args[1]
+            for _time, _node, template, args in result.event_log.events()
+            if template.startswith(("pd start", "pd ack ->"))
         ]
         assert deficits == [3, 1, -1]
         # the first leaf holds its own tenant and is never asked to help

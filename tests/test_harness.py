@@ -810,6 +810,27 @@ def test_cli_run_rejects_config_values_of_the_wrong_type(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "block, entry, message",
+    [
+        ("synth", {"burst": "no"}, 'synth.burst must be true or false, not "no"'),
+        ("synth", {"users": 2.7}, "synth.users must be an integer, not 2.7"),
+        ("tree", {"levels": "x"}, 'tree.levels must be an integer, not "x"'),
+    ],
+    ids=["text-burst", "fractional-users", "text-levels"],
+)
+def test_cli_run_names_the_file_and_key_of_a_loosely_typed_value(
+    tmp_path: Path, capsys, block: str, entry: dict, message: str
+) -> None:
+    config = _tiny_config()
+    config[block] = {**config[block], **entry}
+    cfg_path = tmp_path / "loose.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg_path), "--algo", "dapp"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config {cfg_path}: {message}\n"
+
+
 def test_cli_sweep_overhead_rejects_a_negative_window(capsys) -> None:
     code = main(["sweep-overhead", "--t-ad=-1e-4"])
     assert code == 1
@@ -824,6 +845,23 @@ def test_cli_replay_passes_the_fixtures(capsys) -> None:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith(f"replay {name}: PASS")
+
+
+@pytest.mark.parametrize("fixture", ["fig2", "fig3"])
+def test_cli_replay_passes_under_optimized_python(fixture: str) -> None:
+    # rendering the log and comparing it must not rest on ``assert``
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "edgeplace", "replay", fixture],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"replay {fixture}: PASS")
 
 
 def test_cli_replay_fails_on_a_tampered_log(monkeypatch, capsys) -> None:

@@ -28,7 +28,7 @@ from edgeplace.protocol import (
     World,
     sort_requests,
 )
-from edgeplace.simnet import Simulator
+from edgeplace.simnet import Simulator, _rids
 
 
 class FakeWorld:
@@ -75,7 +75,9 @@ class FakeWorld:
         return request_id in self.placed_set and request_id not in self.relocating_set
 
     def record_current(self, rec: Record) -> bool:
-        return rec.generation == self.generations.get(rec.request_id, 0)
+        return self.is_active(rec.request_id) and rec.generation == (
+            self.generations.get(rec.request_id, 0)
+        )
 
     def request_info(self, request_id: int) -> Request | None:
         return self.views.get(request_id)
@@ -83,7 +85,8 @@ class FakeWorld:
     def note_push_down(self) -> None:
         self.push_down_count += 1
 
-    def log(self, node: int, text: str) -> None:
+    def log(self, node: int, template: str, *args: object) -> None:
+        text = template % tuple(_rids(a) if type(a) is bytes else a for a in args)
         self.lines.append((node, text))
 
 
@@ -827,15 +830,20 @@ def _public_methods(cls: type) -> set[str]:
     }
 
 
+def _parameters(method: object) -> list[tuple[str, object]]:
+    """Each parameter's name and kind, so ``*args`` differs from ``args``."""
+    return [(p.name, p.kind) for p in inspect.signature(method).parameters.values()]
+
+
 def test_fake_and_engine_implement_exactly_the_world_seam() -> None:
     seam = _public_methods(World)
     assert len(seam) <= 11
     assert _public_methods(FakeWorld) == seam
     assert seam <= _public_methods(Simulator)
     for name in sorted(seam):
-        params = list(inspect.signature(getattr(World, name)).parameters)
+        params = _parameters(getattr(World, name))
         for impl in (FakeWorld, Simulator):
-            assert list(inspect.signature(getattr(impl, name)).parameters) == params, (
+            assert _parameters(getattr(impl, name)) == params, (
                 impl.__name__,
                 name,
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import math
 import os
@@ -38,6 +39,7 @@ from edgeplace.protocol import (
 from edgeplace.simnet import (
     Counters,
     EpochDecision,
+    EventLog,
     InvariantError,
     LinkModel,
     Simulator,
@@ -92,6 +94,14 @@ def test_load_trace_rejects_classless_arrival(tmp_path) -> None:
     path = tmp_path / "trace.csv"
     path.write_text("time,user,poa,class\n0.0,1,3,\n")
     with pytest.raises(ValueError):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("user", [1 << 63, -(1 << 63) - 1])
+def test_load_trace_rejects_a_user_id_wider_than_64_bits(tmp_path, user: int) -> None:
+    path = tmp_path / "trace.csv"
+    path.write_text(f"time,user,poa,class\n0.0,{user},3,0\n")
+    with pytest.raises(ValueError, match=f"user id {user} is not 64-bit"):
         load_trace(path)
 
 
@@ -692,6 +702,45 @@ def test_runs_are_deterministic() -> None:
     assert results[0].event_log == results[1].event_log
     assert results[0].placements == results[1].placements
     assert results[0].counters.messages == results[1].counters.messages
+
+
+# ---------------------------------------------------------------------------
+# the event record
+
+
+@pytest.fixture(scope="module")
+def churn_log() -> EventLog:
+    return run_scenario(_churn_scenario(1), "dapp").event_log
+
+
+def test_event_record_holds_nothing_the_collector_tracks(churn_log) -> None:
+    chunks = churn_log._chunks
+    assert len(chunks) > 1 and sum(map(len, chunks)) >= 3 * len(churn_log)
+    assert not any(gc.is_tracked(atom) for chunk in chunks for atom in chunk)
+
+
+def test_event_log_reads_alike_every_time(churn_log) -> None:
+    first, second = list(churn_log), list(churn_log)
+    assert first == second
+    assert len(churn_log) == len(first) > 0
+    assert churn_log == first and first == churn_log
+    assert churn_log[0] == first[0] and churn_log[-3:] == first[-3:]
+    assert "\n".join(churn_log) == "\n".join(first)
+
+
+def test_decoded_events_are_the_text_lines_parts(churn_log) -> None:
+    def text(template: str, args: tuple) -> str:
+        return template % tuple(
+            ",".join(f"r{rid}" for rid in a) if isinstance(a, tuple) else a
+            for a in args
+        )
+
+    lines = list(churn_log)
+    events = list(churn_log.events())
+    assert len(events) == len(lines)
+    assert any(isinstance(a, tuple) and len(a) > 1 for *_, args in events for a in args)
+    for (time, node, template, args), line in zip(events, lines):
+        assert line == f"{time:.6f} s{node} {text(template, args)}"
 
 
 # ---------------------------------------------------------------------------
