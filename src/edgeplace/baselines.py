@@ -374,7 +374,7 @@ def _options(
 def _slot_count(
     topology: Topology,
     classes: Mapping[int, ServiceClass],
-    services: Iterable[Request],
+    services: Iterable[Request | ActiveService],
 ) -> Callable[[Callable[[DatacenterId], int]], bool] | None:
     """A check that is False only when no placement of ``services`` fits;
     None when some service has no node that can host it.

@@ -23,12 +23,11 @@ from .baselines import (
     exact_optimal,
     min_cpu_binary_search,
 )
-from .model import Request, feasible_set_for
+from .model import Request, feasible_set_for, tree_capacity
 from .protocol import ProtocolTiming
 from .scenarios import (
     Scenario,
     builtin_scenario,
-    default_profile,
     jittered_scenario,
     rand_scenario,
 )
@@ -310,10 +309,13 @@ def min_cpu_for(
     The search is :func:`min_cpu_binary_search` and its fixed bracket:
     doubling from 8 units, then bisecting to within ``tolerance``; past
     2**20 units it raises :class:`NoUpperBoundError`.  The scenario, trace
-    included, is built once per search at the family's default capacity;
-    each probe runs it on the families' profile tree (``default_profile``)
-    at the probed capacity, so the workload is identical and only the
-    capacities scale.  A probe succeeds when the run's verdict is ``ok``:
+    included, is built once per search at the family's default capacity.
+    Both families build the profile tree (``scenarios.default_profile``),
+    whose capacities follow ``model.tree_capacity``, so each probe runs the
+    scenario on that same tree with the capacities of the probed leaf
+    capacity (``Topology.with_capacities``): the workload is identical,
+    only the capacities scale, and the tree's shape and caches are shared
+    by every probe.  A probe succeeds when the run's verdict is ``ok``:
     every request placed and none failed, which a search cut off by its
     budget can still reach when it holds a placement.
 
@@ -340,9 +342,12 @@ def min_cpu_for(
         raise ValueError(f"unknown scenario family {family!r}")
     scenario = make(seed=seed, users=users, p_rt=p_rt, levels=levels, arity=arity)
     suffices = _arrival_slot_count(scenario)
+    tree = scenario.topology
 
     def probe(leaf_capacity: int) -> bool:
-        topology, _, _, _ = default_profile(leaf_capacity, levels, arity)
+        topology = tree.with_capacities(
+            {n: tree_capacity(tree.level(n), leaf_capacity) for n in tree.nodes}
+        )
         if suffices is not None and not suffices(topology.capacity):
             return False
         simulator = build_simulator(

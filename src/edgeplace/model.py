@@ -10,8 +10,12 @@ level is one the service supports.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from .simnet import ActiveService
 
 __all__ = [
     "DatacenterId",
@@ -21,7 +25,9 @@ __all__ = [
     "Request",
     "FeasibilityReport",
     "Topology",
+    "tree_capacity",
     "build_tree",
+    "demand_table",
     "feasible_set_for",
     "check_feasible",
     "InvariantError",
@@ -79,12 +85,14 @@ class CostModel:
         return self.migration_cost[class_id]
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One user's service request: identity, class, attachment, reach.
 
     ``feasible`` is the contiguous run of datacenters, ordered PoA to root,
     that can host the request without breaking its delay bound.
+
+    A named tuple, cheap to build: immutable and hashable, and compared as
+    a tuple, field by field, whatever the other side's type.
     """
 
     request_id: RequestId
@@ -152,11 +160,25 @@ class Topology:
                     f"node {node} at level {self._level[node]} has parent "
                     f"{parent} at level {self._level[parent]}"
                 )
-            if self._capacity[node] < 0:
-                raise ValueError(f"node {node} has negative capacity")
+        self._validate_capacities()
         for leaf in self.leaves:
             if self._level[leaf] != 0:
                 raise ValueError(f"leaf {leaf} is at level {self._level[leaf]}, not 0")
+
+    def _validate_capacities(self) -> None:
+        for node in self.nodes:
+            if self._capacity[node] < 0:
+                raise ValueError(f"node {node} has negative capacity")
+
+    def with_capacities(self, capacities: Mapping[DatacenterId, int]) -> Topology:
+        """This tree with new per-node capacities, checked as the
+        constructor checks them.  Everything else is shared, not copied:
+        the parents, levels and children, and the subtree and path caches,
+        which depend on the shape alone."""
+        tree = copy.copy(self)
+        tree._capacity = dict(capacities)
+        tree._validate_capacities()
+        return tree
 
     def parent(self, node: DatacenterId) -> DatacenterId | None:
         return self._parent[node]
@@ -207,6 +229,12 @@ class Topology:
         )
 
 
+def tree_capacity(level: int, leaf_capacity: int) -> int:
+    """The default capacity of a node at ``level`` in a tree whose leaves
+    hold ``leaf_capacity`` CPU units: capacity grows linearly with height."""
+    return (level + 1) * leaf_capacity
+
+
 def build_tree(
     levels: int,
     arity: int,
@@ -217,10 +245,10 @@ def build_tree(
     """Build a full fat tree, then apply capacity overrides and pruning.
 
     Nodes are numbered breadth-first from the root (id 0).  A node at level
-    ``l`` defaults to ``(l + 1) * leaf_capacity`` CPU units, so capacity
-    grows linearly with height.  ``prune`` removes whole subtrees by their
-    root id (ids keep the full-tree numbering); the result must still have
-    every leaf at level 0.
+    ``l`` defaults to ``(l + 1) * leaf_capacity`` CPU units
+    (:func:`tree_capacity`), so capacity grows linearly with height.
+    ``prune`` removes whole subtrees by their root id (ids keep the
+    full-tree numbering); the result must still have every leaf at level 0.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -251,9 +279,7 @@ def build_tree(
     kept = {n for n in parents if n not in removed}
     if 0 in removed:
         raise ValueError("cannot prune the root")
-    capacities = {
-        n: (node_level[n] + 1) * leaf_capacity for n in kept
-    }
+    capacities = {n: tree_capacity(node_level[n], leaf_capacity) for n in kept}
     for node, cap in (capacity_overrides or {}).items():
         if node not in kept:
             raise ValueError(f"capacity override for unknown node {node}")
@@ -292,10 +318,23 @@ def feasible_set_for(
     return tuple(out)
 
 
+def demand_table(
+    topology: Topology, classes: Mapping[int, ServiceClass]
+) -> dict[int, dict[DatacenterId, int | None]]:
+    """CPU units one instance of each class needs at each node,
+    ``units[class_id][node]``: the class's demand at the node's level, or
+    None where that level cannot host the class.  Built once, it answers a
+    lookup without walking from the class and node to the level."""
+    return {
+        class_id: {node: svc.demand_at(topology.level(node)) for node in topology.nodes}
+        for class_id, svc in classes.items()
+    }
+
+
 def check_feasible(
     topology: Topology,
     classes: Mapping[int, ServiceClass],
-    requests: Mapping[RequestId, Request],
+    requests: Mapping[RequestId, Request | ActiveService],
     placement: Mapping[RequestId, DatacenterId],
 ) -> FeasibilityReport:
     """Check a placement map against latency reach and CPU capacity."""

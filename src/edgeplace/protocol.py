@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
-from typing import Collection, Iterable, Mapping, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Collection, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .model import DatacenterId, InvariantError, Request, RequestId, Topology
 
@@ -70,8 +70,7 @@ __all__ = [
 # records and messages
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One request as carried by scan, push-up and push-down traffic.
 
     ``origin`` is the datacenter currently holding the request's
@@ -82,6 +81,9 @@ class Record:
     the request's CPU demand at the push-down initiator, so deficit
     bookkeeping survives relaying into subtrees where the demand differs;
     scan and push-up records leave it None.
+
+    A named tuple, cheap to build: immutable and hashable, and compared as
+    a tuple, field by field, whatever the other side's type.
     """
 
     request_id: RequestId
@@ -531,7 +533,7 @@ class ProtocolNode:
                     self.available -= units
                     self.assigned[rec.request_id] = units
                     self.world.log(self.node_id, "scan assign r%d", rec.request_id)
-                    self.push_up[rec.request_id] = replace(rec, origin=self.node_id)
+                    self.push_up[rec.request_id] = rec._replace(origin=self.node_id)
             elif rec.top_feasible == self.node_id:
                 if rec.request_id not in self.pd_pending:
                     new_push_down.append(rec.request_id)
@@ -742,8 +744,8 @@ class ProtocolNode:
             if rec.request_id in self.outstanding_pu:
                 continue
             offers.append(
-                replace(
-                    rec, generation=0, beta_at_initiator=self.assigned[rec.request_id]
+                rec._replace(
+                    generation=0, beta_at_initiator=self.assigned[rec.request_id]
                 )
             )
         cache = self.hosted_offers
@@ -781,7 +783,7 @@ class ProtocolNode:
                 raise InvariantError(f"stuck r{rid} is not hostable at s{self.node_id}")
             # generation 0: see _appended_offer_records
             problematic.append(
-                replace(rec, origin=None, generation=0, beta_at_initiator=units)
+                rec._replace(origin=None, generation=0, beta_at_initiator=units)
             )
         if not problematic:
             return

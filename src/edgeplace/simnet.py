@@ -35,7 +35,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
     CostModel,
@@ -45,6 +45,7 @@ from .model import (
     RequestId,
     ServiceClass,
     Topology,
+    demand_table,
     feasible_set_for,
 )
 from .protocol import (
@@ -146,9 +147,12 @@ class LinkModel:
             raise ValueError("link capacity_bps must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One user event: first sighting arrives, new PoA moves, OUT departs."""
+class TraceEvent(NamedTuple):
+    """One user event: first sighting arrives, new PoA moves, OUT departs.
+
+    A named tuple, cheap to build: immutable and hashable, and compared as
+    a tuple, field by field, whatever the other side's type.
+    """
 
     time: float
     user: int
@@ -357,11 +361,19 @@ class _RequestState:
 # Centralized algorithms get the period's work as a first-class problem; the
 # definition lives here because the engine builds it, while the solvers that
 # consume it live in `baselines`.
-@dataclass(frozen=True)
-class ActiveService(Request):
-    """A request as one epoch sees it: where it runs now (None for a new
-    request), and whether the epoch may (re)place it."""
+class ActiveService(NamedTuple):
+    """A request as one epoch sees it: the :class:`~.model.Request` fields,
+    then where it runs now (None for a new request), and whether the epoch
+    may (re)place it.
 
+    A named tuple, cheap to build: immutable and hashable, and compared as
+    a tuple, field by field, whatever the other side's type.
+    """
+
+    request_id: RequestId
+    class_id: int
+    poa: DatacenterId
+    feasible: tuple[DatacenterId, ...]
     current_host: DatacenterId | None
     movable: bool
 
@@ -374,9 +386,17 @@ class EpochProblem:
     classes: Mapping[int, ServiceClass]
     costs: CostModel
     services: tuple[ActiveService, ...]
+    # the demand table (see ``model.demand_table``), built once per problem
+    _units: dict[int, dict[DatacenterId, int | None]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_units", demand_table(self.topology, self.classes))
 
     def demand(self, class_id: int, node: DatacenterId) -> int | None:
-        return self.classes[class_id].demand_at(self.topology.level(node))
+        """CPU units of ``class_id`` at ``node``; None where it cannot run."""
+        return self._units[class_id][node]
 
     def price(self, svc: ActiveService, node: DatacenterId) -> float:
         """Hosting ``svc`` at ``node``: the placement price, plus one
@@ -458,14 +478,15 @@ class Simulator:
         self._capacity_used: dict[DatacenterId, int] = {
             n: 0 for n in topology.nodes
         }
+        # class id -> node -> CPU units; see model.demand_table
+        self._units = demand_table(topology, self.classes)
         self.nodes: dict[DatacenterId, ProtocolNode] = {}
         if self.mode == "protocol":
             for node_id in topology.nodes:
-                level = topology.level(node_id)
                 demand = {
-                    cid: svc.cpu_demand[level]
-                    for cid, svc in self.classes.items()
-                    if level in svc.cpu_demand
+                    cid: row[node_id]
+                    for cid, row in self._units.items()
+                    if row[node_id] is not None
                 }
                 self.nodes[node_id] = ProtocolNode(
                     self, topology, node_id, self.timing, demand
@@ -477,7 +498,7 @@ class Simulator:
         return self._now
 
     def _demand(self, class_id: int, node: DatacenterId) -> int | None:
-        return self.classes[class_id].demand_at(self.topology.level(node))
+        return self._units[class_id][node]
 
     def send(self, src: DatacenterId, dst: DatacenterId, msg: ProtocolMsg) -> None:
         bits = message_bits(msg)
@@ -699,16 +720,9 @@ class Simulator:
             req = self._registry[rid]
             if req.state not in _ACTIVE:
                 continue
-            request = req.request
+            # the request's fields lead an ActiveService's, in order
             services.append(
-                ActiveService(
-                    request_id=rid,
-                    class_id=request.class_id,
-                    poa=request.poa,
-                    feasible=request.feasible,
-                    current_host=req.host,
-                    movable=req.state in _MOVABLE,
-                )
+                ActiveService(*req.request, req.host, req.state in _MOVABLE)
             )
         problem = EpochProblem(
             topology=self.topology,

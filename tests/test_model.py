@@ -13,6 +13,7 @@ from edgeplace.model import (
     build_tree,
     check_feasible,
     feasible_set_for,
+    tree_capacity,
 )
 from edgeplace.scenarios import (
     NONRT_CLASS,
@@ -121,6 +122,23 @@ def test_topology_validation_errors() -> None:
         )
     with pytest.raises(ValueError):  # a leaf stranded above level 0
         Topology(parents={0: None}, levels={0: 2}, capacities={0: 1})
+
+
+def test_with_capacities_shares_the_shape_and_checks_the_capacities() -> None:
+    tree = build_tree(levels=3, arity=2, leaf_capacity=5)
+    tree.subtree(1)  # fill a cache entry the rescaled tree should share
+    scaled = tree.with_capacities(
+        {n: tree_capacity(tree.level(n), 7) for n in tree.nodes}
+    )
+    rebuilt = build_tree(levels=3, arity=2, leaf_capacity=7)
+    assert [scaled.capacity(n) for n in scaled.nodes] == [
+        rebuilt.capacity(n) for n in rebuilt.nodes
+    ]
+    assert [tree.capacity(n) for n in tree.nodes] == [15, 10, 10, 5, 5, 5, 5]
+    assert scaled.subtree(1) is tree.subtree(1)
+    assert scaled.path_to_root(6) is tree.path_to_root(6)
+    with pytest.raises(ValueError):  # negative capacity
+        tree.with_capacities({n: -1 if n == 4 else 1 for n in tree.nodes})
 
 
 def test_subtree_and_path_to_root() -> None:

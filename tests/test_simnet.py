@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import hashlib
 import math
@@ -37,8 +36,10 @@ from edgeplace.protocol import (
     SfsMsg,
 )
 from edgeplace.simnet import (
+    ActiveService,
     Counters,
     EpochDecision,
+    EpochProblem,
     EventLog,
     InvariantError,
     LinkModel,
@@ -154,6 +155,35 @@ def test_message_bits_frozen_values() -> None:
     )
     assert message_bits(PdRequestMsg(initiator=0, deficit=4, records=(pd,))) == 167
     assert message_bits(PdAckMsg(initiator=0, deficit=4, acks=((pd, True),))) == 123
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Request(1, 0, 3, (3, 1)),
+        ActiveService(1, 0, 3, (3, 1), None, True),
+        Record(1, 0, None, (3, 1)),
+        TraceEvent(0.5, 1, "arrive", 3, 0),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_hot_values_are_frozen_hashable_and_replace_one_field(value) -> None:
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 99)
+    assert {value: 1}[type(value)(*value)] == 1
+    marker = object()
+    for name in value._fields:
+        changed = value._replace(**{name: marker})
+        assert type(changed) is type(value)
+        assert [getattr(changed, f) for f in value._fields] == [
+            marker if f == name else getattr(value, f) for f in value._fields
+        ]
+
+
+def test_an_active_service_leads_with_its_request_fields() -> None:
+    # an epoch builds its services from the requests by unpacking them
+    assert ActiveService._fields[: len(Request._fields)] == Request._fields
 
 
 def test_message_bits_matches_field_sum_oracle() -> None:
@@ -500,7 +530,7 @@ def test_failed_epoch_reuse_keeps_the_run_unchanged() -> None:
     # 2 cannot place the rest, and epoch 3 sees the same problem again.
     base = rand_scenario(1, leaf_capacity=180)
     trace = tuple(
-        dataclasses.replace(ev, time=1.5) if ev.user >= 12 else ev
+        ev._replace(time=1.5) if ev.user >= 12 else ev
         for ev in base.trace
     )
     calls: list[bool] = []
@@ -819,7 +849,7 @@ def _offers_built_afresh(node: ProtocolNode) -> list[Record]:
     """A node's push-down offer records, each built anew from the world."""
     world = node.world
     offers = [
-        dataclasses.replace(rec, generation=0, beta_at_initiator=node.assigned[rid])
+        rec._replace(generation=0, beta_at_initiator=node.assigned[rid])
         for rid, rec in node.push_up.items()
         if rec.origin == node.node_id and rid not in node.outstanding_pu
     ]
@@ -951,6 +981,22 @@ def test_dapp_keeps_its_invariants_on_random_worlds(scenario: Scenario) -> None:
     # Moves wait for the fix of push-down records that carry generation 0
     # (ROADMAP item 1): with them, dapp breaks "placed but not recorded".
     _check_random_world(scenario, "dapp")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_world(moves=False))
+def test_prepared_demand_agrees_with_the_class_rule(scenario: Scenario) -> None:
+    # The direct rule, a class's demand at the node's level, is the
+    # reference for the engine's, the epoch's and each node's prepared table.
+    topology, classes = scenario.topology, scenario.classes
+    sim = build_simulator(scenario, "dapp")
+    problem = EpochProblem(topology, classes, scenario.costs, ())
+    for cid, klass in classes.items():
+        for node in topology.nodes:
+            units = klass.demand_at(topology.level(node))
+            assert sim._demand(cid, node) == units
+            assert problem.demand(cid, node) == units
+            assert sim.nodes[node].demand.get(cid) == units
 
 
 @settings(max_examples=150, deadline=None)
