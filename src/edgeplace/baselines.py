@@ -23,11 +23,13 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .model import (
     DatacenterId,
+    InvariantError,
     Request,
     RequestId,
     ServiceClass,
     Topology,
     check_feasible,
+    demand_table,
 )
 from .simnet import ActiveService, EpochDecision, EpochProblem
 
@@ -59,10 +61,18 @@ def _residual_capacity(problem: EpochProblem) -> dict[DatacenterId, int]:
     for svc in problem.services:
         if svc.current_host is None:
             continue
-        units = problem.demand(svc.class_id, svc.current_host)
-        assert units is not None
-        residual[svc.current_host] -= units
+        residual[svc.current_host] -= _units_at(problem, svc, svc.current_host)
     return residual
+
+
+def _units_at(problem: EpochProblem, svc: ActiveService, node: DatacenterId) -> int:
+    """CPU units ``svc`` takes at ``node``, which holds it or is chosen to."""
+    units = problem.demand(svc.class_id, node)
+    if units is None:
+        raise InvariantError(
+            f"r{svc.request_id} at s{node}, a level that cannot host it"
+        )
+    return units
 
 
 def _movable(problem: EpochProblem) -> list[ActiveService]:
@@ -86,9 +96,7 @@ def _assign(
     svc: ActiveService,
     node: DatacenterId,
 ) -> None:
-    units = problem.demand(svc.class_id, node)
-    assert units is not None
-    residual[node] -= units
+    residual[node] -= _units_at(problem, svc, node)
     placement[svc.request_id] = node
 
 
@@ -143,8 +151,7 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
         for tenant in list(tenants.get(node, [])):
             if residual[node] >= needed:
                 break
-            here = problem.demand(tenant.class_id, node)
-            assert here is not None
+            here = _units_at(problem, tenant, node)
             for target in tenant.feasible:
                 if target == node or target not in subtree:
                     continue
@@ -187,8 +194,7 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
     for rid in sorted(placement):
         svc = by_id[rid]
         here = placement[rid]
-        here_units = problem.demand(svc.class_id, here)
-        assert here_units is not None
+        here_units = _units_at(problem, svc, here)
         # highest first, down to just above the tentative host
         for pos in range(len(svc.feasible) - 1, svc.feasible.index(here), -1):
             node = svc.feasible[pos]
@@ -304,7 +310,9 @@ def exact_optimal(
     keeps first, after the same nodes), as solved and not exhausted.
     """
     topology = problem.topology
-    suffices = _slot_count(topology, problem.classes, problem.services)
+    suffices = _slot_count(
+        topology, problem.classes, problem.services, units=problem.units
+    )
     if suffices is None or not suffices(topology.capacity):
         if stats is not None:
             stats.nodes_expanded = 0
@@ -325,7 +333,10 @@ def exact_optimal(
     }
     warm.update(bottom_up_push_up(problem).placement)
     requests = {svc.request_id: svc for svc in services}
-    if check_feasible(topology, problem.classes, requests, warm).ok:
+    report = check_feasible(
+        topology, problem.classes, requests, warm, units=problem.units
+    )
+    if report.ok:
         incumbent = [warm[svc.request_id] for svc in services]
         incumbent_cost = sum(
             problem.price(svc, node) for svc, node in zip(services, incumbent)
@@ -375,9 +386,13 @@ def _slot_count(
     topology: Topology,
     classes: Mapping[int, ServiceClass],
     services: Iterable[Request | ActiveService],
+    *,
+    units: Mapping[int, Mapping[DatacenterId, int | None]] | None = None,
 ) -> Callable[[Callable[[DatacenterId], int]], bool] | None:
     """A check that is False only when no placement of ``services`` fits;
-    None when some service has no node that can host it.
+    None when some service has no node that can host it.  ``units`` is the
+    demand table of ``topology`` and ``classes`` (see
+    :func:`~.model.demand_table`), built here when the caller has none.
 
     The check takes the capacity per node, so one count serves every tree
     of ``topology``'s shape.  A node hosts at most ``capacity // least``
@@ -393,18 +408,20 @@ def _slot_count(
     slots, so a False is never wrong; a True only means the search has to
     decide.  Everything but the slots is prepared here, once.
     """
+    if units is None:
+        units = demand_table(topology, classes)
     least: dict[DatacenterId, int] = {}
     # per node, the services whose reach starts there: level of the reach's
     # top -> how many
     waiting: dict[DatacenterId, dict[int, int]] = {}
     for svc in services:
-        demand = classes[svc.class_id].cpu_demand
-        usable = [n for n in svc.feasible if topology.level(n) in demand]
+        demand = units[svc.class_id]
+        usable = [n for n in svc.feasible if demand[n] is not None]
         if not usable:
             return None
         for node in usable:
-            units = demand[topology.level(node)]
-            least[node] = min(units, least.get(node, units))
+            here = demand[node]
+            least[node] = min(here, least.get(node, here))
         top = topology.level(usable[-1])  # a reach runs PoA to root
         entry = waiting.setdefault(usable[0], {})
         entry[top] = entry.get(top, 0) + 1

@@ -336,8 +336,15 @@ def check_feasible(
     classes: Mapping[int, ServiceClass],
     requests: Mapping[RequestId, Request | ActiveService],
     placement: Mapping[RequestId, DatacenterId],
+    *,
+    units: Mapping[int, Mapping[DatacenterId, int | None]] | None = None,
 ) -> FeasibilityReport:
-    """Check a placement map against latency reach and CPU capacity."""
+    """Check a placement map against latency reach and CPU capacity.
+
+    ``units`` is the demand table of ``topology`` and ``classes`` (see
+    :func:`demand_table`), built here when the caller has none."""
+    if units is None:
+        units = demand_table(topology, classes)
     violations: list[str] = []
     unplaced: list[RequestId] = []
     load: dict[DatacenterId, int] = {}
@@ -350,7 +357,7 @@ def check_feasible(
         if node not in req.feasible:
             violations.append(f"request {rid} placed at {node}, outside its reach")
             continue
-        demand = classes[req.class_id].demand_at(topology.level(node))
+        demand = units[req.class_id][node]
         if demand is None:
             violations.append(
                 f"request {rid} placed at {node}, level cannot host its class"

@@ -33,8 +33,9 @@ A scan batch is therefore one list, which a node splits by origin.
 
 A node holds its backlogs (unassigned records, adverts, a push-down
 session's records, requests awaiting a push-down) as insertion-ordered
-dicts keyed by request id, so withdrawing one request is a single pop; a
-periodic re-sort rebuilds the unassigned backlog in placement order.  The
+dicts keyed by request id, so withdrawing one request is a single pop.
+The unassigned backlog is kept in placement order: it only loses records
+between scans, so a scan re-sorts it only after merging new ones.  The
 scan buffer stays a list, because it can briefly hold two generations of a
 request.  Every container iterates in a deterministic order, so identical
 inputs replay to identical traces.
@@ -244,9 +245,11 @@ def _keyed(records: Iterable[Record]) -> dict[RequestId, Record]:
 _ID_TYPECODE = "q"
 
 
-def pack_ids(request_ids: Iterable[RequestId]) -> bytes:
+def pack_ids(request_ids: Collection[RequestId]) -> bytes:
     """A request-id list as :meth:`World.log` takes it: a bytes snapshot,
     which the garbage collector does not track; see :func:`unpack_ids`."""
+    if not request_ids:
+        return b""  # most lists logged are empty: skip the array
     return array(_ID_TYPECODE, request_ids).tobytes()
 
 
@@ -334,6 +337,13 @@ class ProtocolNode:
         """``records`` in placement-attempt order (see :func:`sort_requests`)."""
         return sort_requests(records, self.subtree, self.demand)
 
+    def _session(self) -> PdSession:
+        """The open push-down session, which the caller requires."""
+        session = self.pd_session
+        if session is None:
+            raise InvariantError(f"no push-down session open at s{self.node_id}")
+        return session
+
     def _arm_timer(self, kind: str) -> None:
         """Arm the ``scan`` or ``push_down`` batch timer unless it is pending."""
         if kind == "scan":
@@ -391,11 +401,18 @@ class ProtocolNode:
 
     def _take_scan_input(self, incoming: Sequence[Record]) -> None:
         """Scan prelude: merge a batch into the backlogs (a record with an
-        origin is an advert), the unassigned one most constrained first."""
-        unassigned = [r for r in incoming if r.origin is None]
-        self._merge_records(self.not_assigned, unassigned)
+        origin is an advert), the unassigned one most constrained first.
+
+        Between scans the unassigned backlog only loses records, and a
+        record's sort key never changes, so it is still in order; it is
+        re-sorted only when this merge added to it a record it can be out
+        of order with."""
+        backlog = self.not_assigned
+        before = len(backlog)
+        self._merge_records(backlog, (r for r in incoming if r.origin is None))
         self._merge_records(self.push_up, (r for r in incoming if r.origin is not None))
-        self.not_assigned = _keyed(self._sorted(self.not_assigned.values()))
+        if len(backlog) > before and len(backlog) > 1:
+            self.not_assigned = _keyed(self._sorted(backlog.values()))
 
     def _take_push_up(self, incoming: Sequence[Record]) -> list[Record]:
         """Push-up prelude: claim the advert backlog plus ``incoming``."""
@@ -833,8 +850,7 @@ class ProtocolNode:
     def _hosting_pass(self) -> tuple[list[Record], int]:
         """The session records that fit here, in order (own and stale ones
         skipped), and the deficit left once they are hosted."""
-        session = self.pd_session
-        assert session is not None
+        session = self._session()
         # Only capacity that reappears at the initiator counts: moving an
         # unplaced or initiator-held service away from there shrinks the
         # deficit; shuffling a relay's own services does not.
@@ -855,8 +871,7 @@ class ProtocolNode:
 
     def _push_down_satisfied(self) -> bool:
         """Would hosting what fits here already clear the deficit?"""
-        session = self.pd_session
-        assert session is not None
+        session = self._session()
         return session.deficit <= 0 or self._hosting_pass()[1] <= 0
 
     def _pd_record_relevant(self, rec: Record, child: DatacenterId) -> bool:
@@ -869,8 +884,7 @@ class ProtocolNode:
 
     def _continue_push_down(self) -> None:
         """Advance the depth-first walk: next child offer, or wrap up."""
-        session = self.pd_session
-        assert session is not None
+        session = self._session()
         if session.awaiting is not None:
             raise InvariantError(
                 f"push-down at s{self.node_id} resumed while its offer to "
@@ -935,8 +949,7 @@ class ProtocolNode:
 
     def _finish_push_down(self) -> None:
         """Local hosting pass, ack the caller, then the fallback epilogue."""
-        session = self.pd_session
-        assert session is not None
+        session = self._session()
         received_ids = {r.request_id for r in session.received}
         hosted, session.deficit = self._hosting_pass()
         for rec in hosted:

@@ -2,9 +2,12 @@
 
 Events are ordered by ``(time, sequence)`` where the sequence number is
 assigned at scheduling time, so identical inputs always replay to identical
-event orders, logs, and reports.  The engine owns the ground truth about
-requests (the registry) and records every placement, so capacity
-invariants can be checked after every event.
+event orders, logs, and reports.  Trace events come from a cursor over the
+trace sorted stably by time, not from the heap, and run before the
+scheduled events (epochs, timers, messages) of the same instant, in trace
+order; the heap holds only scheduled work.  The engine owns the ground
+truth about requests (the registry) and records every placement, so
+capacity invariants can be checked after every event.
 
 Two lanes share the machinery, chosen by whether a placement algorithm is
 given:
@@ -34,6 +37,7 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -100,20 +104,24 @@ _DEFICIT_BITS = 16
 _PD_DEMAND_BITS = 5
 
 
-def _record_bits(rec: Record) -> int:
-    # id + class + the feasible list plus origin and current-host slots,
-    # each a node id wide
-    return (
-        _REQUEST_ID_BITS
-        + _CLASS_ID_BITS
-        + (len(rec.feasible) + 2) * _NODE_ID_BITS
-    )
+# Each record carries its id, class, origin and current-host slots, then
+# its feasible list, a node id per entry.
+_RECORD_FIXED_BITS = _REQUEST_ID_BITS + _CLASS_ID_BITS + 2 * _NODE_ID_BITS
+_feasible = attrgetter("feasible")
+
+
+def _records_bits(records: Sequence[Record], per_record: int) -> int:
+    """Wire size of ``records``, each also carrying ``per_record`` more
+    bits: the reach lengths are summed in one pass, with no Python call per
+    record."""
+    fixed = (_RECORD_FIXED_BITS + per_record) * len(records)
+    return fixed + _NODE_ID_BITS * sum(map(len, map(_feasible, records)))
 
 
 def message_bits(msg: ProtocolMsg) -> int:
     """Size of a protocol message on the wire, in bits."""
     if isinstance(msg, (SfsMsg, PuMsg)):
-        return _HEADER_BITS + sum(_record_bits(r) for r in msg.records)
+        return _HEADER_BITS + _records_bits(msg.records, 0)
     if isinstance(msg, PuAckMsg):
         return _HEADER_BITS + len(msg.acks) * (_REQUEST_ID_BITS + _STATUS_BITS)
     if isinstance(msg, PdRequestMsg):
@@ -121,7 +129,7 @@ def message_bits(msg: ProtocolMsg) -> int:
             _HEADER_BITS
             + _NODE_ID_BITS
             + _DEFICIT_BITS
-            + sum(_record_bits(r) + _PD_DEMAND_BITS for r in msg.records)
+            + _records_bits(msg.records, _PD_DEMAND_BITS)
         )
     if isinstance(msg, PdAckMsg):
         return (
@@ -358,6 +366,17 @@ class _RequestState:
         self.generation = 0
 
 
+class _Link:
+    """One directed link's transmitter: when it is next free, and the last
+    arrival it scheduled, which a new one must follow (FIFO delivery)."""
+
+    __slots__ = ("busy_until", "last_arrival")
+
+    def __init__(self) -> None:
+        self.busy_until = 0.0
+        self.last_arrival = float("-inf")
+
+
 # Centralized algorithms get the period's work as a first-class problem; the
 # definition lives here because the engine builds it, while the solvers that
 # consume it live in `baselines`.
@@ -386,17 +405,17 @@ class EpochProblem:
     classes: Mapping[int, ServiceClass]
     costs: CostModel
     services: tuple[ActiveService, ...]
-    # the demand table (see ``model.demand_table``), built once per problem
-    _units: dict[int, dict[DatacenterId, int | None]] = field(
+    #: the demand table (see ``model.demand_table``), built once per problem
+    units: dict[int, dict[DatacenterId, int | None]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_units", demand_table(self.topology, self.classes))
+        object.__setattr__(self, "units", demand_table(self.topology, self.classes))
 
     def demand(self, class_id: int, node: DatacenterId) -> int | None:
         """CPU units of ``class_id`` at ``node``; None where it cannot run."""
-        return self._units[class_id][node]
+        return self.units[class_id][node]
 
     def price(self, svc: ActiveService, node: DatacenterId) -> float:
         """Hosting ``svc`` at ``node``: the placement price, plus one
@@ -472,9 +491,8 @@ class Simulator:
         self._solver_exhausted = False
         self._infeasible = False
         self._migration_cost = 0.0
-        # FIFO delivery per directed link: transmitter-busy horizon + guard
-        self._link_busy_until: dict[tuple[int, int], float] = {}
-        self._link_last_arrival: dict[tuple[int, int], float] = {}
+        # (src, dst) -> the directed link's transmitter; see send
+        self._links: dict[tuple[DatacenterId, DatacenterId], _Link] = {}
         self._capacity_used: dict[DatacenterId, int] = {
             n: 0 for n in topology.nodes
         }
@@ -503,19 +521,21 @@ class Simulator:
     def send(self, src: DatacenterId, dst: DatacenterId, msg: ProtocolMsg) -> None:
         bits = message_bits(msg)
         kind = type(msg).__name__
-        self.counters.messages[kind] = self.counters.messages.get(kind, 0) + 1
-        self.counters.bits[kind] = self.counters.bits.get(kind, 0) + bits
+        messages, bits_by_kind = self.counters.messages, self.counters.bits
+        messages[kind] = messages.get(kind, 0) + 1
+        bits_by_kind[kind] = bits_by_kind.get(kind, 0) + bits
         # The transmitter serializes one message at a time per directed
         # link, so a short message sent moments after a long one cannot
         # overtake it: delivery order is FIFO by construction.
-        start = max(self._now, self._link_busy_until.get((src, dst), 0.0))
-        departure = start + bits / self.link.capacity_bps
-        self._link_busy_until[(src, dst)] = departure
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[(src, dst)] = _Link()
+        departure = max(self._now, link.busy_until) + bits / self.link.capacity_bps
+        link.busy_until = departure
         arrival = departure + self.link.propagation
-        last = self._link_last_arrival.get((src, dst), float("-inf"))
-        if arrival <= last:
+        if arrival <= link.last_arrival:
             raise InvariantError(f"FIFO inversion on link s{src}->s{dst}")
-        self._link_last_arrival[(src, dst)] = arrival
+        link.last_arrival = arrival
         self.log(src, "send %s -> s%d bits=%d", kind, dst, bits)
         self._schedule(arrival, self.nodes[dst].on_message, (src, msg))
 
@@ -544,10 +564,12 @@ class Simulator:
 
     def _release_host(self, req: _RequestState) -> None:
         """Free the capacity of a request's current placement."""
-        assert req.host is not None
         node, rid = req.host, req.request.request_id
+        if node is None:
+            raise InvariantError(f"r{rid} released without a host")
         units = self._demand(req.request.class_id, node)
-        assert units is not None
+        if units is None:
+            raise InvariantError(f"r{rid} held s{node}, a level that cannot host it")
         if self.mode == "protocol":
             freed = self.nodes[node].release(rid)
             if freed != units:
@@ -710,7 +732,8 @@ class Simulator:
     # -- centralized epochs ---------------------------------------------------
 
     def _run_epoch(self) -> None:
-        assert self.algorithm is not None
+        if self.algorithm is None:
+            raise InvariantError("an epoch ran in the protocol lane")
         # The epoch may (re)place the requests still waiting and the ones
         # relocating after a move; with none of them it has nothing to do.
         if all(req.state not in _MOVABLE for req in self._registry.values()):
@@ -768,35 +791,62 @@ class Simulator:
 
     # -- main loop ------------------------------------------------------------
 
-    def run(self, trace: Sequence[TraceEvent], until: float | None = None) -> RunResult:
-        """Feed a trace through the world and drive it to quiescence."""
+    def _trace_cursor(
+        self, trace: Sequence[TraceEvent]
+    ) -> list[tuple[float, Callable[..., None], tuple]]:
+        """Every trace event as ``(time, handler, arguments)``, checked
+        before any runs, latest first: sorted stably by time, so events at
+        one instant keep their trace order, then reversed, so the next one
+        is popped off the end."""
+        entries = []
         for ev in trace:
             if ev.kind == "arrive":
                 if ev.poa is None or ev.class_id is None:
                     raise ValueError(f"arrival of user {ev.user} lacks a PoA or class")
-                self._schedule(ev.time, self._on_arrive, (ev.user, ev.poa, ev.class_id))
+                entries.append((ev.time, self._on_arrive, (ev.user, ev.poa, ev.class_id)))
             elif ev.kind == "move":
                 if ev.poa is None:
                     raise ValueError(f"move of user {ev.user} lacks a PoA")
-                self._schedule(ev.time, self._on_move, (ev.user, ev.poa))
+                entries.append((ev.time, self._on_move, (ev.user, ev.poa)))
             elif ev.kind == "depart":
-                self._schedule(ev.time, self._on_depart, (ev.user,))
+                entries.append((ev.time, self._on_depart, (ev.user,)))
             else:
                 raise ValueError(f"unknown trace event {ev.kind!r}")
-        if self.mode == "centralized" and trace:
-            horizon = max(ev.time for ev in trace) + self.EPOCH_PERIOD
+        entries.sort(key=itemgetter(0))
+        entries.reverse()
+        return entries
+
+    def run(self, trace: Sequence[TraceEvent], until: float | None = None) -> RunResult:
+        """Feed a trace through the world and drive it to quiescence.
+
+        Trace events do not enter the heap: they come from a cursor over
+        the trace sorted stably by time (see ``_trace_cursor``), and the
+        next event is the cursor's whenever its time is not later than
+        the heap top's.  Epochs, timers and messages are scheduled after
+        the whole trace, so this is the ``(time, sequence)`` order of one
+        heap holding both: at one instant the trace events run first, in
+        trace order, then the scheduled ones, in schedule order.  The heap
+        stays as small as the scheduled work, whatever the trace's length.
+        """
+        pending = self._trace_cursor(trace)
+        if self.mode == "centralized" and pending:
+            horizon = pending[0][0] + self.EPOCH_PERIOD  # the latest event
             steps = int(horizon / self.EPOCH_PERIOD) + 1
             for k in range(steps + 1):
                 self._schedule(k * self.EPOCH_PERIOD, self._run_epoch, ())
-        while self._heap:
-            if self.counters.events >= self.event_budget:
+        heap, counters = self._heap, self.counters
+        while pending or heap:
+            if counters.events >= self.event_budget:
                 self._diverged = True
                 break
-            time, _seq, handler, args = heapq.heappop(self._heap)
+            if pending and (not heap or pending[-1][0] <= heap[0][0]):
+                time, handler, args = pending.pop()
+            else:
+                time, _seq, handler, args = heapq.heappop(heap)
             if until is not None and time > until:
                 break
             self._now = time
-            self.counters.events += 1
+            counters.events += 1
             handler(*args)
             if self.check_invariants:
                 self.assert_invariants()

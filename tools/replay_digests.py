@@ -13,10 +13,12 @@ run replays byte for byte.
 
 The runs cover the fig2 and fig3 walkthroughs; the rand, synth and jitter
 families at seeds 1-12; a 300-user churn trace with moves, departures and
-push-downs; and a 1,000-user, 5-level burst, each in every lane.  A
-``churn-3000 dapp`` line follows: the benchmark's churn shape at seed 1
-(3,000 users, Poisson arrivals at 1,000/s, 2 s hold, a move every 0.5 s,
-4 s horizon, leaf capacity 4,500, 5 levels), in the protocol lane only.
+push-downs; and a 1,000-user, 5-level burst, each in every lane.  Three
+``dapp`` lines follow, ``churn-3000`` and ``churn-3000-s<seed>``: the
+benchmark's churn shape (3,000 users, Poisson arrivals at 1,000/s, 2 s
+hold, a move every 0.5 s, 4 s horizon, leaf capacity 4,500, 5 levels) at
+seeds 1, 100001 and 200001 (the first three instance seeds of the
+benchmark's ``churn`` workload at seed 1), in the protocol lane only.
 Then come least-capacity answers, ``min-cpu-<family>-s<seed>-p<share>
 <algorithm> <answer>``, in every lane: for 80 ``rand`` users on a 4-ary,
 4-level tree at shares 0, 0.5 and 1, at seeds 1, 100001, 200001 and
@@ -38,6 +40,8 @@ from typing import Any, Iterator
 
 SEEDS = range(1, 13)
 FAMILIES = ("rand", "synth", "jitter")
+#: seeds of the ``churn-3000`` lines
+CHURN_SEEDS = (1, 100001, 200001)
 MIN_CPU_ALGOS = ("exact", "bupu", "ffit", "dapp", "cpvnf", "multiscaler")
 #: per family, the seeds and shares searched and the rest of the inputs
 MIN_CPU_SEARCHES = (
@@ -63,7 +67,13 @@ def scenarios(ep: Any) -> Iterator[tuple[str, Any]]:
         for seed in SEEDS:
             yield f"{family}-{seed}", ep.scenarios.builtin_scenario(family, seed=seed)
     yield "churn-300", churn_scenario(
-        ep, users=300, leaf_capacity=1200, levels=4, arrival_rate=400.0, horizon=3.0
+        ep,
+        seed=1,
+        users=300,
+        leaf_capacity=1200,
+        levels=4,
+        arrival_rate=400.0,
+        horizon=3.0,
     )
     yield "burst-1000", ep.scenarios.rand_scenario(
         1, users=1000, leaf_capacity=5000, levels=5
@@ -73,19 +83,20 @@ def scenarios(ep: Any) -> Iterator[tuple[str, Any]]:
 def churn_scenario(
     ep: Any,
     *,
+    seed: int,
     users: int,
     leaf_capacity: int,
     levels: int,
     arrival_rate: float,
     horizon: float,
 ) -> Any:
-    """Seed-1 Poisson churn: 2 s mean hold, a move every 0.5 s."""
+    """Poisson churn: 2 s mean hold, a move every 0.5 s."""
     topology, classes, costs, rtt = ep.scenarios.default_profile(
         leaf_capacity=leaf_capacity, levels=levels
     )
     trace = ep.scenarios.synthesize_trace(
         topology,
-        seed=1,
+        seed=seed,
         users=users,
         p_rt=0.5,
         burst=False,
@@ -95,7 +106,7 @@ def churn_scenario(
         horizon=horizon,
     )
     return ep.scenarios.Scenario(
-        name="churn-1",
+        name=f"churn-{seed}",
         topology=topology,
         classes=classes,
         costs=costs,
@@ -150,10 +161,18 @@ def main(argv: list[str] | None = None) -> int:
     for label, scenario in scenarios(ep):
         for lane in ep.harness.ALGO_CHOICES:
             print(digest_line(ep, label, scenario, lane), flush=True)
-    churn = churn_scenario(
-        ep, users=3000, leaf_capacity=4500, levels=5, arrival_rate=1000.0, horizon=4.0
-    )
-    print(digest_line(ep, "churn-3000", churn, "dapp"), flush=True)
+    for seed in CHURN_SEEDS:
+        churn = churn_scenario(
+            ep,
+            seed=seed,
+            users=3000,
+            leaf_capacity=4500,
+            levels=5,
+            arrival_rate=1000.0,
+            horizon=4.0,
+        )
+        label = "churn-3000" if seed == 1 else f"churn-3000-s{seed}"
+        print(digest_line(ep, label, churn, "dapp"), flush=True)
     for family, seeds, shares, inputs in MIN_CPU_SEARCHES:
         for seed in seeds:
             for algo in MIN_CPU_ALGOS:
