@@ -304,7 +304,8 @@ def min_cpu_for(
     event_budget: int = EVENT_BUDGET,
     bnb_budget: int = NODE_BUDGET,
 ) -> int:
-    """Least leaf capacity at which ``algo`` serves the whole scenario.
+    """Least leaf capacity at which ``algo`` serves the whole scenario; 0
+    for a scenario without arrivals, which runs no probe.
 
     The search is :func:`min_cpu_binary_search` and its fixed bracket:
     doubling from 8 units, then bisecting to within ``tolerance``; past
@@ -341,6 +342,8 @@ def min_cpu_for(
     else:
         raise ValueError(f"unknown scenario family {family!r}")
     scenario = make(seed=seed, users=users, p_rt=p_rt, levels=levels, arity=arity)
+    if not any(ev.kind == "arrive" for ev in scenario.trace):
+        return 0  # nobody to serve: no capacity needed, and no probe to run
     suffices = _arrival_slot_count(scenario)
     tree = scenario.topology
 

@@ -26,6 +26,14 @@ act through the services of a :class:`World`, which the simulation engine
 implements, and the engine reaches a node only through ``buffer_scan_input``,
 ``on_message``, ``on_timer``, ``notify_gone`` and ``release``.
 
+What a node knows of a request beyond its own books it reads from one
+read-only table, :attr:`World.requests`: request id to a
+:class:`RequestView` of the request's current attachment and reach, its
+status and its generation.  The hot loops read it inline: a request is
+active while its status is ``waiting``, ``placed`` or ``relocating``,
+served while it is ``placed``, and a record is current while its request
+is active and carries the request's generation.
+
 A record's fields fix its role: a record without an ``origin`` is
 unassigned, and one with an origin advertises that datacenter's reservation
 (an advert); a record without a ``current_host`` is a brand-new request.
@@ -44,6 +52,7 @@ inputs replay to identical traces.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, NamedTuple, Protocol, Sequence
@@ -58,6 +67,8 @@ __all__ = [
     "PdRequestMsg",
     "PdAckMsg",
     "ProtocolTiming",
+    "ACTIVE_STATES",
+    "RequestView",
     "World",
     "PdSession",
     "ProtocolNode",
@@ -165,11 +176,31 @@ class ProtocolTiming:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"timing {name} must be finite and >= 0")
 
-    def scan_deadline(self, level: int, now: float) -> float:
-        return now + (level + 1) * self.scan_window
+    def scan_delay(self, level: int) -> float:
+        return (level + 1) * self.scan_window
 
-    def push_down_deadline(self, level: int, now: float) -> float:
-        return now + (level + 1) * self.push_down_window
+    def push_down_delay(self, level: int) -> float:
+        return (level + 1) * self.push_down_window
+
+
+#: A request's statuses while it still needs a host or holds one: while
+#: it is active (see :class:`RequestView`).
+ACTIVE_STATES = ("waiting", "placed", "relocating")
+
+
+class RequestView(Protocol):
+    """The engine's view of one request, as :attr:`World.requests` maps it.
+
+    ``request`` is the user's current attachment and reach.  ``state`` is
+    ``waiting`` (not placed yet), ``placed``, ``relocating`` (placed, but
+    its user moved out of the host's reach and a new placement is in
+    flight), ``failed`` or ``departed``.  ``generation`` is bumped when a
+    user move or departure supersedes the request's records in flight.
+    """
+
+    request: Request
+    state: str
+    generation: int
 
 
 class World(Protocol):
@@ -177,7 +208,13 @@ class World(Protocol):
 
     A node books a placement on its own capacity before it reports it with
     :meth:`commit_placement`; the engine never writes a node's books.
+
+    ``requests`` maps every request id the protocol may see to the
+    engine's :class:`RequestView` of it.  Nodes only read it: the engine
+    updates the views in place as requests are placed, move and leave.
     """
+
+    requests: Mapping[RequestId, RequestView]
 
     def now(self) -> float: ...
 
@@ -188,20 +225,6 @@ class World(Protocol):
     def report_failure(self, request_id: RequestId, node: DatacenterId) -> None: ...
 
     def arm_timer(self, node: DatacenterId, kind: str, deadline: float) -> None: ...
-
-    def is_active(self, request_id: RequestId) -> bool: ...
-
-    def is_served(self, request_id: RequestId) -> bool:
-        """Placed, and not awaiting re-placement after its user moved out
-        of the host's reach (such a record stays alive until re-placed)."""
-        ...
-
-    def record_current(self, rec: Record) -> bool:
-        """``rec``'s request is active, and no newer copy issued after a
-        user move has superseded ``rec``."""
-        ...
-
-    def request_info(self, request_id: RequestId) -> Request | None: ...
 
     def note_push_down(self) -> None: ...
 
@@ -228,8 +251,10 @@ def sort_requests(
     ones, then request id — a total, stable order.
     """
 
+    inside = local_subtree.__contains__
+
     def key(rec: Record) -> tuple[int, int, int, int]:
-        outside = sum(1 for n in rec.feasible if n not in local_subtree)
+        outside = len(rec.feasible) - sum(map(inside, rec.feasible))
         units = demand_here.get(rec.class_id, 1 << 30)
         return (outside, units, 1 if rec.current_host is None else 0, rec.request_id)
 
@@ -243,14 +268,22 @@ def _keyed(records: Iterable[Record]) -> dict[RequestId, Record]:
 
 #: ``array`` type code of packed request ids: signed 64-bit ints.
 _ID_TYPECODE = "q"
+#: id count -> the ``struct`` layout of that many ids, in ``array``'s
+#: native byte order and size
+_ID_LAYOUTS: dict[int, struct.Struct] = {}
 
 
 def pack_ids(request_ids: Collection[RequestId]) -> bytes:
     """A request-id list as :meth:`World.log` takes it: a bytes snapshot,
-    which the garbage collector does not track; see :func:`unpack_ids`."""
-    if not request_ids:
-        return b""  # most lists logged are empty: skip the array
-    return array(_ID_TYPECODE, request_ids).tobytes()
+    which the garbage collector does not track; see :func:`unpack_ids`.
+    A dict packs its keys."""
+    count = len(request_ids)
+    if not count:
+        return b""  # most lists logged are empty
+    layout = _ID_LAYOUTS.get(count)
+    if layout is None:
+        layout = _ID_LAYOUTS[count] = struct.Struct(f"@{count}{_ID_TYPECODE}")
+    return layout.pack(*request_ids)
 
 
 def unpack_ids(packed: bytes) -> array:
@@ -272,6 +305,13 @@ class PdSession:
 
     The recursion is asynchronous: after offering records to a child the
     node parks here until the child's ack resumes the walk.
+
+    ``records`` holds the records still in play; a child hosting one, or
+    its request leaving, pops it.  The session's open sorts them once, each
+    list in ``records``' order and read through it: ``by_child`` lists the
+    records each child may take, ``hostable`` those this node may host (not
+    its own), and ``passing`` any whose origin lies below a child, which
+    must never be offered to that child.
     """
 
     initiator: DatacenterId
@@ -280,6 +320,10 @@ class PdSession:
     records: dict[RequestId, Record]
     pending_children: list[DatacenterId]
     received: tuple[Record, ...] = ()
+    received_ids: frozenset[RequestId] = frozenset()
+    by_child: dict[DatacenterId, list[Record]] = field(default_factory=dict)
+    hostable: list[Record] = field(default_factory=list)
+    passing: dict[DatacenterId, list[Record]] = field(default_factory=dict)
     hosted_ids: set[RequestId] = field(default_factory=set)
     awaiting: DatacenterId | None = None
 
@@ -300,6 +344,7 @@ class ProtocolNode:
         demand: Mapping[int, int],
     ) -> None:
         self.world = world
+        self.requests = world.requests  # read only; see World
         self.node_id = node_id
         self.level = topology.level(node_id)
         self.parent = topology.parent(node_id)
@@ -312,6 +357,8 @@ class ProtocolNode:
         self.capacity = topology.capacity(node_id)
         self.available = topology.capacity(node_id)
         self.timing = timing
+        self.scan_delay = timing.scan_delay(self.level)
+        self.push_down_delay = timing.push_down_delay(self.level)
         self.demand = demand  # class id -> CPU units here; absent: not hostable
         # request bookkeeping
         self.assigned: dict[RequestId, int] = {}
@@ -328,7 +375,7 @@ class ProtocolNode:
         self.pd_session: PdSession | None = None
         self.deferred: list[tuple[DatacenterId, ProtocolMsg]] = []
         self.f_mode_until = float("-inf")
-        # push-down offer records of hosted services; see _appended_offer_records
+        # push-down offer records of hosted services; see _open_push_down
         self.hosted_offers: dict[RequestId, Record] = {}
 
     # -- small helpers ----------------------------------------------------
@@ -350,13 +397,13 @@ class ProtocolNode:
             if self.scan_timer_armed:
                 return
             self.scan_timer_armed = True
-            deadline = self.timing.scan_deadline(self.level, self.world.now())
+            delay = self.scan_delay
         else:
             if self.pd_timer_armed:
                 return
             self.pd_timer_armed = True
-            deadline = self.timing.push_down_deadline(self.level, self.world.now())
-        self.world.arm_timer(self.node_id, kind, deadline)
+            delay = self.push_down_delay
+        self.world.arm_timer(self.node_id, kind, self.world.now() + delay)
 
     def in_f_mode(self) -> bool:
         return self.world.now() < self.f_mode_until
@@ -392,12 +439,16 @@ class ProtocolNode:
         self.placed[rid] = units
         self.world.commit_placement(rid, self.node_id)
 
-    def _merge_records(
-        self, target: dict[RequestId, Record], incoming: Iterable[Record]
-    ) -> None:
-        for rec in incoming:
-            if rec.request_id not in target and self.world.record_current(rec):
-                target[rec.request_id] = rec
+    def _current(self, records: Iterable[Record]) -> list[Record]:
+        """The records whose request is active and that no newer copy,
+        issued after a user move, has superseded."""
+        requests = self.requests
+        current = []
+        for rec in records:
+            view = requests[rec.request_id]
+            if rec.generation == view.generation and view.state in ACTIVE_STATES:
+                current.append(rec)
+        return current
 
     def _take_scan_input(self, incoming: Sequence[Record]) -> None:
         """Scan prelude: merge a batch into the backlogs (a record with an
@@ -407,10 +458,12 @@ class ProtocolNode:
         record's sort key never changes, so it is still in order; it is
         re-sorted only when this merge added to it a record it can be out
         of order with."""
-        backlog = self.not_assigned
+        backlog, adverts = self.not_assigned, self.push_up
         before = len(backlog)
-        self._merge_records(backlog, (r for r in incoming if r.origin is None))
-        self._merge_records(self.push_up, (r for r in incoming if r.origin is not None))
+        for rec in self._current(incoming):
+            target = backlog if rec.origin is None else adverts
+            if rec.request_id not in target:
+                target[rec.request_id] = rec
         if len(backlog) > before and len(backlog) > 1:
             self.not_assigned = _keyed(self._sorted(backlog.values()))
 
@@ -420,7 +473,9 @@ class ProtocolNode:
             self.outstanding_pu.discard(rec.request_id)
         records = self.push_up
         self.push_up = {}
-        self._merge_records(records, incoming)
+        for rec in self._current(incoming):
+            if rec.request_id not in records:
+                records[rec.request_id] = rec
         return list(records.values())
 
     def _relay_acks(self, acks: Iterable[tuple[Record, bool]]) -> None:
@@ -535,9 +590,10 @@ class ProtocolNode:
             pack_ids(self.not_assigned),
             pack_ids(self.push_up),
         )
+        requests = self.requests
         new_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
-            if self.world.is_served(rec.request_id):
+            if requests[rec.request_id].state == "placed":
                 del self.not_assigned[rec.request_id]
                 continue
             units = self.demand.get(rec.class_id)
@@ -572,9 +628,10 @@ class ProtocolNode:
         """
         self._take_scan_input(incoming)
         self.world.log(self.node_id, "f-scan run na=[%s]", pack_ids(self.not_assigned))
+        requests = self.requests
         schedule_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
-            if self.world.is_served(rec.request_id):
+            if requests[rec.request_id].state == "placed":
                 del self.not_assigned[rec.request_id]
                 continue
             units = self.demand.get(rec.class_id)
@@ -623,11 +680,10 @@ class ProtocolNode:
 
     def _forward_and_resolve(self) -> None:
         """Scan epilogue: ship parent-bound records, then settle local adverts."""
-        if self.parent is not None:
-            fwd_na = [
-                r for r in self.not_assigned.values() if self.parent in r.feasible
-            ]
-            fwd_pu = [r for r in self.push_up.values() if self.parent in r.feasible]
+        parent = self.parent
+        if parent is not None:
+            fwd_na = [r for r in self.not_assigned.values() if parent in r.feasible]
+            fwd_pu = [r for r in self.push_up.values() if parent in r.feasible]
             if fwd_na or fwd_pu:
                 for rec in fwd_na:
                     del self.not_assigned[rec.request_id]
@@ -639,20 +695,19 @@ class ProtocolNode:
                     "scan forward na=[%s] pu=[%s] -> s%d",
                     _pack_records(fwd_na),
                     _pack_records(fwd_pu),
-                    self.parent,
+                    parent,
                 )
-                self.world.send(
-                    self.node_id, self.parent, SfsMsg(tuple(fwd_na + fwd_pu))
-                )
+                self.world.send(self.node_id, parent, SfsMsg(tuple(fwd_na + fwd_pu)))
         self._assert_no_stuck_records()
         if not self.outstanding_pu and self.push_up:
             self.run_push_up(())
 
     def _assert_no_stuck_records(self) -> None:
+        node, parent, pending = self.node_id, self.parent, self.pd_pending
         for rec in self.not_assigned.values():
-            if rec.top_feasible == self.node_id or rec.request_id in self.pd_pending:
+            if rec.top_feasible == node or rec.request_id in pending:
                 continue
-            if self.parent is None or self.parent not in rec.feasible:
+            if parent is None or parent not in rec.feasible:
                 raise InvariantError(
                     f"record r{rec.request_id} stranded at s{self.node_id}: "
                     "feasible set is not a contiguous path prefix"
@@ -696,10 +751,11 @@ class ProtocolNode:
         self, ack_records: Sequence[tuple[Record, bool]]
     ) -> None:
         """Apply verdicts from above: free or convert reservations, relay the rest."""
+        requests = self.requests
         relay: list[tuple[Record, bool]] = []
         for rec, hosted_above in ack_records:
             self.outstanding_pu.discard(rec.request_id)
-            if not self.world.is_active(rec.request_id):
+            if requests[rec.request_id].state not in ACTIVE_STATES:
                 continue
             if rec.origin == self.node_id:
                 if rec.request_id not in self.assigned:
@@ -725,9 +781,10 @@ class ProtocolNode:
         if not records:
             return
         self.world.log(self.node_id, "f-pu refuse [%s]", _pack_records(records))
+        requests = self.requests
         relay: list[tuple[Record, bool]] = []
         for rec in records:
-            if not self.world.is_active(rec.request_id):
+            if requests[rec.request_id].state not in ACTIVE_STATES:
                 continue
             if rec.origin == self.node_id:
                 if rec.request_id in self.assigned:
@@ -738,67 +795,22 @@ class ProtocolNode:
 
     # -- push-down ---------------------------------------------------------
 
-    def _appended_offer_records(self) -> list[Record]:
-        """Own reserved-then-stalled and hosted services a push-down may move.
-
-        A hosted service's offer depends only on the service and its
-        user's current reach: the other fields are fixed while it stays
-        here.  So the record is built once and kept in ``hosted_offers``, then
-        reused while the request's ``feasible`` is unchanged.  A move to a
-        new PoA that leaves the service hosted brings a new ``feasible``,
-        and the next offer rebuilds the record; ``release`` drops it when
-        the service leaves.
-
-        Push-down records carry generation 0, not the request's current
-        one, so those of a user who has moved arrive stale (the FOUND line
-        on push-down generations in CHANGES.md); the real generation would
-        change the churn results.
-        """
-        offers: list[Record] = []
-        for rec in self.push_up.values():
-            if rec.origin != self.node_id:
-                continue  # advert relayed for a descendant, not ours to move
-            if rec.request_id in self.outstanding_pu:
-                continue
-            offers.append(
-                rec._replace(
-                    generation=0, beta_at_initiator=self.assigned[rec.request_id]
-                )
-            )
-        cache = self.hosted_offers
-        for rid in sorted(self.placed):
-            if not self.world.is_served(rid):
-                continue  # a newer placement decision is already in flight
-            req = self.world.request_info(rid)
-            if req is None:
-                continue
-            offer = cache.get(rid)
-            if offer is None or offer.feasible != req.feasible:
-                offer = cache[rid] = Record(
-                    request_id=rid,
-                    class_id=req.class_id,
-                    origin=self.node_id,
-                    feasible=req.feasible,
-                    current_host=self.node_id,
-                    generation=0,
-                    beta_at_initiator=self.placed[rid],
-                )
-            offers.append(offer)
-        return offers
-
     def start_push_down(self) -> None:
         """Open a push-down for locally stuck requests (timer expiry)."""
-        pending = [rid for rid in self.pd_pending if self.world.is_active(rid)]
-        self.pd_pending = {}
+        pending, self.pd_pending = self.pd_pending, {}
+        requests = self.requests
         problematic: list[Record] = []
         for rid in pending:
+            state = requests[rid].state
+            if state not in ACTIVE_STATES or state == "placed":
+                continue
             rec = self.not_assigned.get(rid)
-            if rec is None or self.world.is_served(rid):
+            if rec is None:
                 continue
             units = self.demand.get(rec.class_id)
             if units is None:
                 raise InvariantError(f"stuck r{rid} is not hostable at s{self.node_id}")
-            # generation 0: see _appended_offer_records
+            # generation 0: see _open_push_down
             problematic.append(
                 rec._replace(origin=None, generation=0, beta_at_initiator=units)
             )
@@ -806,27 +818,21 @@ class ProtocolNode:
             return
         deficit = sum(r.beta_at_initiator for r in problematic) - self.available
         self.world.note_push_down()
-        records = self._open_push_down(problematic, self.node_id, None, deficit)
-        self.world.log(
-            self.node_id,
-            "pd start deficit=%d records=[%s]",
-            deficit,
-            _pack_records(records),
-        )
+        ids = self._open_push_down(problematic, self.node_id, None, deficit)
+        self.world.log(self.node_id, "pd start deficit=%d records=[%s]", deficit, ids)
         self._continue_push_down()
 
     def accept_push_down(self, sender: DatacenterId, msg: PdRequestMsg) -> None:
         """Join a push-down chain started above us."""
-        usable = [rec for rec in msg.records if self.world.record_current(rec)]
-        records = self._open_push_down(
-            usable, msg.initiator, sender, msg.deficit, tuple(msg.records)
+        ids = self._open_push_down(
+            self._current(msg.records), msg.initiator, sender, msg.deficit, msg.records
         )
         self.world.log(
             self.node_id,
             "pd accept from s%d deficit=%d records=[%s]",
             sender,
             msg.deficit,
-            _pack_records(records),
+            ids,
         )
         self._continue_push_down()
 
@@ -837,15 +843,95 @@ class ProtocolNode:
         caller: DatacenterId | None,
         deficit: int,
         received: tuple[Record, ...] = (),
-    ) -> list[Record]:
+    ) -> bytes:
         """Open a session over ``offered`` plus the services this node may
-        move itself, and enter quarantine; returns the session's records."""
-        records = offered + self._appended_offer_records()
+        move itself, and enter quarantine; returns the session's request
+        ids, offered first, packed for the log.
+
+        The node's own services are its stalled reservations, whose adverts
+        wait here, and the services it hosts that are still served (a
+        relocating one has a newer placement in flight).  A later record
+        for an id replaces an earlier one in place.  A node never hosts
+        its own services in its own session, so a leaf, with no child to
+        offer them to, lists them by id only: it builds no record for them,
+        and an offered record that shares an id with one of them is not
+        hostable there, as it would not be had the own record replaced it.
+
+        A hosted service's offer depends only on the service and its
+        user's current reach: the other fields are fixed while it stays
+        here.  So the record is built once and kept in ``hosted_offers``,
+        then reused while the request's ``feasible`` is unchanged.  A move
+        to a new PoA that leaves the service hosted brings a new
+        ``feasible``, and the next offer rebuilds the record; ``release``
+        drops it when the service leaves.
+
+        Push-down records carry generation 0, not the request's current
+        one, so those of a user who has moved arrive stale (the FOUND line
+        on push-down generations in CHANGES.md); the real generation would
+        change the churn results.
+        """
+        node, requests, offers_own = self.node_id, self.requests, bool(self.children)
+        records = _keyed(offered)
+        ids = [rec.request_id for rec in offered]
+        assigned, outstanding = self.assigned, self.outstanding_pu
+        for rid, rec in self.push_up.items():
+            if rec.origin == node and rid not in outstanding:
+                ids.append(rid)
+                if offers_own:
+                    records[rid] = rec._replace(
+                        generation=0, beta_at_initiator=assigned[rid]
+                    )
+        cache = self.hosted_offers
+        for rid in sorted(self.placed):
+            view = requests[rid]
+            if view.state != "placed":
+                continue
+            ids.append(rid)
+            if offers_own:
+                req = view.request
+                offer = cache.get(rid)
+                if offer is None or offer.feasible != req.feasible:
+                    offer = cache[rid] = Record(
+                        request_id=rid,
+                        class_id=req.class_id,
+                        origin=node,
+                        feasible=req.feasible,
+                        current_host=node,
+                        generation=0,
+                        beta_at_initiator=self.placed[rid],
+                    )
+                records[rid] = offer
+        own: Collection[RequestId] = ()
+        if not offers_own and offered and len(ids) > len(offered):
+            own = set(ids[len(offered) :])
+        child_of = self._child_of
+        by_child: dict[DatacenterId, list[Record]] = {}
+        hostable: list[Record] = []
+        passing: dict[DatacenterId, list[Record]] = {}
+        for rid, rec in records.items():
+            origin = rec.origin
+            if origin != node:
+                if rid not in own:
+                    hostable.append(rec)
+                if origin in child_of:
+                    passing.setdefault(child_of[origin], []).append(rec)
+            child = child_of.get(rec.feasible[0])
+            if child is not None:
+                by_child.setdefault(child, []).append(rec)
         self.enter_f_mode()
         self.pd_session = PdSession(
-            initiator, caller, deficit, _keyed(records), list(self.children), received
+            initiator=initiator,
+            caller=caller,
+            deficit=deficit,
+            records=records,
+            pending_children=list(self.children),
+            received=received,
+            received_ids=frozenset(r.request_id for r in received),
+            by_child=by_child,
+            hostable=hostable,
+            passing=passing,
         )
-        return records
+        return pack_ids(ids)
 
     def _hosting_pass(self) -> tuple[list[Record], int]:
         """The session records that fit here, in order (own and stale ones
@@ -856,11 +942,16 @@ class ProtocolNode:
         # deficit; shuffling a relay's own services does not.
         credits = self.node_id != session.initiator
         available, deficit = self.available, session.deficit
+        records, requests, demand = session.records, self.requests, self.demand
         fits: list[Record] = []
-        for rec in session.records.values():
-            if rec.origin == self.node_id or not self.world.record_current(rec):
+        for rec in session.hostable:
+            rid = rec.request_id
+            if rid not in records:
                 continue
-            units = self.demand.get(rec.class_id)
+            view = requests[rid]
+            if rec.generation != view.generation or view.state not in ACTIVE_STATES:
+                continue
+            units = demand.get(rec.class_id)
             if units is None or units > available:
                 continue
             available -= units
@@ -874,13 +965,16 @@ class ProtocolNode:
         session = self._session()
         return session.deficit <= 0 or self._hosting_pass()[1] <= 0
 
-    def _pd_record_relevant(self, rec: Record, child: DatacenterId) -> bool:
-        """Does ``child``'s subtree hold part of ``rec``'s reach?  A reach is
-        a path prefix from the PoA up, so it enters the subtree exactly
-        when the PoA lies in it."""
-        if rec.origin in self.child_subtree[child]:
-            raise InvariantError(f"push-down r{rec.request_id} passes its origin")
-        return self._child_of.get(rec.feasible[0]) == child
+    def _offer_for(self, child: DatacenterId) -> list[Record]:
+        """The session records still in play that ``child``'s subtree holds
+        part of the reach of.  A reach is a path prefix from the PoA up, so
+        it enters the subtree exactly when the PoA lies in it."""
+        session = self._session()
+        records = session.records
+        for rec in session.passing.get(child, ()):
+            if rec.request_id in records:
+                raise InvariantError(f"push-down r{rec.request_id} passes its origin")
+        return [r for r in session.by_child.get(child, ()) if r.request_id in records]
 
     def _continue_push_down(self) -> None:
         """Advance the depth-first walk: next child offer, or wrap up."""
@@ -896,11 +990,7 @@ class ProtocolNode:
                 session.pending_children.clear()
                 break
             child = session.pending_children.pop(0)
-            offer = [
-                r
-                for r in session.records.values()
-                if self._pd_record_relevant(r, child)
-            ]
+            offer = self._offer_for(child)
             if not offer:
                 continue
             session.awaiting = child
@@ -931,12 +1021,11 @@ class ProtocolNode:
             )
         session.awaiting = None
         session.deficit = msg.deficit
-        received_ids = {r.request_id for r in session.received}
         for rec, hosted in msg.acks:
             if not hosted:
                 continue
             session.records.pop(rec.request_id, None)
-            if rec.request_id in received_ids:
+            if rec.request_id in session.received_ids:
                 session.hosted_ids.add(rec.request_id)
             if rec.origin == self.node_id and rec.request_id in self.assigned:
                 # a reservation of ours was hosted below: release it
@@ -950,12 +1039,11 @@ class ProtocolNode:
     def _finish_push_down(self) -> None:
         """Local hosting pass, ack the caller, then the fallback epilogue."""
         session = self._session()
-        received_ids = {r.request_id for r in session.received}
         hosted, session.deficit = self._hosting_pass()
         for rec in hosted:
             self.world.log(self.node_id, "pd host r%d", rec.request_id)
             self._place(rec, reserved=False)
-            if rec.request_id in received_ids:
+            if rec.request_id in session.received_ids:
                 session.hosted_ids.add(rec.request_id)
             if rec.origin is None:
                 self.not_assigned.pop(rec.request_id, None)

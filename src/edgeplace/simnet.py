@@ -53,6 +53,7 @@ from .model import (
     feasible_set_for,
 )
 from .protocol import (
+    ACTIVE_STATES,
     PdAckMsg,
     PdRequestMsg,
     ProtocolMsg,
@@ -336,24 +337,25 @@ class RunResult:
 
 _HOSTED = ("placed", "relocating")
 _MOVABLE = ("waiting", "relocating")
-_ACTIVE = ("waiting", "placed", "relocating")
 
 
 class _RequestState:
-    """The engine's view of one request.
+    """The engine's view of one request: a row of ``Simulator.requests``,
+    the table every protocol node reads (see ``protocol.RequestView``).
 
     ``request`` is the user's current attachment and reach, replaced on a
-    move (so ``World.request_info`` hands it out without allocating).
-    ``reached`` lists every node of every reach the request has had, the
-    only nodes that can hold a trace of it (see ``Simulator._purge``).
+    move.  ``reached`` lists every node of every reach the request has had,
+    the only nodes that can hold a trace of it (see ``Simulator._purge``).
 
     ``state`` is the one record of its status: ``waiting`` (not placed
     yet), ``placed``, ``relocating`` (still placed, but its user moved out
     of the host's reach and a new placement is in flight), ``failed`` or
-    ``departed``.  ``is_served`` reads placed; ``is_active`` also waiting
-    and relocating (``_ACTIVE``); an epoch may (re)place, and a run lists
-    as unplaced, the waiting and relocating ones (``_MOVABLE``); the
-    placed and relocating ones hold a host (``_HOSTED``).
+    ``departed``.  A request is served while placed, and active while
+    waiting, placed or relocating (``ACTIVE_STATES``); an epoch may
+    (re)place, and a run lists as unplaced, the waiting and relocating ones
+    (``_MOVABLE``); the placed and relocating ones hold a host
+    (``_HOSTED``).  ``generation`` counts the moves and the departure that
+    superseded the request's records in flight.
     """
 
     __slots__ = ("request", "reached", "state", "host", "generation")
@@ -471,7 +473,9 @@ class Simulator:
         self._seq = 0
         # (time, sequence, handler, the handler's arguments)
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
-        self._registry: dict[RequestId, _RequestState] = {}
+        #: request id -> the engine's view of it, every request of the run;
+        #: the World's request table, which protocol nodes only read
+        self.requests: dict[RequestId, _RequestState] = {}
         # (PoA, class id) -> reach; see _feasible_for
         self._reaches: dict[tuple[DatacenterId, int], tuple[DatacenterId, ...]] = {}
         # centralized: the last epoch the algorithm could not solve; an
@@ -542,7 +546,7 @@ class Simulator:
     def commit_placement(self, request_id: RequestId, node: DatacenterId) -> None:
         """Record a placement (and thus any migration) that, in the
         protocol lane, the hosting node has already booked."""
-        req = self._registry[request_id]
+        req = self.requests[request_id]
         class_id = req.request.class_id
         units = self._demand(class_id, node)
         if units is None:
@@ -581,7 +585,7 @@ class Simulator:
         req.host = None
 
     def report_failure(self, request_id: RequestId, node: DatacenterId) -> None:
-        req = self._registry[request_id]
+        req = self.requests[request_id]
         req.state = "failed"
         self.log(node, "failure r%d", request_id)
         self._purge(request_id)
@@ -600,31 +604,11 @@ class Simulator:
         node of one of its reaches, old or current.
         """
         if self.mode == "protocol":
-            for node in self._registry[request_id].reached:
+            for node in self.requests[request_id].reached:
                 self.nodes[node].notify_gone(request_id)
 
     def arm_timer(self, node: DatacenterId, kind: str, deadline: float) -> None:
         self._schedule(deadline, self.nodes[node].on_timer, (kind,))
-
-    def is_active(self, request_id: RequestId) -> bool:
-        req = self._registry.get(request_id)
-        return req is not None and req.state in _ACTIVE
-
-    def is_served(self, request_id: RequestId) -> bool:
-        req = self._registry.get(request_id)
-        return req is not None and req.state == "placed"
-
-    def record_current(self, rec: Record) -> bool:
-        req = self._registry.get(rec.request_id)
-        return (
-            req is not None
-            and rec.generation == req.generation
-            and req.state in _ACTIVE
-        )
-
-    def request_info(self, request_id: RequestId) -> Request | None:
-        req = self._registry.get(request_id)
-        return None if req is None else req.request
 
     def note_push_down(self) -> None:
         self.counters.push_downs += 1
@@ -664,7 +648,7 @@ class Simulator:
         return reach
 
     def _on_arrive(self, user: int, poa: DatacenterId, class_id: int) -> None:
-        if user in self._registry:
+        if user in self.requests:
             raise ValueError(f"user {user} arrived twice")
         feasible = self._feasible_for(poa, class_id)
         if not feasible:
@@ -672,7 +656,7 @@ class Simulator:
                 f"user {user} (class {class_id}) has no feasible datacenter at s{poa}"
             )
         req = _RequestState(Request(user, class_id, poa, feasible))
-        self._registry[user] = req
+        self.requests[user] = req
         self.log(poa, "arrive r%d class=%d", user, class_id)
         if self.mode == "protocol":
             self._issue(req)
@@ -691,7 +675,7 @@ class Simulator:
         self.nodes[request.poa].buffer_scan_input([rec])
 
     def _on_move(self, user: int, poa: DatacenterId) -> None:
-        req = self._registry.get(user)
+        req = self.requests.get(user)
         if req is None or req.state in ("departed", "failed"):
             return
         class_id = req.request.class_id
@@ -719,7 +703,7 @@ class Simulator:
             self._issue(req)
 
     def _on_depart(self, user: int) -> None:
-        req = self._registry.get(user)
+        req = self.requests.get(user)
         if req is None or req.state in ("departed", "failed"):
             return
         if req.host is not None:
@@ -736,12 +720,12 @@ class Simulator:
             raise InvariantError("an epoch ran in the protocol lane")
         # The epoch may (re)place the requests still waiting and the ones
         # relocating after a move; with none of them it has nothing to do.
-        if all(req.state not in _MOVABLE for req in self._registry.values()):
+        if all(req.state not in _MOVABLE for req in self.requests.values()):
             return
         services = []
-        for rid in sorted(self._registry):
-            req = self._registry[rid]
-            if req.state not in _ACTIVE:
+        for rid in sorted(self.requests):
+            req = self.requests[rid]
+            if req.state not in ACTIVE_STATES:
                 continue
             # the request's fields lead an ActiveService's, in order
             services.append(
@@ -773,8 +757,8 @@ class Simulator:
         targets: set[DatacenterId] = set()
         for rid in sorted(decision.placement):
             node = decision.placement[rid]
-            req = self._registry[rid]
-            if req.state not in _ACTIVE:
+            req = self.requests[rid]
+            if req.state not in ACTIVE_STATES:
                 continue
             if node == req.host:
                 req.state = "placed"
@@ -800,6 +784,9 @@ class Simulator:
         is popped off the end."""
         entries = []
         for ev in trace:
+            # the event log packs request ids as signed 64-bit ints
+            if not -(1 << 63) <= ev.user < 1 << 63:
+                raise ValueError(f"user id {ev.user} is not 64-bit")
             if ev.kind == "arrive":
                 if ev.poa is None or ev.class_id is None:
                     raise ValueError(f"arrival of user {ev.user} lacks a PoA or class")
@@ -835,8 +822,9 @@ class Simulator:
             for k in range(steps + 1):
                 self._schedule(k * self.EPOCH_PERIOD, self._run_epoch, ())
         heap, counters = self._heap, self.counters
+        budget, check_invariants = self.event_budget, self.check_invariants
         while pending or heap:
-            if counters.events >= self.event_budget:
+            if counters.events >= budget:
                 self._diverged = True
                 break
             if pending and (not heap or pending[-1][0] <= heap[0][0]):
@@ -848,18 +836,18 @@ class Simulator:
             self._now = time
             counters.events += 1
             handler(*args)
-            if self.check_invariants:
+            if check_invariants:
                 self.assert_invariants()
         placements = {
             rid: req.host
-            for rid, req in self._registry.items()
+            for rid, req in self.requests.items()
             if req.state in _HOSTED and req.host is not None
         }
         # Unserved at the end: never placed, or left stranded at a host the
         # user moved away from (a re-placement that never landed).
         unplaced: list[RequestId] = []
         failed: list[RequestId] = []
-        for rid, req in sorted(self._registry.items()):
+        for rid, req in sorted(self.requests.items()):
             if req.state in _MOVABLE:
                 unplaced.append(rid)
             elif req.state == "failed":
@@ -875,7 +863,7 @@ class Simulator:
         final_placement_cost = sum(
             (
                 self.costs.place_price(
-                    self._registry[rid].request.class_id, self.topology.level(node)
+                    self.requests[rid].request.class_id, self.topology.level(node)
                 )
                 for rid, node in placements.items()
             ),
@@ -892,7 +880,7 @@ class Simulator:
             migration_cost=self._migration_cost,
             final_placement_cost=final_placement_cost,
             comm_cost=self.costs.per_bit_cost * self.counters.total_bits(),
-            request_count=len(self._registry),
+            request_count=len(self.requests),
             solver_exhausted=self._solver_exhausted,
         )
 
@@ -919,7 +907,7 @@ class Simulator:
                     if rid in host_of:
                         raise InvariantError(f"r{rid} placed twice")
                     host_of[rid] = node_id
-        for rid, req in self._registry.items():
+        for rid, req in self.requests.items():
             if req.state in _HOSTED:
                 if req.host is None:
                     raise InvariantError(f"r{rid} placed without a host")

@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
-from edgeplace.model import Topology
+from edgeplace.model import InvariantError, Topology
 from edgeplace.protocol import (
     PdAckMsg,
     PdRequestMsg,
@@ -61,6 +61,27 @@ def wire_bits(msg: object) -> int:
     if isinstance(msg, PdAckMsg):
         return HEADER + NODE_ID + DEFICIT + len(msg.acks) * ack_bits()
     raise TypeError(f"not a protocol message: {msg!r}")
+
+
+# ---------------------------------------------------------------------------
+# push-down offers, one record and one child at a time
+
+
+def push_down_offer(
+    topology: Topology, records: Iterable[Record], child: int
+) -> list[Record]:
+    """The records a push-down offers ``child``, in order: each one whose
+    reach has a node in the child's subtree, found by scanning the whole
+    reach.  A record whose origin lies in the subtree must never travel
+    there: the first such record raises ``InvariantError``."""
+    members = set(topology.subtree(child))
+    offer = []
+    for record in records:
+        if record.origin in members:
+            raise InvariantError(f"push-down r{record.request_id} passes its origin")
+        if any(node in members for node in record.feasible):
+            offer.append(record)
+    return offer
 
 
 # ---------------------------------------------------------------------------

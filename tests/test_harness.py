@@ -272,6 +272,24 @@ def test_min_cpu_for_jitter_answers_are_frozen(seed: int, answers: list[int]) ->
     ] == answers
 
 
+@pytest.mark.parametrize("family", ["rand", "jitter"])
+def test_min_cpu_for_without_users_needs_no_capacity(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, family: str
+) -> None:
+    def no_probe(*args: object, **kwargs: object) -> None:
+        raise AssertionError("a search without users ran a probe")
+
+    monkeypatch.setattr(harness, "build_simulator", no_probe)
+    monkeypatch.setattr(harness, "min_cpu_binary_search", no_probe)
+    for algo in ALGO_CHOICES:
+        assert min_cpu_for(algo, users=0, family=family) == 0
+    argv = ["min-cpu", "--users", "0", "--family", family, "--format", "json"]
+    assert main([*argv, "--algo", ",".join(ALGO_CHOICES)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert sorted(row["algorithm"] for row in rows) == sorted(ALGO_CHOICES)
+    assert {row["min_cpu"] for row in rows} == {0}
+
+
 def test_min_cpu_for_synthesizes_one_trace_per_search(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:

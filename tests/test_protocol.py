@@ -7,8 +7,11 @@ the event loop, link model, or timers getting involved.
 
 from __future__ import annotations
 
+import gc
 import inspect
 import random
+from array import array
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +29,49 @@ from edgeplace.protocol import (
     Record,
     SfsMsg,
     World,
+    pack_ids,
     sort_requests,
+    unpack_ids,
 )
+from edgeplace.harness import build_simulator
+from edgeplace.scenarios import fig_two_tier_scenario
 from edgeplace.simnet import Simulator, _rids
+
+from .oracles import push_down_offer
+
+
+class _FakeView(NamedTuple):
+    request: Request | None
+    state: str
+    generation: int
+
+
+class _FakeRequests(Mapping[int, _FakeView]):
+    """``FakeWorld.requests``: a view of every request id, served over the
+    world's scripted sets; an id nobody scripted is a waiting request."""
+
+    def __init__(self, world: FakeWorld) -> None:
+        self.world = world
+
+    def __getitem__(self, request_id: int) -> _FakeView:
+        world = self.world
+        if request_id in world.gone:
+            state = "departed"
+        elif request_id in world.relocating_set:
+            state = "relocating"
+        elif request_id in world.placed_set:
+            state = "placed"
+        else:
+            state = "waiting"
+        return _FakeView(
+            world.views.get(request_id), state, world.generations.get(request_id, 0)
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        raise TypeError("the fake request table holds every id")
+
+    def __len__(self) -> int:
+        raise TypeError("the fake request table holds every id")
 
 
 class FakeWorld:
@@ -46,6 +89,7 @@ class FakeWorld:
         self.relocating_set: set[int] = set()
         self.generations: dict[int, int] = {}
         self.views: dict[int, Request] = {}
+        self.requests = _FakeRequests(self)
         self.push_down_count = 0
         self.lines: list[tuple[int, str]] = []
 
@@ -67,20 +111,6 @@ class FakeWorld:
 
     def arm_timer(self, node: int, kind: str, deadline: float) -> None:
         self.timers.append((node, kind, deadline))
-
-    def is_active(self, request_id: int) -> bool:
-        return request_id not in self.gone
-
-    def is_served(self, request_id: int) -> bool:
-        return request_id in self.placed_set and request_id not in self.relocating_set
-
-    def record_current(self, rec: Record) -> bool:
-        return self.is_active(rec.request_id) and rec.generation == (
-            self.generations.get(rec.request_id, 0)
-        )
-
-    def request_info(self, request_id: int) -> Request | None:
-        return self.views.get(request_id)
 
     def note_push_down(self) -> None:
         self.push_down_count += 1
@@ -201,9 +231,17 @@ def test_batch_deadlines_stretch_with_level() -> None:
     assert timing.scan_window == pytest.approx(0.0001)
     assert timing.push_down_window == pytest.approx(0.0004)
     assert timing.fallback_period == pytest.approx(10.0)
-    assert timing.scan_deadline(0, 5.0) == pytest.approx(5.0001)
-    assert timing.scan_deadline(2, 0.0) == pytest.approx(0.0003)
-    assert timing.push_down_deadline(3, 0.0) == pytest.approx(0.0016)
+    assert timing.scan_delay(0) == pytest.approx(0.0001)
+    assert timing.scan_delay(2) == pytest.approx(0.0003)
+    assert timing.push_down_delay(3) == pytest.approx(0.0016)
+    world = FakeWorld(three_level())
+    world.time = 5.0
+    make_node(world, 3).buffer_scan_input([rec(1, (3, 1, 0))])
+    make_node(world, 0)._arm_timer("push_down")
+    assert world.timers == [
+        (3, "scan", pytest.approx(5.0001)),
+        (0, "push_down", pytest.approx(5.0012)),
+    ]
 
 
 def test_buffer_scan_input_arms_one_timer_and_merges() -> None:
@@ -598,14 +636,6 @@ def test_release_drops_the_cached_offer() -> None:
     assert node.hosted_offers == {}
 
 
-def _relevant_by_scan(node: ProtocolNode, record: Record, child: int) -> bool:
-    """Push-down relevance as a scan of the child's subtree."""
-    members = node.child_subtree[child]
-    if record.origin in members:
-        raise InvariantError(f"push-down r{record.request_id} passes its origin")
-    return any(n in members for n in record.feasible)
-
-
 @st.composite
 def _pruned_tree(draw: st.DrawFn) -> Topology:
     """A tree of arity 1-4 and 2-5 levels with random subtrees pruned; a
@@ -622,24 +652,120 @@ def _pruned_tree(draw: st.DrawFn) -> Topology:
     return build_tree(levels=levels, arity=arity, leaf_capacity=4, prune=prune)
 
 
+def _walk_step(
+    node: ProtocolNode, session: PdSession, call: Callable[[], None]
+) -> bool:
+    """Run one step of a push-down walk and check each child it visited
+    against the oracle; True while the walk awaits a child's ack."""
+    world = node.world
+    pending = list(session.pending_children)
+    try:
+        call()
+        error = None
+    except InvariantError as exc:
+        error = str(exc)
+    visited = pending[: len(pending) - len(session.pending_children)]
+    records = list(session.records.values())  # offers pop nothing
+    for child in visited:
+        try:
+            offer = push_down_offer(world.topology, records, child)
+        except InvariantError as exc:
+            assert (child, str(exc)) == (visited[-1], error)
+            return False
+        if offer:
+            assert child == visited[-1] == session.awaiting
+            _src, dst, msg = world.sent[-1]
+            assert dst == child and isinstance(msg, PdRequestMsg)
+            assert msg.records == tuple(offer)
+    assert error is None
+    return session.awaiting is not None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_push_down_relevance_agrees_with_a_subtree_scan(data: st.DataObject) -> None:
+    """A whole push-down walk at an inner node, over offered records and
+    the node's own reservations and tenants: after random acks and
+    departures, each child's offer is the oracle's filter of the records
+    still in play, and a record whose origin lies below the child raises
+    the oracle's error."""
     topology = data.draw(_pruned_tree())
     inner = [n for n in topology.nodes if topology.children(n)]
-    node = make_node(FakeWorld(topology), data.draw(st.sampled_from(inner)))
-    child = data.draw(st.sampled_from(node.children))
-    path = topology.path_to_root(data.draw(st.sampled_from(topology.leaves)))
-    feasible = path[: data.draw(st.integers(1, len(path)))]
-    origin = data.draw(st.none() | st.sampled_from(topology.nodes))
-    record = rec(1, feasible, origin=origin)
-    if origin in topology.subtree(child):
-        with pytest.raises(InvariantError, match="passes its origin"):
-            node._pd_record_relevant(record, child)
-    else:
-        assert node._pd_record_relevant(record, child) == _relevant_by_scan(
-            node, record, child
+    world = FakeWorld(topology)
+    node = make_node(world, data.draw(st.sampled_from(inner)))
+
+    def reach() -> tuple[int, ...]:
+        path = topology.path_to_root(data.draw(st.sampled_from(topology.leaves)))
+        return path[: data.draw(st.integers(1, len(path)))]
+
+    origins = st.sampled_from([None, None, None, *topology.nodes])
+    offered = [
+        pd_rec(rid, reach(), 2, origin=data.draw(origins))
+        for rid in range(data.draw(st.integers(0, 8)))
+    ]
+    for rid in range(100, 100 + data.draw(st.integers(0, 3))):
+        node.push_up[rid] = rec(rid, reach(), origin=node.node_id)
+        node.assigned[rid] = 2
+    for rid in range(200, 200 + data.draw(st.integers(0, 3))):
+        feasible = reach()
+        node.placed[rid] = 2
+        world.placed_set.add(rid)
+        world.views[rid] = Request(rid, 0, feasible[0], feasible)
+    node.available = 0  # nothing fits here, so the walk visits every child
+    node._open_push_down(offered, topology.root, None, 10**6)
+    session = node._session()
+
+    def depart() -> None:
+        in_play = sorted(session.records)
+        if in_play:
+            for rid in data.draw(st.lists(st.sampled_from(in_play), max_size=3)):
+                world.gone.add(rid)
+                node.notify_gone(rid)
+
+    depart()
+    awaiting = _walk_step(node, session, node._continue_push_down)
+    while awaiting:
+        child = session.awaiting
+        _src, _dst, offer = world.sent[-1]
+        assert isinstance(offer, PdRequestMsg)
+        depart()
+        size = len(offer.records)
+        hosted = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        ack = PdAckMsg(topology.root, 10**6, tuple(zip(offer.records, hosted)))
+        awaiting = _walk_step(
+            node, session, lambda: node.handle_push_down_ack(child, ack)
         )
+
+
+def test_a_leaf_lists_its_own_services_by_id_and_hosts_only_offers() -> None:
+    world = FakeWorld(two_level())
+    node = make_node(world, 1, demand={0: 1})
+    node.assigned = {5: 1}
+    node.push_up = keyed(rec(5, (1, 0), origin=1))
+    node.placed = {7: 1}
+    world.placed_set = {7}
+    world.views[7] = Request(7, 0, 1, (1, 0))
+    node.available = 2
+    # r7 is also offered: as the node's own tenant it is not hostable here
+    offers = (pd_rec(9, (1, 0), 1), pd_rec(7, (1, 0), 1))
+    node.accept_push_down(0, PdRequestMsg(initiator=0, deficit=3, records=offers))
+    assert (1, "pd accept from s0 deficit=3 records=[r9,r7,r5,r7]") in world.lines
+    assert [text for _, text in world.lines if "pd host" in text] == ["pd host r9"]
+    assert node.hosted_offers == {}  # no offer record built for r7
+    ((_, dst, msg),) = sent_of(world, PdAckMsg)
+    assert dst == 0 and msg.acks == ((offers[0], True), (offers[1], False))
+
+
+@pytest.mark.parametrize("as_dict", [False, True])
+def test_pack_ids_round_trips_every_length_to_the_64_bit_edges(as_dict: bool) -> None:
+    low, high = -(1 << 63), (1 << 63) - 1
+    for count in range(301):
+        ids = [low + i for i in range(count // 2)]
+        ids += [high - i for i in range(count - count // 2)]
+        packed = pack_ids(dict.fromkeys(ids) if as_dict else ids)
+        assert type(packed) is bytes and not gc.is_tracked(packed)
+        assert packed == array("q", ids).tobytes()
+        assert list(unpack_ids(packed)) == ids
 
 
 def test_accept_push_down_hosts_and_shrinks_deficit() -> None:
@@ -837,8 +963,18 @@ def _parameters(method: object) -> list[tuple[str, object]]:
 
 def test_fake_and_engine_implement_exactly_the_world_seam() -> None:
     seam = _public_methods(World)
-    assert len(seam) <= 11
+    assert len(seam) <= 7
     assert _public_methods(FakeWorld) == seam
+    # the one request table, in place of per-request queries
+    assert set(World.__annotations__) == {"requests"}
+    fake = FakeWorld(two_level())
+    engine = build_simulator(fig_two_tier_scenario(), "dapp")
+    for world in (fake, engine):
+        assert isinstance(world.requests, Mapping)
+    engine.run(fig_two_tier_scenario().trace)
+    view = engine.requests[2]
+    assert (view.request.request_id, view.state, view.generation) == (2, "placed", 0)
+    assert fake.requests[2] == (None, "waiting", 0)
     assert seam <= _public_methods(Simulator)
     for name in sorted(seam):
         params = _parameters(getattr(World, name))

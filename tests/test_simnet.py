@@ -61,7 +61,7 @@ from edgeplace.scenarios import (
     synth_scenario,
     synthesize_trace,
 )
-from edgeplace.harness import build_simulator, run_scenario
+from edgeplace.harness import ALGO_CHOICES, build_simulator, run_scenario
 
 from .oracles import wire_bits
 
@@ -331,6 +331,24 @@ def test_unknown_trace_kind_raises() -> None:
 def test_trace_event_missing_a_field_raises(event: TraceEvent) -> None:
     with pytest.raises(ValueError, match="lacks a PoA"):
         _world({}).run([event])
+
+
+@pytest.mark.parametrize("user", [1 << 63, -(1 << 63) - 1])
+@pytest.mark.parametrize("lane", ALGO_CHOICES)
+def test_a_user_id_wider_than_64_bits_stops_every_lane_before_it_runs(
+    lane: str, user: int
+) -> None:
+    # the event log packs request ids as signed 64-bit ints, in every lane
+    scenario = fig_two_tier_scenario()
+    first = next(ev for ev in scenario.trace if ev.kind == "arrive")
+    trace = [*scenario.trace, first._replace(user=user, time=first.time + 0.5)]
+    sim = build_simulator(scenario, lane)
+    with pytest.raises(ValueError, match=f"user id {user} is not 64-bit"):
+        sim.run(trace)
+    assert sim.counters.events == 0
+    edge = (1 << 63) - 1 if user > 0 else -(1 << 63)
+    result = run_scenario(replace(scenario, trace=[first._replace(user=edge)]), lane)
+    assert result.request_count == 1 and result.verdict == "ok"
 
 
 def test_empty_trace_runs_to_an_empty_ok_report() -> None:
@@ -692,7 +710,7 @@ try:
     sim.assert_invariants()
 except InvariantError as err:
     print("caught", err)
-req = sim.request_info(2)
+req = sim.requests[2].request
 try:  # s1 is full
     sim.nodes[1]._place(
         Record(2, req.class_id, None, req.feasible), reserved=False
@@ -920,15 +938,15 @@ def test_purge_leaves_no_trace_on_any_node(monkeypatch) -> None:
 
 def _offers_built_afresh(node: ProtocolNode) -> list[Record]:
     """A node's push-down offer records, each built anew from the world."""
-    world = node.world
+    requests = node.world.requests
     offers = [
         rec._replace(generation=0, beta_at_initiator=node.assigned[rid])
         for rid, rec in node.push_up.items()
         if rec.origin == node.node_id and rid not in node.outstanding_pu
     ]
     for rid in sorted(node.placed):
-        req = world.request_info(rid)
-        if world.is_served(rid) and req is not None:
+        if requests[rid].state == "placed":
+            req = requests[rid].request
             offers.append(
                 Record(
                     request_id=rid,
@@ -943,21 +961,27 @@ def _offers_built_afresh(node: ProtocolNode) -> list[Record]:
 
 
 def test_cached_offers_equal_offers_built_afresh(monkeypatch) -> None:
-    appended = ProtocolNode._appended_offer_records
+    open_push_down = ProtocolNode._open_push_down
     hosted = reused = 0
 
-    def checked(self: ProtocolNode) -> list[Record]:
+    def checked(self: ProtocolNode, *args: object) -> bytes:
         nonlocal hosted, reused
         before = dict(self.hosted_offers)
-        offers = appended(self)
-        assert offers == _offers_built_afresh(self)
-        for rec in offers:
+        afresh = _offers_built_afresh(self)
+        ids = open_push_down(self, *args)
+        records = self._session().records
+        if not self.children:  # a leaf lists its own services by id only
+            assert self.hosted_offers == before
+            assert all(records.get(r.request_id) != r for r in afresh)
+            return ids
+        assert [records[r.request_id] for r in afresh] == afresh
+        for rec in afresh:
             if rec.current_host == self.node_id:
                 hosted += 1
-                reused += before.get(rec.request_id) is rec
-        return offers
+                reused += before.get(rec.request_id) is records[rec.request_id]
+        return ids
 
-    monkeypatch.setattr(ProtocolNode, "_appended_offer_records", checked)
+    monkeypatch.setattr(ProtocolNode, "_open_push_down", checked)
     for seed in (1, 2, 3):
         run_scenario(_churn_scenario(seed), "dapp")
     assert 0 < reused < hosted

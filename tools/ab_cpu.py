@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Paired CPU comparison of two checkouts on one benchmark workload.
+
+Usage::
+
+    python3 tools/ab_cpu.py --a DIR --b DIR --workload churn --pairs 10 [--seed 1]
+
+Both packages, ``DIR/src/edgeplace`` of each checkout, are imported into
+this one process, side by side.  A pair times one pass of the workload's
+timed part on each side, with the inputs (built from ``--seed``) and the
+runs of this checkout's ``bench/workloads.py`` and its clock,
+``bench/speed.CLOCK``: thread CPU seconds at the reference clock speed.
+The side that goes first alternates from pair to pair, so a drift in the
+machine's speed falls on both alike.  A pass's figure is ``cpu_s`` as
+``bench/run.py`` takes it from one pass: the sum, over the runs or
+searches of an instance, of each one's lower quartile over the instances.
+
+Prints one JSON object: each side's median and quartiles, the number of
+pairs in which ``b`` took less time (``b_wins``), the median of the
+per-pair ratio ``b / a``, and every pair's figures.  Both sides must
+produce the same outputs (the benchmark's digests); a pair that does not
+stops the script.  Standard library only; the benchmark files are only
+read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import json
+import os
+import statistics
+import sys
+from pathlib import Path
+from typing import Any
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+#: as in bench/run.py: dict and set layouts repeat from run to run
+FIXED_ENV = {"PYTHONHASHSEED": "0"}
+
+
+def import_from(root: Path) -> Any:
+    """Import ``edgeplace`` from ``root/src``, leaving it loaded beside any
+    other copy: each copy's modules keep references to their own."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "edgeplace"]:
+        del sys.modules[name]
+    src = str(root.resolve() / "src")
+    sys.path.insert(0, src)
+    try:
+        ep = importlib.import_module("edgeplace")
+    finally:
+        sys.path.remove(src)
+    if Path(ep.__file__).resolve().parent != Path(src) / "edgeplace":
+        raise ImportError(f"edgeplace came from {ep.__file__}, not {src}")
+    return ep
+
+
+def lower_quartile(values: list[float]) -> float:
+    if len(values) < 2:
+        return values[0]
+    return statistics.quantiles(values, n=4, method="inclusive")[0]
+
+
+def one_pass(workload: Any, ep: Any, inputs: list[Any]) -> tuple[float, list[Any]]:
+    """CPU seconds of one pass over ``inputs``, and its outputs' digests."""
+    cells, digests = [], []
+    for instance in inputs:
+        gc.collect()
+        out = workload.run_instance(ep, instance)
+        cells.append([cell.seconds for cell in out])
+        digests.append(workload.fingerprint(ep, out))
+    return sum(lower_quartile(list(column)) for column in zip(*cells)), digests
+
+
+def summary(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--a", required=True, type=Path, help="baseline checkout")
+    parser.add_argument("--b", required=True, type=Path, help="changed checkout")
+    parser.add_argument(
+        "--workload", required=True, choices=("churn", "burst", "capacity")
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    if any(os.environ.get(k) != v for k, v in FIXED_ENV.items()):
+        os.execve(
+            sys.executable,
+            [sys.executable, str(Path(__file__).resolve()), *sys.argv[1:]],
+            {**os.environ, **FIXED_ENV},
+        )
+    sys.path.insert(0, str(BENCH))
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[args.workload]
+    sides = {}
+    for side in ("a", "b"):
+        ep = import_from(getattr(args, side))
+        sides[side] = (ep, workload.build(ep, args.seed))
+    seconds: dict[str, list[float]] = {"a": [], "b": []}
+    for pair in range(args.pairs):
+        digests = {}
+        for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
+            ep, inputs = sides[side]
+            taken, digests[side] = one_pass(workload, ep, inputs)
+            seconds[side].append(taken)
+        if digests["a"] != digests["b"]:
+            print(f"pair {pair}: the two sides' outputs differ", file=sys.stderr)
+            return 2
+    a, b = seconds["a"], seconds["b"]
+    print(
+        json.dumps(
+            {
+                "workload": args.workload,
+                "seed": args.seed,
+                "pairs": args.pairs,
+                "a": {"dir": str(args.a), **summary(a)},
+                "b": {"dir": str(args.b), **summary(b)},
+                "b_wins": sum(tb < ta for ta, tb in zip(a, b)),
+                "median_ratio": statistics.median(tb / ta for ta, tb in zip(a, b)),
+                "a_s": a,
+                "b_s": b,
+            },
+            indent=1,
+        )
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
