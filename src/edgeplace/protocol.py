@@ -52,8 +52,6 @@ inputs replay to identical traces.
 from __future__ import annotations
 
 import math
-import struct
-from array import array
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
@@ -73,8 +71,6 @@ __all__ = [
     "PdSession",
     "ProtocolNode",
     "sort_requests",
-    "pack_ids",
-    "unpack_ids",
 ]
 
 
@@ -230,7 +226,7 @@ class World(Protocol):
 
     def log(self, node: DatacenterId, template: str, *args: object) -> None:
         """Record an event at ``node``: a constant ``%``-template and the
-        values it formats, ints, floats, strings or :func:`pack_ids` lists.
+        values it formats, ints, floats, strings or tuples of request ids.
         The caller builds no text; the engine renders it when it is read."""
         ...
 
@@ -266,33 +262,8 @@ def _keyed(records: Iterable[Record]) -> dict[RequestId, Record]:
     return {rec.request_id: rec for rec in records}
 
 
-#: ``array`` type code of packed request ids: signed 64-bit ints.
-_ID_TYPECODE = "q"
-#: id count -> the ``struct`` layout of that many ids, in ``array``'s
-#: native byte order and size
-_ID_LAYOUTS: dict[int, struct.Struct] = {}
-
-
-def pack_ids(request_ids: Collection[RequestId]) -> bytes:
-    """A request-id list as :meth:`World.log` takes it: a bytes snapshot,
-    which the garbage collector does not track; see :func:`unpack_ids`.
-    A dict packs its keys."""
-    count = len(request_ids)
-    if not count:
-        return b""  # most lists logged are empty
-    layout = _ID_LAYOUTS.get(count)
-    if layout is None:
-        layout = _ID_LAYOUTS[count] = struct.Struct(f"@{count}{_ID_TYPECODE}")
-    return layout.pack(*request_ids)
-
-
-def unpack_ids(packed: bytes) -> array:
-    """The request ids :func:`pack_ids` packed, in their order."""
-    return array(_ID_TYPECODE, packed)
-
-
-def _pack_records(records: Iterable[Record]) -> bytes:
-    return pack_ids([r.request_id for r in records])
+def _record_ids(records: Iterable[Record]) -> tuple[RequestId, ...]:
+    return tuple([r.request_id for r in records])
 
 
 # --------------------------------------------------------------------------
@@ -587,8 +558,8 @@ class ProtocolNode:
         self.world.log(
             self.node_id,
             "scan run na=[%s] pu=[%s]",
-            pack_ids(self.not_assigned),
-            pack_ids(self.push_up),
+            tuple(self.not_assigned),
+            tuple(self.push_up),
         )
         requests = self.requests
         new_push_down: list[RequestId] = []
@@ -613,7 +584,7 @@ class ProtocolNode:
         if new_push_down:
             self.pd_pending.update(dict.fromkeys(new_push_down))
             self.world.log(
-                self.node_id, "scan push-down-pending [%s]", pack_ids(new_push_down)
+                self.node_id, "scan push-down-pending [%s]", tuple(new_push_down)
             )
             self._arm_timer("push_down")
             return  # the push-down epilogue will move the leftovers
@@ -627,7 +598,7 @@ class ProtocolNode:
         is still winding down — are failed outright.
         """
         self._take_scan_input(incoming)
-        self.world.log(self.node_id, "f-scan run na=[%s]", pack_ids(self.not_assigned))
+        self.world.log(self.node_id, "f-scan run na=[%s]", tuple(self.not_assigned))
         requests = self.requests
         schedule_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
@@ -654,7 +625,7 @@ class ProtocolNode:
             self.world.log(
                 self.node_id,
                 "f-scan push-down-pending [%s]",
-                pack_ids(schedule_push_down),
+                tuple(schedule_push_down),
             )
             self._arm_timer("push_down")
         forward = [
@@ -670,7 +641,7 @@ class ProtocolNode:
             self.world.log(
                 self.node_id,
                 "f-scan forward [%s] -> s%d",
-                _pack_records(forward),
+                _record_ids(forward),
                 self.parent,
             )
             self.world.send(self.node_id, self.parent, SfsMsg(tuple(forward)))
@@ -693,8 +664,8 @@ class ProtocolNode:
                 self.world.log(
                     self.node_id,
                     "scan forward na=[%s] pu=[%s] -> s%d",
-                    _pack_records(fwd_na),
-                    _pack_records(fwd_pu),
+                    _record_ids(fwd_na),
+                    _record_ids(fwd_pu),
                     parent,
                 )
                 self.world.send(self.node_id, parent, SfsMsg(tuple(fwd_na + fwd_pu)))
@@ -721,7 +692,7 @@ class ProtocolNode:
         if not records:
             return
         records = self._sorted(records)
-        self.world.log(self.node_id, "pu run [%s]", _pack_records(records))
+        self.world.log(self.node_id, "pu run [%s]", _record_ids(records))
         acks: dict[DatacenterId, list[tuple[Record, bool]]] = {}
         downs: dict[DatacenterId, list[Record]] = {}
         for rec in records:
@@ -780,7 +751,7 @@ class ProtocolNode:
         records = self._take_push_up(incoming)
         if not records:
             return
-        self.world.log(self.node_id, "f-pu refuse [%s]", _pack_records(records))
+        self.world.log(self.node_id, "f-pu refuse [%s]", _record_ids(records))
         requests = self.requests
         relay: list[tuple[Record, bool]] = []
         for rec in records:
@@ -843,19 +814,15 @@ class ProtocolNode:
         caller: DatacenterId | None,
         deficit: int,
         received: tuple[Record, ...] = (),
-    ) -> bytes:
+    ) -> tuple[RequestId, ...]:
         """Open a session over ``offered`` plus the services this node may
         move itself, and enter quarantine; returns the session's request
-        ids, offered first, packed for the log.
+        ids, offered first, for the log.
 
         The node's own services are its stalled reservations, whose adverts
         wait here, and the services it hosts that are still served (a
         relocating one has a newer placement in flight).  A later record
-        for an id replaces an earlier one in place.  A node never hosts
-        its own services in its own session, so a leaf, with no child to
-        offer them to, lists them by id only: it builds no record for them,
-        and an offered record that shares an id with one of them is not
-        hostable there, as it would not be had the own record replaced it.
+        for an id replaces an earlier one in place.
 
         A hosted service's offer depends only on the service and its
         user's current reach: the other fields are fixed while it stays
@@ -870,49 +837,43 @@ class ProtocolNode:
         on push-down generations in CHANGES.md); the real generation would
         change the churn results.
         """
-        node, requests, offers_own = self.node_id, self.requests, bool(self.children)
+        node, requests = self.node_id, self.requests
         records = _keyed(offered)
         ids = [rec.request_id for rec in offered]
         assigned, outstanding = self.assigned, self.outstanding_pu
         for rid, rec in self.push_up.items():
             if rec.origin == node and rid not in outstanding:
                 ids.append(rid)
-                if offers_own:
-                    records[rid] = rec._replace(
-                        generation=0, beta_at_initiator=assigned[rid]
-                    )
+                records[rid] = rec._replace(
+                    generation=0, beta_at_initiator=assigned[rid]
+                )
         cache = self.hosted_offers
         for rid in sorted(self.placed):
             view = requests[rid]
             if view.state != "placed":
                 continue
             ids.append(rid)
-            if offers_own:
-                req = view.request
-                offer = cache.get(rid)
-                if offer is None or offer.feasible != req.feasible:
-                    offer = cache[rid] = Record(
-                        request_id=rid,
-                        class_id=req.class_id,
-                        origin=node,
-                        feasible=req.feasible,
-                        current_host=node,
-                        generation=0,
-                        beta_at_initiator=self.placed[rid],
-                    )
-                records[rid] = offer
-        own: Collection[RequestId] = ()
-        if not offers_own and offered and len(ids) > len(offered):
-            own = set(ids[len(offered) :])
+            req = view.request
+            offer = cache.get(rid)
+            if offer is None or offer.feasible != req.feasible:
+                offer = cache[rid] = Record(
+                    request_id=rid,
+                    class_id=req.class_id,
+                    origin=node,
+                    feasible=req.feasible,
+                    current_host=node,
+                    generation=0,
+                    beta_at_initiator=self.placed[rid],
+                )
+            records[rid] = offer
         child_of = self._child_of
         by_child: dict[DatacenterId, list[Record]] = {}
         hostable: list[Record] = []
         passing: dict[DatacenterId, list[Record]] = {}
-        for rid, rec in records.items():
+        for rec in records.values():
             origin = rec.origin
             if origin != node:
-                if rid not in own:
-                    hostable.append(rec)
+                hostable.append(rec)
                 if origin in child_of:
                     passing.setdefault(child_of[origin], []).append(rec)
             child = child_of.get(rec.feasible[0])
@@ -931,7 +892,7 @@ class ProtocolNode:
             hostable=hostable,
             passing=passing,
         )
-        return pack_ids(ids)
+        return tuple(ids)
 
     def _hosting_pass(self) -> tuple[list[Record], int]:
         """The session records that fit here, in order (own and stale ones
@@ -998,7 +959,7 @@ class ProtocolNode:
                 self.node_id,
                 "pd offer -> s%d records=[%s] deficit=%d",
                 child,
-                _pack_records(offer),
+                _record_ids(offer),
                 session.deficit,
             )
             self.world.send(
@@ -1057,7 +1018,7 @@ class ProtocolNode:
                 "pd ack -> s%d deficit=%d hosted=[%s]",
                 session.caller,
                 session.deficit,
-                pack_ids(sorted(session.hosted_ids)),
+                tuple(sorted(session.hosted_ids)),
             )
             self.world.send(
                 self.node_id,

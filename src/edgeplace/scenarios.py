@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence, TypeVar
 
 from .model import CostModel, ServiceClass, Topology, build_tree
 from .protocol import ProtocolTiming
-from .simnet import LinkModel, TraceEvent, load_trace
+from .simnet import LinkModel, TraceEvent, check_trace_events, load_trace
 
 __all__ = [
     "Scenario",
@@ -466,21 +466,15 @@ def _overrides(cls: type[_T], cfg: Mapping[str, Any], name: str, path: Path) -> 
 
 
 def check_trace(scenario: Scenario, source: str) -> None:
-    """Raise ValueError when an arrival in ``scenario``'s trace uses a class
-    the scenario does not define, or an arrival or move names a PoA that is
-    not a leaf of its tree; ``source`` names the input in the message."""
-    classes, leaves = scenario.classes, set(scenario.topology.leaves)
-    for event in scenario.trace:
-        if event.kind == "arrive" and event.class_id not in classes:
-            raise ValueError(
-                f"{source}: trace uses class {event.class_id}, which the "
-                f"scenario does not define (classes: {sorted(classes)})"
-            )
-        if event.kind != "depart" and event.poa not in leaves:
-            raise ValueError(
-                f"{source}: trace names PoA {event.poa}, which is not a leaf "
-                f"of the scenario's tree"
-            )
+    """Raise ValueError when ``scenario``'s trace breaks a rule of
+    :func:`~.simnet.check_trace_events` (a class the scenario does not
+    define, a PoA that is not a leaf of its tree); ``source`` names the
+    input in the message."""
+    leaves = frozenset(scenario.topology.leaves)
+    try:
+        check_trace_events(scenario.trace, scenario.classes, leaves)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
 
 
 def load_config(path: str | Path, seed: int = 1) -> Scenario:

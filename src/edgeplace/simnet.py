@@ -22,13 +22,14 @@ given:
 
 Every run records its events, but builds no text while it runs.
 ``Simulator.log`` appends each event's time, node, constant ``%``-template
-and raw arguments (ints, floats, strings, request-id lists packed into
-bytes) flat into fixed-size chunk lists, so the record adds nothing the
-garbage collector walks.  ``RunResult.event_log`` is an :class:`EventLog`
-over that record: it renders the golden-log text lines only as it is
-read, and keeps none of them.  So only a reader of the text pays for it
-(``run --log``, ``replay``, the golden-log tests); ``run``, ``min-cpu``,
-``sweep-overhead`` and every capacity probe never build a log string.
+and raw arguments (ints, floats, strings, tuples of request ids) flat
+into fixed-size chunk lists.  The collector untracks a tuple of ints the
+first time it sees it, so the record soon adds nothing it walks.
+``RunResult.event_log`` is an :class:`EventLog` over that record: it
+renders the golden-log text lines only as it is read, and keeps none of
+them.  So only a reader of the text pays for it (``run --log``,
+``replay``, the golden-log tests); ``run``, ``min-cpu``, ``sweep-overhead``
+and every capacity probe never build a log string.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
     CostModel,
@@ -63,7 +64,6 @@ from .protocol import (
     PuMsg,
     Record,
     SfsMsg,
-    unpack_ids,
 )
 
 __all__ = [
@@ -71,6 +71,7 @@ __all__ = [
     "message_bits",
     "TraceEvent",
     "load_trace",
+    "check_trace_events",
     "Counters",
     "RunResult",
     "EventLog",
@@ -175,7 +176,7 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
 
     A user's first row is an arrival and must carry a class id; later rows
     are movements, and a PoA of ``OUT`` is a departure.  Rows must be in
-    non-decreasing time order, and user ids signed 64-bit integers.
+    non-decreasing time order.
     """
     events: list[TraceEvent] = []
     seen: set[int] = set()
@@ -191,9 +192,6 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
                 raise ValueError(f"trace {path} is not time-sorted at t={time}")
             last_time = time
             user = int(row["user"])
-            # the event log packs request ids as signed 64-bit ints
-            if not -(1 << 63) <= user < 1 << 63:
-                raise ValueError(f"trace {path}: user id {user} is not 64-bit")
             poa_field = row["poa"].strip()
             if poa_field == DEPARTED_POA:
                 events.append(TraceEvent(time, user, "depart"))
@@ -208,6 +206,27 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
                     raise ValueError(f"arrival of user {user} lacks a class id")
                 events.append(TraceEvent(time, user, "arrive", poa, int(class_field)))
     return events
+
+
+def check_trace_events(
+    trace: Sequence[TraceEvent],
+    classes: Mapping[int, ServiceClass],
+    leaves: Collection[DatacenterId],
+) -> None:
+    """Raise ValueError at the first event of ``trace`` that arrives in a
+    class not in ``classes``, or arrives or moves at a PoA not in
+    ``leaves``."""
+    for _time, _user, kind, poa, class_id in trace:
+        if kind == "arrive" and class_id not in classes:
+            raise ValueError(
+                f"trace uses class {class_id}, which the scenario does not "
+                f"define (classes: {sorted(classes)})"
+            )
+        if kind != "depart" and poa not in leaves:
+            raise ValueError(
+                f"trace names PoA {poa}, which is not a leaf of the "
+                f"scenario's tree"
+            )
 
 
 @dataclass
@@ -238,9 +257,9 @@ def overhead_per_request(counters: Counters, request_count: int) -> float:
     return counters.total_bits() / 8.0 / triggers
 
 
-def _rids(packed: bytes) -> str:
-    """A packed request-id list as the text log lists it: ``r1,r4,r9``."""
-    return "r" + ",r".join(map(str, unpack_ids(packed))) if packed else ""
+def _rids(ids: tuple[RequestId, ...]) -> str:
+    """A request-id tuple as the text log lists it: ``r1,r4,r9``."""
+    return "r" + ",r".join(map(str, ids)) if ids else ""
 
 
 class EventLog(Sequence[str]):
@@ -260,8 +279,8 @@ class EventLog(Sequence[str]):
         self._count = count
 
     def _recorded(self) -> Iterator[tuple[float, DatacenterId, str, list[object]]]:
-        """Each event as recorded, an id list still packed: the one decode
-        loop under the text and :meth:`events`."""
+        """Each event as recorded: the one decode loop under the text and
+        :meth:`events`."""
         arity: dict[str, int] = {}  # template -> its argument count
         for chunk in self._chunks:
             at, end = 0, len(chunk)
@@ -277,9 +296,7 @@ class EventLog(Sequence[str]):
         """Each event as ``(time, node, template, args)``, where ``args``
         are the values the template formats and an id list is a tuple."""
         for now, node, template, args in self._recorded():
-            yield now, node, template, tuple(
-                tuple(unpack_ids(a)) if type(a) is bytes else a for a in args
-            )
+            yield now, node, template, tuple(args)
 
     def __iter__(self) -> Iterator[str]:
         line_of: dict[str, str] = {}  # template -> its whole line's format
@@ -291,7 +308,7 @@ class EventLog(Sequence[str]):
             if line is None:
                 line = line_of[template] = "%s%d " + template
             for i, arg in enumerate(args):
-                if type(arg) is bytes:
+                if type(arg) is tuple:
                     args[i] = _rids(arg)
             yield line % (stamp, node, *args)
 
@@ -615,9 +632,10 @@ class Simulator:
 
     def log(self, node: DatacenterId, template: str, *args: object) -> None:
         """Record an event: the time, node, template and arguments go flat
-        into the current chunk, with no tuple or text per event, so the
-        record holds nothing the garbage collector tracks but its chunk
-        lists.  ``EventLog`` renders the text when it is read."""
+        into the current chunk, with no tuple or text per event, so once
+        the collector has untracked the tuples of request ids, which hold
+        ints alone, the record holds nothing it tracks but its chunk lists.
+        ``EventLog`` renders the text when it is read."""
         chunk = self._chunk
         chunk += (self._now, node, template)
         chunk += args
@@ -779,26 +797,25 @@ class Simulator:
         self, trace: Sequence[TraceEvent]
     ) -> list[tuple[float, Callable[..., None], tuple]]:
         """Every trace event as ``(time, handler, arguments)``, checked
-        before any runs, latest first: sorted stably by time, so events at
-        one instant keep their trace order, then reversed, so the next one
-        is popped off the end."""
+        before any runs (see also :func:`check_trace_events`), latest
+        first: sorted stably by time, so events at one instant keep their
+        trace order, then reversed, so the next one is popped off the end."""
+        on_arrive, on_move, on_depart = self._on_arrive, self._on_move, self._on_depart
         entries = []
-        for ev in trace:
-            # the event log packs request ids as signed 64-bit ints
-            if not -(1 << 63) <= ev.user < 1 << 63:
-                raise ValueError(f"user id {ev.user} is not 64-bit")
-            if ev.kind == "arrive":
-                if ev.poa is None or ev.class_id is None:
-                    raise ValueError(f"arrival of user {ev.user} lacks a PoA or class")
-                entries.append((ev.time, self._on_arrive, (ev.user, ev.poa, ev.class_id)))
-            elif ev.kind == "move":
-                if ev.poa is None:
-                    raise ValueError(f"move of user {ev.user} lacks a PoA")
-                entries.append((ev.time, self._on_move, (ev.user, ev.poa)))
-            elif ev.kind == "depart":
-                entries.append((ev.time, self._on_depart, (ev.user,)))
+        for time, user, kind, poa, class_id in trace:
+            if kind == "arrive":
+                if poa is None or class_id is None:
+                    raise ValueError(f"arrival of user {user} lacks a PoA or class")
+                entries.append((time, on_arrive, (user, poa, class_id)))
+            elif kind == "move":
+                if poa is None:
+                    raise ValueError(f"move of user {user} lacks a PoA")
+                entries.append((time, on_move, (user, poa)))
+            elif kind == "depart":
+                entries.append((time, on_depart, (user,)))
             else:
-                raise ValueError(f"unknown trace event {ev.kind!r}")
+                raise ValueError(f"unknown trace event {kind!r}")
+        check_trace_events(trace, self.classes, frozenset(self.topology.leaves))
         entries.sort(key=itemgetter(0))
         entries.reverse()
         return entries

@@ -1,0 +1,51 @@
+"""Smoke tests of the scripts under ``tools/``, which compare two checkouts
+for byte-identical replays (``replay_digests.py``) and for CPU time
+(``ab_cpu.py``)."""
+
+from __future__ import annotations
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import edgeplace
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _run_tool(*args: str) -> subprocess.CompletedProcess[str]:
+    return subprocess.run(
+        [sys.executable, str(TOOLS / args[0]), *args[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_replay_digests_prints_its_help() -> None:
+    proc = _run_tool("replay_digests.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "--src" in proc.stdout
+
+
+def test_ab_cpu_refuses_fewer_than_two_pairs() -> None:
+    proc = _run_tool(
+        "ab_cpu.py", "--a", ".", "--b", ".", "--workload", "churn", "--pairs", "1"
+    )
+    assert proc.returncode == 2
+    assert "--pairs must be at least 2" in proc.stderr
+
+
+def test_replay_digest_labels_are_unique(monkeypatch: pytest.MonkeyPatch) -> None:
+    spec = importlib.util.spec_from_file_location(
+        "replay_digests", TOOLS / "replay_digests.py"
+    )
+    assert spec is not None and spec.loader is not None
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "replay_digests", tool)
+    spec.loader.exec_module(tool)
+    labels = [label for label, _ in tool.scenarios(edgeplace)]
+    assert len(labels) == len(set(labels)) > 0
