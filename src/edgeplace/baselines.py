@@ -26,10 +26,8 @@ from .model import (
     InvariantError,
     Request,
     RequestId,
-    ServiceClass,
     Topology,
     check_feasible,
-    demand_table,
 )
 from .simnet import ActiveService, EpochDecision, EpochProblem
 
@@ -310,9 +308,7 @@ def exact_optimal(
     keeps first, after the same nodes), as solved and not exhausted.
     """
     topology = problem.topology
-    suffices = _slot_count(
-        topology, problem.classes, problem.services, units=problem.units
-    )
+    suffices = _slot_count(topology, problem.units, problem.services)
     if suffices is None or not suffices(topology.capacity):
         if stats is not None:
             stats.nodes_expanded = 0
@@ -384,15 +380,13 @@ def _options(
 
 def _slot_count(
     topology: Topology,
-    classes: Mapping[int, ServiceClass],
+    units: Mapping[int, Mapping[DatacenterId, int | None]],
     services: Iterable[Request | ActiveService],
-    *,
-    units: Mapping[int, Mapping[DatacenterId, int | None]] | None = None,
 ) -> Callable[[Callable[[DatacenterId], int]], bool] | None:
     """A check that is False only when no placement of ``services`` fits;
     None when some service has no node that can host it.  ``units`` is the
-    demand table of ``topology`` and ``classes`` (see
-    :func:`~.model.demand_table`), built here when the caller has none.
+    demand table of ``topology`` and the services' classes (see
+    :func:`~.model.demand_table`), which each caller prepares once.
 
     The check takes the capacity per node, so one count serves every tree
     of ``topology``'s shape.  A node hosts at most ``capacity // least``
@@ -408,8 +402,6 @@ def _slot_count(
     slots, so a False is never wrong; a True only means the search has to
     decide.  Everything but the slots is prepared here, once.
     """
-    if units is None:
-        units = demand_table(topology, classes)
     least: dict[DatacenterId, int] = {}
     # per node, the services whose reach starts there: level of the reach's
     # top -> how many

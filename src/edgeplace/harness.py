@@ -23,7 +23,7 @@ from .baselines import (
     exact_optimal,
     min_cpu_binary_search,
 )
-from .model import Request, feasible_set_for, tree_capacity
+from .model import Request, demand_table, feasible_set_for, tree_capacity
 from .protocol import ProtocolTiming
 from .scenarios import (
     Scenario,
@@ -31,7 +31,7 @@ from .scenarios import (
     jittered_scenario,
     rand_scenario,
 )
-from .simnet import EVENT_BUDGET, RunResult, Simulator
+from .simnet import EVENT_BUDGET, RunResult, Simulator, overhead_per_request
 
 __all__ = [
     "ALGO_CHOICES",
@@ -163,7 +163,9 @@ def metrics_row(
         "migrations": result.counters.migrations,
         "push_downs": result.counters.push_downs,
         "messages": result.counters.total_messages(),
-        "bytes_per_request": result.overhead_bytes_per_request,
+        "bytes_per_request": overhead_per_request(
+            result.counters, result.request_count
+        ),
         "decision_cost": result.decision_cost,
         "normalized_cost": normalized,
         "migration_cost": result.migration_cost,
@@ -384,7 +386,7 @@ def _arrival_slot_count(scenario: Scenario) -> Callable[..., bool] | None:
                 topology, ev.poa, classes[ev.class_id], scenario.rtt_by_level
             )
         requests.append(Request(ev.user, ev.class_id, ev.poa, reaches[key]))
-    return _slot_count(topology, classes, requests)
+    return _slot_count(topology, demand_table(topology, classes), requests)
 
 
 def sweep_overhead(
@@ -446,7 +448,9 @@ def sweep_overhead(
                         "leaf_capacity": capacity,
                         "verdict": result.verdict,
                         "messages": result.counters.total_messages(),
-                        "bytes_per_request": result.overhead_bytes_per_request,
+                        "bytes_per_request": overhead_per_request(
+                            result.counters, result.request_count
+                        ),
                     }
                 )
     rows.sort(key=lambda r: (r["p_rt"], r["t_ad"], r["seed"]))

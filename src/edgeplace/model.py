@@ -100,11 +100,6 @@ class Request(NamedTuple):
     poa: DatacenterId
     feasible: tuple[DatacenterId, ...]
 
-    @property
-    def top_feasible(self) -> DatacenterId:
-        """The highest (closest-to-root) datacenter that may host this request."""
-        return self.feasible[-1]
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

@@ -236,23 +236,25 @@ class World(Protocol):
 
 
 def sort_requests(
-    records: Iterable[Record],
-    local_subtree: frozenset[DatacenterId],
-    demand_here: Mapping[int, int],
+    records: Iterable[Record], demand_here: Mapping[int, int]
 ) -> list[Record]:
     """Order records most-constrained-first for placement attempts.
 
-    Keys: fewest feasible fallbacks outside this subtree first, then the
-    smallest CPU demand here, then relocated services before brand-new
-    ones, then request id — a total, stable order.
+    Keys: shortest reach first, then the smallest CPU demand here, then
+    relocated services before brand-new ones, then request id — a total,
+    stable order.
+
+    A node sorts only records whose reach includes it, and a reach is a
+    path prefix from the PoA up, so its entry ``i`` sits at level ``i``.
+    At a node of level ``L`` a reach therefore has ``len(reach) - (L + 1)``
+    nodes outside the node's subtree: fewest fallbacks outside the subtree
+    first is the same order as shortest reach first.
     """
 
-    inside = local_subtree.__contains__
-
     def key(rec: Record) -> tuple[int, int, int, int]:
-        outside = len(rec.feasible) - sum(map(inside, rec.feasible))
         units = demand_here.get(rec.class_id, 1 << 30)
-        return (outside, units, 1 if rec.current_host is None else 0, rec.request_id)
+        fresh = 1 if rec.current_host is None else 0
+        return (len(rec.feasible), units, fresh, rec.request_id)
 
     return sorted(records, key=key)
 
@@ -283,6 +285,11 @@ class PdSession:
     records each child may take, ``hostable`` those this node may host (not
     its own), and ``passing`` any whose origin lies below a child, which
     must never be offered to that child.
+
+    ``received`` are the records the caller offered, with unique ids (an
+    offer is built from a dict).  ``hosted_ids`` collects every id hosted
+    during the session, here or below; the ack to the caller flags each
+    received record by it.
     """
 
     initiator: DatacenterId
@@ -291,7 +298,6 @@ class PdSession:
     records: dict[RequestId, Record]
     pending_children: list[DatacenterId]
     received: tuple[Record, ...] = ()
-    received_ids: frozenset[RequestId] = frozenset()
     by_child: dict[DatacenterId, list[Record]] = field(default_factory=dict)
     hostable: list[Record] = field(default_factory=list)
     passing: dict[DatacenterId, list[Record]] = field(default_factory=dict)
@@ -320,11 +326,7 @@ class ProtocolNode:
         self.level = topology.level(node_id)
         self.parent = topology.parent(node_id)
         self.children = topology.children(node_id)
-        self.subtree = topology.subtree(node_id)
-        self.child_subtree = {c: topology.subtree(c) for c in self.children}
-        self._child_of = {
-            n: c for c, members in self.child_subtree.items() for n in members
-        }
+        self._child_of = {n: c for c in self.children for n in topology.subtree(c)}
         self.capacity = topology.capacity(node_id)
         self.available = topology.capacity(node_id)
         self.timing = timing
@@ -353,7 +355,7 @@ class ProtocolNode:
 
     def _sorted(self, records: Collection[Record]) -> list[Record]:
         """``records`` in placement-attempt order (see :func:`sort_requests`)."""
-        return sort_requests(records, self.subtree, self.demand)
+        return sort_requests(records, self.demand)
 
     def _session(self) -> PdSession:
         """The open push-down session, which the caller requires."""
@@ -423,7 +425,9 @@ class ProtocolNode:
 
     def _take_scan_input(self, incoming: Sequence[Record]) -> None:
         """Scan prelude: merge a batch into the backlogs (a record with an
-        origin is an advert), the unassigned one most constrained first.
+        origin is an advert), the unassigned one most constrained first:
+        shortest reach first (see :func:`sort_requests`), which at this node
+        is the same order as fewest fallbacks outside its subtree first.
 
         Between scans the unassigned backlog only loses records, and a
         record's sort key never changes, so it is still in order; it is
@@ -887,7 +891,6 @@ class ProtocolNode:
             records=records,
             pending_children=list(self.children),
             received=received,
-            received_ids=frozenset(r.request_id for r in received),
             by_child=by_child,
             hostable=hostable,
             passing=passing,
@@ -986,8 +989,7 @@ class ProtocolNode:
             if not hosted:
                 continue
             session.records.pop(rec.request_id, None)
-            if rec.request_id in session.received_ids:
-                session.hosted_ids.add(rec.request_id)
+            session.hosted_ids.add(rec.request_id)
             if rec.origin == self.node_id and rec.request_id in self.assigned:
                 # a reservation of ours was hosted below: release it
                 self.available += self.assigned.pop(rec.request_id)
@@ -1004,8 +1006,7 @@ class ProtocolNode:
         for rec in hosted:
             self.world.log(self.node_id, "pd host r%d", rec.request_id)
             self._place(rec, reserved=False)
-            if rec.request_id in session.received_ids:
-                session.hosted_ids.add(rec.request_id)
+            session.hosted_ids.add(rec.request_id)
             if rec.origin is None:
                 self.not_assigned.pop(rec.request_id, None)
         if session.caller is not None:
@@ -1018,7 +1019,7 @@ class ProtocolNode:
                 "pd ack -> s%d deficit=%d hosted=[%s]",
                 session.caller,
                 session.deficit,
-                tuple(sorted(session.hosted_ids)),
+                tuple(sorted(rec.request_id for rec, hosted in payload if hosted)),
             )
             self.world.send(
                 self.node_id,

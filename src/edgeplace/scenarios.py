@@ -467,9 +467,9 @@ def _overrides(cls: type[_T], cfg: Mapping[str, Any], name: str, path: Path) -> 
 
 def check_trace(scenario: Scenario, source: str) -> None:
     """Raise ValueError when ``scenario``'s trace breaks a rule of
-    :func:`~.simnet.check_trace_events` (a class the scenario does not
-    define, a PoA that is not a leaf of its tree); ``source`` names the
-    input in the message."""
+    :func:`~.simnet.check_trace_events` (a time that is not finite, a
+    class the scenario does not define, a PoA that is not a leaf of its
+    tree); ``source`` names the input in the message."""
     leaves = frozenset(scenario.topology.leaves)
     try:
         check_trace_events(scenario.trace, scenario.classes, leaves)

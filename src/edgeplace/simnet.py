@@ -213,10 +213,12 @@ def check_trace_events(
     classes: Mapping[int, ServiceClass],
     leaves: Collection[DatacenterId],
 ) -> None:
-    """Raise ValueError at the first event of ``trace`` that arrives in a
-    class not in ``classes``, or arrives or moves at a PoA not in
-    ``leaves``."""
-    for _time, _user, kind, poa, class_id in trace:
+    """Raise ValueError at the first event of ``trace`` whose time is not
+    finite, that arrives in a class not in ``classes``, or that arrives or
+    moves at a PoA not in ``leaves``."""
+    for time, _user, kind, poa, class_id in trace:
+        if not math.isfinite(time):
+            raise ValueError(f"trace has an event at time {time}, which is not finite")
         if kind == "arrive" and class_id not in classes:
             raise ValueError(
                 f"trace uses class {class_id}, which the scenario does not "
@@ -262,14 +264,14 @@ def _rids(ids: tuple[RequestId, ...]) -> str:
     return "r" + ",r".join(map(str, ids)) if ids else ""
 
 
-class EventLog(Sequence[str]):
+class EventLog:
     """The events of one run, one text line each: ``<time> s<node> <text>``.
 
     The engine records each event as flat atoms, its time, node,
-    ``%``-template and raw arguments (see ``Simulator.log``).  Reading the
+    ``%``-template and raw arguments (see ``Simulator.log``).  Iterating the
     log renders the lines one at a time and keeps none of them, so a run
-    whose log is never read builds no text; :meth:`events` yields the same
-    events decoded instead of rendered.
+    whose log is never read builds no text; ``len()`` counts the events,
+    and :meth:`events` yields them decoded instead of rendered.
     """
 
     __slots__ = ("_chunks", "_count")
@@ -315,16 +317,6 @@ class EventLog(Sequence[str]):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, index):  # type: ignore[override]
-        return list(self)[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (EventLog, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 @dataclass
 class RunResult:
@@ -346,10 +338,6 @@ class RunResult:
     def decision_cost(self) -> float:
         """Migration spend plus the hosting price of the final state."""
         return self.migration_cost + self.final_placement_cost
-
-    @property
-    def overhead_bytes_per_request(self) -> float:
-        return overhead_per_request(self.counters, self.request_count)
 
 
 _HOSTED = ("placed", "relocating")
@@ -383,17 +371,6 @@ class _RequestState:
         self.state = "waiting"
         self.host: DatacenterId | None = None
         self.generation = 0
-
-
-class _Link:
-    """One directed link's transmitter: when it is next free, and the last
-    arrival it scheduled, which a new one must follow (FIFO delivery)."""
-
-    __slots__ = ("busy_until", "last_arrival")
-
-    def __init__(self) -> None:
-        self.busy_until = 0.0
-        self.last_arrival = float("-inf")
 
 
 # Centralized algorithms get the period's work as a first-class problem; the
@@ -512,8 +489,8 @@ class Simulator:
         self._solver_exhausted = False
         self._infeasible = False
         self._migration_cost = 0.0
-        # (src, dst) -> the directed link's transmitter; see send
-        self._links: dict[tuple[DatacenterId, DatacenterId], _Link] = {}
+        # (src, dst) -> when the directed link's transmitter is next free
+        self._busy_until: dict[tuple[DatacenterId, DatacenterId], float] = {}
         self._capacity_used: dict[DatacenterId, int] = {
             n: 0 for n in topology.nodes
         }
@@ -536,27 +513,20 @@ class Simulator:
     def now(self) -> float:
         return self._now
 
-    def _demand(self, class_id: int, node: DatacenterId) -> int | None:
-        return self._units[class_id][node]
-
     def send(self, src: DatacenterId, dst: DatacenterId, msg: ProtocolMsg) -> None:
         bits = message_bits(msg)
         kind = type(msg).__name__
         messages, bits_by_kind = self.counters.messages, self.counters.bits
         messages[kind] = messages.get(kind, 0) + 1
         bits_by_kind[kind] = bits_by_kind.get(kind, 0) + bits
-        # The transmitter serializes one message at a time per directed
-        # link, so a short message sent moments after a long one cannot
-        # overtake it: delivery order is FIFO by construction.
-        link = self._links.get((src, dst))
-        if link is None:
-            link = self._links[(src, dst)] = _Link()
-        departure = max(self._now, link.busy_until) + bits / self.link.capacity_bps
-        link.busy_until = departure
+        # The transmitter sends one message at a time per directed link: a
+        # message departs no earlier than the one before it, so arrivals on
+        # a link never decrease, and equal ones run in send order (by heap
+        # sequence number).  Delivery is FIFO by construction.
+        busy_until, key = self._busy_until, (src, dst)
+        start = max(self._now, busy_until.get(key, 0.0))
+        departure = busy_until[key] = start + bits / self.link.capacity_bps
         arrival = departure + self.link.propagation
-        if arrival <= link.last_arrival:
-            raise InvariantError(f"FIFO inversion on link s{src}->s{dst}")
-        link.last_arrival = arrival
         self.log(src, "send %s -> s%d bits=%d", kind, dst, bits)
         self._schedule(arrival, self.nodes[dst].on_message, (src, msg))
 
@@ -565,7 +535,7 @@ class Simulator:
         protocol lane, the hosting node has already booked."""
         req = self.requests[request_id]
         class_id = req.request.class_id
-        units = self._demand(class_id, node)
+        units = self._units[class_id][node]
         if units is None:
             raise InvariantError(
                 f"r{request_id} placed at s{node}, a level that cannot host it"
@@ -588,7 +558,7 @@ class Simulator:
         node, rid = req.host, req.request.request_id
         if node is None:
             raise InvariantError(f"r{rid} released without a host")
-        units = self._demand(req.request.class_id, node)
+        units = self._units[req.request.class_id][node]
         if units is None:
             raise InvariantError(f"r{rid} held s{node}, a level that cannot host it")
         if self.mode == "protocol":
@@ -820,8 +790,10 @@ class Simulator:
         entries.reverse()
         return entries
 
-    def run(self, trace: Sequence[TraceEvent], until: float | None = None) -> RunResult:
-        """Feed a trace through the world and drive it to quiescence.
+    def run(self, trace: Sequence[TraceEvent]) -> RunResult:
+        """Feed a trace through the world and drive it to quiescence, or
+        until ``event_budget`` events have run (the verdict then reads
+        ``diverged``).
 
         Trace events do not enter the heap: they come from a cursor over
         the trace sorted stably by time (see ``_trace_cursor``), and the
@@ -848,8 +820,6 @@ class Simulator:
                 time, handler, args = pending.pop()
             else:
                 time, _seq, handler, args = heapq.heappop(heap)
-            if until is not None and time > until:
-                break
             self._now = time
             counters.events += 1
             handler(*args)

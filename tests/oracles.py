@@ -85,6 +85,31 @@ def push_down_offer(
 
 
 # ---------------------------------------------------------------------------
+# placement-attempt order, counted against the subtree
+
+
+def subtree_count_order(
+    topology: Topology,
+    node: int,
+    records: Iterable[Record],
+    demand_here: Mapping[int, int],
+) -> list[Record]:
+    """``records`` most constrained first, as a node at ``node`` tries them:
+    fewest reach nodes outside the node's subtree, counted one by one, then
+    the smallest demand here (unknown last), relocated services before new
+    ones, then request id."""
+    members = set(topology.subtree(node))
+
+    def key(record: Record) -> tuple[int, int, int, int]:
+        outside = sum(1 for n in record.feasible if n not in members)
+        units = demand_here.get(record.class_id, 1 << 30)
+        fresh = 1 if record.current_host is None else 0
+        return (outside, units, fresh, record.request_id)
+
+    return sorted(records, key=key)
+
+
+# ---------------------------------------------------------------------------
 # exhaustive placement search
 
 

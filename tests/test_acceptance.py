@@ -110,7 +110,10 @@ def test_two_tier_walkthrough_suite() -> None:
         assert naive[3] is None
 
         # (b) the protocol serves all four, relocating exactly one service
-        early = build_simulator(scenario, "dapp").run(scenario.trace, until=0.035)
+        early = build_simulator(scenario, "dapp").run(
+            [ev for ev in scenario.trace if ev.time < 0.035]
+        )
+        assert early.end_time < 0.035
         assert early.placements == {0: 0, 1: 3, 2: 4, 3: 1}
         assert early.counters.push_downs == 1
         assert early.counters.migrations == 1

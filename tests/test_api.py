@@ -195,7 +195,6 @@ def test_benchmark_wrapped_methods_exist(monkeypatch: pytest.MonkeyPatch) -> Non
 
 
 def test_run_results_carry_what_the_benchmark_reads() -> None:
-    assert edgeplace.model.Request(1, 0, 3, (3, 1)).top_feasible == 1
     scenario = fig_flat_scenario()
     for name in ("name", "topology", "classes", "rtt_by_level", "trace"):
         assert hasattr(scenario, name), name

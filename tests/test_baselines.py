@@ -605,7 +605,7 @@ def test_exact_searches_deeper_than_the_recursion_limit() -> None:
 
 def slots_suffice(problem: EpochProblem) -> bool:
     """The verdict of a slot count prepared afresh for ``problem``."""
-    suffices = _slot_count(problem.topology, problem.classes, problem.services)
+    suffices = _slot_count(problem.topology, problem.units, problem.services)
     assert suffices is not None
     return suffices(problem.topology.capacity)
 
@@ -758,7 +758,7 @@ def test_a_prepared_slot_count_carries_nothing_between_checks(
     rng: random.Random, leaf_capacities: list[int]
 ) -> None:
     problem = _slot_problem(rng, rng.randint(1, 5), rng.randint(0, 5))
-    suffices = _slot_count(problem.topology, problem.classes, problem.services)
+    suffices = _slot_count(problem.topology, problem.units, problem.services)
     assert suffices is not None
     trees = {c: _at_leaf_capacity(problem.topology, c) for c in leaf_capacities}
     for order in (sorted(leaf_capacities), sorted(leaf_capacities, reverse=True)):

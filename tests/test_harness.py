@@ -735,6 +735,23 @@ def test_cli_run_rejects_a_trace_with_an_undefined_class(
     assert "(classes: [0])" in err
 
 
+@pytest.mark.parametrize("algo", [[], ["--algo", "dapp"], ["--algo", "ffit"]])
+@pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
+def test_cli_run_rejects_a_non_finite_trace_time(
+    tmp_path: Path, capsys, algo: list[str], time: str
+) -> None:
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text(f"time,user,poa,class\n{time},1,3,0\n")
+    code = main(["run", "--scenario", "fig2", "--trace", str(trace_path), *algo])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: --trace {trace_path}: trace has an event at time {time}, "
+        "which is not finite"
+    ) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("algo", [["dapp", "--no-normalize"], ["ffit"]])
 def test_cli_run_rejects_a_class_without_a_price_for_a_usable_level(
     tmp_path: Path, capsys, algo: list[str]

@@ -349,7 +349,3 @@ def test_check_feasible_matches_brute_force() -> None:
         )
         assert report.ok == expected
 
-
-def test_request_top_feasible() -> None:
-    req = Request(request_id=4, class_id=0, poa=9, feasible=(9, 4, 1))
-    assert req.top_feasible == 1

@@ -193,29 +193,26 @@ def sent_of(world: FakeWorld, kind: type) -> list[tuple[int, int, object]]:
 
 
 def test_sort_requests_prefers_fewest_outside_options() -> None:
-    subtree = frozenset({1})
-    trapped = rec(9, (1,))  # nowhere to go if this subtree refuses
+    trapped = rec(9, (1,))  # nowhere to go if node 1's subtree refuses
     flexible = rec(2, (1, 0))
-    assert sort_requests([flexible, trapped], subtree, {0: 2}) == [trapped, flexible]
+    assert sort_requests([flexible, trapped], {0: 2}) == [trapped, flexible]
 
 
 def test_sort_requests_breaks_ties_by_demand_then_age_then_id() -> None:
-    subtree = frozenset({1, 0})
     light = rec(7, (1, 0), class_id=1)
     heavy = rec(3, (1, 0), class_id=0)
-    assert sort_requests([heavy, light], subtree, {0: 5, 1: 2}) == [light, heavy]
+    assert sort_requests([heavy, light], {0: 5, 1: 2}) == [light, heavy]
     relocated = rec(8, (1, 0), current_host=2)
     fresh = rec(4, (1, 0))
-    assert sort_requests([fresh, relocated], subtree, {0: 2}) == [relocated, fresh]
+    assert sort_requests([fresh, relocated], {0: 2}) == [relocated, fresh]
     a, b = rec(6, (1, 0)), rec(5, (1, 0))
-    assert sort_requests([a, b], subtree, {0: 2}) == [b, a]
+    assert sort_requests([a, b], {0: 2}) == [b, a]
 
 
 def test_sort_requests_unknown_demand_sorts_last() -> None:
-    subtree = frozenset({1, 0})
     known = rec(9, (1, 0), class_id=0)
     unknown = rec(1, (1, 0), class_id=5)  # no demand entry here
-    assert sort_requests([unknown, known], subtree, {0: 2}) == [known, unknown]
+    assert sort_requests([unknown, known], {0: 2}) == [known, unknown]
 
 
 # ---------------------------------------------------------------------------

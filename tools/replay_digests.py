@@ -13,7 +13,10 @@ run replays byte for byte.
 
 The runs cover the fig2 and fig3 walkthroughs; the rand, synth and jitter
 families at seeds 1-12; a 300-user churn trace with moves, departures and
-push-downs; and a 1,000-user, 5-level burst, each in every lane.  Three
+push-downs; a 1,000-user, 5-level burst; and ``rand-1-fast-link`` and
+``churn-300-fast-link``, rand seed 1 and the churn trace over links of
+``capacity_bps=1e300``, whose transmission times round away so that
+messages on a link tie on arrival; each in every lane.  Three
 ``dapp`` lines follow, ``churn-3000`` and ``churn-3000-s<seed>``: the
 benchmark's churn shape (3,000 users, Poisson arrivals at 1,000/s, 2 s
 hold, a move every 0.5 s, 4 s horizon, leaf capacity 4,500, 5 levels) at
@@ -32,6 +35,7 @@ package does not import this script.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import sys
@@ -66,7 +70,7 @@ def scenarios(ep: Any) -> Iterator[tuple[str, Any]]:
     for family in FAMILIES:
         for seed in SEEDS:
             yield f"{family}-{seed}", ep.scenarios.builtin_scenario(family, seed=seed)
-    yield "churn-300", churn_scenario(
+    churn = churn_scenario(
         ep,
         seed=1,
         users=300,
@@ -75,9 +79,14 @@ def scenarios(ep: Any) -> Iterator[tuple[str, Any]]:
         arrival_rate=400.0,
         horizon=3.0,
     )
+    yield "churn-300", churn
     yield "burst-1000", ep.scenarios.rand_scenario(
         1, users=1000, leaf_capacity=5000, levels=5
     )
+    fast = ep.simnet.LinkModel(capacity_bps=1e300)
+    rand = ep.scenarios.builtin_scenario("rand", seed=1)
+    yield "rand-1-fast-link", dataclasses.replace(rand, link=fast)
+    yield "churn-300-fast-link", dataclasses.replace(churn, link=fast)
 
 
 def churn_scenario(
