@@ -115,7 +115,7 @@ def first_fit(problem: EpochProblem) -> EpochDecision:
 
 
 # ---------------------------------------------------------------------------
-# bottom-up with subtree recovery and a lifting pass
+# bottom-up with push-down recovery and a lifting pass
 
 
 def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
@@ -123,12 +123,11 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
 
     Services reserve bottom-up at the lowest feasible node with room; when a
     service fits nowhere on its path, the algorithm frees room by pushing an
-    ancestor's tenants down into that ancestor's subtree (cheapest-to-move
-    first, escalating toward the root).  A final pass lifts this epoch's
+    ancestor's tenants below it, down their own reach (in request-id
+    order, escalating toward the root).  A final pass lifts this epoch's
     tentative placements to the highest feasible node that still has room,
     mirroring the protocol's preference for high placements.
     """
-    topology = problem.topology
     movable_ids = {s.request_id for s in _movable(problem)}
     residual = _residual_capacity(problem)
     # where every immovable service sits, for the push-down recovery
@@ -142,17 +141,19 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
     relocations: dict[RequestId, DatacenterId] = {}
 
     def try_free(node: DatacenterId, needed: int) -> bool:
-        """Push tenants of ``node`` down into its subtree until ``needed``
-        units are free; commits the moves only if that succeeds."""
-        subtree = topology.subtree(node)
+        """Push tenants of ``node`` down their reach until ``needed`` units
+        are free; commits the moves only if that succeeds.
+
+        A tenant is never movable, so its host lies on its reach, a path
+        prefix from the PoA up: the reach's entries before ``node`` are
+        the targets below it, tried PoA first."""
         moved: list[tuple[ActiveService, DatacenterId, int, int]] = []
         for tenant in list(tenants.get(node, [])):
             if residual[node] >= needed:
                 break
             here = _units_at(problem, tenant, node)
-            for target in tenant.feasible:
-                if target == node or target not in subtree:
-                    continue
+            reach = tenant.feasible
+            for target in reach[: reach.index(node)]:
                 units = problem.demand(tenant.class_id, target)
                 if units is None or units > residual[target]:
                     continue
@@ -540,16 +541,14 @@ class NoUpperBoundError(RuntimeError):
     """Doubling the capacity never produced a feasible run."""
 
 
-def min_cpu_binary_search(succeeds: Callable[[int], bool], tolerance: int = 1) -> int:
+def min_cpu_binary_search(succeeds: Callable[[int], bool]) -> int:
     """Least leaf capacity (in CPU units) for which ``succeeds`` holds.
 
     Assumes success is monotone in capacity.  The bracket is fixed: it
     doubles from 8 units, and past 2**20 units the search gives up with
-    :class:`NoUpperBoundError`.  It then bisects until the bracket is within
-    ``tolerance`` units, returning the known-good upper end.
+    :class:`NoUpperBoundError`.  It then bisects to one unit, returning
+    the known-good upper end.
     """
-    if tolerance < 1:
-        raise ValueError("tolerance must be >= 1")
     lo = 0  # capacity 0 hosts nothing: a safe known-failure floor
     hi = 8
     while not succeeds(hi):
@@ -557,7 +556,7 @@ def min_cpu_binary_search(succeeds: Callable[[int], bool], tolerance: int = 1) -
         hi *= 2
         if hi > 1 << 20:
             raise NoUpperBoundError(f"no feasible capacity at or below {1 << 20}")
-    while hi - lo > tolerance:
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         if succeeds(mid):
             hi = mid

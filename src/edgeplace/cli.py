@@ -203,7 +203,6 @@ def _cmd_min_cpu(args: argparse.Namespace) -> int:
                     levels=args.levels,
                     arity=args.arity,
                     family=args.family,
-                    tolerance=args.tolerance,
                     event_budget=args.budget,
                     bnb_budget=args.bnb_budget,
                 )
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     mincpu.add_argument("--levels", type=int, default=4)
     mincpu.add_argument("--arity", type=int, default=2)
     mincpu.add_argument("--family", choices=("rand", "jitter"), default="rand")
-    mincpu.add_argument("--tolerance", type=int, default=1)
     _add_report_flags(mincpu)
     _add_budget_flags(mincpu)
     mincpu.set_defaults(func=_cmd_min_cpu)

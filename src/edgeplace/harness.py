@@ -302,7 +302,6 @@ def min_cpu_for(
     levels: int = 4,
     arity: int = 2,
     family: str = "rand",
-    tolerance: int = 1,
     event_budget: int = EVENT_BUDGET,
     bnb_budget: int = NODE_BUDGET,
 ) -> int:
@@ -310,17 +309,17 @@ def min_cpu_for(
     for a scenario without arrivals, which runs no probe.
 
     The search is :func:`min_cpu_binary_search` and its fixed bracket:
-    doubling from 8 units, then bisecting to within ``tolerance``; past
-    2**20 units it raises :class:`NoUpperBoundError`.  The scenario, trace
-    included, is built once per search at the family's default capacity.
+    doubling from 8 units, then bisecting to one unit; past 2**20 units it
+    raises :class:`NoUpperBoundError`.  The scenario, trace included, is
+    built once per search at the family's default capacity.
     Both families build the profile tree (``scenarios.default_profile``),
     whose capacities follow ``model.tree_capacity``, so each probe runs the
     scenario on that same tree with the capacities of the probed leaf
     capacity (``Topology.with_capacities``): the workload is identical,
-    only the capacities scale, and the tree's shape and caches are shared
-    by every probe.  A probe succeeds when the run's verdict is ``ok``:
-    every request placed and none failed, which a search cut off by its
-    budget can still reach when it holds a placement.
+    only the capacities scale, and the tree's shape and path cache are
+    shared by every probe.  A probe succeeds when the run's verdict is
+    ``ok``: every request placed and none failed, which a search cut off by
+    its budget can still reach when it holds a placement.
 
     A probe is answered without a run when the slot count (the exact
     solver's infeasibility certificate, prepared once per search) proves
@@ -364,7 +363,7 @@ def min_cpu_for(
         )
         return simulator.run(scenario.trace).verdict == "ok"
 
-    return min_cpu_binary_search(probe, tolerance=tolerance)
+    return min_cpu_binary_search(probe)
 
 
 def _arrival_slot_count(scenario: Scenario) -> Callable[..., bool] | None:

@@ -143,7 +143,6 @@ class Topology:
             n for n in self.nodes if not self._children[n]
         )
         self.height: int = self._level[self.root] + 1
-        self._subtree_cache: dict[DatacenterId, frozenset[DatacenterId]] = {}
         self._path_cache: dict[DatacenterId, tuple[DatacenterId, ...]] = {}
         self._validate()
 
@@ -168,8 +167,8 @@ class Topology:
     def with_capacities(self, capacities: Mapping[DatacenterId, int]) -> Topology:
         """This tree with new per-node capacities, checked as the
         constructor checks them.  Everything else is shared, not copied:
-        the parents, levels and children, and the subtree and path caches,
-        which depend on the shape alone."""
+        the parents, levels and children, and the path cache, which
+        depends on the shape alone."""
         tree = copy.copy(self)
         tree._capacity = dict(capacities)
         tree._validate_capacities()
@@ -190,20 +189,6 @@ class Topology:
     def is_leaf(self, node: DatacenterId) -> bool:
         return not self._children[node]
 
-    def subtree(self, node: DatacenterId) -> frozenset[DatacenterId]:
-        """All datacenters in the subtree rooted at ``node`` (inclusive)."""
-        cached = self._subtree_cache.get(node)
-        if cached is None:
-            members = set()
-            stack = [node]
-            while stack:
-                cur = stack.pop()
-                members.add(cur)
-                stack.extend(self._children[cur])
-            cached = frozenset(members)
-            self._subtree_cache[node] = cached
-        return cached
-
     def path_to_root(self, node: DatacenterId) -> tuple[DatacenterId, ...]:
         """The chain from ``node`` up to and including the root."""
         cached = self._path_cache.get(node)
@@ -222,6 +207,11 @@ class Topology:
             f"Topology(nodes={len(self.nodes)}, height={self.height}, "
             f"leaves={len(self.leaves)})"
         )
+
+
+#: The most datacenters :func:`build_tree` builds: 2**20, one more than a
+#: full binary tree of 20 levels holds.
+MAX_TREE_NODES = 1 << 20
 
 
 def tree_capacity(level: int, leaf_capacity: int) -> int:
@@ -244,11 +234,24 @@ def build_tree(
     (:func:`tree_capacity`), so capacity grows linearly with height.
     ``prune`` removes whole subtrees by their root id (ids keep the
     full-tree numbering); the result must still have every leaf at level 0.
+
+    The full tree may have at most :data:`MAX_TREE_NODES` nodes, checked
+    before anything is built, in a time that does not grow with
+    ``levels``.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     if arity < 1:
         raise ValueError("arity must be >= 1")
+    # With arity 2 or more, the first bit_length levels alone pass the
+    # ceiling, so deeper levels need not be counted.
+    depth = min(levels, MAX_TREE_NODES.bit_length())
+    size = levels if arity == 1 else (arity**depth - 1) // (arity - 1)
+    if size > MAX_TREE_NODES:
+        raise ValueError(
+            f"a tree of {levels} levels and arity {arity} has more than "
+            f"{MAX_TREE_NODES} nodes"
+        )
     parents: dict[DatacenterId, DatacenterId | None] = {0: None}
     node_level: dict[DatacenterId, int] = {0: levels - 1}
     frontier = [0]
@@ -262,18 +265,17 @@ def build_tree(
                 new_frontier.append(next_id)
                 next_id += 1
         frontier = new_frontier
-    removed: set[DatacenterId] = set()
     for top in prune:
         if top not in parents:
             raise ValueError(f"cannot prune unknown node {top}")
-        stack = [top]
-        while stack:
-            cur = stack.pop()
-            removed.add(cur)
-            stack.extend(n for n, p in parents.items() if p == cur)
-    kept = {n for n in parents if n not in removed}
-    if 0 in removed:
+    pruned = set(prune)
+    if 0 in pruned:
         raise ValueError("cannot prune the root")
+    # breadth-first ids: a parent is decided before its children
+    kept: set[DatacenterId] = set()
+    for node, parent in parents.items():
+        if node not in pruned and (parent is None or parent in kept):
+            kept.add(node)
     capacities = {n: tree_capacity(node_level[n], leaf_capacity) for n in kept}
     for node, cap in (capacity_overrides or {}).items():
         if node not in kept:

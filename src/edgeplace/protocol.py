@@ -282,9 +282,10 @@ class PdSession:
     ``records`` holds the records still in play; a child hosting one, or
     its request leaving, pops it.  The session's open sorts them once, each
     list in ``records``' order and read through it: ``by_child`` lists the
-    records each child may take, ``hostable`` those this node may host (not
-    its own), and ``passing`` any whose origin lies below a child, which
-    must never be offered to that child.
+    records each child may take, those whose reach runs through this node
+    and on down through the child, and ``hostable`` those this node may
+    host (not its own).  No record goes down toward its own origin: the
+    open raises on one whose origin lies on its reach below this node.
 
     ``received`` are the records the caller offered, with unique ids (an
     offer is built from a dict).  ``hosted_ids`` collects every id hosted
@@ -300,7 +301,6 @@ class PdSession:
     received: tuple[Record, ...] = ()
     by_child: dict[DatacenterId, list[Record]] = field(default_factory=dict)
     hostable: list[Record] = field(default_factory=list)
-    passing: dict[DatacenterId, list[Record]] = field(default_factory=dict)
     hosted_ids: set[RequestId] = field(default_factory=set)
     awaiting: DatacenterId | None = None
 
@@ -326,7 +326,6 @@ class ProtocolNode:
         self.level = topology.level(node_id)
         self.parent = topology.parent(node_id)
         self.children = topology.children(node_id)
-        self._child_of = {n: c for c in self.children for n in topology.subtree(c)}
         self.capacity = topology.capacity(node_id)
         self.available = topology.capacity(node_id)
         self.timing = timing
@@ -388,11 +387,18 @@ class ProtocolNode:
             self.f_mode_until = deadline
             self.world.log(self.node_id, "f-mode until %.6f", deadline)
 
-    def _child_towards(self, node: DatacenterId) -> DatacenterId:
-        child = self._child_of.get(node)
-        if child is None:
-            raise InvariantError(f"node {node} is not below {self.node_id}")
-        return child
+    def _child_towards(self, rec: Record) -> DatacenterId:
+        """The child on the way down from here to ``rec``'s origin.
+
+        A record travels only along its own reach, a path prefix from the
+        PoA up whose entry ``i`` sits at level ``i``: when this node is the
+        reach's entry at its level and the origin an earlier entry, the
+        child is the entry just below this node."""
+        level, reach, origin = self.level, rec.feasible, rec.origin
+        if origin in reach and reach.index(origin) < level < len(reach):
+            if reach[level] == self.node_id:
+                return reach[level - 1]
+        raise InvariantError(f"node {origin} is not below {self.node_id}")
 
     def _place(self, rec: Record, *, reserved: bool) -> None:
         """Book ``rec`` here, converting its reservation or taking free
@@ -457,9 +463,7 @@ class ProtocolNode:
         """Send push-up verdicts toward their origins, one message per child."""
         by_child: dict[DatacenterId, list[tuple[Record, bool]]] = {}
         for rec, hosted_above in acks:
-            if rec.origin is None:
-                raise InvariantError(f"push-up ack r{rec.request_id} has no origin")
-            by_child.setdefault(self._child_towards(rec.origin), []).append(
+            by_child.setdefault(self._child_towards(rec), []).append(
                 (rec, hosted_above)
             )
         for child in sorted(by_child):
@@ -706,9 +710,7 @@ class ProtocolNode:
                     self.world.log(self.node_id, "pu settle r%d", rec.request_id)
                     self._place(rec, reserved=True)
                 continue
-            if rec.origin is None:
-                raise InvariantError(f"push-up record r{rec.request_id} has no origin")
-            child = self._child_towards(rec.origin)
+            child = self._child_towards(rec)
             units = self.demand.get(rec.class_id)
             if units is not None and units <= self.available:
                 self.world.log(self.node_id, "pu host r%d", rec.request_id)
@@ -828,6 +830,12 @@ class ProtocolNode:
         relocating one has a newer placement in flight).  A later record
         for an id replaces an earlier one in place.
 
+        A record goes to the child its own reach names: when this node is
+        the reach's entry at its level, the entry below it.  A record whose
+        reach skips this node goes to no child.  That loses nothing, since a
+        reach's length depends on the class alone: a hosted service's reach
+        holds its host whenever the PoA lies below the host.
+
         A hosted service's offer depends only on the service and its
         user's current reach: the other fields are fixed while it stays
         here.  So the record is built once and kept in ``hosted_offers``,
@@ -841,7 +849,7 @@ class ProtocolNode:
         on push-down generations in CHANGES.md); the real generation would
         change the churn results.
         """
-        node, requests = self.node_id, self.requests
+        node, level, requests = self.node_id, self.level, self.requests
         records = _keyed(offered)
         ids = [rec.request_id for rec in offered]
         assigned, outstanding = self.assigned, self.outstanding_pu
@@ -870,19 +878,18 @@ class ProtocolNode:
                     beta_at_initiator=self.placed[rid],
                 )
             records[rid] = offer
-        child_of = self._child_of
         by_child: dict[DatacenterId, list[Record]] = {}
         hostable: list[Record] = []
-        passing: dict[DatacenterId, list[Record]] = {}
         for rec in records.values():
-            origin = rec.origin
+            origin, reach = rec.origin, rec.feasible
             if origin != node:
                 hostable.append(rec)
-                if origin in child_of:
-                    passing.setdefault(child_of[origin], []).append(rec)
-            child = child_of.get(rec.feasible[0])
-            if child is not None:
-                by_child.setdefault(child, []).append(rec)
+            if 0 < level < len(reach) and reach[level] == node:
+                if origin != node and origin in reach and reach.index(origin) < level:
+                    raise InvariantError(
+                        f"push-down r{rec.request_id} passes its origin"
+                    )
+                by_child.setdefault(reach[level - 1], []).append(rec)
         self.enter_f_mode()
         self.pd_session = PdSession(
             initiator=initiator,
@@ -893,7 +900,6 @@ class ProtocolNode:
             received=received,
             by_child=by_child,
             hostable=hostable,
-            passing=passing,
         )
         return tuple(ids)
 
@@ -930,14 +936,10 @@ class ProtocolNode:
         return session.deficit <= 0 or self._hosting_pass()[1] <= 0
 
     def _offer_for(self, child: DatacenterId) -> list[Record]:
-        """The session records still in play that ``child``'s subtree holds
-        part of the reach of.  A reach is a path prefix from the PoA up, so
-        it enters the subtree exactly when the PoA lies in it."""
+        """The session records still in play whose reach runs through
+        this node and ``child`` (sorted out when the session opened)."""
         session = self._session()
         records = session.records
-        for rec in session.passing.get(child, ()):
-            if rec.request_id in records:
-                raise InvariantError(f"push-down r{rec.request_id} passes its origin")
         return [r for r in session.by_child.get(child, ()) if r.request_id in records]
 
     def _continue_push_down(self) -> None:

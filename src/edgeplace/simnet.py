@@ -176,35 +176,52 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
 
     A user's first row is an arrival and must carry a class id; later rows
     are movements, and a PoA of ``OUT`` is a departure.  Rows must be in
-    non-decreasing time order.
+    non-decreasing time order and have as many fields as the header; blank
+    lines are skipped.  A bad row, a bad header or text that is not CSV
+    raises ``ValueError`` naming the file and the line.
     """
     events: list[TraceEvent] = []
     seen: set[int] = set()
     last_time = float("-inf")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"time", "user", "poa"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"trace {path} must have columns time,user,poa[,class]")
-        for row in reader:
-            time = float(row["time"])
-            if time < last_time:
-                raise ValueError(f"trace {path} is not time-sorted at t={time}")
-            last_time = time
-            user = int(row["user"])
-            poa_field = row["poa"].strip()
-            if poa_field == DEPARTED_POA:
-                events.append(TraceEvent(time, user, "depart"))
-                continue
-            poa = int(poa_field)
-            if user in seen:
-                events.append(TraceEvent(time, user, "move", poa))
-            else:
-                seen.add(user)
-                class_field = (row.get("class") or "").strip()
-                if not class_field:
-                    raise ValueError(f"arrival of user {user} lacks a class id")
-                events.append(TraceEvent(time, user, "arrive", poa, int(class_field)))
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}
+            if not {"time", "user", "poa"}.issubset(column):
+                raise ValueError("the header must name columns time,user,poa[,class]")
+            at_time, at_user, at_poa = column["time"], column["user"], column["poa"]
+            at_class = column.get("class")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{len(row)} fields, but the header has {len(header)}"
+                    )
+                time = float(row[at_time])
+                if time < last_time:
+                    raise ValueError(f"not time-sorted at t={time}")
+                last_time = time
+                user = int(row[at_user])
+                poa_field = row[at_poa].strip()
+                if poa_field == DEPARTED_POA:
+                    events.append(TraceEvent(time, user, "depart"))
+                    continue
+                poa = int(poa_field)
+                if user in seen:
+                    events.append(TraceEvent(time, user, "move", poa))
+                else:
+                    seen.add(user)
+                    class_field = "" if at_class is None else row[at_class].strip()
+                    if not class_field:
+                        raise ValueError(f"arrival of user {user} lacks a class id")
+                    events.append(
+                        TraceEvent(time, user, "arrive", poa, int(class_field))
+                    )
+        except (ValueError, csv.Error) as err:
+            line = max(reader.line_num, 1)
+            raise ValueError(f"trace {path} line {line}: {err}") from err
     return events
 
 
@@ -703,9 +720,13 @@ class Simulator:
 
     # -- centralized epochs ---------------------------------------------------
 
-    def _run_epoch(self) -> None:
+    def _run_epoch(self, k: int, last: int) -> None:
+        """Epoch ``k``, at ``k * EPOCH_PERIOD``: schedule epoch ``k + 1``
+        unless this is epoch ``last``, then decide."""
         if self.algorithm is None:
             raise InvariantError("an epoch ran in the protocol lane")
+        if k < last:
+            self._schedule((k + 1) * self.EPOCH_PERIOD, self._run_epoch, (k + 1, last))
         # The epoch may (re)place the requests still waiting and the ones
         # relocating after a move; with none of them it has nothing to do.
         if all(req.state not in _MOVABLE for req in self.requests.values()):
@@ -803,13 +824,20 @@ class Simulator:
         heap holding both: at one instant the trace events run first, in
         trace order, then the scheduled ones, in schedule order.  The heap
         stays as small as the scheduled work, whatever the trace's length.
+
+        The centralized lanes run epoch ``k`` at ``k * EPOCH_PERIOD`` for
+        ``k`` from 0 to ``int((t + EPOCH_PERIOD) / EPOCH_PERIOD) + 1``, where
+        ``t`` is the latest event's time.  Each epoch schedules the next, so
+        the heap holds one epoch at a time, and a far-future trace time
+        runs out the budget (``diverged``) instead of filling memory before
+        the first event.
         """
         pending = self._trace_cursor(trace)
         if self.mode == "centralized" and pending:
             horizon = pending[0][0] + self.EPOCH_PERIOD  # the latest event
-            steps = int(horizon / self.EPOCH_PERIOD) + 1
-            for k in range(steps + 1):
-                self._schedule(k * self.EPOCH_PERIOD, self._run_epoch, ())
+            last = int(horizon / self.EPOCH_PERIOD) + 1
+            if last >= 0:
+                self._schedule(0.0, self._run_epoch, (0, last))
         heap, counters = self._heap, self.counters
         budget, check_invariants = self.event_budget, self.check_invariants
         while pending or heap:

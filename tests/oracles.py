@@ -64,24 +64,39 @@ def wire_bits(msg: object) -> int:
 
 
 # ---------------------------------------------------------------------------
-# push-down offers, one record and one child at a time
+# routing down the tree, from each node's path to the root
 
 
-def push_down_offer(
-    topology: Topology, records: Iterable[Record], child: int
-) -> list[Record]:
-    """The records a push-down offers ``child``, in order: each one whose
-    reach has a node in the child's subtree, found by scanning the whole
-    reach.  A record whose origin lies in the subtree must never travel
-    there: the first such record raises ``InvariantError``."""
-    members = set(topology.subtree(child))
-    offer = []
-    for record in records:
-        if record.origin in members:
-            raise InvariantError(f"push-down r{record.request_id} passes its origin")
-        if any(node in members for node in record.feasible):
-            offer.append(record)
-    return offer
+def subtree(topology: Topology, node: int) -> set[int]:
+    """Every node whose path to the root passes through ``node``."""
+    return {n for n in topology.nodes if node in topology.path_to_root(n)}
+
+
+def child_towards(topology: Topology, node: int, target: int) -> int:
+    """The child of ``node`` on the way down to ``target``: the entry
+    before ``node`` on ``target``'s path to the root."""
+    path = topology.path_to_root(target)
+    if node not in path or path.index(node) == 0:
+        raise InvariantError(f"node {target} is not below {node}")
+    return path[path.index(node) - 1]
+
+
+def passes_origin(topology: Topology, node: int, record: Record) -> bool:
+    """Whether ``record``'s origin lies on its reach below ``node``, which
+    lies on the reach too: then no push-down at ``node`` may take it."""
+    origin, reach = record.origin, record.feasible
+    return (
+        node in reach
+        and origin in reach
+        and origin != node
+        and node in topology.path_to_root(origin)
+    )
+
+
+def push_down_offer(records: Iterable[Record], node: int, child: int) -> list[Record]:
+    """The records a push-down at ``node`` offers ``child``, in order:
+    each one whose reach holds both ``node`` and ``child``."""
+    return [r for r in records if node in r.feasible and child in r.feasible]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +113,7 @@ def subtree_count_order(
     fewest reach nodes outside the node's subtree, counted one by one, then
     the smallest demand here (unknown last), relocated services before new
     ones, then request id."""
-    members = set(topology.subtree(node))
+    members = subtree(topology, node)
 
     def key(record: Record) -> tuple[int, int, int, int]:
         outside = sum(1 for n in record.feasible if n not in members)

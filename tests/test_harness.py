@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplace import golden_logs, harness, scenarios
 from edgeplace.baselines import ExactSolverStats, exact_optimal
@@ -37,7 +42,7 @@ from edgeplace.scenarios import (
     jittered_scenario,
     rand_scenario,
 )
-from edgeplace.simnet import EpochDecision, EpochProblem, Simulator
+from edgeplace.simnet import EpochDecision, EpochProblem, Simulator, load_trace
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +757,86 @@ def test_cli_run_rejects_a_non_finite_trace_time(
     assert "Traceback" not in err
 
 
+#: A trace whose second arrival lies far in the future.
+FAR_FUTURE_TRACE = "time,user,poa,class\n0,1,3,0\n1e308,2,4,0\n"
+
+
+@pytest.mark.parametrize("algo", [a for a in ALGO_CHOICES if a != "dapp"])
+def test_a_far_future_trace_time_runs_out_the_budget_one_epoch_at_a_time(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, algo: str
+) -> None:
+    # Each epoch schedules the next, so the heap never holds more than the
+    # one epoch to come, and the budget ends the run.
+    trace_path = tmp_path / "far.csv"
+    trace_path.write_text(FAR_FUTURE_TRACE)
+    scenario = replace(builtin_scenario("fig2"), trace=tuple(load_trace(trace_path)))
+    run_epoch = Simulator._run_epoch
+    epochs = 0
+
+    def counted(self: Simulator, *args: int) -> None:
+        nonlocal epochs
+        run_epoch(self, *args)
+        epochs += 1
+        assert len(self._heap) <= 1
+
+    monkeypatch.setattr(Simulator, "_run_epoch", counted)
+    result = build_simulator(scenario, algo, event_budget=50).run(scenario.trace)
+    assert result.verdict == "diverged"
+    assert epochs == 50 - 1  # the first arrival is the other event
+
+
+def test_cli_run_ends_a_far_future_trace_time_with_exit_2(
+    tmp_path: Path, capsys
+) -> None:
+    trace_path = tmp_path / "far.csv"
+    trace_path.write_text(FAR_FUTURE_TRACE)
+    code = main(["run", "--scenario", "fig2", "--trace", str(trace_path),
+                 "--algo", "ffit"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert ",ffit,1,diverged," in lines[1]
+
+
+@pytest.mark.parametrize(
+    "row, fields",
+    [("0,0", 2), ("0", 1), ("0,1,3,0,9", 5)],
+    ids=["short", "one", "long"],
+)
+def test_cli_run_names_the_line_of_a_row_of_the_wrong_width(
+    tmp_path: Path, capsys, row: str, fields: int
+) -> None:
+    trace_path = tmp_path / "rows.csv"
+    trace_path.write_text(f"time,user,poa,class\n0,1,3,0\n\n{row}\n")
+    code = main(["run", "--scenario", "fig2", "--trace", str(trace_path),
+                 "--algo", "dapp"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"error: trace {trace_path} line 4: {fields} fields, but the header has 4\n"
+    )
+
+
+def test_cli_rejects_a_tree_above_the_ceiling_at_once(
+    tmp_path: Path, capsys
+) -> None:
+    config = _tiny_config()
+    config["tree"] = {"levels": 40, "arity": 2, "leaf_capacity": 4}
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(config))
+    for argv in (
+        ["run", "--levels", "40", "--arity", "2"],
+        ["run", "--config", str(cfg_path)],
+    ):
+        started = time.process_time()
+        code = main(argv)
+        assert time.process_time() - started < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: a tree of 40 levels and arity 2 has more than 1048576 " in (
+            captured.err
+        )
+
+
 @pytest.mark.parametrize("algo", [["dapp", "--no-normalize"], ["ffit"]])
 def test_cli_run_rejects_a_class_without_a_price_for_a_usable_level(
     tmp_path: Path, capsys, algo: list[str]
@@ -980,3 +1065,133 @@ def test_cli_module_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("fig2,dapp,1,ok,")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line with trace files and tree flags
+
+_HEADER = "time,user,poa,class"
+_ODD_HEADERS = (
+    "time,user,poa",
+    "user,time,class,poa",
+    "time,user,poa,class,note",
+    "time,user",
+    "Time,User,PoA,Class",
+    "",
+)
+#: Per column of the header above: most fields are plausible, some odd (a
+#: plausible PoA is a leaf of the tree, or OUT).
+_FIELDS = (
+    (
+        st.sampled_from(["0", "0", "1", "1", "2", "2", "3", "4", "0.5", "1e308"]),
+        st.sampled_from(
+            ["0.25", "-3", "1e6", "1e308", "1.7976931348623157e308", "-1e308",
+             "1e999", "nan", "inf", "-inf", "1_0", "0x1", "", "x"]
+        ),
+    ),
+    (st.integers(0, 3).map(str), st.sampled_from(["-1", "", "x", "1.5", "9" * 30])),
+    (None, st.sampled_from(["-1", "0", "99", " OUT", "", "x", "3.0", "9" * 30])),
+    (st.integers(0, 1).map(str), st.sampled_from(["-1", "2", "", "x", "1.0"])),
+)
+_JUNK = st.text(max_size=6)
+
+
+def _odds(draw: st.DrawFn, tenths: int) -> bool:
+    """True with a chance of ``tenths`` in ten."""
+    return draw(st.integers(0, 9)) < tenths
+
+
+def _as_time(field: str) -> float:
+    try:
+        value = float(field)
+    except ValueError:
+        return 0.0
+    return 0.0 if math.isnan(value) else value
+
+
+@st.composite
+def _trace_text(draw: st.DrawFn, leaves: range) -> str:
+    """CSV text of a user trace: most often the usual header, then up to 6
+    rows, most of them 4 fields wide (the others 0-6), each field most
+    often plausible for its column; rows are put in time order in most
+    traces."""
+    poa = st.one_of(st.sampled_from(leaves).map(str), st.just("OUT"))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        width = 4 if _odds(draw, 8) else draw(st.integers(0, 6))
+        row = []
+        for column in range(width):
+            plausible, odd = _FIELDS[column] if column < 4 else (_JUNK, _JUNK)
+            plausible = poa if plausible is None else plausible
+            row.append(draw(odd if _odds(draw, 1) else plausible))
+        rows.append(row)
+    if _odds(draw, 8):
+        rows.sort(key=lambda row: _as_time(row[0]) if row else 0.0)
+    lines = [",".join(row) for row in rows]
+    if _odds(draw, 9):
+        odd = draw(st.sampled_from(_ODD_HEADERS))
+        lines.insert(0, _HEADER if _odds(draw, 8) else odd)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+#: (levels, arity, above the ceiling): every shape of at most 100 nodes,
+#: and shapes far above the ceiling
+_SMALL_TREES = st.sampled_from(
+    [
+        (levels, arity, False)
+        for levels in range(1, 8)
+        for arity in range(1, 5)
+        if sum(arity**k for k in range(levels)) <= 100
+    ]
+)
+_HUGE_TREES = st.one_of(
+    st.tuples(st.integers(21, 10**12), st.integers(2, 8), st.just(True)),
+    st.tuples(st.integers(2, 6), st.integers(1 << 20, 1 << 40), st.just(True)),
+    st.tuples(st.integers((1 << 20) + 1, 1 << 60), st.just(1), st.just(True)),
+)
+
+
+@st.composite
+def _cli_case(draw: st.DrawFn) -> tuple[int, int, bool, str]:
+    """A tree shape, most often small, and a trace for it."""
+    levels, arity, huge = draw(_HUGE_TREES if _odds(draw, 1) else _SMALL_TREES)
+    nodes = 1 if huge else sum(arity**k for k in range(levels))
+    leaves = range(nodes - (1 if huge else arity ** (levels - 1)), nodes)
+    return levels, arity, huge, draw(_trace_text(leaves))
+
+
+@pytest.fixture(scope="module")
+def fuzz_trace(tmp_path_factory: pytest.TempPathFactory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "trace.csv"
+
+
+def test_cli_survives_fuzzed_traces_and_trees(fuzz_trace: Path) -> None:
+    # Every input ends in an exit code: 0, 1 (a rejected input, reported on
+    # an "error:" line) or 2 (a diverged or failed run), never an exception.
+    examples = 0
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_cli_case())
+    def check(case: tuple[int, int, bool, str]) -> None:
+        nonlocal examples
+        examples += 1
+        levels, arity, huge, text = case
+        fuzz_trace.write_text(text, newline="")
+        argv = [
+            "run", "--scenario", "rand", "--levels", str(levels),
+            "--arity", str(arity), "--users", "2", "--trace", str(fuzz_trace),
+            "--algo", "dapp,ffit,bupu", "--no-normalize", "--budget", "2000",
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+        if huge:
+            assert code == 1
+
+    started = time.process_time()
+    check()
+    assert examples >= 500
+    assert time.process_time() - started < 10.0

@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplace.model import (
+    MAX_TREE_NODES,
     Request,
     ServiceClass,
     Topology,
@@ -24,7 +27,7 @@ from edgeplace.scenarios import (
 )
 from edgeplace.simnet import ActiveService, EpochProblem
 
-from .oracles import brute_feasible
+from .oracles import brute_feasible, subtree
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +82,45 @@ def test_build_tree_prune_removes_whole_subtree() -> None:
     assert topo.leaves == (5, 6)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_build_tree_prune_keeps_what_no_pruned_subtree_holds(
+    data: st.DataObject,
+) -> None:
+    levels, arity = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    full = build_tree(levels=levels, arity=arity, leaf_capacity=1)
+    prune = data.draw(st.lists(st.sampled_from(full.nodes[1:] or (0,)), max_size=4))
+    removed = set().union(*(subtree(full, top) for top in prune))
+    try:
+        pruned = build_tree(levels, arity, 1, prune=tuple(prune))
+    except ValueError:
+        # the root itself, or a childless inner node, would be left
+        assert 0 in prune or any(
+            full.children(n) and set(full.children(n)) <= removed
+            for n in full.nodes
+            if n not in removed
+        )
+        return
+    assert set(pruned.nodes) == set(full.nodes) - removed
+
+
+@pytest.mark.parametrize(
+    "levels, arity",
+    [
+        (21, 2),
+        (40, 2),
+        (10**18, 2),
+        (3, 1 << 20),
+        (10**6, 10**9),
+        (MAX_TREE_NODES + 1, 1),
+    ],
+)
+def test_build_tree_refuses_a_tree_above_the_ceiling(levels: int, arity: int) -> None:
+    # the count stops past the ceiling, so even 10**18 levels answer at once
+    with pytest.raises(ValueError, match=f"more than {MAX_TREE_NODES} nodes"):
+        build_tree(levels=levels, arity=arity, leaf_capacity=1)
+
+
 def test_build_tree_rejects_bad_arguments() -> None:
     with pytest.raises(ValueError):
         build_tree(levels=0, arity=2, leaf_capacity=1)
@@ -126,7 +168,7 @@ def test_topology_validation_errors() -> None:
 
 def test_with_capacities_shares_the_shape_and_checks_the_capacities() -> None:
     tree = build_tree(levels=3, arity=2, leaf_capacity=5)
-    tree.subtree(1)  # fill a cache entry the rescaled tree should share
+    tree.path_to_root(6)  # fill a cache entry the rescaled tree should share
     scaled = tree.with_capacities(
         {n: tree_capacity(tree.level(n), 7) for n in tree.nodes}
     )
@@ -135,17 +177,14 @@ def test_with_capacities_shares_the_shape_and_checks_the_capacities() -> None:
         rebuilt.capacity(n) for n in rebuilt.nodes
     ]
     assert [tree.capacity(n) for n in tree.nodes] == [15, 10, 10, 5, 5, 5, 5]
-    assert scaled.subtree(1) is tree.subtree(1)
+    assert scaled._path_cache is tree._path_cache
     assert scaled.path_to_root(6) is tree.path_to_root(6)
     with pytest.raises(ValueError):  # negative capacity
         tree.with_capacities({n: -1 if n == 4 else 1 for n in tree.nodes})
 
 
-def test_subtree_and_path_to_root() -> None:
+def test_path_to_root() -> None:
     topo = build_tree(levels=3, arity=2, leaf_capacity=1)
-    assert topo.subtree(1) == {1, 3, 4}
-    assert topo.subtree(0) == set(topo.nodes)
-    assert topo.subtree(6) == {6}
     assert topo.path_to_root(5) == (5, 2, 0)
     assert topo.path_to_root(0) == (0,)
     assert topo.parent(0) is None

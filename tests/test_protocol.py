@@ -33,7 +33,7 @@ from edgeplace.harness import build_simulator
 from edgeplace.scenarios import fig_two_tier_scenario
 from edgeplace.simnet import Simulator, _rids
 
-from .oracles import push_down_offer
+from .oracles import passes_origin, push_down_offer
 
 
 class _FakeView(NamedTuple):
@@ -652,25 +652,16 @@ def _walk_step(
     against the oracle; True while the walk awaits a child's ack."""
     world = node.world
     pending = list(session.pending_children)
-    try:
-        call()
-        error = None
-    except InvariantError as exc:
-        error = str(exc)
+    call()
     visited = pending[: len(pending) - len(session.pending_children)]
     records = list(session.records.values())  # offers pop nothing
     for child in visited:
-        try:
-            offer = push_down_offer(world.topology, records, child)
-        except InvariantError as exc:
-            assert (child, str(exc)) == (visited[-1], error)
-            return False
+        offer = push_down_offer(records, node.node_id, child)
         if offer:
             assert child == visited[-1] == session.awaiting
             _src, dst, msg = world.sent[-1]
             assert dst == child and isinstance(msg, PdRequestMsg)
             assert msg.records == tuple(offer)
-    assert error is None
     return session.awaiting is not None
 
 
@@ -680,8 +671,8 @@ def test_push_down_relevance_agrees_with_a_subtree_scan(data: st.DataObject) -> 
     """A whole push-down walk at an inner node, over offered records and
     the node's own reservations and tenants: after random acks and
     departures, each child's offer is the oracle's filter of the records
-    still in play, and a record whose origin lies below the child raises
-    the oracle's error."""
+    still in play, and the walk opens only if no offered record's origin
+    lies on its reach below the node; the first that does raises."""
     topology = data.draw(_pruned_tree())
     inner = [n for n in topology.nodes if topology.children(n)]
     world = FakeWorld(topology)
@@ -705,6 +696,14 @@ def test_push_down_relevance_agrees_with_a_subtree_scan(data: st.DataObject) -> 
         world.placed_set.add(rid)
         world.views[rid] = Request(rid, 0, feasible[0], feasible)
     node.available = 0  # nothing fits here, so the walk visits every child
+    passing = [r for r in offered if passes_origin(topology, node.node_id, r)]
+    if passing:
+        with pytest.raises(InvariantError) as raised:
+            node._open_push_down(offered, topology.root, None, 10**6)
+        rid = passing[0].request_id
+        assert str(raised.value) == f"push-down r{rid} passes its origin"
+        assert node.pd_session is None
+        return
     node._open_push_down(offered, topology.root, None, 10**6)
     session = node._session()
 

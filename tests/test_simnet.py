@@ -64,7 +64,7 @@ from edgeplace.scenarios import (
 )
 from edgeplace.harness import ALGO_CHOICES, build_simulator, run_scenario
 
-from .oracles import subtree_count_order, wire_bits
+from .oracles import child_towards, subtree_count_order, wire_bits
 
 
 # ---------------------------------------------------------------------------
@@ -1203,6 +1203,63 @@ def test_reach_length_ranks_like_the_subtree_count(scenario: Scenario) -> None:
         run_scenario(scenario, "dapp")
     finally:
         ProtocolNode._sorted = ranked  # type: ignore[method-assign]
+
+
+def _check_routing(scenario: Scenario) -> tuple[int, int]:
+    """Run ``dapp`` with every routing step checked against the oracle,
+    which walks the target's path to the root; returns how many records
+    ``_child_towards`` routed and how many push-down session records had
+    their PoA below the session's node."""
+    topology = scenario.topology
+    towards, open_push_down = ProtocolNode._child_towards, ProtocolNode._open_push_down
+    routed = below = 0
+
+    def checked_towards(node: ProtocolNode, rec: Record) -> int:
+        nonlocal routed
+        child = towards(node, rec)
+        assert child == child_towards(topology, node.node_id, rec.origin)
+        routed += 1
+        return child
+
+    def checked_open(node: ProtocolNode, *args: object) -> tuple[int, ...]:
+        nonlocal below
+        ids = open_push_down(node, *args)
+        session = node._session()
+        here = node.node_id
+        expected: dict[int, list[int]] = {}
+        for rid, rec in session.records.items():
+            poa = rec.feasible[0]
+            if poa != here and here in topology.path_to_root(poa):
+                assert here in rec.feasible
+                child = child_towards(topology, here, poa)
+                expected.setdefault(child, []).append(rid)
+                below += 1
+        routed_ids = {
+            child: [rec.request_id for rec in records]
+            for child, records in session.by_child.items()
+        }
+        assert routed_ids == expected
+        return ids
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProtocolNode, "_child_towards", checked_towards)
+        patch.setattr(ProtocolNode, "_open_push_down", checked_open)
+        run_scenario(scenario, "dapp")
+    return routed, below
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_world(moves=True))
+def test_records_route_down_their_own_reach(scenario: Scenario) -> None:
+    # A node routes a record by its reach alone; the oracle finds the
+    # child from the tree, and every session record whose PoA lies below
+    # the node has the node on its reach.
+    _check_routing(scenario)
+
+
+def test_records_route_down_their_own_reach_under_churn() -> None:
+    routed, below = _check_routing(_churn_scenario(1))
+    assert routed > 0 and below > 0
 
 
 @settings(max_examples=100, deadline=None)
