@@ -74,7 +74,10 @@ def _parse_algos(raw: str) -> list[str]:
 def _parse_seeds(raw: str) -> list[int]:
     """Either a count (``5`` means seeds 1..5) or an explicit ``1,7,9`` list."""
     if "," in raw:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        seeds = [int(part) for part in raw.split(",") if part.strip()]
+        if not seeds:
+            raise _CliError("--seeds lists no seed")
+        return seeds
     count = int(raw)
     if count < 1:
         raise _CliError("--seeds must be at least 1")

@@ -11,6 +11,7 @@ level is one the service supports.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -49,15 +50,25 @@ class ServiceClass:
     """A class of service requests sharing demand and delay characteristics.
 
     ``cpu_demand`` maps a tree level to the CPU units one instance needs
-    there; a level absent from the map cannot host this class at all.
-    ``max_delay`` is the end-to-end latency bound (seconds) a placement
-    must honour.
+    there, at least 0; a level absent from the map cannot host this class
+    at all.  ``max_delay`` is the end-to-end latency bound (seconds) a
+    placement must honour, finite and at least 0.  Other values are a
+    ValueError.
     """
 
     class_id: int
     name: str
     max_delay: float
     cpu_demand: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.max_delay < math.inf:
+            raise ValueError(f"class {self.class_id} max_delay must be finite and >= 0")
+        for level, units in self.cpu_demand.items():
+            if units < 0:
+                raise ValueError(
+                    f"class {self.class_id} cpu_demand at level {level} must be >= 0"
+                )
 
     def demand_at(self, level: int) -> int | None:
         """CPU units needed at ``level``, or None when that level cannot host."""

@@ -329,8 +329,11 @@ class ProtocolNode:
         self.capacity = topology.capacity(node_id)
         self.available = topology.capacity(node_id)
         self.timing = timing
-        self.scan_delay = timing.scan_delay(self.level)
-        self.push_down_delay = timing.push_down_delay(self.level)
+        # batch timer kind -> how long it waits once armed
+        self.delays = {
+            "scan": timing.scan_delay(self.level),
+            "push_down": timing.push_down_delay(self.level),
+        }
         self.demand = demand  # class id -> CPU units here; absent: not hostable
         # request bookkeeping
         self.assigned: dict[RequestId, int] = {}
@@ -340,9 +343,8 @@ class ProtocolNode:
         self.outstanding_pu: set[RequestId] = set()
         # batching buffer + timers
         self.scan_buf: list[Record] = []
-        self.scan_timer_armed = False
         self.pd_pending: dict[RequestId, None] = {}  # an ordered set
-        self.pd_timer_armed = False
+        self.armed: set[str] = set()  # the timer kinds pending
         # push-down session & quarantine
         self.pd_session: PdSession | None = None
         self.deferred: list[tuple[DatacenterId, ProtocolMsg]] = []
@@ -364,18 +366,12 @@ class ProtocolNode:
         return session
 
     def _arm_timer(self, kind: str) -> None:
-        """Arm the ``scan`` or ``push_down`` batch timer unless it is pending."""
-        if kind == "scan":
-            if self.scan_timer_armed:
-                return
-            self.scan_timer_armed = True
-            delay = self.scan_delay
-        else:
-            if self.pd_timer_armed:
-                return
-            self.pd_timer_armed = True
-            delay = self.push_down_delay
-        self.world.arm_timer(self.node_id, kind, self.world.now() + delay)
+        """Arm the ``kind`` batch timer (``scan`` or ``push_down``) unless
+        it is pending."""
+        if kind not in self.armed:
+            self.armed.add(kind)
+            deadline = self.world.now() + self.delays[kind]
+            self.world.arm_timer(self.node_id, kind, deadline)
 
     def in_f_mode(self) -> bool:
         return self.world.now() < self.f_mode_until
@@ -478,22 +474,21 @@ class ProtocolNode:
             self._arm_timer("scan")
 
     def on_timer(self, kind: str) -> None:
-        if kind == "scan":
-            self.scan_timer_armed = False
-            if self.pd_session is not None:
-                return  # the session's end re-arms if work remains
-            records, self.scan_buf = self.scan_buf, []
-            if self.in_f_mode():
-                self.run_fallback_scan(records)
-            else:
-                self.run_scan(records)
-        elif kind == "push_down":
-            self.pd_timer_armed = False
-            if self.pd_session is not None:
-                return
-            self.start_push_down()
-        else:  # pragma: no cover - defensive
+        """The ``kind`` batch timer fired: run its batch, unless a push-down
+        session is open (the session's end re-arms if work remains)."""
+        if kind not in self.delays:
             raise ValueError(f"unknown timer kind {kind!r}")
+        self.armed.discard(kind)
+        if self.pd_session is not None:
+            return
+        if kind == "push_down":
+            self.start_push_down()
+            return
+        records, self.scan_buf = self.scan_buf, []
+        if self.in_f_mode():
+            self.run_fallback_scan(records)
+        else:
+            self.run_scan(records)
 
     def on_message(self, sender: DatacenterId, msg: ProtocolMsg) -> None:
         if isinstance(msg, SfsMsg):

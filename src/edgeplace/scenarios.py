@@ -10,7 +10,9 @@ scenario can be described as a JSON file; see :func:`load_config`.
 from __future__ import annotations
 
 import json
+import math
 import random
+import sys
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -200,6 +202,15 @@ def _rt_draw(seed: int, user: int) -> float:
     return random.Random((seed << 20) ^ (user * 2_654_435_761 % (1 << 31))).random()
 
 
+#: The least time between a synthetic user's arrival and its first hop,
+#: and between two hops (seconds).
+HOP_GAP = 0.05
+
+#: The most events :func:`synthesize_trace` may be asked for, 2**22: above
+#: the 3.28 million bound of 40,000 users hopping over a 4 s horizon.
+MAX_TRACE_EVENTS = 1 << 22
+
+
 def synthesize_trace(
     topology: Topology,
     seed: int,
@@ -216,14 +227,36 @@ def synthesize_trace(
     ``burst`` drops every arrival at t=0 (single decision period);
     otherwise arrivals are Poisson at ``arrival_rate`` per second.  Users
     optionally depart after an exponential hold and hop to a fresh uniform
-    leaf every ``move_period`` seconds (first hop no earlier than 50 ms
-    after arrival, so placement has settled).  A share outside [0, 1] or a
-    negative user count is a ValueError.
+    leaf every ``move_period`` seconds (first hop no earlier than
+    :data:`HOP_GAP` after arrival, so placement has settled, and hops at
+    least that far apart) until the ``horizon``.
+
+    A ValueError refuses, before anything is drawn: a share outside
+    [0, 1]; a negative user count; an ``arrival_rate`` (unless ``burst``),
+    ``hold_mean`` or ``move_period`` that is not finite and above 0; a
+    ``horizon`` that is not finite; and a trace that may hold more than
+    :data:`MAX_TRACE_EVENTS` events, counting an arrival and a departure
+    per user, and with ``move_period`` a hop per ``HOP_GAP`` of the
+    horizon.
     """
     if not 0.0 <= p_rt <= 1.0:
         raise ValueError(f"the tight-class share p_rt must be in [0, 1], not {p_rt}")
     if users < 0:
         raise ValueError(f"the user count must be >= 0, not {users}")
+    means = {"hold_mean": hold_mean, "move_period": move_period}
+    if not burst:
+        means["arrival_rate"] = arrival_rate
+    for name, value in means.items():
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, not {value}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"the horizon must be finite, not {horizon}")
+    hops = 0.0 if move_period is None else max(horizon, 0.0) / HOP_GAP
+    if users * (2 + hops) > MAX_TRACE_EVENTS:
+        raise ValueError(
+            f"{users} users over a horizon of {horizon} s may draw more than "
+            f"{MAX_TRACE_EVENTS} trace events"
+        )
     rng = random.Random(seed)
     leaves = list(topology.leaves)
     events: list[TraceEvent] = []
@@ -248,11 +281,12 @@ def synthesize_trace(
         )
         if move_period is not None:
             mover = random.Random((seed << 8) ^ (user + 1))
-            t = max(t_arrive + 0.05, t_arrive + mover.expovariate(1.0 / move_period))
+            hop_rate = 1.0 / move_period
+            t = max(t_arrive + HOP_GAP, t_arrive + mover.expovariate(hop_rate))
             while t < horizon and (t_depart is None or t < t_depart):
                 poa = mover.choice(leaves)
                 events.append(TraceEvent(t, user, "move", poa))
-                t += 0.05 + mover.expovariate(1.0 / move_period)
+                t += HOP_GAP + mover.expovariate(hop_rate)
         if t_depart is not None and t_depart < horizon:
             events.append(TraceEvent(t_depart, user, "depart"))
     events.sort(key=lambda ev: (ev.time, ev.user, ev.kind != "arrive"))
@@ -389,13 +423,15 @@ _JSON_TYPES = {
 def _read(value: Any, kind: Any, key: str, path: Path) -> Any:
     """``value``, the config's ``key``, read as ``kind``: an int must be a
     JSON integer and a bool ``true`` or ``false``; a float may be any JSON
-    number, and a ``float | None`` also ``null``.  Anything else is a
-    ValueError naming the file and the key."""
+    number a float can hold, and a ``float | None`` also ``null``.
+    Anything else is a ValueError naming the file and the key."""
     if kind == float | None:
         if value is None:
             return None
         kind = float
     if kind is float and type(value) is int:
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"config {path}: {key} is too large for a float")
         return float(value)
     if type(value) is not kind:
         raise ValueError(
@@ -467,14 +503,21 @@ def _overrides(cls: type[_T], cfg: Mapping[str, Any], name: str, path: Path) -> 
 
 def check_trace(scenario: Scenario, source: str) -> None:
     """Raise ValueError when ``scenario``'s trace breaks a rule of
-    :func:`~.simnet.check_trace_events` (a time that is not finite, a
-    class the scenario does not define, a PoA that is not a leaf of its
-    tree); ``source`` names the input in the message."""
+    :func:`~.simnet.check_trace_events`, such as a time that is not
+    finite, a class the scenario does not define, a PoA that is not a leaf
+    of its tree or a second arrival of a user; ``source`` names the input
+    in the message."""
     leaves = frozenset(scenario.topology.leaves)
     try:
         check_trace_events(scenario.trace, scenario.classes, leaves)
     except ValueError as err:
         raise ValueError(f"{source}: {err}") from None
+
+
+def _refuse_constant(name: str) -> typing.NoReturn:
+    """Refuse a ``NaN``, ``Infinity`` or ``-Infinity`` in a config: Python
+    reads them as floats, but they are not JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def load_config(path: str | Path, seed: int = 1) -> Scenario:
@@ -483,13 +526,22 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
     The file describes the tree (levels, arity, leaf capacity, optional
     per-node capacity overrides and pruned subtrees), the service classes
     with their prices, per-level round-trip times, optional timing and link
-    overrides, and either a trace CSV path or a synthetic-trace block.  A
-    missing key or a value of the wrong JSON type is a ValueError naming
-    the file.
+    overrides, and either a trace CSV path or a synthetic-trace block.
+
+    The file must be UTF-8 JSON whose numbers are JSON numbers: ``NaN``,
+    ``Infinity`` and ``-Infinity`` are refused.  Text that is not UTF-8,
+    not JSON or nested too deep to read, a missing key and a value of the
+    wrong JSON type are each a ValueError naming the file.  A value that
+    the tree, a class, the timing, the link or :func:`synthesize_trace`
+    refuses is a ValueError with their message.
     """
     path = Path(path)
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh, parse_constant=_refuse_constant)
+    # a ValueError is also a JSON syntax or a UTF-8 decoding error
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"config {path}: {err}") from None
     try:
         scenario = _config_scenario(cfg, path, seed)
     except KeyError as missing:

@@ -230,18 +230,34 @@ def check_trace_events(
     classes: Mapping[int, ServiceClass],
     leaves: Collection[DatacenterId],
 ) -> None:
-    """Raise ValueError at the first event of ``trace`` whose time is not
-    finite, that arrives in a class not in ``classes``, or that arrives or
-    moves at a PoA not in ``leaves``."""
-    for time, _user, kind, poa, class_id in trace:
+    """Raise ValueError at the first event of ``trace`` that breaks a rule
+    of a valid trace, whatever the world it runs in beyond its classes and
+    leaves.  Each event has a finite time and a kind of ``arrive``,
+    ``move`` or ``depart``; an arrival has a PoA and a class, and a move a
+    PoA; an arrival's class is in ``classes``; an arrival's or a move's PoA
+    is in ``leaves``; and a user arrives at most once."""
+    arrived: set[int] = set()
+    for time, user, kind, poa, class_id in trace:
         if not math.isfinite(time):
             raise ValueError(f"trace has an event at time {time}, which is not finite")
-        if kind == "arrive" and class_id not in classes:
-            raise ValueError(
-                f"trace uses class {class_id}, which the scenario does not "
-                f"define (classes: {sorted(classes)})"
-            )
-        if kind != "depart" and poa not in leaves:
+        if kind == "depart":
+            continue
+        if kind == "arrive":
+            if poa is None or class_id is None:
+                raise ValueError(f"arrival of user {user} lacks a PoA or class")
+            if class_id not in classes:
+                raise ValueError(
+                    f"trace uses class {class_id}, which the scenario does not "
+                    f"define (classes: {sorted(classes)})"
+                )
+            if user in arrived:
+                raise ValueError(f"user {user} arrived twice")
+            arrived.add(user)
+        elif kind != "move":
+            raise ValueError(f"unknown trace event {kind!r}")
+        elif poa is None:
+            raise ValueError(f"move of user {user} lacks a PoA")
+        if poa not in leaves:
             raise ValueError(
                 f"trace names PoA {poa}, which is not a leaf of the "
                 f"scenario's tree"
@@ -653,13 +669,9 @@ class Simulator:
         return reach
 
     def _on_arrive(self, user: int, poa: DatacenterId, class_id: int) -> None:
-        if user in self.requests:
-            raise ValueError(f"user {user} arrived twice")
+        """``user`` arrives at ``poa`` in ``class_id``; the trace passed
+        :meth:`_trace_cursor`, so the user is new and the reach not empty."""
         feasible = self._feasible_for(poa, class_id)
-        if not feasible:
-            raise ValueError(
-                f"user {user} (class {class_id}) has no feasible datacenter at s{poa}"
-            )
         req = _RequestState(Request(user, class_id, poa, feasible))
         self.requests[user] = req
         self.log(poa, "arrive r%d class=%d", user, class_id)
@@ -679,14 +691,16 @@ class Simulator:
         )
         self.nodes[request.poa].buffer_scan_input([rec])
 
-    def _on_move(self, user: int, poa: DatacenterId) -> None:
+    def _on_move(self, user: int, poa: DatacenterId, _class_id: None) -> None:
+        """``user`` moves to ``poa``, in the class it arrived in; a move of
+        a user who is not active is ignored.  The new reach is not empty:
+        every PoA is a level-0 leaf, so a class's reach is empty at one PoA
+        exactly when it is empty at all of them."""
         req = self.requests.get(user)
         if req is None or req.state in ("departed", "failed"):
             return
         class_id = req.request.class_id
         feasible = self._feasible_for(poa, class_id)
-        if not feasible:
-            raise ValueError(f"user {user} moved to s{poa} with empty reach")
         req.request = Request(user, class_id, poa, feasible)
         req.reached += tuple(n for n in feasible if n not in req.reached)
         self.log(poa, "move r%d", user)
@@ -707,7 +721,9 @@ class Simulator:
             self._purge(user)
             self._issue(req)
 
-    def _on_depart(self, user: int) -> None:
+    def _on_depart(self, user: int, _poa: None, _class_id: None) -> None:
+        """``user`` leaves; a departure of a user who is not active is
+        ignored."""
         req = self.requests.get(user)
         if req is None or req.state in ("departed", "failed"):
             return
@@ -787,26 +803,26 @@ class Simulator:
     def _trace_cursor(
         self, trace: Sequence[TraceEvent]
     ) -> list[tuple[float, Callable[..., None], tuple]]:
-        """Every trace event as ``(time, handler, arguments)``, checked
-        before any runs (see also :func:`check_trace_events`), latest
-        first: sorted stably by time, so events at one instant keep their
-        trace order, then reversed, so the next one is popped off the end."""
-        on_arrive, on_move, on_depart = self._on_arrive, self._on_move, self._on_depart
+        """Every trace event as ``(time, handler, (user, poa, class_id))``,
+        latest first: sorted stably by time, so events at one instant keep
+        their trace order, then reversed, so the next one is popped off the
+        end.  Before any event runs, the trace must pass
+        :func:`check_trace_events`, and every arrival must have a reach
+        that is not empty, so a bad trace stops the run before its first
+        event."""
+        check_trace_events(trace, self.classes, frozenset(self.topology.leaves))
+        handlers = {
+            "arrive": self._on_arrive,
+            "move": self._on_move,
+            "depart": self._on_depart,
+        }
         entries = []
         for time, user, kind, poa, class_id in trace:
-            if kind == "arrive":
-                if poa is None or class_id is None:
-                    raise ValueError(f"arrival of user {user} lacks a PoA or class")
-                entries.append((time, on_arrive, (user, poa, class_id)))
-            elif kind == "move":
-                if poa is None:
-                    raise ValueError(f"move of user {user} lacks a PoA")
-                entries.append((time, on_move, (user, poa)))
-            elif kind == "depart":
-                entries.append((time, on_depart, (user,)))
-            else:
-                raise ValueError(f"unknown trace event {kind!r}")
-        check_trace_events(trace, self.classes, frozenset(self.topology.leaves))
+            if kind == "arrive" and not self._feasible_for(poa, class_id):
+                raise ValueError(
+                    f"user {user} (class {class_id}) has no feasible datacenter at s{poa}"
+                )
+            entries.append((time, handlers[kind], (user, poa, class_id)))
         entries.sort(key=itemgetter(0))
         entries.reverse()
         return entries

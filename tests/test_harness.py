@@ -896,11 +896,85 @@ def test_cli_run_rejects_bad_link_and_timing_values(
     config[block] = entry
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))
+    if not all(map(math.isfinite, entry.values())):  # refused as the file is read
+        message = f"config {cfg_path}: NaN is not a JSON number"
     code = main(["run", "--config", str(cfg_path), "--algo", "dapp"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+def _class_edit(**fields: object) -> Callable[[dict], dict]:
+    """A config edit that sets ``fields`` in the config's only class."""
+    return lambda c: {**c, "classes": [{**c["classes"][0], **fields}]}
+
+
+#: configs that crashed, hung or ran to a verdict they made up: a synth
+#: block's edits, a whole-config edit or the file's text, and the message
+#: each gets now ({path} is the config file's)
+CRASH_OR_HANG = [
+    ({"burst": False, "arrival_rate": 0}, "error: arrival_rate must be finite and > 0"),
+    ({"hold_mean": 0}, "error: hold_mean must be finite and > 0, not 0.0"),
+    ({"move_period": 0}, "error: move_period must be finite and > 0, not 0.0"),
+    ({"move_period": -1}, "error: move_period must be finite and > 0, not -1.0"),
+    ({"move_period": 0.001, "horizon": 1e308}, "may draw more than 4194304 trace"),
+    (_class_edit(max_delay=math.nan), "error: config {path}: NaN is not a JSON number"),
+    (
+        _class_edit(placement_cost={"0": 2, "1": math.nan}),
+        "error: config {path}: NaN is not a JSON number",
+    ),
+    (
+        _class_edit(cpu_demand={"0": -3, "1": -3}),
+        "error: class 0 cpu_demand at level 0 must be >= 0",
+    ),
+    ("{not json", "error: config {path}: Expecting property name enclosed"),
+    (b"\xff\xfe{}", "error: config {path}: 'utf-8' codec can't decode byte 0xff"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    CRASH_OR_HANG,
+    ids=["rate-0", "hold-0", "period-0", "period-minus-1", "huge-horizon",
+         "nan-delay", "nan-price", "negative-demand", "not-json", "not-utf-8"],
+)
+def test_cli_refuses_configs_that_crash_or_hang(
+    tmp_path: Path, capsys, edit: object, message: str
+) -> None:
+    cfg_path = tmp_path / "bad.json"
+    if isinstance(edit, dict):  # a synth block
+        config = _tiny_config()
+        config["synth"] = {**config["synth"], **edit}
+        cfg_path.write_text(json.dumps(config))
+    elif callable(edit):
+        cfg_path.write_text(json.dumps(edit(_tiny_config())))
+    else:
+        cfg_path.write_bytes(edit.encode() if isinstance(edit, str) else edit)
+    started = time.process_time()
+    code = main(["run", "--config", str(cfg_path), "--algo", "dapp,exact"])
+    assert time.process_time() - started < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message.format(path=cfg_path) in err
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "fig2"],
+        ["min-cpu", "--users", "4", "--levels", "3"],
+        ["sweep-overhead", "--users", "4", "--levels", "3", "--p-rt", "0.5",
+         "--t-ad", "1e-4"],
+    ],
+    ids=["run", "min-cpu", "sweep-overhead"],
+)
+def test_cli_refuses_an_empty_seed_list(capsys, argv: list[str]) -> None:
+    assert main([*argv, "--seeds", ","]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --seeds lists no seed\n"
 
 
 @pytest.mark.parametrize(
@@ -1194,4 +1268,144 @@ def test_cli_survives_fuzzed_traces_and_trees(fuzz_trace: Path) -> None:
     started = time.process_time()
     check()
     assert examples >= 500
+    assert time.process_time() - started < 10.0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line with config files
+
+
+def _fuzz_config() -> dict:
+    """A valid config that sets every key a config may hold but ``trace``."""
+    return {
+        "name": "fuzz",
+        "tree": {
+            "levels": 2,
+            "arity": 2,
+            "leaf_capacity": 4,
+            "capacity_overrides": {"0": 9},
+            "prune": [2],
+        },
+        "classes": [
+            {
+                "class_id": 0,
+                "name": "tight",
+                "max_delay": 0.05,
+                "cpu_demand": {"0": 1, "1": 1},
+                "migration_cost": 5,
+                "placement_cost": {"0": 2, "1": 1},
+            },
+            {
+                "class_id": 1,
+                "name": "bulk",
+                "max_delay": 0.5,
+                "cpu_demand": {"0": 2, "1": 1},
+                "migration_cost": 3,
+                "placement_cost": {"0": 3, "1": 1.5},
+            },
+        ],
+        "per_bit_cost": 2.5,
+        "rtt_by_level": {"0": 0.001, "1": 0.002},
+        "timing": {"scan_window": 2e-4, "push_down_window": 4e-4, "fallback_period": 10},
+        "link": {"propagation": 22e-6, "capacity_bps": 1e7},
+        "synth": {
+            "seed": 3,
+            "users": 4,
+            "p_rt": 0.5,
+            "burst": False,
+            "arrival_rate": 50,
+            "hold_mean": 1.0,
+            "move_period": 0.5,
+            "horizon": 2.0,
+        },
+    }
+
+
+#: Values put in place of a valid one: wrong JSON types, 0, negatives,
+#: tiny and huge numbers, and the NaN and Infinity that JSON lacks
+_ODD_VALUES = st.sampled_from(
+    [None, True, "x", "", [], [1], {}, {"a": 1}, 0, -1, -2.5, 0.5, 5e-324,
+     10**18, -(10**18), 10**400, 1e308, -1e308, math.nan, math.inf, -math.inf]
+)
+
+
+def _value_paths(value: object, path: tuple = ()) -> list[tuple]:
+    """The key path of ``value`` and of everything inside it."""
+    paths = [path]
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, inner in items:
+        paths.extend(_value_paths(inner, (*path, key)))
+    return paths
+
+
+@st.composite
+def _config_bytes(draw: st.DrawFn) -> bytes:
+    """A valid config with one or two values replaced, dropped or added
+    beside, and in one case of ten its text broken."""
+    cfg: object = _fuzz_config()
+    for _ in range(draw(st.integers(1, 2))):
+        *where, key = draw(st.sampled_from(_value_paths(cfg))) or (None,)
+        odd = draw(_ODD_VALUES)
+        if key is None:  # the whole config
+            cfg = odd
+            continue
+        parent = cfg
+        for step in where:
+            parent = parent[step]
+        how = draw(st.sampled_from(["replace", "replace", "drop", "add"]))
+        if how == "drop":
+            del parent[key]
+        elif how == "add" and isinstance(parent, dict):
+            parent[f"unknown_{key}"] = odd
+        elif how == "add":
+            parent.append(odd)
+        else:
+            parent[key] = odd
+    text = json.dumps(cfg)  # NaN and Infinity are JSON extensions
+    if _odds(draw, 9):
+        return text.encode()
+    cut = draw(st.integers(0, len(text)))
+    return draw(
+        st.sampled_from(
+            [
+                text[:cut].encode(),
+                (text[:cut] + draw(_JUNK) + text[cut:]).encode(),
+                draw(st.binary(max_size=12)),
+                b"[" * 100_000,
+                b"\xef\xbb\xbf" + text.encode(),
+            ]
+        )
+    )
+
+
+def test_cli_survives_fuzzed_configs(tmp_path: Path) -> None:
+    # Every config ends in an exit code: 0, 1 (a rejected input, reported
+    # on an "error:" line) or 2 (a diverged or failed run), never an
+    # exception, also with the invariants checked after every event.
+    cfg_path = tmp_path / "fuzz.json"
+    examples = 0
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_config_bytes())
+    def check(data: bytes) -> None:
+        nonlocal examples
+        examples += 1
+        cfg_path.write_bytes(data)
+        argv = [
+            "run", "--config", str(cfg_path), "--algo", "dapp,ffit,bupu,exact",
+            "--no-normalize", "--budget", "2000", "--bnb-budget", "2000",
+            "--check-invariants",
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+
+    started = time.process_time()
+    check()
+    assert examples >= 400
     assert time.process_time() - started < 10.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -207,6 +208,24 @@ def test_feasible_set_depth_tracks_delay_bound() -> None:
     assert len(relaxed) == 6
     assert relaxed == topo.path_to_root(leaf)
     assert tight == relaxed[:3]
+
+
+@pytest.mark.parametrize(
+    "max_delay, cpu_demand, message",
+    [
+        (-0.1, {0: 1}, "class 7 max_delay must be finite and >= 0"),
+        (math.nan, {0: 1}, "class 7 max_delay must be finite and >= 0"),
+        (math.inf, {0: 1}, "class 7 max_delay must be finite and >= 0"),
+        (1.0, {0: 1, 1: -3}, "class 7 cpu_demand at level 1 must be >= 0"),
+    ],
+    ids=["negative-delay", "nan-delay", "inf-delay", "negative-demand"],
+)
+def test_service_class_refuses_a_negative_demand_or_a_bad_delay(
+    max_delay: float, cpu_demand: dict[int, int], message: str
+) -> None:
+    with pytest.raises(ValueError, match=message):
+        ServiceClass(class_id=7, name="bad", max_delay=max_delay, cpu_demand=cpu_demand)
+    ServiceClass(class_id=7, name="edge", max_delay=0.0, cpu_demand={0: 0})
 
 
 def test_feasible_set_zero_delay_is_empty() -> None:

@@ -252,7 +252,7 @@ def test_empty_buffer_does_not_arm() -> None:
     node = make_node(world, 1)
     node.buffer_scan_input([])
     assert world.timers == []
-    assert not node.scan_timer_armed
+    assert not node.armed
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from edgeplace.protocol import ProtocolTiming
 from edgeplace.scenarios import (
     BUILTIN_SCENARIOS,
+    HOP_GAP,
+    MAX_TRACE_EVENTS,
     NONRT_CLASS,
     PROFILE_COSTS,
     PROFILE_RTT,
@@ -23,6 +27,7 @@ from edgeplace.scenarios import (
     load_config,
     synthesize_trace,
 )
+from edgeplace.simnet import LinkModel
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +162,55 @@ def test_synthesis_is_deterministic() -> None:
     )
 
 
+#: synthesis arguments out of range, and from the first zero rate on those
+#: that crashed (a ZeroDivisionError) or ran without end as memory grew,
+#: with the message each gets
+BAD_SYNTH = [
+    (dict(p_rt=1.5), "the tight-class share p_rt must be in [0, 1], not 1.5"),
+    (dict(p_rt=-0.1), "the tight-class share p_rt must be in [0, 1], not -0.1"),
+    (dict(p_rt=math.nan), "the tight-class share p_rt must be in [0, 1], not nan"),
+    (dict(users=-3), "the user count must be >= 0, not -3"),
+    (dict(burst=False, arrival_rate=0.0), "arrival_rate must be finite and > 0"),
+    (dict(burst=False, arrival_rate=-2.0), "arrival_rate must be finite and > 0"),
+    (dict(burst=False, arrival_rate=math.nan), "arrival_rate must be finite"),
+    (dict(burst=False, arrival_rate=math.inf), "arrival_rate must be finite"),
+    (dict(hold_mean=0.0), "hold_mean must be finite and > 0"),
+    (dict(hold_mean=-1.0), "hold_mean must be finite and > 0"),
+    (dict(hold_mean=math.inf), "hold_mean must be finite and > 0"),
+    (dict(move_period=0.0), "move_period must be finite and > 0"),
+    (dict(move_period=-1.0), "move_period must be finite and > 0"),
+    (dict(move_period=math.nan), "move_period must be finite and > 0"),
+    (dict(horizon=math.inf), "the horizon must be finite, not inf"),
+    (dict(horizon=math.nan), "the horizon must be finite, not nan"),
+    (dict(move_period=0.001, horizon=1e308), "may draw more than 4194304 trace"),
+    (dict(users=10**6, move_period=0.5), "1000000 users over a horizon of 4.0 s"),
+    (dict(users=10**18), "may draw more than 4194304 trace events"),
+]
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [dict(p_rt=1.5), dict(p_rt=-0.1), dict(p_rt=float("nan")), dict(users=-3)],
-    ids=["share-above-one", "negative-share", "nan-share", "negative-users"],
+    "bad, message",
+    BAD_SYNTH,
+    ids=["share-above-one", "negative-share", "nan-share", "negative-users"]
+    + [",".join(f"{k}={v}" for k, v in bad.items()) for bad, _ in BAD_SYNTH[4:]],
 )
-def test_synthesis_rejects_out_of_range_inputs(bad: dict) -> None:
+def test_synthesis_rejects_out_of_range_inputs(bad: dict, message: str) -> None:
     topology, _, _, _ = default_profile(leaf_capacity=10, levels=3)
-    with pytest.raises(ValueError):
+    started = time.process_time()
+    with pytest.raises(ValueError, match=re.escape(message)):
         synthesize_trace(topology, **{"seed": 1, "users": 4, "p_rt": 0.5, **bad})
+    assert time.process_time() - started < 0.5
+
+
+def test_synthesis_ceiling_admits_40000_churning_users() -> None:
+    # arrival, departure and a hop per HOP_GAP of the 4 s horizon each
+    assert 40_000 * (2 + 4.0 / HOP_GAP) <= MAX_TRACE_EVENTS
+    # a burst without moves counts two events a user
+    topology, _, _, _ = default_profile(leaf_capacity=10, levels=3)
+    users = MAX_TRACE_EVENTS // 82 + 1
+    with pytest.raises(ValueError, match="may draw more than"):
+        synthesize_trace(topology, seed=1, users=users, p_rt=0.5, move_period=0.5)
+    assert len(synthesize_trace(topology, seed=1, users=users, p_rt=0.5)) == users
 
 
 def test_poisson_arrivals_accumulate() -> None:
@@ -385,11 +430,52 @@ BAD_LINK_AND_TIMING = [
 def test_load_config_rejects_bad_link_and_timing_values(
     tmp_path: Path, block: str, key: str, value: float, message: str
 ) -> None:
+    model = {"link": LinkModel, "timing": ProtocolTiming}[block]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model(**{key: value})
     cfg = _base_config()
     cfg[block] = {key: value}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))  # NaN and Infinity are JSON extensions
+    if not math.isfinite(value):  # refused as the file is read
+        message = f"config {path}: {json.dumps(value)} is not a JSON number"
     with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)
+
+
+#: config text that is not JSON numbers, or not JSON at all
+NOT_JSON = [
+    (b'{"max_delay": NaN}', "NaN is not a JSON number"),
+    (b'{"price": [1, Infinity]}', "Infinity is not a JSON number"),
+    (b'{"rtt": -Infinity}', "-Infinity is not a JSON number"),
+    (b"{not json", "Expecting property name enclosed in double quotes"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    NOT_JSON,
+    ids=["nan", "inf", "minus-inf", "syntax", "utf-16", "deep"],
+)
+def test_load_config_refuses_text_that_is_not_json_numbers_or_json(
+    tmp_path: Path, text: bytes, message: str
+) -> None:
+    path = tmp_path / "odd.json"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"config {path}: ")
+    assert message in str(err.value)
+
+
+def test_load_config_refuses_a_number_too_large_for_a_float(tmp_path: Path) -> None:
+    cfg = _base_config()
+    cfg["per_bit_cost"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match="per_bit_cost is too large for a float"):
         load_config(path)
 
 

@@ -377,6 +377,11 @@ def test_user_ids_of_any_size_run_and_log_exactly(tmp_path, lane: str) -> None:
         (TraceEvent(math.inf, 9, "arrive", 3, 0), "at time inf, which is not finite"),
         (TraceEvent(-math.inf, 9, "arrive", 3, 0), "at time -inf, which is not"),
         (TraceEvent(math.nan, 0, "depart"), "at time nan, which is not finite"),
+        (TraceEvent(0.06, 2, "arrive", 3, 0), "user 2 arrived twice"),
+        (
+            TraceEvent(0.06, 9, "arrive", 3, 1),
+            r"user 9 \(class 1\) has no feasible datacenter at s3",
+        ),
     ],
     ids=[
         "undefined-class",
@@ -386,12 +391,17 @@ def test_user_ids_of_any_size_run_and_log_exactly(tmp_path, lane: str) -> None:
         "inf-time",
         "minus-inf-time",
         "nan-time",
+        "duplicate-arrival",
+        "class-no-poa-can-host",
     ],
 )
 def test_a_bad_trace_field_stops_every_lane_before_it_runs(
     lane: str, bad: TraceEvent, message: str
 ) -> None:
+    # fig2, plus a class whose delay bound is below every round trip
     scenario = fig_two_tier_scenario()
+    unhostable = ServiceClass(1, "unhostable", 0.0005, {0: 1, 1: 1, 2: 1})
+    scenario = replace(scenario, classes={**scenario.classes, 1: unhostable})
     sim = build_simulator(scenario, lane)
     with pytest.raises(ValueError, match=message):
         sim.run([*scenario.trace, bad])
