@@ -19,7 +19,7 @@ reference for the minimum-capacity searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DatacenterId,
@@ -78,9 +78,14 @@ def _movable(problem: EpochProblem) -> list[ActiveService]:
 
 
 def _lowest_with_room(
-    problem: EpochProblem, svc: ActiveService, residual: Mapping[DatacenterId, int]
+    problem: EpochProblem,
+    svc: ActiveService,
+    residual: Mapping[DatacenterId, int],
+    nodes: Sequence[DatacenterId] | None = None,
 ) -> DatacenterId | None:
-    for node in svc.feasible:  # PoA first, root last
+    """The first of ``nodes`` (by default ``svc``'s reach, PoA first) that
+    can host ``svc`` with the room ``residual`` leaves."""
+    for node in svc.feasible if nodes is None else nodes:
         units = problem.demand(svc.class_id, node)
         if units is not None and units <= residual[node]:
             return node
@@ -128,12 +133,11 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
     tentative placements to the highest feasible node that still has room,
     mirroring the protocol's preference for high placements.
     """
-    movable_ids = {s.request_id for s in _movable(problem)}
     residual = _residual_capacity(problem)
     # where every immovable service sits, for the push-down recovery
     tenants: dict[DatacenterId, list[ActiveService]] = {}
     for svc in problem.services:
-        if svc.request_id not in movable_ids and svc.current_host is not None:
+        if not svc.movable and svc.current_host is not None:
             tenants.setdefault(svc.current_host, []).append(svc)
     for members in tenants.values():
         members.sort(key=lambda s: s.request_id)
@@ -141,39 +145,34 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
     relocations: dict[RequestId, DatacenterId] = {}
 
     def try_free(node: DatacenterId, needed: int) -> bool:
-        """Push tenants of ``node`` down their reach until ``needed`` units
-        are free; commits the moves only if that succeeds.
+        """Free ``needed`` units at ``node`` by pushing its tenants down
+        their reach; True, with the moves committed, when that succeeds.
 
-        A tenant is never movable, so its host lies on its reach, a path
-        prefix from the PoA up: the reach's entries before ``node`` are
-        the targets below it, tried PoA first."""
-        moved: list[tuple[ActiveService, DatacenterId, int, int]] = []
-        for tenant in list(tenants.get(node, [])):
-            if residual[node] >= needed:
+        The walk is planned on a copy of the residuals and touches nothing
+        when it falls short.  A tenant is never movable, so its host lies
+        on its reach, a path prefix from the PoA up: the reach's entries
+        before ``node`` are the targets below it, tried PoA first."""
+        room = dict(residual)
+        moves: list[tuple[ActiveService, DatacenterId]] = []
+        for tenant in tenants.get(node, ()):
+            if room[node] >= needed:
                 break
-            here = _units_at(problem, tenant, node)
             reach = tenant.feasible
-            for target in reach[: reach.index(node)]:
-                units = problem.demand(tenant.class_id, target)
-                if units is None or units > residual[target]:
-                    continue
-                residual[node] += here
-                residual[target] -= units
-                tenants[node].remove(tenant)
-                tenants.setdefault(target, []).append(tenant)
-                moved.append((tenant, target, here, units))
-                break
-        if residual[node] >= needed:
-            for tenant, target, _, _ in moved:
-                relocations[tenant.request_id] = target
-            return True
-        for tenant, target, here, units in reversed(moved):
-            residual[node] -= here
-            residual[target] += units
-            tenants[target].remove(tenant)
-            tenants.setdefault(node, []).append(tenant)
-            tenants[node].sort(key=lambda s: s.request_id)
-        return False
+            target = _lowest_with_room(
+                problem, tenant, room, reach[: reach.index(node)]
+            )
+            if target is not None:
+                room[node] += _units_at(problem, tenant, node)
+                room[target] -= _units_at(problem, tenant, target)
+                moves.append((tenant, target))
+        if room[node] < needed:
+            return False
+        residual.update(room)
+        for tenant, target in moves:
+            tenants[node].remove(tenant)
+            tenants.setdefault(target, []).append(tenant)
+            relocations[tenant.request_id] = target
+        return True
 
     todo = sorted(
         _movable(problem), key=lambda s: (len(s.feasible), s.request_id)
@@ -193,16 +192,12 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
     for rid in sorted(placement):
         svc = by_id[rid]
         here = placement[rid]
-        here_units = _units_at(problem, svc, here)
         # highest first, down to just above the tentative host
-        for pos in range(len(svc.feasible) - 1, svc.feasible.index(here), -1):
-            node = svc.feasible[pos]
-            units = problem.demand(svc.class_id, node)
-            if units is not None and units <= residual[node]:
-                residual[here] += here_units
-                residual[node] -= units
-                placement[rid] = node
-                break
+        above = svc.feasible[: svc.feasible.index(here) : -1]
+        node = _lowest_with_room(problem, svc, residual, above)
+        if node is not None:
+            residual[here] += _units_at(problem, svc, here)
+            _assign(problem, residual, placement, svc, node)
     placement.update(relocations)
     return EpochDecision(placement=placement)
 

@@ -46,10 +46,6 @@ from .simnet import EVENT_BUDGET, EventLog, load_trace
 
 __all__ = ["main", "build_parser"]
 
-#: Scenario families that accept --users/--p-rt/--leaf-capacity overrides.
-_FAMILY_SCENARIOS = ("rand", "synth", "jitter")
-
-
 class _CliError(Exception):
     """Configuration problem; reported on stderr with exit code 1."""
 
@@ -95,7 +91,6 @@ def _scenario_for(args: argparse.Namespace, seed: int):
     if args.config is not None:
         scenario = load_config(args.config, seed=seed)
     else:
-        overrides = {}
         family_flags = {
             "users": args.users,
             "p_rt": args.p_rt,
@@ -103,14 +98,7 @@ def _scenario_for(args: argparse.Namespace, seed: int):
             "levels": args.levels,
             "arity": args.arity,
         }
-        given = {k: v for k, v in family_flags.items() if v is not None}
-        if args.scenario in _FAMILY_SCENARIOS:
-            overrides.update(given)
-        elif given:
-            raise _CliError(
-                f"--{'/--'.join(k.replace('_', '-') for k in given)} only "
-                f"apply to the {', '.join(_FAMILY_SCENARIOS)} scenarios"
-            )
+        overrides = {k: v for k, v in family_flags.items() if v is not None}
         scenario = builtin_scenario(args.scenario, seed=seed, **overrides)
     if args.trace is not None:
         scenario = replace(

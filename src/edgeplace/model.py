@@ -82,12 +82,29 @@ class CostModel:
     ``migration_cost`` charges relocating a placed instance (per class);
     ``placement_cost`` maps class id -> level -> the running cost of hosting
     one instance there; ``per_bit_cost`` prices control-plane traffic and is
-    reported separately — it never enters the placement objective.
+    reported separately — it never enters the placement objective.  Every
+    price must be finite and at least 0; other values are a ValueError.
     """
 
     migration_cost: Mapping[int, float]
     placement_cost: Mapping[int, Mapping[int, float]]
     per_bit_cost: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.per_bit_cost < math.inf:
+            raise ValueError("per_bit_cost must be finite and >= 0")
+        for class_id, price in self.migration_cost.items():
+            if not 0 <= price < math.inf:
+                raise ValueError(
+                    f"class {class_id} migration_cost must be finite and >= 0"
+                )
+        for class_id, prices in self.placement_cost.items():
+            for level, price in prices.items():
+                if not 0 <= price < math.inf:
+                    raise ValueError(
+                        f"class {class_id} placement_cost at level {level} "
+                        "must be finite and >= 0"
+                    )
 
     def place_price(self, class_id: int, level: int) -> float:
         return self.placement_cost[class_id][level]

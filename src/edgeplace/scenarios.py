@@ -387,24 +387,38 @@ def synth_scenario(
     )
 
 
-BUILTIN_SCENARIOS = ("fig2", "fig3", "empty", "rand", "synth", "jitter")
+#: The fixed walkthroughs, which take no overrides, and the seeded
+#: families, which take their own keyword arguments as overrides.
+_FIXTURES = {
+    "fig2": fig_two_tier_scenario,
+    "fig3": fig_flat_scenario,
+    "empty": empty_scenario,
+}
+_FAMILIES = {
+    "rand": rand_scenario,
+    "synth": synth_scenario,
+    "jitter": jittered_scenario,
+}
+BUILTIN_SCENARIOS = (*_FIXTURES, *_FAMILIES)
 
 
 def builtin_scenario(name: str, seed: int = 1, **overrides: Any) -> Scenario:
-    """Construct a named built-in scenario (see :data:`BUILTIN_SCENARIOS`)."""
-    if name == "fig2":
-        return fig_two_tier_scenario()
-    if name == "fig3":
-        return fig_flat_scenario()
-    if name == "empty":
-        return empty_scenario()
-    if name == "rand":
-        return rand_scenario(seed=seed, **overrides)
-    if name == "synth":
-        return synth_scenario(seed=seed, **overrides)
-    if name == "jitter":
-        return jittered_scenario(seed=seed, **overrides)
-    raise ValueError(f"unknown scenario {name!r}; pick one of {BUILTIN_SCENARIOS}")
+    """Construct a named built-in scenario (see :data:`BUILTIN_SCENARIOS`).
+
+    ``overrides`` go to a family's builder; a fixture refuses any with a
+    ValueError."""
+    if name in _FAMILIES:
+        return _FAMILIES[name](seed=seed, **overrides)
+    if name not in _FIXTURES:
+        raise ValueError(
+            f"unknown scenario {name!r}; pick one of {BUILTIN_SCENARIOS}"
+        )
+    if overrides:
+        raise ValueError(
+            f"{', '.join(overrides)} only apply to the {', '.join(_FAMILIES)} "
+            f"scenarios, not {name}"
+        )
+    return _FIXTURES[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +473,7 @@ def _read_keyed(
 def _class_from_config(entry: Mapping[str, Any], path: Path) -> ServiceClass:
     class_id = _read(entry["class_id"], int, "classes.class_id", path)
     where = f"classes[{class_id}]"
+    _block(entry, where, _CLASS_KEYS, path)
     return ServiceClass(
         class_id=class_id,
         name=_read(entry.get("name", f"class{class_id}"), str, f"{where}.name", path),
@@ -466,6 +481,17 @@ def _class_from_config(entry: Mapping[str, Any], path: Path) -> ServiceClass:
         cpu_demand=_read_keyed(entry["cpu_demand"], int, f"{where}.cpu_demand", path),
     )
 
+
+#: The keys a config may hold at the top level, in its ``tree`` and in
+#: each entry of its ``classes``.
+_TOP_KEYS = (
+    "name", "tree", "classes", "rtt_by_level", "per_bit_cost", "timing", "link",
+    "trace", "synth",
+)
+_TREE_KEYS = ("levels", "arity", "leaf_capacity", "capacity_overrides", "prune")
+_CLASS_KEYS = (
+    "class_id", "name", "max_delay", "cpu_demand", "migration_cost", "placement_cost",
+)
 
 #: The keys a config's ``synth`` block may set, the arguments of
 #: :func:`synthesize_trace` after the topology, and the type of each.
@@ -477,11 +503,10 @@ _SYNTH_TYPES = {
 
 
 def _block(
-    cfg: Mapping[str, Any], name: str, allowed: Sequence[str], path: Path
+    block: Any, name: str, allowed: Sequence[str], path: Path
 ) -> dict[str, Any]:
-    """The config's optional ``name`` block; a key outside ``allowed`` is
-    an error, so a typo is not silently ignored."""
-    block = cfg.get(name, {})
+    """``block``, the config's object ``name``; a key outside ``allowed``
+    is an error, so a typo is not silently ignored."""
     if not isinstance(block, dict):
         raise ValueError(f"config {path}: the {name!r} block must be an object")
     unknown = sorted(set(block).difference(allowed))
@@ -495,7 +520,7 @@ def _block(
 
 def _overrides(cls: type[_T], cfg: Mapping[str, Any], name: str, path: Path) -> _T:
     """A ``cls`` whose defaults the config's ``name`` block overrides."""
-    block = _block(cfg, name, [f.name for f in fields(cls)], path)
+    block = _block(cfg.get(name, {}), name, [f.name for f in fields(cls)], path)
     return cls(
         **{key: _read(v, float, f"{name}.{key}", path) for key, v in block.items()}
     )
@@ -530,8 +555,9 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
 
     The file must be UTF-8 JSON whose numbers are JSON numbers: ``NaN``,
     ``Infinity`` and ``-Infinity`` are refused.  Text that is not UTF-8,
-    not JSON or nested too deep to read, a missing key and a value of the
-    wrong JSON type are each a ValueError naming the file.  A value that
+    not JSON or nested too deep to read, a missing key, a key the loader
+    does not know (in any object) and a value of the wrong JSON type are
+    each a ValueError naming the file.  A value that
     the tree, a class, the timing, the link or :func:`synthesize_trace`
     refuses is a ValueError with their message.
     """
@@ -554,7 +580,8 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
 
 def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
     """The scenario a parsed config describes; see :func:`load_config`."""
-    tree = cfg["tree"]
+    cfg = _block(cfg, "top-level", _TOP_KEYS, path)
+    tree = _block(cfg["tree"], "tree", _TREE_KEYS, path)
     topology = build_tree(
         levels=_read(tree["levels"], int, "tree.levels", path),
         arity=_read(tree["arity"], int, "tree.arity", path),
@@ -598,7 +625,9 @@ def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
     elif "synth" in cfg:
         synth = {
             key: _read(value, _SYNTH_TYPES[key], f"synth.{key}", path)
-            for key, value in _block(cfg, "synth", list(_SYNTH_TYPES), path).items()
+            for key, value in _block(
+                cfg["synth"], "synth", list(_SYNTH_TYPES), path
+            ).items()
         }
         trace = synthesize_trace(
             topology,

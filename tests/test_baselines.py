@@ -38,6 +38,7 @@ from edgeplace.simnet import ActiveService, EpochDecision, EpochProblem
 from .oracles import enumerate_optimal
 
 UNIT = ServiceClass(class_id=0, name="unit", max_delay=1.0, cpu_demand={0: 1, 1: 1, 2: 1})
+PAIR = ServiceClass(class_id=1, name="pair", max_delay=1.0, cpu_demand={0: 2, 1: 2})
 
 
 def svc(
@@ -152,6 +153,46 @@ def test_bottom_up_frees_room_by_pushing_a_tenant_down() -> None:
     newcomer = svc(1, 2, (2, 0))
     decision = bottom_up_push_up(problem_of(topo, [newcomer, tenant]))
     # the immovable-looking tenant is exactly what the recovery may move
+    assert decision.placement == {1: 0, 2: 1}
+
+
+def _crowded_root(root: int, leaf: int) -> tuple[Topology, list[ActiveService]]:
+    """A root of capacity ``root`` full with tenants 2 and 3, one unit
+    each, whose reach is (leaf 1, root); leaf 1 has capacity ``leaf`` and
+    leaf 2, every newcomer's PoA, none."""
+    topo = build_tree(
+        levels=2,
+        arity=2,
+        leaf_capacity=leaf,
+        capacity_overrides={0: root, 2: 0},
+    )
+    tenants = [svc(rid, 1, (1, 0), current_host=0, movable=False) for rid in (2, 3)]
+    return topo, tenants
+
+
+def test_bottom_up_walk_that_falls_short_moves_no_tenant() -> None:
+    # Newcomer 1 needs 2 units at the root.  The walk plans tenant 2's move
+    # to leaf 1, finds no room for tenant 3 and so frees 1 unit: it commits
+    # nothing, and both tenants keep their host.
+    topo, tenants = _crowded_root(root=2, leaf=1)
+    stuck = svc(1, 2, (2, 0), class_id=1)
+    classes = {0: UNIT, 1: PAIR}
+    decision = bottom_up_push_up(problem_of(topo, [stuck, *tenants], classes=classes))
+    assert decision.placement == {}
+    # The failed plan left the residuals as they were: newcomer 4, one
+    # unit, still has to push tenant 2 down to get the root.
+    newcomer = svc(4, 2, (2, 0))
+    decision = bottom_up_push_up(
+        problem_of(topo, [stuck, *tenants, newcomer], classes=classes)
+    )
+    assert decision.placement == {4: 0, 2: 1}
+
+
+def test_bottom_up_walk_moves_only_the_tenants_it_needs() -> None:
+    # Leaf 1 has room for both tenants, but moving tenant 2 frees the one
+    # unit the newcomer needs, so tenant 3 stays on the root.
+    topo, tenants = _crowded_root(root=2, leaf=2)
+    decision = bottom_up_push_up(problem_of(topo, [svc(1, 2, (2, 0)), *tenants]))
     assert decision.placement == {1: 0, 2: 1}
 
 

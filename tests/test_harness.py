@@ -581,6 +581,37 @@ def test_cli_run_many_seeds_and_algos(capsys) -> None:
     assert keys == sorted(keys)
 
 
+def test_cli_run_takes_an_explicit_seed_list(capsys) -> None:
+    code = main(
+        ["run", "--scenario", "rand", "--users", "4", "--levels", "3",
+         "--algo", "ffit", "--seeds", "1,7", "--no-normalize", "--format", "json"]
+    )
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [(row["scenario"], row["seed"]) for row in rows] == [
+        ("rand-1", 1),
+        ("rand-7", 7),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--seeds", "0"], "--seeds must be at least 1"),
+        (["run", "--algo", ","], "no algorithm given"),
+        (["min-cpu", "--p-rt", ","], "--p-rt needs at least one value"),
+    ],
+    ids=["no-seed-count", "no-algorithm", "no-share"],
+)
+def test_cli_refuses_an_empty_count_or_list(
+    capsys, argv: list[str], message: str
+) -> None:
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_run_rejects_unknown_algorithm(capsys) -> None:
     code = main(["run", "--algo", "wizardry"])
     err = capsys.readouterr().err
@@ -675,6 +706,16 @@ def test_cli_run_log_needs_a_single_run(capsys) -> None:
     assert "--log needs exactly one algorithm and one seed" in capsys.readouterr().err
 
 
+def test_cli_run_writes_the_log_to_stdout(capsys) -> None:
+    code = main(["run", "--scenario", "fig2", "--algo", "dapp", "--log", "-"])
+    out = capsys.readouterr().out
+    assert code == 0
+    header, row, log = out.split("\n", 2)  # the report, then the log
+    assert header == ",".join(METRIC_FIELDS)
+    assert row.startswith("fig2,dapp,1,ok,")
+    assert log == GOLDEN_LOGS["fig2"]
+
+
 def _tiny_config() -> dict:
     return {
         "tree": {"levels": 2, "arity": 2, "leaf_capacity": 4},
@@ -722,6 +763,34 @@ def test_cli_run_rejects_an_unknown_config_key(tmp_path: Path, capsys) -> None:
     err = capsys.readouterr().err
     assert "unknown key(s) hold in the 'synth' block" in err
     assert "Traceback" not in err
+
+
+def test_cli_run_names_an_unknown_key_in_the_tree(tmp_path: Path, capsys) -> None:
+    config = _tiny_config()
+    config["tree"]["capacity_overides"] = {"0": 0}
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg_path), "--algo", "dapp,ffit,bupu,exact"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        f"error: config {cfg_path}: unknown key(s) capacity_overides in the "
+        "'tree' block (allowed: levels, arity, leaf_capacity, capacity_overrides, "
+        "prune)"
+    )
+
+
+def test_cli_run_refuses_a_negative_price(tmp_path: Path, capsys) -> None:
+    config = _tiny_config()
+    config["classes"][0]["placement_cost"] = {"0": -5, "1": 1}
+    cfg_path = tmp_path / "cheap.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg_path), "--algo", "dapp,ffit,bupu,exact"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: class 0 placement_cost at level 0 must be finite and >= 0\n"
 
 
 def test_cli_run_rejects_a_trace_with_an_undefined_class(
@@ -1093,6 +1162,17 @@ def test_cli_sweep_overhead(capsys) -> None:
     assert lines[0] == "p_rt,t_ad,seed,leaf_capacity,verdict,messages,bytes_per_request"
     assert len(lines) == 2
     assert lines[1].startswith("0.500000,0.000100,1,600,ok,")
+
+
+def test_cli_sweep_overhead_exits_2_when_a_point_fails(capsys) -> None:
+    code = main(
+        ["sweep-overhead", "--p-rt", "0.5", "--t-ad", "1e-4", "--users", "4",
+         "--levels", "3", "--leaf-capacity", "1"]
+    )
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 2
+    assert lines[1].startswith("0.500000,0.000100,1,1,failure,")
 
 
 def test_cli_min_cpu(capsys) -> None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from edgeplace.model import (
     MAX_TREE_NODES,
+    CostModel,
     Request,
     ServiceClass,
     Topology,
@@ -226,6 +227,38 @@ def test_service_class_refuses_a_negative_demand_or_a_bad_delay(
     with pytest.raises(ValueError, match=message):
         ServiceClass(class_id=7, name="bad", max_delay=max_delay, cpu_demand=cpu_demand)
     ServiceClass(class_id=7, name="edge", max_delay=0.0, cpu_demand={0: 0})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"per_bit_cost": -1.0}, "per_bit_cost must be finite and >= 0"),
+        ({"per_bit_cost": math.inf}, "per_bit_cost must be finite and >= 0"),
+        ({"migration_cost": {3: math.nan}}, "class 3 migration_cost must be finite"),
+        ({"migration_cost": {3: -2.0}}, "class 3 migration_cost must be finite"),
+        (
+            {"placement_cost": {3: {0: 1.0, 1: math.nan}}},
+            "class 3 placement_cost at level 1 must be finite and >= 0",
+        ),
+        (
+            {"placement_cost": {3: {0: -5.0, 1: 1.0}}},
+            "class 3 placement_cost at level 0 must be finite and >= 0",
+        ),
+    ],
+    ids=["negative-bit", "inf-bit", "nan-move", "negative-move", "nan-place",
+         "negative-place"],
+)
+def test_cost_model_refuses_a_negative_or_non_finite_price(
+    edit: dict, message: str
+) -> None:
+    prices = {
+        "migration_cost": {3: 1.0},
+        "placement_cost": {3: {0: 2.0, 1: 1.0}},
+        "per_bit_cost": 0.0,
+    }
+    with pytest.raises(ValueError, match=message):
+        CostModel(**{**prices, **edit})
+    CostModel(migration_cost={3: 0.0}, placement_cost={3: {0: 0.0}})
 
 
 def test_feasible_set_zero_delay_is_empty() -> None:

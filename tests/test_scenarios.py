@@ -7,6 +7,7 @@ import math
 import re
 import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -267,6 +268,13 @@ def test_builtin_scenario_names() -> None:
         assert builtin_scenario(name).name == name
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig3", "empty"])
+def test_builtin_fixtures_refuse_family_overrides(name: str) -> None:
+    message = f"users only apply to the rand, synth, jitter scenarios, not {name}"
+    with pytest.raises(ValueError, match=message):
+        builtin_scenario(name, users=9)
+
+
 def test_builtin_rand_family_accepts_overrides() -> None:
     scenario = builtin_scenario("rand", seed=2, users=4, levels=3)
     assert scenario.name == "rand-2"
@@ -405,6 +413,53 @@ def test_load_config_rejects_unknown_block_keys(
     message = str(err.value)
     assert f"unknown key(s) hold in the '{block}' block" in message
     assert allowed in message
+
+
+@pytest.mark.parametrize(
+    "edit, block, key",
+    [
+        (lambda c: c.update(capacity=5), "top-level", "capacity"),
+        (
+            lambda c: c["tree"].update(capacity_overides={"0": 0}),
+            "tree",
+            "capacity_overides",
+        ),
+        (lambda c: c["classes"][0].update(max_dealy=1.0), "classes[0]", "max_dealy"),
+    ],
+    ids=["top-level", "tree", "class"],
+)
+def test_load_config_rejects_unknown_keys_in_every_object(
+    tmp_path: Path, edit: Callable[[dict], None], block: str, key: str
+) -> None:
+    cfg = _base_config()
+    edit(cfg)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value).startswith(
+        f"config {path}: unknown key(s) {key} in the '{block}' block (allowed: "
+    )
+
+
+def test_load_config_refuses_a_negative_price(tmp_path: Path) -> None:
+    cfg = _base_config()
+    cfg["classes"][0]["placement_cost"] = {"0": -5, "1": 1}
+    path = tmp_path / "cheap.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match="class 0 placement_cost at level 0 must be"):
+        load_config(path)
+
+
+def test_load_config_reads_a_null_hold_mean_as_no_departures(tmp_path: Path) -> None:
+    cfg = _base_config()
+    path = tmp_path / "stay.json"
+    kinds = {}
+    for hold_mean in (None, 0.5):
+        cfg["synth"] = {"users": 6, "p_rt": 1.0, "hold_mean": hold_mean}
+        path.write_text(json.dumps(cfg))
+        kinds[hold_mean] = {ev.kind for ev in load_config(path).trace}
+    assert kinds == {None: {"arrive"}, 0.5: {"arrive", "depart"}}
 
 
 #: link and timing values no run can use, with the message each gets

@@ -1,6 +1,6 @@
 """Smoke tests of the scripts under ``tools/``, which compare two checkouts
 for byte-identical replays (``replay_digests.py``) and for CPU time
-(``ab_cpu.py``)."""
+(``ab_cpu.py``), and count code lines (``code_lines.py``)."""
 
 from __future__ import annotations
 
@@ -49,3 +49,31 @@ def test_replay_digest_labels_are_unique(monkeypatch: pytest.MonkeyPatch) -> Non
     spec.loader.exec_module(tool)
     labels = [label for label, _ in tool.scenarios(edgeplace)]
     assert len(labels) == len(set(labels)) > 0
+
+
+def test_code_lines_counts_no_docstring_comment_or_blank_line(
+    tmp_path: Path,
+) -> None:
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "def f(a,\n"
+        "      b):\n"
+        '    """One-line docstring."""\n'
+        '    return """not a docstring,\n'
+        '    but a value"""\n'
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "    y = 2\n"
+    )
+    (package / "empty.py").write_text("")
+    proc = _run_tool("code_lines.py", "--src", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    # X, the def over two lines, the return over two, the class and y
+    assert proc.stdout == "0 pkg/empty.py\n7 pkg/mod.py\n7 total\n"
