@@ -88,17 +88,20 @@ def _parse_floats(raw: str, flag: str) -> list[float]:
 
 
 def _scenario_for(args: argparse.Namespace, seed: int):
+    family_flags = {
+        "users": args.users,
+        "p_rt": args.p_rt,
+        "leaf_capacity": args.leaf_capacity,
+        "levels": args.levels,
+        "arity": args.arity,
+    }
+    overrides = {k: v for k, v in family_flags.items() if v is not None}
     if args.config is not None:
+        if overrides:
+            flags = ", ".join("--" + k.replace("_", "-") for k in overrides)
+            raise _CliError(f"{flags} cannot be given with --config, which sets them")
         scenario = load_config(args.config, seed=seed)
     else:
-        family_flags = {
-            "users": args.users,
-            "p_rt": args.p_rt,
-            "leaf_capacity": args.leaf_capacity,
-            "levels": args.levels,
-            "arity": args.arity,
-        }
-        overrides = {k: v for k, v in family_flags.items() if v is not None}
         scenario = builtin_scenario(args.scenario, seed=seed, **overrides)
     if args.trace is not None:
         scenario = replace(

@@ -225,9 +225,13 @@ class World(Protocol):
     def note_push_down(self) -> None: ...
 
     def log(self, node: DatacenterId, template: str, *args: object) -> None:
-        """Record an event at ``node``: a constant ``%``-template and the
-        values it formats, ints, floats, strings or tuples of request ids.
-        The caller builds no text; the engine renders it when it is read."""
+        """Note an event at ``node``: a constant ``%``-template and the
+        values it formats, ints, floats, strings or request-id lists.  An
+        id list is passed live, as the caller holds it: a dict keyed by
+        request id, a list of ids or a list of records.  The engine may
+        ignore the event; if it records it, it snapshots each list then,
+        as the tuple of its request ids, and renders text only when the
+        log is read.  So the caller copies no list for the log."""
         ...
 
 
@@ -262,10 +266,6 @@ def sort_requests(
 def _keyed(records: Iterable[Record]) -> dict[RequestId, Record]:
     """``records`` keyed by request id, in the given order."""
     return {rec.request_id: rec for rec in records}
-
-
-def _record_ids(records: Iterable[Record]) -> tuple[RequestId, ...]:
-    return tuple([r.request_id for r in records])
 
 
 # --------------------------------------------------------------------------
@@ -561,8 +561,8 @@ class ProtocolNode:
         self.world.log(
             self.node_id,
             "scan run na=[%s] pu=[%s]",
-            tuple(self.not_assigned),
-            tuple(self.push_up),
+            self.not_assigned,
+            self.push_up,
         )
         requests = self.requests
         new_push_down: list[RequestId] = []
@@ -587,7 +587,7 @@ class ProtocolNode:
         if new_push_down:
             self.pd_pending.update(dict.fromkeys(new_push_down))
             self.world.log(
-                self.node_id, "scan push-down-pending [%s]", tuple(new_push_down)
+                self.node_id, "scan push-down-pending [%s]", new_push_down
             )
             self._arm_timer("push_down")
             return  # the push-down epilogue will move the leftovers
@@ -601,7 +601,7 @@ class ProtocolNode:
         is still winding down — are failed outright.
         """
         self._take_scan_input(incoming)
-        self.world.log(self.node_id, "f-scan run na=[%s]", tuple(self.not_assigned))
+        self.world.log(self.node_id, "f-scan run na=[%s]", self.not_assigned)
         requests = self.requests
         schedule_push_down: list[RequestId] = []
         for rec in list(self.not_assigned.values()):
@@ -628,7 +628,7 @@ class ProtocolNode:
             self.world.log(
                 self.node_id,
                 "f-scan push-down-pending [%s]",
-                tuple(schedule_push_down),
+                schedule_push_down,
             )
             self._arm_timer("push_down")
         forward = [
@@ -644,7 +644,7 @@ class ProtocolNode:
             self.world.log(
                 self.node_id,
                 "f-scan forward [%s] -> s%d",
-                _record_ids(forward),
+                forward,
                 self.parent,
             )
             self.world.send(self.node_id, self.parent, SfsMsg(tuple(forward)))
@@ -667,8 +667,8 @@ class ProtocolNode:
                 self.world.log(
                     self.node_id,
                     "scan forward na=[%s] pu=[%s] -> s%d",
-                    _record_ids(fwd_na),
-                    _record_ids(fwd_pu),
+                    fwd_na,
+                    fwd_pu,
                     parent,
                 )
                 self.world.send(self.node_id, parent, SfsMsg(tuple(fwd_na + fwd_pu)))
@@ -695,7 +695,7 @@ class ProtocolNode:
         if not records:
             return
         records = self._sorted(records)
-        self.world.log(self.node_id, "pu run [%s]", _record_ids(records))
+        self.world.log(self.node_id, "pu run [%s]", records)
         acks: dict[DatacenterId, list[tuple[Record, bool]]] = {}
         downs: dict[DatacenterId, list[Record]] = {}
         for rec in records:
@@ -752,7 +752,7 @@ class ProtocolNode:
         records = self._take_push_up(incoming)
         if not records:
             return
-        self.world.log(self.node_id, "f-pu refuse [%s]", _record_ids(records))
+        self.world.log(self.node_id, "f-pu refuse [%s]", records)
         requests = self.requests
         relay: list[tuple[Record, bool]] = []
         for rec in records:
@@ -815,7 +815,7 @@ class ProtocolNode:
         caller: DatacenterId | None,
         deficit: int,
         received: tuple[Record, ...] = (),
-    ) -> tuple[RequestId, ...]:
+    ) -> list[RequestId]:
         """Open a session over ``offered`` plus the services this node may
         move itself, and enter quarantine; returns the session's request
         ids, offered first, for the log.
@@ -896,7 +896,7 @@ class ProtocolNode:
             by_child=by_child,
             hostable=hostable,
         )
-        return tuple(ids)
+        return ids
 
     def _hosting_pass(self) -> tuple[list[Record], int]:
         """The session records that fit here, in order (own and stale ones
@@ -959,7 +959,7 @@ class ProtocolNode:
                 self.node_id,
                 "pd offer -> s%d records=[%s] deficit=%d",
                 child,
-                _record_ids(offer),
+                offer,
                 session.deficit,
             )
             self.world.send(
@@ -1016,7 +1016,7 @@ class ProtocolNode:
                 "pd ack -> s%d deficit=%d hosted=[%s]",
                 session.caller,
                 session.deficit,
-                tuple(sorted(rec.request_id for rec, hosted in payload if hosted)),
+                sorted(rec.request_id for rec, hosted in payload if hosted),
             )
             self.world.send(
                 self.node_id,

@@ -20,16 +20,18 @@ given:
   boundaries over batched arrivals (plus services orphaned by mobility),
   with no control traffic at all.
 
-Every run records its events, but builds no text while it runs.
-``Simulator.log`` appends each event's time, node, constant ``%``-template
-and raw arguments (ints, floats, strings, tuples of request ids) flat
-into fixed-size chunk lists.  The collector untracks a tuple of ints the
-first time it sees it, so the record soon adds nothing it walks.
-``RunResult.event_log`` is an :class:`EventLog` over that record: it
-renders the golden-log text lines only as it is read, and keeps none of
-them.  So only a reader of the text pays for it (``run --log``,
-``replay``, the golden-log tests); ``run``, ``min-cpu``, ``sweep-overhead``
-and every capacity probe never build a log string.
+A run records no event: ``Simulator.log`` is a no-op.
+``RunResult.event_log`` is an :class:`EventLog` that keeps the run's
+inputs and outcome instead.  The first time it is read it replays the
+run, which is deterministic, once, with a recorder in ``Simulator.log``'s
+place, and raises :class:`~.model.InvariantError` unless the replay ends
+as the run did.  The recorder appends each event's time, node, constant
+``%``-template and arguments (ints, floats, strings, tuples of request
+ids) flat into fixed-size chunk lists, and builds no text: the log renders
+the golden-log lines only as it is read, and keeps none of them.  So only
+a reader of the log pays for it (``run --log``, ``replay``, the golden-log
+tests), and ``run``, ``min-cpu``, ``sweep-overhead`` and every capacity
+probe record nothing.
 """
 
 from __future__ import annotations
@@ -297,27 +299,84 @@ def _rids(ids: tuple[RequestId, ...]) -> str:
     return "r" + ",r".join(map(str, ids)) if ids else ""
 
 
+def _snapshot(arg: object) -> object:
+    """A log argument as the record keeps it: a dict or list, which its
+    caller may change later, becomes the tuple of its request ids now (a
+    dict's keys, a record's id); any other value stays as it is."""
+    if type(arg) is dict:
+        return tuple(arg)
+    if type(arg) is list:
+        return tuple([x.request_id if isinstance(x, Record) else x for x in arg])
+    return arg
+
+
 class EventLog:
     """The events of one run, one text line each: ``<time> s<node> <text>``.
 
-    The engine records each event as flat atoms, its time, node,
-    ``%``-template and raw arguments (see ``Simulator.log``).  Iterating the
-    log renders the lines one at a time and keeps none of them, so a run
-    whose log is never read builds no text; ``len()`` counts the events,
-    and :meth:`events` yields them decoded instead of rendered.
+    A run records no event, so the log keeps the run's inputs, its trace
+    and its outcome (counters, end time, placements).  The first read
+    replays the run, once, with a recorder in ``Simulator.log``'s place
+    that keeps each event as flat atoms: its time, node, ``%``-template and
+    arguments.  The replay must end with the run's outcome, or the read
+    raises :class:`~.model.InvariantError`, so the log is the run's own.
+    Every read renders the recorded events one at a time and keeps none of
+    the lines; ``len()`` counts the events, and :meth:`events` yields them
+    decoded instead of rendered.
     """
 
-    __slots__ = ("_chunks", "_count")
+    __slots__ = ("_inputs", "_trace", "_outcome", "_chunks", "_count")
 
-    def __init__(self, chunks: list[list[object]], count: int) -> None:
-        self._chunks = chunks
-        self._count = count
+    def __init__(
+        self,
+        inputs: tuple,
+        trace: tuple[TraceEvent, ...],
+        outcome: tuple[Counters, float, dict[RequestId, DatacenterId]],
+    ) -> None:
+        self._inputs = inputs  # Simulator's arguments, in order
+        self._trace = trace
+        self._outcome = outcome
+        self._chunks: list[list[object]] | None = None
+        self._count = 0
+
+    def _replayed(self) -> list[list[object]]:
+        """The recorded events, from replaying the run on the first call.
+
+        The recorder appends each event's time, node, template and
+        arguments flat to the current chunk, each argument as
+        :func:`_snapshot` keeps it, with no tuple or text per event: once
+        the collector has untracked the tuples of request ids, which hold
+        ints alone, the record holds nothing it tracks but its chunk
+        lists."""
+        if self._chunks is None:
+            sim = Simulator(*self._inputs)
+            chunks: list[list[object]] = [[]]
+            count = 0
+
+            def record(node: DatacenterId, template: str, *args: object) -> None:
+                nonlocal count
+                chunk = chunks[-1]
+                chunk += (sim.now(), node, template)
+                chunk += map(_snapshot, args)
+                count += 1
+                if len(chunk) >= _CHUNK_ATOMS:
+                    chunks.append([])
+
+            sim.log = record  # type: ignore[method-assign]
+            replayed = sim.run(self._trace)
+            outcome = (replayed.counters, replayed.end_time, replayed.placements)
+            if outcome != self._outcome:
+                raise InvariantError(
+                    "the replay of a run did not end as the run did, so it "
+                    "cannot give the run's event log"
+                )
+            self._chunks, self._count = chunks, count
+        return self._chunks
 
     def _recorded(self) -> Iterator[tuple[float, DatacenterId, str, list[object]]]:
         """Each event as recorded: the one decode loop under the text and
         :meth:`events`."""
         arity: dict[str, int] = {}  # template -> its argument count
-        for chunk in self._chunks:
+        for chunk in self._replayed():
             at, end = 0, len(chunk)
             while at < end:
                 now, node, template = chunk[at : at + 3]
@@ -348,6 +407,7 @@ class EventLog:
             yield line % (stamp, node, *args)
 
     def __len__(self) -> int:
+        self._replayed()
         return self._count
 
 
@@ -514,10 +574,6 @@ class Simulator:
         # 0.5, seeds 1-3) still gain: 16 calls with it, 20 without.
         self._failed_epoch: tuple[EpochProblem, EpochDecision] | None = None
         self.counters = Counters()
-        # the event record: see log
-        self._chunk: list[object] = []
-        self._chunks = [self._chunk]
-        self._logged = 0
         self._diverged = False
         self._solver_exhausted = False
         self._infeasible = False
@@ -634,18 +690,9 @@ class Simulator:
         self.counters.push_downs += 1
 
     def log(self, node: DatacenterId, template: str, *args: object) -> None:
-        """Record an event: the time, node, template and arguments go flat
-        into the current chunk, with no tuple or text per event, so once
-        the collector has untracked the tuples of request ids, which hold
-        ints alone, the record holds nothing it tracks but its chunk lists.
-        ``EventLog`` renders the text when it is read."""
-        chunk = self._chunk
-        chunk += (self._now, node, template)
-        chunk += args
-        self._logged += 1
-        if len(chunk) >= _CHUNK_ATOMS:
-            self._chunk = []
-            self._chunks.append(self._chunk)
+        """Note an event: a no-op, as a run records no event.  Only the
+        replay of an ``EventLog`` records, with its own recorder in this
+        method's place."""
 
     # -- scheduling ---------------------------------------------------------
 
@@ -847,6 +894,9 @@ class Simulator:
         the heap holds one epoch at a time, and a far-future trace time
         runs out the budget (``diverged``) instead of filling memory before
         the first event.
+
+        The run records no event (``log`` is a no-op): the result's
+        ``event_log`` replays the run when it is first read.
         """
         pending = self._trace_cursor(trace)
         if self.mode == "centralized" and pending:
@@ -904,7 +954,20 @@ class Simulator:
             verdict=verdict,
             placements=placements,
             counters=self.counters,
-            event_log=EventLog(self._chunks, self._logged),
+            event_log=EventLog(
+                (
+                    self.topology,
+                    self.classes,
+                    self.costs,
+                    self.rtt_by_level,
+                    self.timing,
+                    self.link,
+                    self.algorithm,
+                    self.event_budget,
+                ),
+                tuple(trace),
+                (self.counters, self._now, placements),
+            ),
             end_time=self._now,
             failed=tuple(failed),
             unplaced=tuple(unplaced),

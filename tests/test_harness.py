@@ -765,6 +765,28 @@ def test_cli_run_rejects_an_unknown_config_key(tmp_path: Path, capsys) -> None:
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--users", "50", "--leaf-capacity", "1"],
+        ["--p-rt", "0.5"],
+        ["--levels", "3"],
+        ["--arity", "4"],
+    ],
+)
+def test_cli_run_refuses_family_flags_beside_a_config(
+    tmp_path: Path, capsys, flags: list[str]
+) -> None:
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    code = main(["run", "--config", str(cfg_path), "--algo", "ffit", *flags])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    named = ", ".join(flag for flag in flags if flag.startswith("--"))
+    assert err == f"error: {named} cannot be given with --config, which sets them\n"
+
+
 def test_cli_run_names_an_unknown_key_in_the_tree(tmp_path: Path, capsys) -> None:
     config = _tiny_config()
     config["tree"]["capacity_overides"] = {"0": 0}

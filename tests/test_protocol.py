@@ -31,7 +31,7 @@ from edgeplace.protocol import (
 )
 from edgeplace.harness import build_simulator
 from edgeplace.scenarios import fig_two_tier_scenario
-from edgeplace.simnet import Simulator, _rids
+from edgeplace.simnet import Simulator, _rids, _snapshot
 
 from .oracles import passes_origin, push_down_offer
 
@@ -112,6 +112,8 @@ class FakeWorld:
         self.push_down_count += 1
 
     def log(self, node: int, template: str, *args: object) -> None:
+        # an id list arrives live: snapshot it as the engine's recorder does
+        args = tuple(map(_snapshot, args))
         text = template % tuple(_rids(a) if type(a) is tuple else a for a in args)
         self.lines.append((node, text))
 

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from typing import Collection, Iterator
@@ -927,6 +928,7 @@ def churn_log() -> EventLog:
 
 
 def test_event_record_holds_nothing_the_collector_tracks(churn_log) -> None:
+    len(churn_log)  # the first read replays the run, recording its events
     chunks = churn_log._chunks
     assert len(chunks) > 1 and sum(map(len, chunks)) >= 3 * len(churn_log)
     gc.collect()  # untracks each tuple of request ids, which holds ints alone
@@ -953,6 +955,60 @@ def test_decoded_events_are_the_text_lines_parts(churn_log) -> None:
     assert any(isinstance(a, tuple) and len(a) > 1 for *_, args in events for a in args)
     for (time, node, template, args), line in zip(events, lines):
         assert line == f"{time:.6f} s{node} {text(template, args)}"
+
+
+def _counting_scans(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Replace ``ProtocolNode.run_scan`` with a wrapper that lists the node
+    of each call."""
+    scans: list[int] = []
+    run_scan = ProtocolNode.run_scan
+
+    def counted(self: ProtocolNode, incoming) -> None:
+        scans.append(self.node_id)
+        run_scan(self, incoming)
+
+    monkeypatch.setattr(ProtocolNode, "run_scan", counted)
+    return scans
+
+
+def test_two_reads_of_a_log_replay_the_run_once(monkeypatch) -> None:
+    result = run_scenario(builtin_scenario("fig3"), "dapp")
+    scans = _counting_scans(monkeypatch)
+    first = list(result.event_log)
+    replayed = len(scans)
+    second = list(result.event_log)
+    assert replayed > 0 and len(scans) == replayed
+    assert first == second and len(result.event_log) == len(first) > 0
+
+
+def test_a_replay_that_leaves_its_run_raises(monkeypatch) -> None:
+    result = run_scenario(builtin_scenario("fig3"), "dapp")
+    run_scan = ProtocolNode.run_scan
+
+    def run_scan_noting_a_push_down(self: ProtocolNode, incoming) -> None:
+        self.world.note_push_down()
+        run_scan(self, incoming)
+
+    monkeypatch.setattr(ProtocolNode, "run_scan", run_scan_noting_a_push_down)
+    with pytest.raises(InvariantError, match="replay of a run did not end as the run"):
+        list(result.event_log)
+
+
+def test_an_unread_run_keeps_no_event_record() -> None:
+    scenario = _churn_scenario(1)
+    tracemalloc.start()
+    try:
+        result = run_scenario(scenario, "dapp")
+        unread_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        events = len(result.event_log)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the read replays the run and records its events: the record is most
+    # of its peak, and the run alone holds none of it
+    assert events > 10_000
+    assert 2 * unread_peak < read_peak
 
 
 # ---------------------------------------------------------------------------

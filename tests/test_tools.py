@@ -1,10 +1,11 @@
 """Smoke tests of the scripts under ``tools/``, which compare two checkouts
-for byte-identical replays (``replay_digests.py``) and for CPU time
-(``ab_cpu.py``), and count code lines (``code_lines.py``)."""
+for byte-identical replays (``replay_digests.py``) and for CPU time, summed
+and per run (``ab_cpu.py``), and count code lines (``code_lines.py``)."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,21 @@ def test_code_lines_counts_no_docstring_comment_or_blank_line(
     assert proc.returncode == 0, proc.stderr
     # X, the def over two lines, the return over two, the class and y
     assert proc.stdout == "0 pkg/empty.py\n7 pkg/mod.py\n7 total\n"
+
+
+def test_ab_cpu_prints_each_search_beside_the_sum() -> None:
+    checkout = str(TOOLS.parent)
+    proc = _run_tool(
+        "ab_cpu.py", "--a", checkout, "--b", checkout,
+        "--workload", "capacity", "--pairs", "2",
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report["a_s"]) == len(report["b_s"]) == 2
+    # four algorithms at three tight shares
+    runs = report["per_run"]
+    assert len(runs) == 12 and "exact p_rt=0.5" in runs
+    for run in runs.values():
+        assert 0 < run["a_q1"] <= run["a_median"]
+        assert 0 < run["b_q1"] <= run["b_median"]
+        assert 0 <= run["b_wins"] <= 2 and run["median_ratio"] > 0

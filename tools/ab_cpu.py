@@ -17,10 +17,14 @@ searches of an instance, of each one's lower quartile over the instances.
 
 Prints one JSON object: each side's median and quartiles, the number of
 pairs in which ``b`` took less time (``b_wins``), the median of the
-per-pair ratio ``b / a``, and every pair's figures.  Both sides must
-produce the same outputs (the benchmark's digests); a pair that does not
-stops the script.  Standard library only; the benchmark files are only
-read.
+per-pair ratio ``b / a``, and every pair's figures.  ``per_run`` gives
+each run or search alone (a lane of ``burst``, an algorithm and share of
+``capacity``), its term of the sum as a pass's figure: each side's lower
+quartile and median over the pairs, ``b_wins`` and the median ratio.  A
+run's time has a long right tail, so its lower quartile moves less than
+the summed median.  Both sides must produce the same outputs (the
+benchmark's digests); a pair that does not stops the script.  Standard
+library only; the benchmark files are only read.
 """
 
 from __future__ import annotations
@@ -62,20 +66,50 @@ def lower_quartile(values: list[float]) -> float:
     return statistics.quantiles(values, n=4, method="inclusive")[0]
 
 
-def one_pass(workload: Any, ep: Any, inputs: list[Any]) -> tuple[float, list[Any]]:
-    """CPU seconds of one pass over ``inputs``, and its outputs' digests."""
-    cells, digests = [], []
+def cell_name(cell: Any) -> str:
+    """A run's lane, or a search's algorithm and tight share."""
+    return cell.label if hasattr(cell, "label") else f"{cell.algo} p_rt={cell.p_rt}"
+
+
+def one_pass(
+    workload: Any, ep: Any, inputs: list[Any]
+) -> tuple[dict[str, float], list[Any]]:
+    """CPU seconds of each run or search in one pass over ``inputs``, its
+    lower quartile over the instances, and the outputs' digests."""
+    cells: dict[str, list[float]] = {}
+    digests = []
     for instance in inputs:
         gc.collect()
         out = workload.run_instance(ep, instance)
-        cells.append([cell.seconds for cell in out])
+        for cell in out:
+            cells.setdefault(cell_name(cell), []).append(cell.seconds)
         digests.append(workload.fingerprint(ep, out))
-    return sum(lower_quartile(list(column)) for column in zip(*cells)), digests
+    return {name: lower_quartile(times) for name, times in cells.items()}, digests
 
 
 def summary(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def compared(a: list[float], b: list[float]) -> dict[str, float]:
+    """``b``'s wins and median ratio over ``a``, pair by pair."""
+    return {
+        "b_wins": sum(tb < ta for ta, tb in zip(a, b)),
+        "median_ratio": statistics.median(tb / ta for ta, tb in zip(a, b)),
+    }
+
+
+def one_run(a: list[float], b: list[float]) -> dict[str, float]:
+    """One run's or search's figures: each side's lower quartile and
+    median over the pairs, then ``b``'s wins and median ratio."""
+    return {
+        "a_q1": lower_quartile(a),
+        "b_q1": lower_quartile(b),
+        "a_median": statistics.median(a),
+        "b_median": statistics.median(b),
+        **compared(a, b),
+    }
 
 
 def main() -> int:
@@ -104,17 +138,20 @@ def main() -> int:
     for side in ("a", "b"):
         ep = import_from(getattr(args, side))
         sides[side] = (ep, workload.build(ep, args.seed))
-    seconds: dict[str, list[float]] = {"a": [], "b": []}
+    # side -> run or search -> its figure in each pass
+    runs: dict[str, dict[str, list[float]]] = {"a": {}, "b": {}}
     for pair in range(args.pairs):
         digests = {}
         for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
             ep, inputs = sides[side]
             taken, digests[side] = one_pass(workload, ep, inputs)
-            seconds[side].append(taken)
+            for name, seconds in taken.items():
+                runs[side].setdefault(name, []).append(seconds)
         if digests["a"] != digests["b"]:
             print(f"pair {pair}: the two sides' outputs differ", file=sys.stderr)
             return 2
-    a, b = seconds["a"], seconds["b"]
+    a = [sum(taken) for taken in zip(*runs["a"].values())]
+    b = [sum(taken) for taken in zip(*runs["b"].values())]
     print(
         json.dumps(
             {
@@ -123,10 +160,12 @@ def main() -> int:
                 "pairs": args.pairs,
                 "a": {"dir": str(args.a), **summary(a)},
                 "b": {"dir": str(args.b), **summary(b)},
-                "b_wins": sum(tb < ta for ta, tb in zip(a, b)),
-                "median_ratio": statistics.median(tb / ta for ta, tb in zip(a, b)),
+                **compared(a, b),
                 "a_s": a,
                 "b_s": b,
+                "per_run": {
+                    name: one_run(ra, runs["b"][name]) for name, ra in runs["a"].items()
+                },
             },
             indent=1,
         )
