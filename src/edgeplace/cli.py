@@ -55,6 +55,17 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _unique(values: list, flag: str) -> list:
+    """``values``, refused when an entry repeats: it would run again and
+    report its rows twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise _CliError(f"{flag} lists {value} more than once")
+        seen.add(value)
+    return values
+
+
 def _parse_algos(raw: str) -> list[str]:
     algos = [a.strip() for a in raw.split(",") if a.strip()]
     if not algos:
@@ -64,7 +75,7 @@ def _parse_algos(raw: str) -> list[str]:
             raise _CliError(
                 f"unknown algorithm {algo!r}; pick from {', '.join(ALGO_CHOICES)}"
             )
-    return algos
+    return _unique(algos, "--algo")
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -73,7 +84,7 @@ def _parse_seeds(raw: str) -> list[int]:
         seeds = [int(part) for part in raw.split(",") if part.strip()]
         if not seeds:
             raise _CliError("--seeds lists no seed")
-        return seeds
+        return _unique(seeds, "--seeds")
     count = int(raw)
     if count < 1:
         raise _CliError("--seeds must be at least 1")
@@ -84,7 +95,7 @@ def _parse_floats(raw: str, flag: str) -> list[float]:
     values = [float(part) for part in raw.split(",") if part.strip()]
     if not values:
         raise _CliError(f"{flag} needs at least one value")
-    return values
+    return _unique(values, flag)
 
 
 def _scenario_for(args: argparse.Namespace, seed: int):
@@ -97,12 +108,14 @@ def _scenario_for(args: argparse.Namespace, seed: int):
     }
     overrides = {k: v for k, v in family_flags.items() if v is not None}
     if args.config is not None:
-        if overrides:
-            flags = ", ".join("--" + k.replace("_", "-") for k in overrides)
+        given = ["scenario"] if args.scenario is not None else []
+        given += overrides
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise _CliError(f"{flags} cannot be given with --config, which sets them")
         scenario = load_config(args.config, seed=seed)
     else:
-        scenario = builtin_scenario(args.scenario, seed=seed, **overrides)
+        scenario = builtin_scenario(args.scenario or "rand", seed=seed, **overrides)
     if args.trace is not None:
         scenario = replace(
             scenario,
@@ -185,10 +198,12 @@ def _cmd_sweep_overhead(args: argparse.Namespace) -> int:
 
 def _cmd_min_cpu(args: argparse.Namespace) -> int:
     algos = _parse_algos(args.algo)
+    shares = _parse_floats(args.p_rt, "--p-rt")
+    seeds = _parse_seeds(args.seeds)
     rows = []
     for algo in algos:
-        for p_rt in _parse_floats(args.p_rt, "--p-rt"):
-            for seed in _parse_seeds(args.seeds):
+        for p_rt in shares:
+            for seed in seeds:
                 value = min_cpu_for(
                     algo,
                     seed=seed,
@@ -238,10 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="run algorithms over a scenario")
     run.add_argument(
-        "--scenario", default="rand", choices=BUILTIN_SCENARIOS,
-        help="built-in scenario name (default rand)",
+        "--scenario", choices=BUILTIN_SCENARIOS,
+        help="built-in scenario name (default rand, unless --config is given)",
     )
-    run.add_argument("--config", help="JSON scenario config file (overrides --scenario)")
+    run.add_argument("--config", help="JSON scenario config file, instead of --scenario")
     run.add_argument("--trace", help="user trace CSV replacing the scenario's trace")
     run.add_argument(
         "--algo", default="dapp",

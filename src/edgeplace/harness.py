@@ -61,33 +61,25 @@ def build_simulator(
     bnb_budget: int = NODE_BUDGET,
     first_solution: bool = False,
 ) -> Simulator:
-    """A fresh simulator for one run of ``algo`` over ``scenario``.
+    """A fresh simulator for one run of ``algo`` over ``scenario``: the
+    protocol lane for ``dapp``, else the centralized lane with that
+    algorithm.
 
     ``first_solution`` makes the ``exact`` lane stop at its first feasible
     placement instead of optimising it (see ``exact_optimal``); the other
     lanes ignore it.
     """
-    common = dict(
-        topology=scenario.topology,
-        classes=scenario.classes,
-        costs=scenario.costs,
-        rtt_by_level=scenario.rtt_by_level,
-        timing=scenario.timing,
-        link=scenario.link,
-        event_budget=event_budget,
-        check_invariants=check_invariants,
-    )
     if algo == "dapp":
-        return Simulator(**common)
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}; pick one of {ALGO_CHOICES}")
-    if algo == "exact":
+        algorithm = None
+    elif algo == "exact":
         algorithm = lambda problem: exact_optimal(
             problem, node_budget=bnb_budget, first_solution=first_solution
         )
-    else:
+    elif algo in ALGORITHMS:
         algorithm = ALGORITHMS[algo]
-    return Simulator(algorithm=algorithm, **common)
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}; pick one of {ALGO_CHOICES}")
+    return Simulator(scenario, algorithm, event_budget, check_invariants)
 
 
 def run_scenario(

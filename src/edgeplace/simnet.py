@@ -22,10 +22,11 @@ given:
 
 A run records no event: ``Simulator.log`` is a no-op.
 ``RunResult.event_log`` is an :class:`EventLog` that keeps the run's
-inputs and outcome instead.  The first time it is read it replays the
-run, which is deterministic, once, with a recorder in ``Simulator.log``'s
-place, and raises :class:`~.model.InvariantError` unless the replay ends
-as the run did.  The recorder appends each event's time, node, constant
+scenario, with the trace it ran, its algorithm and event budget, and its
+outcome instead.  The first time it is read it replays the run, which is
+deterministic, once, with a recorder in ``Simulator.log``'s place, and
+raises :class:`~.model.InvariantError` unless the replay ends as the run
+did.  The recorder appends each event's time, node, constant
 ``%``-template and arguments (ints, floats, strings, tuples of request
 ids) flat into fixed-size chunk lists, and builds no text: the log renders
 the golden-log lines only as it is read, and keeps none of them.  So only
@@ -39,10 +40,12 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
+)
 
 from .model import (
     CostModel,
@@ -61,12 +64,14 @@ from .protocol import (
     PdRequestMsg,
     ProtocolMsg,
     ProtocolNode,
-    ProtocolTiming,
     PuAckMsg,
     PuMsg,
     Record,
     SfsMsg,
 )
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 __all__ = [
     "LinkModel",
@@ -91,8 +96,9 @@ EVENT_BUDGET = 500_000
 #: PoA column value marking a departure row in trace files.
 DEPARTED_POA = "OUT"
 
-#: Atoms per chunk of a run's event record (see ``Simulator.log``): small
-#: enough that no chunk grows into a large reallocation.
+#: Atoms per chunk of a run's event record (see ``Simulator.log``).  The
+#: record is chunked because one flat list measured about 7.5 MB more peak
+#: RSS on the ``churn`` benchmark workload: about 65 MB against 57.5 MB.
 _CHUNK_ATOMS = 1 << 14
 
 # Wire layout (bits).  Every message pays a fixed header; scan/push traffic
@@ -313,27 +319,28 @@ def _snapshot(arg: object) -> object:
 class EventLog:
     """The events of one run, one text line each: ``<time> s<node> <text>``.
 
-    A run records no event, so the log keeps the run's inputs, its trace
-    and its outcome (counters, end time, placements).  The first read
-    replays the run, once, with a recorder in ``Simulator.log``'s place
-    that keeps each event as flat atoms: its time, node, ``%``-template and
-    arguments.  The replay must end with the run's outcome, or the read
-    raises :class:`~.model.InvariantError`, so the log is the run's own.
+    A run records no event, so the log keeps the run's scenario, with the
+    trace it ran, its algorithm and event budget, and its outcome
+    (counters, end time, placements).  The first read replays the run,
+    once, with a recorder in ``Simulator.log``'s place that keeps each
+    event as flat atoms: its time, node, ``%``-template and arguments.
+    The replay must end with the run's outcome, or the read raises
+    :class:`~.model.InvariantError`, so the log is the run's own.
     Every read renders the recorded events one at a time and keeps none of
     the lines; ``len()`` counts the events, and :meth:`events` yields them
     decoded instead of rendered.
     """
 
-    __slots__ = ("_inputs", "_trace", "_outcome", "_chunks", "_count")
+    __slots__ = ("_scenario", "_lane", "_outcome", "_chunks", "_count")
 
     def __init__(
         self,
-        inputs: tuple,
-        trace: tuple[TraceEvent, ...],
+        scenario: Scenario,
+        lane: tuple[EpochAlgorithm | None, int],
         outcome: tuple[Counters, float, dict[RequestId, DatacenterId]],
     ) -> None:
-        self._inputs = inputs  # Simulator's arguments, in order
-        self._trace = trace
+        self._scenario = scenario  # the run's world, with the trace it ran
+        self._lane = lane  # the run's algorithm and event budget
         self._outcome = outcome
         self._chunks: list[list[object]] | None = None
         self._count = 0
@@ -348,7 +355,7 @@ class EventLog:
         ints alone, the record holds nothing it tracks but its chunk
         lists."""
         if self._chunks is None:
-            sim = Simulator(*self._inputs)
+            sim = Simulator(self._scenario, *self._lane)
             chunks: list[list[object]] = [[]]
             count = 0
 
@@ -362,7 +369,7 @@ class EventLog:
                     chunks.append([])
 
             sim.log = record  # type: ignore[method-assign]
-            replayed = sim.run(self._trace)
+            replayed = sim.run(self._scenario.trace)
             outcome = (replayed.counters, replayed.end_time, replayed.placements)
             if outcome != self._outcome:
                 raise InvariantError(
@@ -528,28 +535,36 @@ class EpochDecision:
 
 
 class Simulator:
-    """Event-driven world shared by the protocol and the centralized lanes."""
+    """Event-driven world shared by the protocol and the centralized lanes.
+
+    It runs one :class:`~.scenarios.Scenario`: its tree, classes, prices,
+    RTTs, protocol timing and link.  ``algorithm`` picks the lane, and a
+    run stops after ``event_budget`` events; ``run`` takes the trace, which
+    may differ from the scenario's own.
+    """
 
     EPOCH_PERIOD = 1.0
 
     def __init__(
         self,
-        topology: Topology,
-        classes: Mapping[int, ServiceClass],
-        costs: CostModel,
-        rtt_by_level: Mapping[int, float],
-        timing: ProtocolTiming | None = None,
-        link: LinkModel | None = None,
+        scenario: Scenario,
         algorithm: EpochAlgorithm | None = None,
         event_budget: int = EVENT_BUDGET,
         check_invariants: bool = False,
     ) -> None:
-        self.topology = topology
-        self.classes = dict(classes)
-        self.costs = costs
-        self.rtt_by_level = dict(rtt_by_level)
-        self.timing = timing or ProtocolTiming()
-        self.link = link or LinkModel()
+        #: the world this simulator runs, with its own copies of the class
+        #: and RTT dicts, so a caller's later edits reach neither the run
+        #: nor its replay
+        self.scenario = replace(
+            scenario,
+            classes=dict(scenario.classes),
+            rtt_by_level=dict(scenario.rtt_by_level),
+        )
+        # the fields that hot paths read
+        self.topology = topology = scenario.topology
+        self.classes = self.scenario.classes
+        self.costs = scenario.costs
+        self.link = scenario.link
         #: the lane: "protocol" without an algorithm, else "centralized"
         self.mode = "protocol" if algorithm is None else "centralized"
         self.algorithm = algorithm
@@ -594,7 +609,7 @@ class Simulator:
                     if row[node_id] is not None
                 }
                 self.nodes[node_id] = ProtocolNode(
-                    self, topology, node_id, self.timing, demand
+                    self, topology, node_id, scenario.timing, demand
                 )
 
     # -- World services (protocol mode) ------------------------------------
@@ -711,7 +726,7 @@ class Simulator:
         reach = self._reaches.get(key)
         if reach is None:
             reach = self._reaches[key] = feasible_set_for(
-                self.topology, poa, self.classes[class_id], self.rtt_by_level
+                self.topology, poa, self.classes[class_id], self.scenario.rtt_by_level
             )
         return reach
 
@@ -955,17 +970,8 @@ class Simulator:
             placements=placements,
             counters=self.counters,
             event_log=EventLog(
-                (
-                    self.topology,
-                    self.classes,
-                    self.costs,
-                    self.rtt_by_level,
-                    self.timing,
-                    self.link,
-                    self.algorithm,
-                    self.event_budget,
-                ),
-                tuple(trace),
+                replace(self.scenario, trace=tuple(trace)),
+                (self.algorithm, self.event_budget),
                 (self.counters, self._now, placements),
             ),
             end_time=self._now,

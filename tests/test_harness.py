@@ -612,6 +612,32 @@ def test_cli_refuses_an_empty_count_or_list(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["run", "--scenario", "fig3", "--algo", "dapp,dapp", "--no-normalize"],
+            "--algo lists dapp more than once",
+        ),
+        (["min-cpu", "--users", "2", "--seeds", "1,1"], "--seeds lists 1 more than once"),
+        (
+            ["sweep-overhead", "--users", "2", "--levels", "2", "--leaf-capacity",
+             "400", "--t-ad", "1e-4", "--p-rt", "0.5,0.50"],
+            "--p-rt lists 0.5 more than once",
+        ),
+    ],
+    ids=["run", "min-cpu", "sweep-overhead"],
+)
+def test_cli_refuses_a_repeated_list_entry(
+    capsys, argv: list[str], message: str
+) -> None:
+    # a repeat would run again and print its rows twice
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_run_rejects_unknown_algorithm(capsys) -> None:
     code = main(["run", "--algo", "wizardry"])
     err = capsys.readouterr().err
@@ -785,6 +811,16 @@ def test_cli_run_refuses_family_flags_beside_a_config(
     assert out == ""
     named = ", ".join(flag for flag in flags if flag.startswith("--"))
     assert err == f"error: {named} cannot be given with --config, which sets them\n"
+
+
+def test_cli_run_refuses_a_scenario_beside_a_config(tmp_path: Path, capsys) -> None:
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    code = main(["run", "--config", str(cfg_path), "--scenario", "fig3", "--algo", "ffit"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --scenario cannot be given with --config, which sets them\n"
 
 
 def test_cli_run_names_an_unknown_key_in_the_tree(tmp_path: Path, capsys) -> None:

@@ -277,6 +277,10 @@ def _unit_class() -> ServiceClass:
     )
 
 
+def _scenario(topology, classes, costs, rtt_by_level) -> Scenario:
+    return Scenario("test", topology, classes, costs, rtt_by_level, trace=())
+
+
 def _world(capacity_overrides: dict[int, int]) -> Simulator:
     """Three-level binary tree with selected capacities zeroed out."""
     topology = build_tree(
@@ -284,10 +288,7 @@ def _world(capacity_overrides: dict[int, int]) -> Simulator:
     )
     costs = CostModel(migration_cost={0: 5.0}, placement_cost={0: {0: 3.0, 1: 2.0, 2: 1.0}})
     return Simulator(
-        topology,
-        {0: _unit_class()},
-        costs,
-        {0: 0.001, 1: 0.002, 2: 0.003},
+        _scenario(topology, {0: _unit_class()}, costs, {0: 0.001, 1: 0.002, 2: 0.003}),
         check_invariants=True,
     )
 
@@ -494,10 +495,7 @@ def test_stranded_relocation_ends_infeasible() -> None:
     topo = build_tree(levels=2, arity=2, leaf_capacity=1)
     costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 2.0, 1: 1.0}})
     sim = Simulator(
-        topo,
-        {0: _unit_class()},
-        costs,
-        {0: 0.001, 1: 0.002},
+        _scenario(topo, {0: _unit_class()}, costs, {0: 0.001, 1: 0.002}),
         algorithm=new_only,
         check_invariants=True,
     )
@@ -519,10 +517,7 @@ def test_exhausted_budget_with_answer_keeps_run_alive() -> None:
     topo = build_tree(levels=2, arity=2, leaf_capacity=1)
     costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 2.0, 1: 1.0}})
     sim = Simulator(
-        topo,
-        {0: _unit_class()},
-        costs,
-        {0: 0.001, 1: 0.002},
+        _scenario(topo, {0: _unit_class()}, costs, {0: 0.001, 1: 0.002}),
         algorithm=cutoff_but_solved,
     )
     result = sim.run([TraceEvent(0.0, 1, "arrive", 1, 0)])
@@ -537,10 +532,7 @@ def test_exhausted_budget_without_answer_diverges() -> None:
     topo = build_tree(levels=2, arity=2, leaf_capacity=1)
     costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 2.0, 1: 1.0}})
     sim = Simulator(
-        topo,
-        {0: _unit_class()},
-        costs,
-        {0: 0.001, 1: 0.002},
+        _scenario(topo, {0: _unit_class()}, costs, {0: 0.001, 1: 0.002}),
         algorithm=cutoff_empty,
     )
     result = sim.run([TraceEvent(0.0, 1, "arrive", 1, 0)])
@@ -574,10 +566,7 @@ def test_epoch_decision_over_capacity_raises() -> None:
     topo = build_tree(levels=2, arity=2, leaf_capacity=1)
     costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 2.0, 1: 1.0}})
     sim = Simulator(
-        topo,
-        {0: _unit_class()},
-        costs,
-        {0: 0.001, 1: 0.002},
+        _scenario(topo, {0: _unit_class()}, costs, {0: 0.001, 1: 0.002}),
         algorithm=crowd_one_leaf,
     )
     trace = [TraceEvent(0.0, 1, "arrive", 1, 0), TraceEvent(0.0, 2, "arrive", 1, 0)]
@@ -593,14 +582,7 @@ def _counting_exact(scenario, calls: list[bool]) -> Simulator:
         calls.append(decision.solved)
         return decision
 
-    return Simulator(
-        scenario.topology,
-        scenario.classes,
-        scenario.costs,
-        scenario.rtt_by_level,
-        algorithm=counting,
-        check_invariants=True,
-    )
+    return Simulator(scenario, algorithm=counting, check_invariants=True)
 
 
 def test_failed_epoch_is_not_solved_again_on_unchanged_inputs() -> None:
@@ -730,7 +712,8 @@ def test_an_arrival_at_an_epoch_instant_is_decided_by_that_epoch() -> None:
     topo = build_tree(levels=2, arity=2, leaf_capacity=1)
     costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 2.0, 1: 1.0}})
     sim = Simulator(
-        topo, {0: _unit_class()}, costs, {0: 0.001, 1: 0.002}, algorithm=first_fit
+        _scenario(topo, {0: _unit_class()}, costs, {0: 0.001, 1: 0.002}),
+        algorithm=first_fit,
     )
     result = sim.run(
         [TraceEvent(0.5, 1, "arrive", 1, 0), TraceEvent(1.0, 2, "arrive", 2, 0)]
@@ -992,6 +975,28 @@ def test_a_replay_that_leaves_its_run_raises(monkeypatch) -> None:
     monkeypatch.setattr(ProtocolNode, "run_scan", run_scan_noting_a_push_down)
     with pytest.raises(InvariantError, match="replay of a run did not end as the run"):
         list(result.event_log)
+
+
+def test_a_log_replays_the_trace_its_run_ran() -> None:
+    fig2 = builtin_scenario("fig2")
+    result = build_simulator(fig2, "dapp").run(fig2.trace[:3])
+    alone = run_scenario(replace(fig2, trace=fig2.trace[:3]), "dapp").event_log
+    assert list(result.event_log) == list(alone)
+    assert len(alone) < len(run_scenario(fig2, "dapp").event_log)
+
+
+def test_a_log_ignores_edits_to_its_scenario_after_the_run() -> None:
+    fig3 = builtin_scenario("fig3")
+    expected = list(run_scenario(fig3, "dapp").event_log)
+    scenario = replace(
+        fig3, classes=dict(fig3.classes), rtt_by_level=dict(fig3.rtt_by_level)
+    )
+    results = [run_scenario(scenario, "dapp") for _ in range(2)]
+    for cid, svc in scenario.classes.items():
+        scenario.classes[cid] = replace(svc, cpu_demand={0: 10**6})
+    scenario.rtt_by_level.update((level, 1.0) for level in scenario.rtt_by_level)
+    assert list(results[0].event_log) == expected
+    assert len(results[1].event_log) == len(expected)
 
 
 def test_an_unread_run_keeps_no_event_record() -> None:
