@@ -32,6 +32,7 @@ from .harness import (
     ALGO_CHOICES,
     metrics_rows_for,
     min_cpu_for,
+    refuse_repeats,
     render_rows,
     replay_fixture,
     sweep_overhead,
@@ -55,17 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _unique(values: list, flag: str) -> list:
-    """``values``, refused when an entry repeats: it would run again and
-    report its rows twice."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise _CliError(f"{flag} lists {value} more than once")
-        seen.add(value)
-    return values
-
-
 def _parse_algos(raw: str) -> list[str]:
     algos = [a.strip() for a in raw.split(",") if a.strip()]
     if not algos:
@@ -75,7 +65,7 @@ def _parse_algos(raw: str) -> list[str]:
             raise _CliError(
                 f"unknown algorithm {algo!r}; pick from {', '.join(ALGO_CHOICES)}"
             )
-    return _unique(algos, "--algo")
+    return refuse_repeats(algos, "--algo")
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -84,7 +74,7 @@ def _parse_seeds(raw: str) -> list[int]:
         seeds = [int(part) for part in raw.split(",") if part.strip()]
         if not seeds:
             raise _CliError("--seeds lists no seed")
-        return _unique(seeds, "--seeds")
+        return refuse_repeats(seeds, "--seeds")
     count = int(raw)
     if count < 1:
         raise _CliError("--seeds must be at least 1")
@@ -95,7 +85,7 @@ def _parse_floats(raw: str, flag: str) -> list[float]:
     values = [float(part) for part in raw.split(",") if part.strip()]
     if not values:
         raise _CliError(f"{flag} needs at least one value")
-    return _unique(values, flag)
+    return refuse_repeats(values, flag)
 
 
 def _scenario_for(args: argparse.Namespace, seed: int):

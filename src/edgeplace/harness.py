@@ -44,6 +44,7 @@ __all__ = [
     "replay_fixture",
     "sweep_overhead",
     "min_cpu_for",
+    "refuse_repeats",
     "METRIC_FIELDS",
 ]
 
@@ -380,6 +381,18 @@ def _arrival_slot_count(scenario: Scenario) -> Callable[..., bool] | None:
     return _slot_count(topology, demand_table(topology, classes), requests)
 
 
+def refuse_repeats(values: Iterable[Any], name: str) -> list[Any]:
+    """``values`` as a list, refused with ``ValueError`` when an entry
+    repeats: it would run again and report its rows twice."""
+    values = list(values)
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name} lists {value} more than once")
+        seen.add(value)
+    return values
+
+
 def sweep_overhead(
     p_rt_grid: Sequence[float],
     t_ad_grid: Sequence[float],
@@ -397,12 +410,16 @@ def sweep_overhead(
     solver needs with every user in the tight class (the hardest mix), then
     each (share, window) grid point runs the protocol with the push-down
     window at four times the scan window.  ``leaf_capacity`` overrides the
-    sizing step.  Rows are sorted, one per grid point and seed.
+    sizing step.  Rows are sorted, one per grid point and seed; a grid or
+    ``seeds`` that repeats an entry is refused with ``ValueError``.
     """
+    refuse_repeats(p_rt_grid, "p_rt_grid")
+    refuse_repeats(t_ad_grid, "t_ad_grid")
+    seeds = refuse_repeats(seeds, "seeds")
     # (window, timing) pairs, built first so a bad window fails before sizing
     windows = [(t, ProtocolTiming(t, push_down_window=4.0 * t)) for t in t_ad_grid]
     rows: list[dict[str, Any]] = []
-    for seed in sorted(set(seeds)):
+    for seed in sorted(seeds):
         if leaf_capacity is None:
             base = min_cpu_for(
                 "exact",

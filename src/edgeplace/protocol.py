@@ -207,7 +207,9 @@ class World(Protocol):
 
     ``requests`` maps every request id the protocol may see to the
     engine's :class:`RequestView` of it.  Nodes only read it: the engine
-    updates the views in place as requests are placed, move and leave.
+    updates the views in place as requests are placed, move and leave,
+    and changes a view's ``state`` or host only through one method,
+    ``Simulator._transition``, which books the host's capacity with it.
     """
 
     requests: Mapping[RequestId, RequestView]

@@ -459,7 +459,9 @@ class _RequestState:
     waiting, placed or relocating (``ACTIVE_STATES``); an epoch may
     (re)place, and a run lists as unplaced, the waiting and relocating ones
     (``_MOVABLE``); the placed and relocating ones hold a host
-    (``_HOSTED``).  ``generation`` counts the moves and the departure that
+    (``_HOSTED``).  ``state`` and ``host`` change only through
+    ``Simulator._transition``, which keeps the engine's load of each node
+    with them.  ``generation`` counts the moves and the departure that
     superseded the request's records in flight.
     """
 
@@ -638,46 +640,47 @@ class Simulator:
         """Record a placement (and thus any migration) that, in the
         protocol lane, the hosting node has already booked."""
         req = self.requests[request_id]
-        class_id = req.request.class_id
-        units = self._units[class_id][node]
-        if units is None:
-            raise InvariantError(
-                f"r{request_id} placed at s{node}, a level that cannot host it"
-            )
         old_host = req.host
-        self._capacity_used[node] += units
+        self._transition(req, "placed", node)
         if old_host is not None and old_host != node:
-            self._release_host(req)
             self.counters.migrations += 1
-            self._migration_cost += self.costs.move_price(class_id)
+            self._migration_cost += self.costs.move_price(req.request.class_id)
             self.log(node, "place r%d (migrated from s%d)", request_id, old_host)
         else:
             self.log(node, "place r%d", request_id)
-        req.host = node
-        req.state = "placed"
         self.counters.placements += 1
 
-    def _release_host(self, req: _RequestState) -> None:
-        """Free the capacity of a request's current placement."""
-        node, rid = req.host, req.request.request_id
-        if node is None:
-            raise InvariantError(f"r{rid} released without a host")
-        units = self._units[req.request.class_id][node]
-        if units is None:
-            raise InvariantError(f"r{rid} held s{node}, a level that cannot host it")
-        if self.mode == "protocol":
-            freed = self.nodes[node].release(rid)
-            if freed != units:
+    def _transition(
+        self, req: _RequestState, state: str, host: DatacenterId | None
+    ) -> None:
+        """Give ``req`` its new ``state`` and ``host``: the only place either
+        changes.  A new host frees the old one, if any, whose protocol node
+        must hand back the units the class takes there, and books the new
+        one, if any, which must be a level that can host the class."""
+        old = req.host
+        if host != old:
+            rid, units = req.request.request_id, self._units[req.request.class_id]
+            if host is not None and units[host] is None:
                 raise InvariantError(
-                    f"release mismatch at s{node} for r{rid}: "
-                    f"{freed} booked, {units} expected"
+                    f"r{rid} placed at s{host}, a level that cannot host it"
                 )
-        self._capacity_used[node] -= units
-        req.host = None
+            if old is not None:
+                if self.mode == "protocol":
+                    freed = self.nodes[old].release(rid)
+                    if freed != units[old]:
+                        raise InvariantError(
+                            f"release mismatch at s{old} for r{rid}: "
+                            f"{freed} booked, {units[old]} expected"
+                        )
+                self._capacity_used[old] -= units[old]
+            if host is not None:
+                self._capacity_used[host] += units[host]
+            req.host = host
+        req.state = state
 
     def report_failure(self, request_id: RequestId, node: DatacenterId) -> None:
         req = self.requests[request_id]
-        req.state = "failed"
+        self._transition(req, "failed", req.host)
         self.log(node, "failure r%d", request_id)
         self._purge(request_id)
 
@@ -759,7 +762,7 @@ class Simulator:
         every PoA is a level-0 leaf, so a class's reach is empty at one PoA
         exactly when it is empty at all of them."""
         req = self.requests.get(user)
-        if req is None or req.state in ("departed", "failed"):
+        if req is None or req.state not in ACTIVE_STATES:
             return
         class_id = req.request.class_id
         feasible = self._feasible_for(poa, class_id)
@@ -772,13 +775,13 @@ class Simulator:
                 # in-flight re-placement, which was scoped to the previous
                 # attachment and could migrate the service out of reach.
                 req.generation += 1
-                req.state = "placed"
+                self._transition(req, "placed", req.host)
                 self._purge(user)
             return  # the current placement still serves the user
         req.generation += 1
         self.counters.criticals += 1
         if req.state == "placed":
-            req.state = "relocating"
+            self._transition(req, "relocating", req.host)
         if self.mode == "protocol":
             self._purge(user)
             self._issue(req)
@@ -787,11 +790,9 @@ class Simulator:
         """``user`` leaves; a departure of a user who is not active is
         ignored."""
         req = self.requests.get(user)
-        if req is None or req.state in ("departed", "failed"):
+        if req is None or req.state not in ACTIVE_STATES:
             return
-        if req.host is not None:
-            self._release_host(req)
-        req.state = "departed"
+        self._transition(req, "departed", None)
         req.generation += 1
         self.log(req.request.poa, "depart r%d", user)
         self._purge(user)
@@ -848,7 +849,7 @@ class Simulator:
             if req.state not in ACTIVE_STATES:
                 continue
             if node == req.host:
-                req.state = "placed"
+                self._transition(req, "placed", node)
                 continue
             self.commit_placement(rid, node)
             targets.add(node)
@@ -989,13 +990,20 @@ class Simulator:
     def assert_invariants(self) -> None:
         """Capacity, bookkeeping, and reach invariants; raises
         :class:`InvariantError` on breach."""
+        # what each node's load must be: the units of every request that
+        # holds it, whatever the request's state (never negative, as no
+        # class needs negative units)
+        held = dict.fromkeys(self.topology.nodes, 0)
+        for req in self.requests.values():
+            if req.host is not None:
+                held[req.host] += self._units[req.request.class_id][req.host]
         host_of: dict[RequestId, DatacenterId] = {}
         for node_id in self.topology.nodes:
             used = self._capacity_used[node_id]
-            if used < 0:
-                raise InvariantError(f"negative load at s{node_id}")
             if used > self.topology.capacity(node_id):
                 raise InvariantError(f"capacity breached at s{node_id}")
+            if used != held[node_id]:
+                raise InvariantError(f"load drift at s{node_id}")
             if self.mode == "protocol":
                 state = self.nodes[node_id]
                 booked = sum(state.assigned.values()) + sum(state.placed.values())

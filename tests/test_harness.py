@@ -531,6 +531,21 @@ def test_sweep_overhead_sizes_the_tree_when_unconstrained() -> None:
     assert rows[0]["leaf_capacity"] == math.ceil(1.10 * base)
 
 
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        (([0.5, 0.5], [1e-4], [1]), "p_rt_grid lists 0.5 more than once"),
+        (([0.5], [1e-4, 1e-4], [1]), "t_ad_grid lists 0.0001 more than once"),
+        (([0.5], [1e-4], iter([1, 1])), "seeds lists 1 more than once"),
+    ],
+    ids=["p_rt_grid", "t_ad_grid", "seeds"],
+)
+def test_sweep_overhead_refuses_a_repeated_entry(grids, message) -> None:
+    # A repeat would run again and report its rows twice.
+    with pytest.raises(ValueError, match=message):
+        sweep_overhead(*grids, users=2, levels=2, leaf_capacity=400)
+
+
 # ---------------------------------------------------------------------------
 # command line
 

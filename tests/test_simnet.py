@@ -244,6 +244,12 @@ def test_link_delay_is_propagation_plus_serialization() -> None:
     assert arrival == pytest.approx(22e-6 + message_bits(msg) / 10e6)
 
 
+def test_a_link_without_propagation_delay_serves_the_walkthrough() -> None:
+    fig2 = builtin_scenario("fig2")
+    scenario = replace(fig2, link=LinkModel(propagation=0.0))
+    assert run_scenario(scenario, "dapp", check_invariants=True).verdict == "ok"
+
+
 # ---------------------------------------------------------------------------
 # overhead accounting
 
@@ -838,11 +844,83 @@ def test_the_package_has_no_assert_statements() -> None:
     assert found == []
 
 
+def _state_or_host_writes(tree: ast.AST, scope: str = "") -> Iterator[str]:
+    """``<scope>:<line>`` of each assignment in ``tree`` to an attribute
+    named ``state`` or ``host``, inside tuple, list and starred targets
+    too, where ``scope`` is the dotted name of the enclosing classes and
+    functions."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _state_or_host_writes(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute) and target.attr in ("state", "host"):
+                yield f"{scope}:{node.lineno}"
+        yield from _state_or_host_writes(node, scope)
+
+
+def test_only_the_transition_assigns_a_request_state_or_host() -> None:
+    # Every change of a request's status or host runs through
+    # Simulator._transition, which keeps the capacity ledger with it; the
+    # request's row starts out in _RequestState.__init__.
+    package = Path(edgeplace.__file__).resolve().parent
+    found = [
+        f"{path.name}:{site}"
+        for path in sorted(package.glob("*.py"))
+        for site in _state_or_host_writes(ast.parse(path.read_text()))
+        if site.split(":")[0] not in ("Simulator._transition", "_RequestState.__init__")
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_every_form_of_a_state_or_host_write() -> None:
+    source = (
+        "def f(req, a, b):\n"
+        "    req.state = a\n"
+        "    a.x, (b.host, c) = 1, (2, 3)\n"
+        "    [*req.state, c] = 1, 2\n"
+        "    req.host: int = 4\n"
+        "    req.host += 1\n"
+        "    req.hosts = req.state\n"
+        "    d[req.host] += 1\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        self.state = 0\n"
+    )
+    assert list(_state_or_host_writes(ast.parse(source))) == [
+        "f:2", "f:3", "f:4", "f:5", "f:6", "C.g:11"
+    ]
+
+
 def test_assert_invariants_catches_availability_drift() -> None:
     sim = _world({})
     sim.run([TraceEvent(0.0, 1, "arrive", 3, 0)])
     sim.nodes[5].available -= 1
     with pytest.raises(AssertionError):
+        sim.assert_invariants()
+
+
+def test_assert_invariants_catches_a_load_its_requests_do_not_hold() -> None:
+    # The centralized lanes keep no node books, so only the engine's load
+    # ledger, checked against the request table, can catch a stray host.
+    scenario = builtin_scenario("fig2")
+    sim = build_simulator(scenario, "ffit")
+    assert sim.run(scenario.trace).verdict == "ok"
+    sim.assert_invariants()
+    req = next(r for r in sim.requests.values() if r.state == "placed")
+    req.host = next(n for n in req.request.feasible if n != req.host)
+    with pytest.raises(InvariantError, match="load drift at s"):
         sim.assert_invariants()
 
 

@@ -26,6 +26,17 @@ def _run_tool(*args: str) -> subprocess.CompletedProcess[str]:
     )
 
 
+def test_the_readme_layout_names_every_tool() -> None:
+    readme = (TOOLS.parent / "README.md").read_text()
+    block = readme.split("\ntools/", 1)[1].split("```", 1)[0]
+    missing = [
+        path.name
+        for path in sorted(TOOLS.glob("*.py"))
+        if f"{path.name}:" not in block
+    ]
+    assert missing == []
+
+
 def test_replay_digests_prints_its_help() -> None:
     proc = _run_tool("replay_digests.py", "--help")
     assert proc.returncode == 0, proc.stderr
