@@ -249,7 +249,6 @@ def render_rows(rows: Sequence[Mapping[str, Any]], fmt: str) -> str:
 class ReplayOutcome:
     """Result of replaying a fixture against its frozen event log."""
 
-    name: str
     ok: bool
     diff: tuple[str, ...]
     result: RunResult
@@ -279,7 +278,7 @@ def replay_fixture(name: str) -> ReplayOutcome:
     # the ``dapp`` run, invariants checked, that the golden log freezes
     result = run_scenario(builtin_scenario(name), "dapp", check_invariants=True)
     diff = _first_divergence(golden_text.splitlines(), result.event_log)
-    return ReplayOutcome(name=name, ok=not diff, diff=tuple(diff), result=result)
+    return ReplayOutcome(ok=not diff, diff=tuple(diff), result=result)
 
 
 # ---------------------------------------------------------------------------

@@ -230,12 +230,6 @@ class Topology:
             self._path_cache[node] = cached
         return cached
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Topology(nodes={len(self.nodes)}, height={self.height}, "
-            f"leaves={len(self.leaves)})"
-        )
-
 
 #: The most datacenters :func:`build_tree` builds: 2**20, one more than a
 #: full binary tree of 20 levels holds.

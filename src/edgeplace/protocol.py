@@ -42,11 +42,10 @@ A scan batch is therefore one list, which a node splits by origin.
 A node holds its backlogs (unassigned records, adverts, a push-down
 session's records, requests awaiting a push-down) as insertion-ordered
 dicts keyed by request id, so withdrawing one request is a single pop.
-The unassigned backlog is kept in placement order: it only loses records
-between scans, so a scan re-sorts it only after merging new ones.  The
-scan buffer stays a list, because it can briefly hold two generations of a
-request.  Every container iterates in a deterministic order, so identical
-inputs replay to identical traces.
+Each scan re-sorts the unassigned backlog into placement order whenever it
+holds two or more records.  The scan buffer stays a list, because it can
+briefly hold two generations of a request.  Every container iterates in a
+deterministic order, so identical inputs replay to identical traces.
 """
 
 from __future__ import annotations
@@ -203,7 +202,11 @@ class World(Protocol):
     """Services the engine provides to protocol nodes.
 
     A node books a placement on its own capacity before it reports it with
-    :meth:`commit_placement`; the engine never writes a node's books.
+    :meth:`commit_placement`.  The engine changes a node's books only
+    through two of the node's methods: ``release``, which hands back a
+    hosted service's units when its request migrates or departs, and
+    ``notify_gone``, which drops a departed or withdrawn request and frees
+    its reservation.
 
     ``requests`` maps every request id the protocol may see to the
     engine's :class:`RequestView` of it.  Nodes only read it: the engine
@@ -429,21 +432,16 @@ class ProtocolNode:
 
     def _take_scan_input(self, incoming: Sequence[Record]) -> None:
         """Scan prelude: merge a batch into the backlogs (a record with an
-        origin is an advert), the unassigned one most constrained first:
-        shortest reach first (see :func:`sort_requests`), which at this node
-        is the same order as fewest fallbacks outside its subtree first.
-
-        Between scans the unassigned backlog only loses records, and a
-        record's sort key never changes, so it is still in order; it is
-        re-sorted only when this merge added to it a record it can be out
-        of order with."""
+        origin is an advert), then re-sort the unassigned one, whenever it
+        holds two or more records, most constrained first: shortest reach
+        first (see :func:`sort_requests`), which at this node is the same
+        order as fewest fallbacks outside its subtree first."""
         backlog, adverts = self.not_assigned, self.push_up
-        before = len(backlog)
         for rec in self._current(incoming):
             target = backlog if rec.origin is None else adverts
             if rec.request_id not in target:
                 target[rec.request_id] = rec
-        if len(backlog) > before and len(backlog) > 1:
+        if len(backlog) > 1:
             self.not_assigned = _keyed(self._sorted(backlog.values()))
 
     def _take_push_up(self, incoming: Sequence[Record]) -> list[Record]:
@@ -487,10 +485,7 @@ class ProtocolNode:
             self.start_push_down()
             return
         records, self.scan_buf = self.scan_buf, []
-        if self.in_f_mode():
-            self.run_fallback_scan(records)
-        else:
-            self.run_scan(records)
+        (self.run_fallback_scan if self.in_f_mode() else self.run_scan)(records)
 
     def on_message(self, sender: DatacenterId, msg: ProtocolMsg) -> None:
         if isinstance(msg, SfsMsg):
@@ -498,10 +493,7 @@ class ProtocolNode:
         elif isinstance(msg, (PuMsg, PuAckMsg)) and self.pd_session is not None:
             self.deferred.append((sender, msg))  # replayed when the session ends
         elif isinstance(msg, PuMsg):
-            if self.in_f_mode():
-                self.run_fallback_push_up(msg.records)
-            else:
-                self.run_push_up(msg.records)
+            self._resolve_adverts(msg.records)
         elif isinstance(msg, PuAckMsg):
             self.handle_push_up_acks(msg.acks)
         elif isinstance(msg, PdRequestMsg):
@@ -744,10 +736,13 @@ class ProtocolNode:
                 relay.append((rec, hosted_above))
         self._relay_acks(relay)
         if not self.outstanding_pu and self.push_up and self.pd_session is None:
-            if self.in_f_mode():
-                self.run_fallback_push_up(())
-            else:
-                self.run_push_up(())
+            self._resolve_adverts(())
+
+    def _resolve_adverts(self, records: Sequence[Record]) -> None:
+        """Push-up in the node's current mode: the fallback variant while
+        quarantined, the normal one otherwise."""
+        run = self.run_fallback_push_up if self.in_f_mode() else self.run_push_up
+        run(records)
 
     def run_fallback_push_up(self, incoming: Sequence[Record]) -> None:
         """Quarantine-mode push-up: refuse everything, settling reservations."""

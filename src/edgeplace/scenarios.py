@@ -553,17 +553,17 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
     with their prices, per-level round-trip times, optional timing and link
     overrides, and either a trace CSV path or a synthetic-trace block.
 
-    The file must be UTF-8 JSON whose numbers are JSON numbers: ``NaN``,
-    ``Infinity`` and ``-Infinity`` are refused.  Text that is not UTF-8,
-    not JSON or nested too deep to read, a missing key, a key the loader
-    does not know (in any object) and a value of the wrong JSON type are
-    each a ValueError naming the file.  A value that
-    the tree, a class, the timing, the link or :func:`synthesize_trace`
-    refuses is a ValueError with their message.
+    The file must be UTF-8 JSON, with or without a byte-order mark, whose
+    numbers are JSON numbers: ``NaN``, ``Infinity`` and ``-Infinity`` are
+    refused.  Text that is not UTF-8, not JSON or nested too deep to read,
+    a missing key, a key the loader does not know (in any object) and a
+    value of the wrong JSON type are each a ValueError naming the file.  A
+    value that the tree, a class, the timing, the link or
+    :func:`synthesize_trace` refuses is a ValueError with their message.
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh, parse_constant=_refuse_constant)
     # a ValueError is also a JSON syntax or a UTF-8 decoding error
     except (ValueError, RecursionError) as err:

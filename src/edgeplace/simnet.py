@@ -185,13 +185,15 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
     A user's first row is an arrival and must carry a class id; later rows
     are movements, and a PoA of ``OUT`` is a departure.  Rows must be in
     non-decreasing time order and have as many fields as the header; blank
-    lines are skipped.  A bad row, a bad header or text that is not CSV
-    raises ``ValueError`` naming the file and the line.
+    lines are skipped.  The file is UTF-8, with or without the byte-order
+    mark that spreadsheets write.  A bad row, a bad header, a byte that is
+    not UTF-8 or text that is not CSV raises ``ValueError`` naming the file
+    and the line.
     """
     events: list[TraceEvent] = []
     seen: set[int] = set()
     last_time = float("-inf")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -542,7 +544,7 @@ class Simulator:
     It runs one :class:`~.scenarios.Scenario`: its tree, classes, prices,
     RTTs, protocol timing and link.  ``algorithm`` picks the lane, and a
     run stops after ``event_budget`` events; ``run`` takes the trace, which
-    may differ from the scenario's own.
+    may differ from the scenario's own, and may be called once.
     """
 
     EPOCH_PERIOD = 1.0
@@ -591,6 +593,7 @@ class Simulator:
         # 0.5, seeds 1-3) still gain: 16 calls with it, 20 without.
         self._failed_epoch: tuple[EpochProblem, EpochDecision] | None = None
         self.counters = Counters()
+        self._ran = False  # a simulator runs one trace; see run
         self._diverged = False
         self._solver_exhausted = False
         self._infeasible = False
@@ -913,7 +916,13 @@ class Simulator:
 
         The run records no event (``log`` is a no-op): the result's
         ``event_log`` replays the run when it is first read.
+
+        A simulator runs once: the result shares its counters, so a second
+        call raises ``RuntimeError`` before it touches any state.
         """
+        if self._ran:
+            raise RuntimeError("this Simulator has already run; build one per run")
+        self._ran = True
         pending = self._trace_cursor(trace)
         if self.mode == "centralized" and pending:
             horizon = pending[0][0] + self.EPOCH_PERIOD  # the latest event

@@ -794,6 +794,31 @@ def test_cli_run_with_config_and_trace(tmp_path: Path, capsys) -> None:
     assert out.splitlines()[1].startswith("tiny+two,ffit,1,ok,2,2,")
 
 
+def test_cli_run_reads_a_trace_with_a_byte_order_mark(tmp_path: Path, capsys) -> None:
+    # as spreadsheets export CSV
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    trace_path = tmp_path / "two.csv"
+    trace_path.write_bytes(b"\xef\xbb\xbftime,user,poa,class\n0.0,1,1,0\n0.0,2,2,0\n")
+    code = main(
+        ["run", "--config", str(cfg_path), "--trace", str(trace_path),
+         "--algo", "ffit"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1].startswith("tiny+two,ffit,1,ok,2,2,")
+
+
+def test_cli_run_refuses_a_trace_byte_that_is_not_utf_8(tmp_path: Path, capsys) -> None:
+    trace_path = tmp_path / "latin.csv"
+    trace_path.write_bytes(b"time,user,poa,class\n0.0,1,3,0\n0.5,1,\xff,\n")
+    code = main(["run", "--scenario", "fig2", "--trace", str(trace_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace {trace_path} line ")
+    assert ": 'utf-8' codec can't decode byte 0xff" in err
+
+
 def test_cli_run_rejects_an_unknown_config_key(tmp_path: Path, capsys) -> None:
     config = _tiny_config()
     config["synth"] = {"users": 5, "hold": 2.0}

@@ -432,6 +432,27 @@ def test_push_up_ack_relays_toward_origin() -> None:
     assert dst == 3 and isinstance(msg, PuAckMsg)
 
 
+def test_last_push_up_ack_settles_adverts_by_the_fallback_rules_in_f_mode() -> None:
+    world = FakeWorld(three_level())
+    node = make_node(world, 1)
+    node.enter_f_mode()
+    node.assigned, node.available = {7: 2}, 6
+    own, below = rec(7, (1, 0), origin=1), rec(5, (3, 1, 0), origin=3)
+    node.push_up = keyed(own, below)
+    node.outstanding_pu = {9}
+    node.handle_push_up_acks([(rec(9, (3, 1, 0), origin=3), True)])
+    # quarantined: refuse the advert from below, though it fits, and settle
+    # the node's own reservation where it stands
+    assert (1, "f-pu refuse [r7,r5]") in world.lines
+    assert not any(text.startswith("pu ") for _, text in world.lines)
+    assert world.placements == [(7, 1)]
+    assert node.push_up == {} and node.assigned == {} and node.placed == {7: 2}
+    assert [(dst, m.acks) for _, dst, m in sent_of(world, PuAckMsg)] == [
+        (3, ((rec(9, (3, 1, 0), origin=3), True),)),
+        (3, ((below, False),)),
+    ]
+
+
 def test_fallback_push_up_refuses_everything() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 1)

@@ -369,6 +369,17 @@ def test_load_config_reads_trace_csv_next_to_it(tmp_path: Path) -> None:
     ]
 
 
+def test_load_config_reads_a_byte_order_mark(tmp_path: Path) -> None:
+    cfg = _base_config()
+    cfg["synth"] = {"users": 3, "p_rt": 1.0}
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(json.dumps(cfg))
+    marked.write_bytes(b"\xef\xbb\xbf" + json.dumps(cfg).encode())
+    scenario = load_config(marked)
+    assert scenario.trace == load_config(plain).trace and len(scenario.trace) == 3
+    assert scenario.topology.capacity(0) == 9
+
+
 def test_load_config_without_trace_or_synth_is_empty(tmp_path: Path) -> None:
     path = tmp_path / "bare.json"
     path.write_text(json.dumps(_base_config()))

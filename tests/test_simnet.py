@@ -979,6 +979,21 @@ def test_runs_are_deterministic() -> None:
     assert results[0].counters.messages == results[1].counters.messages
 
 
+@pytest.mark.parametrize("lane", ["dapp", "ffit"])
+def test_a_simulator_refuses_a_second_run(lane: str) -> None:
+    # the result shares the simulator's counters, and its log replays it
+    scenario = builtin_scenario("fig3")
+    sim = build_simulator(scenario, lane, check_invariants=True)
+    result = sim.run(scenario.trace)
+    events, placements = result.counters.events, dict(result.placements)
+    with pytest.raises(RuntimeError, match="already run"):
+        sim.run(scenario.trace)
+    assert result.verdict == "ok"
+    assert result.counters.events == events and result.placements == placements
+    fresh = build_simulator(scenario, lane).run(scenario.trace)
+    assert list(result.event_log) == list(fresh.event_log)
+
+
 # ---------------------------------------------------------------------------
 # the event record
 
