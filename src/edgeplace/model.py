@@ -142,7 +142,7 @@ class Topology:
     """A rooted tree of datacenters with per-node CPU capacity.
 
     Levels count from the leaves: leaves sit at level 0 and the root at
-    ``height - 1``.  Children are kept sorted by id so that every traversal
+    the top level.  Children are kept sorted by id so that every traversal
     in the simulator is deterministic.
     """
 
@@ -170,7 +170,6 @@ class Topology:
         self.leaves: tuple[DatacenterId, ...] = tuple(
             n for n in self.nodes if not self._children[n]
         )
-        self.height: int = self._level[self.root] + 1
         self._path_cache: dict[DatacenterId, tuple[DatacenterId, ...]] = {}
         self._validate()
 

@@ -158,8 +158,9 @@ class ProtocolTiming:
     """Accumulation windows and the fallback quarantine period (seconds).
 
     Batch timers stretch with height: a node at level ``l`` waits
-    ``(l + 1) * window`` before acting, so deeper aggregation points batch
-    more traffic per run.
+    ``(l + 1) * window`` before acting (``scan_window`` for a scan,
+    ``push_down_window`` for a push-down), so deeper aggregation points
+    batch more traffic per run.
     """
 
     scan_window: float = 0.0001
@@ -170,12 +171,6 @@ class ProtocolTiming:
         for name in ("scan_window", "push_down_window", "fallback_period"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"timing {name} must be finite and >= 0")
-
-    def scan_delay(self, level: int) -> float:
-        return (level + 1) * self.scan_window
-
-    def push_down_delay(self, level: int) -> float:
-        return (level + 1) * self.push_down_window
 
 
 #: A request's statuses while it still needs a host or holds one: while
@@ -189,8 +184,8 @@ class RequestView(Protocol):
     ``request`` is the user's current attachment and reach.  ``state`` is
     ``waiting`` (not placed yet), ``placed``, ``relocating`` (placed, but
     its user moved out of the host's reach and a new placement is in
-    flight), ``failed`` or ``departed``.  ``generation`` is bumped when a
-    user move or departure supersedes the request's records in flight.
+    flight), ``failed`` or ``departed``.  ``generation`` counts the
+    request's moves that superseded its records in flight.
     """
 
     request: Request
@@ -334,10 +329,10 @@ class ProtocolNode:
         self.capacity = topology.capacity(node_id)
         self.available = topology.capacity(node_id)
         self.timing = timing
-        # batch timer kind -> how long it waits once armed
+        # batch timer kind -> how long it waits once armed (see ProtocolTiming)
         self.delays = {
-            "scan": timing.scan_delay(self.level),
-            "push_down": timing.push_down_delay(self.level),
+            "scan": (self.level + 1) * timing.scan_window,
+            "push_down": (self.level + 1) * timing.push_down_window,
         }
         self.demand = demand  # class id -> CPU units here; absent: not hostable
         # request bookkeeping
@@ -579,11 +574,7 @@ class ProtocolNode:
                 if rec.request_id not in self.pd_pending:
                     new_push_down.append(rec.request_id)
         if new_push_down:
-            self.pd_pending.update(dict.fromkeys(new_push_down))
-            self.world.log(
-                self.node_id, "scan push-down-pending [%s]", new_push_down
-            )
-            self._arm_timer("push_down")
+            self._queue_push_down("scan push-down-pending [%s]", new_push_down)
             return  # the push-down epilogue will move the leftovers
         self._forward_and_resolve()
 
@@ -618,13 +609,7 @@ class ProtocolNode:
                 else:
                     schedule_push_down.append(rec.request_id)
         if schedule_push_down:
-            self.pd_pending.update(dict.fromkeys(schedule_push_down))
-            self.world.log(
-                self.node_id,
-                "f-scan push-down-pending [%s]",
-                schedule_push_down,
-            )
-            self._arm_timer("push_down")
+            self._queue_push_down("f-scan push-down-pending [%s]", schedule_push_down)
         forward = [
             rec
             for rec in self.not_assigned.values()
@@ -645,6 +630,13 @@ class ProtocolNode:
         self._assert_no_stuck_records()
         if self.push_up:
             self.run_fallback_push_up(())
+
+    def _queue_push_down(self, template: str, ids: list[RequestId]) -> None:
+        """Queue ``ids`` for this node's next push-down, log them with
+        ``template`` and arm the push-down timer."""
+        self.pd_pending.update(dict.fromkeys(ids))
+        self.world.log(self.node_id, template, ids)
+        self._arm_timer("push_down")
 
     def _forward_and_resolve(self) -> None:
         """Scan epilogue: ship parent-bound records, then settle local adverts."""
@@ -745,16 +737,17 @@ class ProtocolNode:
         run(records)
 
     def run_fallback_push_up(self, incoming: Sequence[Record]) -> None:
-        """Quarantine-mode push-up: refuse everything, settling reservations."""
+        """Quarantine-mode push-up: refuse everything, settling reservations.
+
+        Every record is of an active request: the advert backlog and
+        ``incoming`` pass :meth:`_current`, and the engine's purge of a
+        departed or failed request empties this node's backlogs."""
         records = self._take_push_up(incoming)
         if not records:
             return
         self.world.log(self.node_id, "f-pu refuse [%s]", records)
-        requests = self.requests
         relay: list[tuple[Record, bool]] = []
         for rec in records:
-            if requests[rec.request_id].state not in ACTIVE_STATES:
-                continue
             if rec.origin == self.node_id:
                 if rec.request_id in self.assigned:
                     self._place(rec, reserved=True)
@@ -765,13 +758,17 @@ class ProtocolNode:
     # -- push-down ---------------------------------------------------------
 
     def start_push_down(self) -> None:
-        """Open a push-down for locally stuck requests (timer expiry)."""
+        """Open a push-down for locally stuck requests (timer expiry).
+
+        Every pending id is of an active request: it came from the
+        unassigned backlog, and the engine's purge of a departed or failed
+        request drops it from ``pd_pending``.  So only a request placed
+        meanwhile is skipped."""
         pending, self.pd_pending = self.pd_pending, {}
         requests = self.requests
         problematic: list[Record] = []
         for rid in pending:
-            state = requests[rid].state
-            if state not in ACTIVE_STATES or state == "placed":
+            if requests[rid].state == "placed":
                 continue
             rec = self.not_assigned.get(rid)
             if rec is None:

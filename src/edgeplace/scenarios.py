@@ -13,10 +13,9 @@ import json
 import math
 import random
 import sys
-import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence, TypeVar
+from typing import Any, Mapping, NoReturn, Sequence, get_type_hints
 
 from .model import CostModel, ServiceClass, Topology, build_tree
 from .protocol import ProtocolTiming
@@ -37,8 +36,6 @@ __all__ = [
     "check_trace",
     "synthesize_trace",
 ]
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -497,7 +494,7 @@ _CLASS_KEYS = (
 #: :func:`synthesize_trace` after the topology, and the type of each.
 _SYNTH_TYPES = {
     name: kind
-    for name, kind in typing.get_type_hints(synthesize_trace).items()
+    for name, kind in get_type_hints(synthesize_trace).items()
     if name not in ("topology", "return")
 }
 
@@ -518,12 +515,13 @@ def _block(
     return dict(block)
 
 
-def _overrides(cls: type[_T], cfg: Mapping[str, Any], name: str, path: Path) -> _T:
-    """A ``cls`` whose defaults the config's ``name`` block overrides."""
-    block = _block(cfg.get(name, {}), name, [f.name for f in fields(cls)], path)
-    return cls(
-        **{key: _read(v, float, f"{name}.{key}", path) for key, v in block.items()}
-    )
+def _typed_block(
+    cfg: Mapping[str, Any], name: str, kinds: Mapping[str, Any], path: Path
+) -> dict[str, Any]:
+    """The config's ``name`` block (empty when absent), each value read as
+    its key's type in ``kinds``, whose keys are the ones allowed."""
+    block = _block(cfg.get(name, {}), name, list(kinds), path)
+    return {k: _read(v, kinds[k], f"{name}.{k}", path) for k, v in block.items()}
 
 
 def check_trace(scenario: Scenario, source: str) -> None:
@@ -539,7 +537,7 @@ def check_trace(scenario: Scenario, source: str) -> None:
         raise ValueError(f"{source}: {err}") from None
 
 
-def _refuse_constant(name: str) -> typing.NoReturn:
+def _refuse_constant(name: str) -> NoReturn:
     """Refuse a ``NaN``, ``Infinity`` or ``-Infinity`` in a config: Python
     reads them as floats, but they are not JSON numbers."""
     raise ValueError(f"{name} is not a JSON number")
@@ -618,17 +616,14 @@ def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
                     f"config {path}: class {cid} can be hosted at level {level}, "
                     "but its placement_cost has no price for that level"
                 )
-    timing = _overrides(ProtocolTiming, cfg, "timing", path)
-    link = _overrides(LinkModel, cfg, "link", path)
+    timing = ProtocolTiming(
+        **_typed_block(cfg, "timing", get_type_hints(ProtocolTiming), path)
+    )
+    link = LinkModel(**_typed_block(cfg, "link", get_type_hints(LinkModel), path))
     if "trace" in cfg:
         trace = tuple(load_trace(path.parent / _read(cfg["trace"], str, "trace", path)))
     elif "synth" in cfg:
-        synth = {
-            key: _read(value, _SYNTH_TYPES[key], f"synth.{key}", path)
-            for key, value in _block(
-                cfg["synth"], "synth", list(_SYNTH_TYPES), path
-            ).items()
-        }
+        synth = _typed_block(cfg, "synth", _SYNTH_TYPES, path)
         trace = synthesize_trace(
             topology,
             seed=synth.pop("seed", seed),

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, itemgetter
@@ -193,45 +194,53 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     seen: set[int] = set()
     last_time = float("-inf")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            column = {name: i for i, name in enumerate(header)}
-            if not {"time", "user", "poa"}.issubset(column):
-                raise ValueError("the header must name columns time,user,poa[,class]")
-            at_time, at_user, at_poa = column["time"], column["user"], column["poa"]
-            at_class = column.get("class")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{len(row)} fields, but the header has {len(header)}"
-                    )
-                time = float(row[at_time])
-                if time < last_time:
-                    raise ValueError(f"not time-sorted at t={time}")
-                last_time = time
-                user = int(row[at_user])
-                poa_field = row[at_poa].strip()
-                if poa_field == DEPARTED_POA:
-                    events.append(TraceEvent(time, user, "depart"))
-                    continue
-                poa = int(poa_field)
-                if user in seen:
-                    events.append(TraceEvent(time, user, "move", poa))
-                else:
-                    seen.add(user)
-                    class_field = "" if at_class is None else row[at_class].strip()
-                    if not class_field:
-                        raise ValueError(f"arrival of user {user} lacks a class id")
-                    events.append(
-                        TraceEvent(time, user, "arrive", poa, int(class_field))
-                    )
-        except (ValueError, csv.Error) as err:
-            line = max(reader.line_num, 1)
-            raise ValueError(f"trace {path} line {line}: {err}") from err
+    data = Path(path).read_bytes()
+    try:
+        # Decode it all once to find a bad byte's line: the text layer
+        # below decodes in chunks, ahead of the row csv has reached.
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        # one more than the line breaks before the byte, which
+        # ``splitlines`` finds where csv does (\n, \r and \r\n)
+        line = len((err.object[: err.start] + b"?").splitlines())
+        raise ValueError(f"trace {path} line {line}: {err}") from err
+    # A text layer over the bytes, not a StringIO of the decoded text,
+    # which would hold four bytes per character.
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    reader = csv.reader(stream)
+    try:
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}
+        if not {"time", "user", "poa"}.issubset(column):
+            raise ValueError("the header must name columns time,user,poa[,class]")
+        at_time, at_user, at_poa = column["time"], column["user"], column["poa"]
+        at_class = column.get("class")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
+            time = float(row[at_time])
+            if time < last_time:
+                raise ValueError(f"not time-sorted at t={time}")
+            last_time = time
+            user = int(row[at_user])
+            poa_field = row[at_poa].strip()
+            if poa_field == DEPARTED_POA:
+                events.append(TraceEvent(time, user, "depart"))
+                continue
+            poa = int(poa_field)
+            if user in seen:
+                events.append(TraceEvent(time, user, "move", poa))
+            else:
+                seen.add(user)
+                class_field = "" if at_class is None else row[at_class].strip()
+                if not class_field:
+                    raise ValueError(f"arrival of user {user} lacks a class id")
+                events.append(TraceEvent(time, user, "arrive", poa, int(class_field)))
+    except (ValueError, csv.Error) as err:
+        line = max(reader.line_num, 1)
+        raise ValueError(f"trace {path} line {line}: {err}") from err
     return events
 
 
@@ -463,8 +472,8 @@ class _RequestState:
     (``_MOVABLE``); the placed and relocating ones hold a host
     (``_HOSTED``).  ``state`` and ``host`` change only through
     ``Simulator._transition``, which keeps the engine's load of each node
-    with them.  ``generation`` counts the moves and the departure that
-    superseded the request's records in flight.
+    with them.  ``generation`` counts the moves that superseded the
+    request's records in flight.
     """
 
     __slots__ = ("request", "reached", "state", "host", "generation")
@@ -796,7 +805,6 @@ class Simulator:
         if req is None or req.state not in ACTIVE_STATES:
             return
         self._transition(req, "departed", None)
-        req.generation += 1
         self.log(req.request.poa, "depart r%d", user)
         self._purge(user)
 

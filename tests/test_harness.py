@@ -810,13 +810,26 @@ def test_cli_run_reads_a_trace_with_a_byte_order_mark(tmp_path: Path, capsys) ->
 
 
 def test_cli_run_refuses_a_trace_byte_that_is_not_utf_8(tmp_path: Path, capsys) -> None:
+    # the error names the bad byte's line, also past the first chunk a text
+    # layer decodes and behind a byte-order mark with CRLF line ends
+    long_rows = [b"time,user,poa,class"]
+    long_rows += [b"%d.0,%d,3,0" % (user, user) for user in range(1, 5001)]
+    long_rows[3000] = b"3000.0,3000,\xff,0"
+    cases = [
+        (b"time,user,poa,class\n0.0,1,3,0\n0.5,1,\xff,\n", 3),
+        (b"\n".join(long_rows) + b"\n", 3001),
+        (b"\xef\xbb\xbftime,user,poa,class\r\n0.0,1,3,0\r\n0.5,1,\xff,\r\n", 3),
+    ]
     trace_path = tmp_path / "latin.csv"
-    trace_path.write_bytes(b"time,user,poa,class\n0.0,1,3,0\n0.5,1,\xff,\n")
-    code = main(["run", "--scenario", "fig2", "--trace", str(trace_path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: trace {trace_path} line ")
-    assert ": 'utf-8' codec can't decode byte 0xff" in err
+    for data, line in cases:
+        trace_path.write_bytes(data)
+        code = main(["run", "--scenario", "fig2", "--trace", str(trace_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: trace {trace_path} line {line}: "
+            "'utf-8' codec can't decode byte 0xff"
+        )
 
 
 def test_cli_run_rejects_an_unknown_config_key(tmp_path: Path, capsys) -> None:

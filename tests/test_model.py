@@ -74,7 +74,6 @@ def test_build_tree_degenerate_single_node() -> None:
     assert topo.leaves == (0,)
     assert topo.level(0) == 0
     assert topo.capacity(0) == 1
-    assert topo.height == 1
 
 
 def test_build_tree_prune_removes_whole_subtree() -> None:

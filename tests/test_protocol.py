@@ -226,16 +226,20 @@ def test_batch_deadlines_stretch_with_level() -> None:
     assert timing.scan_window == pytest.approx(0.0001)
     assert timing.push_down_window == pytest.approx(0.0004)
     assert timing.fallback_period == pytest.approx(10.0)
-    assert timing.scan_delay(0) == pytest.approx(0.0001)
-    assert timing.scan_delay(2) == pytest.approx(0.0003)
-    assert timing.push_down_delay(3) == pytest.approx(0.0016)
-    world = FakeWorld(three_level())
+    # a node at level l waits (l + 1) windows: levels 0, 2 and 3
+    world = FakeWorld(build_tree(levels=4, arity=2, leaf_capacity=4))
     world.time = 5.0
-    make_node(world, 3).buffer_scan_input([rec(1, (3, 1, 0))])
-    make_node(world, 0)._arm_timer("push_down")
+    leaf, mid, root = 7, 1, 0
+    assert [world.topology.level(n) for n in (leaf, mid, root)] == [0, 2, 3]
+    make_node(world, leaf).buffer_scan_input([rec(1, (7, 3, 1, 0))])
+    make_node(world, mid).buffer_scan_input([rec(2, (7, 3, 1, 0))])
+    make_node(world, root)._arm_timer("push_down")
+    make_node(world, mid)._arm_timer("push_down")
     assert world.timers == [
-        (3, "scan", pytest.approx(5.0001)),
-        (0, "push_down", pytest.approx(5.0012)),
+        (leaf, "scan", pytest.approx(5.0001)),
+        (mid, "scan", pytest.approx(5.0003)),
+        (root, "push_down", pytest.approx(5.0016)),
+        (mid, "push_down", pytest.approx(5.0012)),
     ]
 
 
@@ -424,6 +428,26 @@ def test_push_up_ack_releases_or_settles_reservation() -> None:
     assert node.available == 2
 
 
+@pytest.mark.parametrize("hosted_above", [True, False])
+def test_push_up_ack_for_a_reservation_a_move_withdrew_does_nothing(
+    hosted_above: bool,
+) -> None:
+    world = FakeWorld(two_level())
+    node = make_node(world, 1)
+    node.run_scan([rec(5, (1, 0))])
+    ((_, _, msg),) = world.sent
+    (advert,) = msg.records
+    world.generations[5] = 1  # the user moved; the request still waits
+    node.notify_gone(5)
+    assert node.assigned == {} and node.available == 4
+    sent, lines = list(world.sent), list(world.lines)
+    node.handle_push_up_acks([(advert, hosted_above)])
+    # the ack meets no reservation: nothing placed, released, logged or sent
+    assert world.placements == [] and node.placed == {}
+    assert node.assigned == {} and node.available == 4
+    assert world.sent == sent and world.lines == lines
+
+
 def test_push_up_ack_relays_toward_origin() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 1)
@@ -451,6 +475,23 @@ def test_last_push_up_ack_settles_adverts_by_the_fallback_rules_in_f_mode() -> N
         (3, ((rec(9, (3, 1, 0), origin=3), True),)),
         (3, ((below, False),)),
     ]
+
+
+def test_the_advert_of_a_departed_request_reaches_no_fallback_push_up() -> None:
+    # run_fallback_push_up does not test for an inactive request: the
+    # engine's purge has to take the advert out of the backlog
+    world = FakeWorld(three_level())
+    node = make_node(world, 1)
+    node.enter_f_mode()
+    node.push_up = keyed(rec(5, (3, 1, 0), origin=3))
+    node.outstanding_pu = {9}
+    world.gone.add(5)
+    node.notify_gone(5)
+    node.handle_push_up_acks([(rec(9, (3, 1, 0), origin=3), True)])
+    assert [(dst, m.acks) for _, dst, m in world.sent] == [
+        (3, ((rec(9, (3, 1, 0), origin=3), True),)),
+    ]
+    assert not any(text.startswith("f-pu ") for _, text in world.lines)
 
 
 def test_fallback_push_up_refuses_everything() -> None:
@@ -495,6 +536,19 @@ def test_fallback_scan_places_directly() -> None:
     assert world.placements == [(1, 3)]
     assert node.assigned == {}  # no reservation step in quarantine
     assert node.placed == {1: 2} and node.available == 2
+
+
+def test_fallback_scan_drops_a_backlog_record_whose_request_is_placed() -> None:
+    world = FakeWorld(three_level())
+    node = make_node(world, 3)
+    node.f_mode_until = 100.0
+    node.not_assigned = keyed(rec(1, (3, 1, 0)))
+    world.placed_set = {1}  # placed elsewhere while its record waited here
+    node.run_fallback_scan(())
+    assert node.not_assigned == {} and node.pd_pending == {}
+    assert world.lines == [(3, "f-scan run na=[r1]")]
+    assert world.sent == [] and world.placements == []
+    assert node.placed == {} and node.available == 4
 
 
 def test_fallback_scan_fails_stuck_requests_during_session_wind_down() -> None:

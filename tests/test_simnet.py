@@ -30,6 +30,7 @@ from edgeplace.model import (
     feasible_set_for,
 )
 from edgeplace.protocol import (
+    ACTIVE_STATES,
     PdAckMsg,
     PdRequestMsg,
     ProtocolNode,
@@ -1179,6 +1180,34 @@ def test_purge_leaves_no_trace_on_any_node(monkeypatch) -> None:
     for scenario in _purge_sweep():
         run_scenario(scenario, "dapp")
     assert purges > 10_000
+
+
+def test_push_down_and_fallback_push_up_meet_only_active_requests(monkeypatch) -> None:
+    # start_push_down and run_fallback_push_up test for no departed or
+    # failed request: the backlogs they read hold none, as the purge
+    # empties them (see the test above).
+    start, refuse = ProtocolNode.start_push_down, ProtocolNode.run_fallback_push_up
+    calls = {"start": 0, "refuse": 0}
+
+    def inactive(node: ProtocolNode, ids: Collection[int]) -> list[int]:
+        return [rid for rid in ids if node.requests[rid].state not in ACTIVE_STATES]
+
+    def checked_start(self: ProtocolNode) -> None:
+        calls["start"] += 1
+        assert inactive(self, self.pd_pending) == [], self.node_id
+        start(self)
+
+    def checked_refuse(self: ProtocolNode, incoming) -> None:
+        calls["refuse"] += bool(self.push_up or incoming)
+        assert inactive(self, self.push_up) == [], self.node_id
+        refuse(self, incoming)
+
+    monkeypatch.setattr(ProtocolNode, "start_push_down", checked_start)
+    monkeypatch.setattr(ProtocolNode, "run_fallback_push_up", checked_refuse)
+    for seed in (1, 2, 3, 4, 5):
+        run_scenario(synth_scenario(seed, users=120, leaf_capacity=400), "dapp")
+    run_scenario(_churn_scenario(1), "dapp")
+    assert calls["start"] > 0 and calls["refuse"] > 0, calls
 
 
 def _offers_built_afresh(node: ProtocolNode) -> list[Record]:
