@@ -211,12 +211,9 @@ def cheapest_feasible(problem: EpochProblem) -> EpochDecision:
     node with room (placement price plus migration charge when moving)."""
     movable = _movable(problem)
     residual = _residual_capacity(problem)
-
-    def poa_demand(svc: ActiveService) -> int:
-        units = problem.demand(svc.class_id, svc.poa)
-        return units if units is not None else 0
-
-    todo = sorted(movable, key=lambda s: (-poa_demand(s), s.request_id))
+    todo = sorted(
+        movable, key=lambda s: (-_units_at(problem, s, s.poa), s.request_id)
+    )
     placement: dict[RequestId, DatacenterId] = {}
     for svc in todo:
         best: tuple[float, DatacenterId] | None = None
@@ -245,17 +242,14 @@ def availability_scaler(problem: EpochProblem) -> EpochDecision:
     capacity, falling back to the next roomiest."""
     movable = _movable(problem)
     residual = _residual_capacity(problem)
-
-    def allocated(svc: ActiveService) -> int:
-        if svc.current_host is None:
-            return 0
-        units = problem.demand(svc.class_id, svc.current_host)
-        return units if units is not None else 0
-
     criticals = [s for s in movable if s.current_host is not None]
     fresh = [s for s in movable if s.current_host is None]
     criticals.sort(
-        key=lambda s: (residual[s.current_host], -allocated(s), s.request_id)
+        key=lambda s: (
+            residual[s.current_host],
+            -_units_at(problem, s, s.current_host),
+            s.request_id,
+        )
     )
     fresh.sort(key=lambda s: (len(s.feasible), s.request_id))
     placement: dict[RequestId, DatacenterId] = {}

@@ -19,6 +19,7 @@ from . import golden_logs
 from .baselines import (
     ALGORITHMS,
     NODE_BUDGET,
+    NoUpperBoundError,
     _slot_count,
     exact_optimal,
     min_cpu_binary_search,
@@ -302,8 +303,10 @@ def min_cpu_for(
 
     The search is :func:`min_cpu_binary_search` and its fixed bracket:
     doubling from 8 units, then bisecting to one unit; past 2**20 units it
-    raises :class:`NoUpperBoundError`.  The scenario, trace included, is
-    built once per search at the family's default capacity.
+    raises :class:`NoUpperBoundError`.  When the last probe ran, the error
+    names that run's verdict and the event budget, since a run that read
+    ``diverged`` ran out of events, not capacity.  The scenario, trace
+    included, is built once per search at the family's default capacity.
     Both families build the profile tree (``scenarios.default_profile``),
     whose capacities follow ``model.tree_capacity``, so each probe runs the
     scenario on that same tree with the capacities of the probed leaf
@@ -339,8 +342,11 @@ def min_cpu_for(
         return 0  # nobody to serve: no capacity needed, and no probe to run
     suffices = _arrival_slot_count(scenario)
     tree = scenario.topology
+    last_run: tuple[int, str] | None = None  # None when the slot count answered
 
     def probe(leaf_capacity: int) -> bool:
+        nonlocal last_run
+        last_run = None
         topology = tree.with_capacities(
             {n: tree_capacity(tree.level(n), leaf_capacity) for n in tree.nodes}
         )
@@ -353,9 +359,19 @@ def min_cpu_for(
             bnb_budget=bnb_budget,
             first_solution=True,
         )
-        return simulator.run(scenario.trace).verdict == "ok"
+        verdict = simulator.run(scenario.trace).verdict
+        last_run = (leaf_capacity, verdict)
+        return verdict == "ok"
 
-    return min_cpu_binary_search(probe)
+    try:
+        return min_cpu_binary_search(probe)
+    except NoUpperBoundError:
+        if last_run is None:
+            raise
+        raise NoUpperBoundError(
+            f"the search gave up at leaf capacity {last_run[0]}, whose run read "
+            f"{last_run[1]} with an event budget of {event_budget}"
+        ) from None
 
 
 def _arrival_slot_count(scenario: Scenario) -> Callable[..., bool] | None:

@@ -434,8 +434,7 @@ class ProtocolNode:
         backlog, adverts = self.not_assigned, self.push_up
         for rec in self._current(incoming):
             target = backlog if rec.origin is None else adverts
-            if rec.request_id not in target:
-                target[rec.request_id] = rec
+            target.setdefault(rec.request_id, rec)
         if len(backlog) > 1:
             self.not_assigned = _keyed(self._sorted(backlog.values()))
 
@@ -446,8 +445,7 @@ class ProtocolNode:
         records = self.push_up
         self.push_up = {}
         for rec in self._current(incoming):
-            if rec.request_id not in records:
-                records[rec.request_id] = rec
+            records.setdefault(rec.request_id, rec)
         return list(records.values())
 
     def _relay_acks(self, acks: Iterable[tuple[Record, bool]]) -> None:
@@ -583,7 +581,10 @@ class ProtocolNode:
 
         Requests that top out here and do not fit either wait for this
         node's own pending push-down, schedule one, or — while a push-down
-        is still winding down — are failed outright.
+        is still winding down — are failed outright.  The rest go to the
+        parent while it can still meet their delay bound (see
+        :meth:`_take_parent_bound`); a record queued for this node's
+        push-down tops out here, so none of them is forwarded.
         """
         self._take_scan_input(incoming)
         self.world.log(self.node_id, "f-scan run na=[%s]", self.not_assigned)
@@ -610,16 +611,8 @@ class ProtocolNode:
                     schedule_push_down.append(rec.request_id)
         if schedule_push_down:
             self._queue_push_down("f-scan push-down-pending [%s]", schedule_push_down)
-        forward = [
-            rec
-            for rec in self.not_assigned.values()
-            if rec.request_id not in self.pd_pending
-            and self.parent is not None
-            and self.parent in rec.feasible
-        ]
+        forward = self._take_parent_bound(self.not_assigned)
         if forward:
-            for rec in forward:
-                del self.not_assigned[rec.request_id]
             self.world.log(
                 self.node_id,
                 "f-scan forward [%s] -> s%d",
@@ -638,26 +631,35 @@ class ProtocolNode:
         self.world.log(self.node_id, template, ids)
         self._arm_timer("push_down")
 
-    def _forward_and_resolve(self) -> None:
-        """Scan epilogue: ship parent-bound records, then settle local adverts."""
+    def _take_parent_bound(self, backlog: dict[RequestId, Record]) -> list[Record]:
+        """Remove from ``backlog``, and return in order, the records whose
+        reach includes the parent: a node passes a request up only while
+        its parent can still meet the request's delay bound.  The root
+        takes nothing."""
         parent = self.parent
-        if parent is not None:
-            fwd_na = [r for r in self.not_assigned.values() if parent in r.feasible]
-            fwd_pu = [r for r in self.push_up.values() if parent in r.feasible]
-            if fwd_na or fwd_pu:
-                for rec in fwd_na:
-                    del self.not_assigned[rec.request_id]
-                for rec in fwd_pu:
-                    del self.push_up[rec.request_id]
-                    self.outstanding_pu.add(rec.request_id)
-                self.world.log(
-                    self.node_id,
-                    "scan forward na=[%s] pu=[%s] -> s%d",
-                    fwd_na,
-                    fwd_pu,
-                    parent,
-                )
-                self.world.send(self.node_id, parent, SfsMsg(tuple(fwd_na + fwd_pu)))
+        if parent is None:
+            return []
+        taken = [rec for rec in backlog.values() if parent in rec.feasible]
+        for rec in taken:
+            del backlog[rec.request_id]
+        return taken
+
+    def _forward_and_resolve(self) -> None:
+        """Scan epilogue: ship the records whose reach includes the parent
+        (see :meth:`_take_parent_bound`), unassigned ones and adverts alike,
+        then settle local adverts."""
+        fwd_na = self._take_parent_bound(self.not_assigned)
+        fwd_pu = self._take_parent_bound(self.push_up)
+        if fwd_na or fwd_pu:
+            self.outstanding_pu.update(rec.request_id for rec in fwd_pu)
+            self.world.log(
+                self.node_id,
+                "scan forward na=[%s] pu=[%s] -> s%d",
+                fwd_na,
+                fwd_pu,
+                self.parent,
+            )
+            self.world.send(self.node_id, self.parent, SfsMsg(tuple(fwd_na + fwd_pu)))
         self._assert_no_stuck_records()
         if not self.outstanding_pu and self.push_up:
             self.run_push_up(())
@@ -708,7 +710,10 @@ class ProtocolNode:
     def handle_push_up_acks(
         self, ack_records: Sequence[tuple[Record, bool]]
     ) -> None:
-        """Apply verdicts from above: free or convert reservations, relay the rest."""
+        """Apply verdicts from above: free or convert reservations, relay the rest.
+
+        Acks never arrive while a push-down session is open: ``on_message``
+        defers them, and replays them once the session has closed."""
         requests = self.requests
         relay: list[tuple[Record, bool]] = []
         for rec, hosted_above in ack_records:
@@ -727,7 +732,7 @@ class ProtocolNode:
             else:
                 relay.append((rec, hosted_above))
         self._relay_acks(relay)
-        if not self.outstanding_pu and self.push_up and self.pd_session is None:
+        if not self.outstanding_pu and self.push_up:
             self._resolve_adverts(())
 
     def _resolve_adverts(self, records: Sequence[Record]) -> None:

@@ -251,14 +251,16 @@ def check_trace_events(
 ) -> None:
     """Raise ValueError at the first event of ``trace`` that breaks a rule
     of a valid trace, whatever the world it runs in beyond its classes and
-    leaves.  Each event has a finite time and a kind of ``arrive``,
-    ``move`` or ``depart``; an arrival has a PoA and a class, and a move a
-    PoA; an arrival's class is in ``classes``; an arrival's or a move's PoA
-    is in ``leaves``; and a user arrives at most once."""
+    leaves.  Each event has a finite time of at least 0 and a kind of
+    ``arrive``, ``move`` or ``depart``; an arrival has a PoA and a class,
+    and a move a PoA; an arrival's class is in ``classes``; an arrival's or
+    a move's PoA is in ``leaves``; and a user arrives at most once."""
     arrived: set[int] = set()
     for time, user, kind, poa, class_id in trace:
         if not math.isfinite(time):
             raise ValueError(f"trace has an event at time {time}, which is not finite")
+        if time < 0:
+            raise ValueError(f"trace has an event at time {time}, before time 0")
         if kind == "depart":
             continue
         if kind == "arrive":
@@ -813,8 +815,6 @@ class Simulator:
     def _run_epoch(self, k: int, last: int) -> None:
         """Epoch ``k``, at ``k * EPOCH_PERIOD``: schedule epoch ``k + 1``
         unless this is epoch ``last``, then decide."""
-        if self.algorithm is None:
-            raise InvariantError("an epoch ran in the protocol lane")
         if k < last:
             self._schedule((k + 1) * self.EPOCH_PERIOD, self._run_epoch, (k + 1, last))
         # The epoch may (re)place the requests still waiting and the ones
@@ -935,8 +935,7 @@ class Simulator:
         if self.mode == "centralized" and pending:
             horizon = pending[0][0] + self.EPOCH_PERIOD  # the latest event
             last = int(horizon / self.EPOCH_PERIOD) + 1
-            if last >= 0:
-                self._schedule(0.0, self._run_epoch, (0, last))
+            self._schedule(0.0, self._run_epoch, (0, last))
         heap, counters = self._heap, self.counters
         budget, check_invariants = self.event_budget, self.check_invariants
         while pending or heap:

@@ -505,6 +505,28 @@ def test_min_cpu_for_rejects_unknown_family() -> None:
         min_cpu_for("ffit", family="cosmic")
 
 
+@pytest.mark.parametrize("algo, budget", [("dapp", 50), ("ffit", 0)])
+def test_cli_min_cpu_names_the_verdict_when_the_event_budget_runs_out(
+    capsys: pytest.CaptureFixture, algo: str, budget: int
+) -> None:
+    # a budget of 55 events is enough for dapp's answer of 170
+    assert main(["min-cpu", "--algo", algo, "--budget", str(budget)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the search gave up at leaf capacity 1048576, whose run read "
+        f"diverged with an event budget of {budget}\n"
+    )
+
+
+def test_cli_min_cpu_blames_capacity_when_the_slot_count_refused_the_last_probe(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+) -> None:
+    monkeypatch.setattr(harness, "_slot_count", lambda *args: lambda capacity: False)
+    assert main(["min-cpu", "--algo", "dapp"]) == 1
+    assert capsys.readouterr().err == (
+        "error: no feasible capacity at or below 1048576\n"
+    )
+
+
 def test_sweep_overhead_with_fixed_capacity() -> None:
     rows = sweep_overhead(
         [0.5],
@@ -935,6 +957,21 @@ def test_cli_run_rejects_a_non_finite_trace_time(
         "which is not finite"
     ) in err
     assert "Traceback" not in err
+
+
+def test_cli_run_refuses_a_trace_time_below_zero(tmp_path: Path, capsys) -> None:
+    # the first epoch and every link start at time 0, so an earlier event
+    # would meet neither
+    trace_path = tmp_path / "neg.csv"
+    trace_path.write_text("time,user,poa,class\n-5.0,1,3,0\n-4.5,2,4,0\n")
+    argv = ["run", "--scenario", "fig2", "--trace", str(trace_path)]
+    assert main([*argv, "--algo", "dapp,ffit,bupu,exact", "--no-normalize"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: --trace {trace_path}: trace has an event at time -5.0, "
+        "before time 0\n"
+    )
 
 
 #: A trace whose second arrival lies far in the future.

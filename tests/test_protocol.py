@@ -411,6 +411,17 @@ def test_push_up_one_slot_goes_to_first_in_sorted_order() -> None:
     assert by_kind[PuMsg][1].records[0].request_id == 5
 
 
+def test_a_stale_push_up_record_alone_leaves_no_trace() -> None:
+    world = FakeWorld(three_level())
+    node = make_node(world, 1)
+    node.outstanding_pu = {5}
+    world.generations[5] = 1  # the user moved after the advert was issued
+    node.on_message(0, PuMsg((rec(5, (3, 1, 0), origin=3),)))
+    # nothing current to resolve: no log line, no message, no placement
+    assert world.lines == [] and world.sent == [] and world.placements == []
+    assert node.outstanding_pu == set() and node.push_up == {}
+
+
 def test_push_up_ack_releases_or_settles_reservation() -> None:
     world = FakeWorld(three_level())
     node = make_node(world, 3)

@@ -13,7 +13,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -386,6 +386,7 @@ def test_user_ids_of_any_size_run_and_log_exactly(tmp_path, lane: str) -> None:
         (TraceEvent(math.inf, 9, "arrive", 3, 0), "at time inf, which is not finite"),
         (TraceEvent(-math.inf, 9, "arrive", 3, 0), "at time -inf, which is not"),
         (TraceEvent(math.nan, 0, "depart"), "at time nan, which is not finite"),
+        (TraceEvent(-0.5, 0, "depart"), "at time -0.5, before time 0"),
         (TraceEvent(0.06, 2, "arrive", 3, 0), "user 2 arrived twice"),
         (
             TraceEvent(0.06, 9, "arrive", 3, 1),
@@ -400,6 +401,7 @@ def test_user_ids_of_any_size_run_and_log_exactly(tmp_path, lane: str) -> None:
         "inf-time",
         "minus-inf-time",
         "nan-time",
+        "negative-time",
         "duplicate-arrival",
         "class-no-poa-can-host",
     ],
@@ -1180,6 +1182,31 @@ def test_purge_leaves_no_trace_on_any_node(monkeypatch) -> None:
     for scenario in _purge_sweep():
         run_scenario(scenario, "dapp")
     assert purges > 10_000
+
+
+def test_a_queued_push_down_record_tops_out_at_its_node(monkeypatch) -> None:
+    # run_fallback_scan forwards every unassigned record whose reach holds
+    # the parent, and skips no id queued in pd_pending: that is safe only
+    # while each queued record tops out at its node, so its reach ends here.
+    checks = 0
+
+    def checked(handler: Callable[..., None]) -> Callable[..., None]:
+        def run(self: ProtocolNode, *args: object) -> None:
+            nonlocal checks
+            handler(self, *args)
+            for rid in self.pd_pending:
+                rec = self.not_assigned.get(rid)
+                if rec is not None:
+                    checks += 1
+                    assert rec.top_feasible == self.node_id, (self.node_id, rid)
+
+        return run
+
+    for name in ("on_timer", "on_message", "notify_gone"):
+        monkeypatch.setattr(ProtocolNode, name, checked(getattr(ProtocolNode, name)))
+    for scenario in _purge_sweep():
+        run_scenario(scenario, "dapp")
+    assert checks > 1_000, checks
 
 
 def test_push_down_and_fallback_push_up_meet_only_active_requests(monkeypatch) -> None:
