@@ -453,7 +453,9 @@ def _branch_and_bound(
     and the cost above), so no input is too deep to search.  Returns the
     nodes expanded, whether the budget ran out, and the node indices of the
     cheapest complete assignment found (None when none beat
-    ``incumbent_cost``).
+    ``incumbent_cost``).  The root's check returns for an empty
+    ``options``: :func:`exact_optimal`'s warm start of an empty problem is
+    feasible at cost 0, which no assignment beats.
     """
     last = len(options) - 1
     tail = [0.0] * (last + 2)
@@ -465,8 +467,6 @@ def _branch_and_bound(
         return expanded, True, None
     if tail[0] >= incumbent_cost:
         return expanded, False, None
-    if last < 0:
-        return expanded, False, []
     depth = 0
     base = 0.0
     rest = tail[1]
@@ -527,7 +527,12 @@ ALGORITHMS: Mapping[str, Callable[[EpochProblem], EpochDecision]] = {
 
 
 class NoUpperBoundError(RuntimeError):
-    """Doubling the capacity never produced a feasible run."""
+    """Doubling the capacity never produced a feasible run.  ``verdict`` is
+    the verdict of the last probe's run, None when no run decided it."""
+
+    def __init__(self, message: str, verdict: str | None = None) -> None:
+        super().__init__(message)
+        self.verdict = verdict
 
 
 def min_cpu_binary_search(succeeds: Callable[[int], bool]) -> int:

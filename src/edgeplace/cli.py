@@ -16,7 +16,8 @@ Subcommands
     scenario family.
 
 Exit codes: 0 success, 1 configuration error, 2 diverged/failed run (or a
-replay mismatch).
+replay mismatch).  A capacity search of ``min-cpu`` or ``sweep-overhead``
+that gives up exits 2 when its last run diverged or failed, else 1.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ from .scenarios import (
 from .simnet import EVENT_BUDGET, EventLog, load_trace
 
 __all__ = ["main", "build_parser"]
+
+#: run verdicts that make the command exit 2
+_FAILED_VERDICTS = ("diverged", "failure")
+
 
 class _CliError(Exception):
     """Configuration problem; reported on stderr with exit code 1."""
@@ -153,7 +158,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             sys.stdout.write(log_text)
         else:
             Path(args.log).write_text(log_text)
-    if any(row["verdict"] in ("diverged", "failure") for row in rows):
+    if any(row["verdict"] in _FAILED_VERDICTS for row in rows):
         return 2
     return 0
 
@@ -181,7 +186,7 @@ def _cmd_sweep_overhead(args: argparse.Namespace) -> int:
         leaf_capacity=args.leaf_capacity,
     )
     _emit(rows, args)
-    if any(row["verdict"] in ("diverged", "failure") for row in rows):
+    if any(row["verdict"] in _FAILED_VERDICTS for row in rows):
         return 2
     return 0
 
@@ -323,4 +328,5 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (_CliError, NoUpperBoundError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        gave_up = isinstance(err, NoUpperBoundError)
+        return 2 if gave_up and err.verdict in _FAILED_VERDICTS else 1

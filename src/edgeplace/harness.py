@@ -305,8 +305,9 @@ def min_cpu_for(
     doubling from 8 units, then bisecting to one unit; past 2**20 units it
     raises :class:`NoUpperBoundError`.  When the last probe ran, the error
     names that run's verdict and the event budget, since a run that read
-    ``diverged`` ran out of events, not capacity.  The scenario, trace
-    included, is built once per search at the family's default capacity.
+    ``diverged`` ran out of events, not capacity, and carries the verdict.
+    The scenario, trace included, is built once per search at the family's
+    default capacity.
     Both families build the profile tree (``scenarios.default_profile``),
     whose capacities follow ``model.tree_capacity``, so each probe runs the
     scenario on that same tree with the capacities of the probed leaf
@@ -370,23 +371,23 @@ def min_cpu_for(
             raise
         raise NoUpperBoundError(
             f"the search gave up at leaf capacity {last_run[0]}, whose run read "
-            f"{last_run[1]} with an event budget of {event_budget}"
+            f"{last_run[1]} with an event budget of {event_budget}",
+            last_run[1],
         ) from None
 
 
 def _arrival_slot_count(scenario: Scenario) -> Callable[..., bool] | None:
-    """The slot count of every user of an arrival-only trace, prepared once
-    for all the probes of a search (see ``baselines._slot_count``).
+    """The slot count of every user of an arrival-only trace, as both
+    families of :func:`min_cpu_for` build, prepared once for all the probes
+    of a search (see ``baselines._slot_count``).
 
-    None when the trace has anything but arrivals, or when some user has no
-    node that can host it: the runs then decide every probe.
+    None when some user has no node that can host it: the runs then decide
+    every probe.
     """
     topology, classes = scenario.topology, scenario.classes
     reaches: dict[tuple[int, int], tuple[int, ...]] = {}
     requests = []
     for ev in scenario.trace:
-        if ev.kind != "arrive" or ev.poa is None or ev.class_id is None:
-            return None
         key = (ev.poa, ev.class_id)
         if key not in reaches:
             reaches[key] = feasible_set_for(

@@ -358,13 +358,6 @@ class ProtocolNode:
         """``records`` in placement-attempt order (see :func:`sort_requests`)."""
         return sort_requests(records, self.demand)
 
-    def _session(self) -> PdSession:
-        """The open push-down session, which the caller requires."""
-        session = self.pd_session
-        if session is None:
-            raise InvariantError(f"no push-down session open at s{self.node_id}")
-        return session
-
     def _arm_timer(self, kind: str) -> None:
         """Arm the ``kind`` batch timer (``scan`` or ``push_down``) unless
         it is pending."""
@@ -510,7 +503,7 @@ class ProtocolNode:
                 self.accept_push_down(sender, msg)
         elif isinstance(msg, PdAckMsg):
             self.handle_push_down_ack(sender, msg)
-        else:  # pragma: no cover - defensive
+        else:
             raise TypeError(f"unknown message {type(msg).__name__}")
 
     def release(self, request_id: RequestId) -> int:
@@ -665,11 +658,12 @@ class ProtocolNode:
             self.run_push_up(())
 
     def _assert_no_stuck_records(self) -> None:
-        node, parent, pending = self.node_id, self.parent, self.pd_pending
+        """Scan epilogue check: every record left unassigned here tops out
+        here.  :meth:`_take_parent_bound` took the ones whose reach holds
+        the parent, so one that does not top out here has a reach that is
+        not a contiguous path prefix."""
         for rec in self.not_assigned.values():
-            if rec.top_feasible == node or rec.request_id in pending:
-                continue
-            if parent is None or parent not in rec.feasible:
+            if rec.top_feasible != self.node_id:
                 raise InvariantError(
                     f"record r{rec.request_id} stranded at s{self.node_id}: "
                     "feasible set is not a contiguous path prefix"
@@ -767,17 +761,16 @@ class ProtocolNode:
 
         Every pending id is of an active request: it came from the
         unassigned backlog, and the engine's purge of a departed or failed
-        request drops it from ``pd_pending``.  So only a request placed
-        meanwhile is skipped."""
+        request drops it from ``pd_pending``.  Its record is still in that
+        backlog unless the request was placed meanwhile, which is skipped:
+        every other way out of the backlog is that purge."""
         pending, self.pd_pending = self.pd_pending, {}
         requests = self.requests
         problematic: list[Record] = []
         for rid in pending:
             if requests[rid].state == "placed":
                 continue
-            rec = self.not_assigned.get(rid)
-            if rec is None:
-                continue
+            rec = self.not_assigned[rid]
             units = self.demand.get(rec.class_id)
             if units is None:
                 raise InvariantError(f"stuck r{rid} is not hostable at s{self.node_id}")
@@ -898,9 +891,9 @@ class ProtocolNode:
         return ids
 
     def _hosting_pass(self) -> tuple[list[Record], int]:
-        """The session records that fit here, in order (own and stale ones
-        skipped), and the deficit left once they are hosted."""
-        session = self._session()
+        """The open session's records that fit here, in order (own and
+        stale ones skipped), and the deficit left once they are hosted."""
+        session = self.pd_session
         # Only capacity that reappears at the initiator counts: moving an
         # unplaced or initiator-held service away from there shrinks the
         # deficit; shuffling a relay's own services does not.
@@ -924,33 +917,27 @@ class ProtocolNode:
                 deficit -= rec.beta_at_initiator
         return fits, deficit
 
-    def _push_down_satisfied(self) -> bool:
-        """Would hosting what fits here already clear the deficit?"""
-        session = self._session()
-        return session.deficit <= 0 or self._hosting_pass()[1] <= 0
-
-    def _offer_for(self, child: DatacenterId) -> list[Record]:
-        """The session records still in play whose reach runs through
-        this node and ``child`` (sorted out when the session opened)."""
-        session = self._session()
-        records = session.records
-        return [r for r in session.by_child.get(child, ()) if r.request_id in records]
-
     def _continue_push_down(self) -> None:
-        """Advance the depth-first walk: next child offer, or wrap up."""
-        session = self._session()
+        """Advance the open session's depth-first walk: offer the next
+        child the records still in play whose reach runs through this node
+        and that child (sorted out when the session opened), or wrap up
+        once hosting what fits here would clear the deficit."""
+        session = self.pd_session
+        records = session.records
         if session.awaiting is not None:
             raise InvariantError(
                 f"push-down at s{self.node_id} resumed while its offer to "
                 f"s{session.awaiting} is unanswered"
             )
         while session.pending_children:
-            if self._push_down_satisfied():
+            if session.deficit <= 0 or self._hosting_pass()[1] <= 0:
                 self.world.log(self.node_id, "pd break")
                 session.pending_children.clear()
                 break
             child = session.pending_children.pop(0)
-            offer = self._offer_for(child)
+            offer = [
+                r for r in session.by_child.get(child, ()) if r.request_id in records
+            ]
             if not offer:
                 continue
             session.awaiting = child
@@ -996,8 +983,9 @@ class ProtocolNode:
         self._continue_push_down()
 
     def _finish_push_down(self) -> None:
-        """Local hosting pass, ack the caller, then the fallback epilogue."""
-        session = self._session()
+        """Local hosting pass, ack the caller, then the fallback epilogue;
+        the session is open."""
+        session = self.pd_session
         hosted, session.deficit = self._hosting_pass()
         for rec in hosted:
             self.world.log(self.node_id, "pd host r%d", rec.request_id)

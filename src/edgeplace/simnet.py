@@ -184,7 +184,8 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
     """Read a user trace from CSV (columns: time, user, poa, class).
 
     A user's first row is an arrival and must carry a class id; later rows
-    are movements, and a PoA of ``OUT`` is a departure.  Rows must be in
+    are movements, and a PoA of ``OUT`` is a departure, which must be the
+    user's last row and cannot be its first.  Rows must be in
     non-decreasing time order and have as many fields as the header; blank
     lines are skipped.  The file is UTF-8, with or without the byte-order
     mark that spreadsheets write.  A bad row, a bad header, a byte that is
@@ -193,6 +194,7 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
     """
     events: list[TraceEvent] = []
     seen: set[int] = set()
+    departed: set[int] = set()
     last_time = float("-inf")
     data = Path(path).read_bytes()
     try:
@@ -225,8 +227,13 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
                 raise ValueError(f"not time-sorted at t={time}")
             last_time = time
             user = int(row[at_user])
+            if user in departed:
+                raise ValueError(f"user {user} has a row after departing")
             poa_field = row[at_poa].strip()
             if poa_field == DEPARTED_POA:
+                if user not in seen:
+                    raise ValueError(f"departure of user {user}, who has not arrived")
+                departed.add(user)
                 events.append(TraceEvent(time, user, "depart"))
                 continue
             poa = int(poa_field)

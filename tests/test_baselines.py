@@ -26,6 +26,7 @@ from edgeplace.baselines import (
 )
 from edgeplace.model import (
     CostModel,
+    InvariantError,
     ServiceClass,
     Topology,
     build_tree,
@@ -484,6 +485,21 @@ def test_exact_rejects_service_with_no_usable_level() -> None:
     )
     decision = exact_optimal(problem)
     assert not decision.solved and decision.placement == {}
+
+
+@pytest.mark.parametrize("name", ["ffit", "bupu", "cpvnf", "multiscaler"])
+def test_a_heuristic_refuses_a_host_at_a_level_that_cannot_host_it(name: str) -> None:
+    topo = build_tree(levels=2, arity=2, leaf_capacity=3)
+    leafbound = ServiceClass(class_id=0, name="leafy", max_delay=1.0, cpu_demand={0: 1})
+    problem = problem_of(
+        topo,
+        [svc(1, 1, (1,), current_host=0)],
+        classes={0: leafbound},
+        prices={0: {0: 1.0}},
+    )
+    with pytest.raises(InvariantError) as raised:
+        ALGORITHMS[name](problem)
+    assert str(raised.value) == "r1 at s0, a level that cannot host it"
 
 
 def test_exact_populates_stats() -> None:
@@ -991,7 +1007,8 @@ def test_min_cpu_search_raises_without_an_upper_bound() -> None:
         probes.append(capacity)
         return False
 
-    with pytest.raises(NoUpperBoundError):
+    with pytest.raises(NoUpperBoundError) as raised:
         min_cpu_binary_search(never)
+    assert raised.value.verdict is None  # no run to blame
     # the fixed bracket: doubling from 8, giving up past 2**20
     assert probes == [8 << k for k in range(18)]

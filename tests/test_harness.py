@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -509,11 +510,21 @@ def test_min_cpu_for_rejects_unknown_family() -> None:
 def test_cli_min_cpu_names_the_verdict_when_the_event_budget_runs_out(
     capsys: pytest.CaptureFixture, algo: str, budget: int
 ) -> None:
-    # a budget of 55 events is enough for dapp's answer of 170
-    assert main(["min-cpu", "--algo", algo, "--budget", str(budget)]) == 1
+    # a budget of 55 events is enough for dapp's answer of 170; a search
+    # that gives up on a diverged run exits 2, as a diverged run does
+    assert main(["min-cpu", "--algo", algo, "--budget", str(budget)]) == 2
     assert capsys.readouterr().err == (
         "error: the search gave up at leaf capacity 1048576, whose run read "
         f"diverged with an event budget of {budget}\n"
+    )
+
+
+def test_cli_sweep_overhead_exits_2_when_a_sizing_run_diverges(capsys) -> None:
+    argv = ["sweep-overhead", "--budget", "10", "--p-rt", "0.5", "--t-ad", "1e-4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the search gave up at leaf capacity 1048576, whose run read "
+        "diverged with an event budget of 10\n"
     )
 
 
@@ -974,6 +985,28 @@ def test_cli_run_refuses_a_trace_time_below_zero(tmp_path: Path, capsys) -> None
     )
 
 
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        ("0.0,1,3,0\n0.5,1,OUT,\n1.0,1,4,\n", 4, "user 1 has a row after departing"),
+        ("0.0,1,3,0\n0.5,2,OUT,\n", 3, "departure of user 2, who has not arrived"),
+    ],
+    ids=["row-after-departure", "departure-before-arrival"],
+)
+def test_cli_run_refuses_a_departure_out_of_place(
+    tmp_path: Path, capsys, rows: str, line: int, message: str
+) -> None:
+    # the row would reach the engine as an event of an inactive user, which
+    # it ignores, so the run would read ok
+    trace_path = tmp_path / "back.csv"
+    trace_path.write_text("time,user,poa,class\n" + rows)
+    argv = ["run", "--scenario", "fig2", "--trace", str(trace_path)]
+    assert main([*argv, "--algo", "dapp,ffit", "--no-normalize"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: trace {trace_path} line {line}: {message}\n"
+
+
 #: A trace whose second arrival lies far in the future.
 FAR_FUTURE_TRACE = "time,user,poa,class\n0,1,3,0\n1e308,2,4,0\n"
 
@@ -1321,6 +1354,31 @@ def test_cli_sweep_overhead_exits_2_when_a_point_fails(capsys) -> None:
     assert code == 2
     assert len(lines) == 2
     assert lines[1].startswith("0.500000,0.000100,1,1,failure,")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["replay", "fig2"], 0, "out", "replay fig2: PASS"),
+        (["run", "--seeds", "0"], 1, "err", "error: --seeds must be at least 1"),
+    ],
+    ids=["success", "configuration-error"],
+)
+def test_python_m_edgeplace_exits_with_the_cli_code(
+    monkeypatch: pytest.MonkeyPatch,
+    capsys,
+    argv: list[str],
+    code: int,
+    stream: str,
+    text: str,
+) -> None:
+    monkeypatch.setattr(sys, "argv", ["edgeplace", *argv])
+    # a module imported before would run again, which runpy warns about
+    monkeypatch.delitem(sys.modules, "edgeplace.__main__", raising=False)
+    with pytest.raises(SystemExit) as raised:
+        runpy.run_module("edgeplace", run_name="__main__")
+    assert raised.value.code == code
+    assert getattr(capsys.readouterr(), stream).startswith(text)
 
 
 def test_cli_min_cpu(capsys) -> None:

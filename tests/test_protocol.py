@@ -793,7 +793,7 @@ def test_push_down_relevance_agrees_with_a_subtree_scan(data: st.DataObject) -> 
         assert node.pd_session is None
         return
     node._open_push_down(offered, topology.root, None, 10**6)
-    session = node._session()
+    session = node.pd_session
 
     def depart() -> None:
         in_play = sorted(session.records)
@@ -990,6 +990,76 @@ def test_on_timer_rejects_unknown_kind() -> None:
     node = make_node(world, 1)
     with pytest.raises(ValueError):
         node.on_timer("mystery")
+
+
+def _advert_from_elsewhere(node: ProtocolNode) -> None:
+    node.run_push_up([rec(1, (3, 1, 0), origin=5)])
+
+
+def _off_path_record(node: ProtocolNode) -> None:
+    node.available = 0
+    node.run_scan([rec(1, (4,))])
+
+
+def _unhostable_stuck_request(node: ProtocolNode) -> None:
+    node.not_assigned = keyed(rec(1, (3,), class_id=1))
+    node.pd_pending = dict.fromkeys([1])
+    node.start_push_down()
+
+
+def _resume_while_awaiting(node: ProtocolNode) -> None:
+    node.pd_session = PdSession(
+        node.node_id, None, 1, {}, [], awaiting=node.node_id + 1
+    )
+    node._continue_push_down()
+
+
+@pytest.mark.parametrize(
+    "node_id, corrupt, error, message",
+    [
+        (1, _advert_from_elsewhere, InvariantError, "node 5 is not below 1"),
+        (
+            3,
+            _off_path_record,
+            InvariantError,
+            "record r1 stranded at s3: feasible set is not a contiguous path prefix",
+        ),
+        (
+            3,
+            _unhostable_stuck_request,
+            InvariantError,
+            "stuck r1 is not hostable at s3",
+        ),
+        (
+            1,
+            _resume_while_awaiting,
+            InvariantError,
+            "push-down at s1 resumed while its offer to s2 is unanswered",
+        ),
+        (
+            1,
+            lambda node: node.on_message(3, PdAckMsg(initiator=1, deficit=0, acks=())),
+            InvariantError,
+            "unexpected push-down ack from s3 at s1",
+        ),
+        (
+            1,
+            lambda node: node.on_message(0, object()),
+            TypeError,
+            "unknown message object",
+        ),
+    ],
+    ids=[
+        "not-below", "stranded", "not-hostable", "resumed", "unexpected-ack", "unknown"
+    ],
+)
+def test_a_node_refuses_what_cannot_happen(
+    node_id: int, corrupt: Callable[[ProtocolNode], None], error: type, message: str
+) -> None:
+    node = make_node(FakeWorld(three_level()), node_id)
+    with pytest.raises(error) as raised:
+        corrupt(node)
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------

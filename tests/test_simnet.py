@@ -183,6 +183,11 @@ def test_an_active_service_leads_with_its_request_fields() -> None:
     assert ActiveService._fields[: len(Request._fields)] == Request._fields
 
 
+def test_message_bits_refuses_an_unknown_message() -> None:
+    with pytest.raises(TypeError, match="^unknown message object$"):
+        message_bits(object())
+
+
 def test_message_bits_matches_field_sum_oracle() -> None:
     rng = random.Random(3)
 
@@ -736,6 +741,33 @@ def test_an_arrival_at_an_epoch_instant_is_decided_by_that_epoch() -> None:
     ]
 
 
+def test_an_epoch_skips_a_placement_of_a_request_that_has_left() -> None:
+    # An algorithm passed to Simulator may name any request: the epoch
+    # commits only the active ones.
+    topo = build_tree(levels=2, arity=2, leaf_capacity=1)
+    costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 2.0, 1: 1.0}})
+
+    def stale(problem: EpochProblem) -> EpochDecision:
+        placement = dict(first_fit(problem).placement)
+        placement[1] = 1
+        return EpochDecision(placement=placement)
+
+    sim = Simulator(
+        _scenario(topo, {0: _unit_class()}, costs, {0: 0.001, 1: 0.002}),
+        algorithm=stale,
+    )
+    result = sim.run(
+        [
+            TraceEvent(0.25, 1, "arrive", 1, 0),
+            TraceEvent(0.5, 1, "depart"),
+            TraceEvent(1.0, 2, "arrive", 1, 0),
+        ]
+    )
+    assert result.verdict == "ok"
+    assert (sim.requests[1].state, sim.requests[1].host) == ("departed", None)
+    assert (sim.requests[2].state, sim.requests[2].host) == ("placed", 1)
+
+
 def test_trace_events_never_enter_the_heap() -> None:
     trace_handlers = {Simulator._on_arrive, Simulator._on_move, Simulator._on_depart}
 
@@ -776,6 +808,84 @@ def test_assert_invariants_catches_capacity_corruption() -> None:
     sim._capacity_used[3] = sim.topology.capacity(3) + 1
     with pytest.raises(AssertionError):
         sim.assert_invariants()
+
+
+def _served_at_the_root() -> Simulator:
+    """A protocol run whose one request, r1, is placed at the root, s0."""
+    sim = _world({})
+    sim.run([TraceEvent(0.0, 1, "arrive", 3, 0)])
+    assert (sim.requests[1].state, sim.requests[1].host) == ("placed", 0)
+    return sim
+
+
+def _book_one_more(sim: Simulator) -> None:
+    sim.nodes[0].placed[1] += 1
+    sim.commit_placement(1, 3)
+
+
+def _unhostable_leaf(sim: Simulator) -> None:
+    sim._units[0][3] = None
+    sim.commit_placement(1, 3)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_unhostable_leaf, "r1 placed at s3, a level that cannot host it"),
+        (_book_one_more, "release mismatch at s0 for r1: 2 booked, 1 expected"),
+    ],
+    ids=["cannot-host", "release-mismatch"],
+)
+def test_a_transition_refuses_a_corrupt_host(corrupt, message: str) -> None:
+    sim = _served_at_the_root()
+    with pytest.raises(InvariantError) as raised:
+        corrupt(sim)
+    assert str(raised.value) == message
+
+
+def _overbook(sim: Simulator) -> None:
+    node = sim.nodes[0]
+    node.capacity -= node.available + 1
+    node.available = -1
+
+
+def _place_twice(sim: Simulator) -> None:
+    node = sim.nodes[3]
+    node.placed[1] = 1
+    node.available -= 1
+
+
+def _drop_the_host(sim: Simulator) -> None:
+    sim._transition(sim.requests[1], "placed", None)
+
+
+def _leave_its_reach(sim: Simulator) -> None:
+    req = sim.requests[1]
+    req.request = req.request._replace(feasible=(3,))
+
+
+def _forget_the_placement(sim: Simulator) -> None:
+    sim.requests[1].state = "departed"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_overbook, "negative availability at s0"),
+        (_place_twice, "r1 placed twice"),
+        (_drop_the_host, "r1 placed without a host"),
+        (lambda sim: sim.nodes[0].release(1), "r1 host mismatch"),
+        (_leave_its_reach, "r1 placed at s0, outside its reach"),
+        (_forget_the_placement, "r1 placed but not recorded"),
+    ],
+    ids=["negative", "twice", "no-host", "mismatch", "reach", "not-recorded"],
+)
+def test_assert_invariants_names_each_corruption(corrupt, message: str) -> None:
+    sim = _served_at_the_root()
+    corrupt(sim)
+    with pytest.raises(InvariantError) as raised:
+        sim.assert_invariants()
+    assert str(raised.value) == message
 
 
 _CORRUPT_CAPACITY = """
@@ -1270,7 +1380,7 @@ def test_cached_offers_equal_offers_built_afresh(monkeypatch) -> None:
         before = dict(self.hosted_offers)
         afresh = _offers_built_afresh(self)
         ids = open_push_down(self, *args)
-        records = self._session().records
+        records = self.pd_session.records
         assert [records[r.request_id] for r in afresh] == afresh
         for rec in afresh:
             if rec.current_host == self.node_id:
@@ -1444,7 +1554,7 @@ def _check_routing(scenario: Scenario) -> tuple[int, int]:
     def checked_open(node: ProtocolNode, *args: object) -> tuple[int, ...]:
         nonlocal below
         ids = open_push_down(node, *args)
-        session = node._session()
+        session = node.pd_session
         here = node.node_id
         expected: dict[int, list[int]] = {}
         for rid, rec in session.records.items():

@@ -1,11 +1,13 @@
 """Smoke tests of the scripts under ``tools/``, which compare two checkouts
 for byte-identical replays (``replay_digests.py``) and for CPU time, summed
-and per run (``ab_cpu.py``), and count code lines (``code_lines.py``)."""
+and per run (``ab_cpu.py``), count code lines (``code_lines.py``) and list
+the package lines no test runs (``line_census.py``)."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +109,19 @@ def test_ab_cpu_prints_each_search_beside_the_sum() -> None:
         assert 0 < run["a_q1"] <= run["a_median"]
         assert 0 < run["b_q1"] <= run["b_median"]
         assert 0 <= run["b_wins"] <= 2 and run["median_ratio"] > 0
+
+
+def test_line_census_lists_the_lines_one_test_module_leaves_unrun() -> None:
+    proc = _run_tool("line_census.py", str(TOOLS.parent / "tests" / "test_api.py"))
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    pattern = re.compile(r"edgeplace/\w+\.py:\d+: (never ran|exempt): \S.*")
+    assert [line for line in lines if not pattern.fullmatch(line)] == []
+    # no test of the module runs the package as a program
+    assert "edgeplace/__main__.py:6: never ran: raise SystemExit(main())" in lines
+    exempt = [line for line in lines if ": exempt: " in line]
+    assert [line.split(":")[0] for line in exempt] == [
+        "edgeplace/model.py",
+        "edgeplace/protocol.py",
+        "edgeplace/simnet.py",
+    ]
