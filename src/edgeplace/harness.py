@@ -68,9 +68,13 @@ def build_simulator(
     algorithm.
 
     ``first_solution`` makes the ``exact`` lane stop at its first feasible
-    placement instead of optimising it (see ``exact_optimal``); the other
-    lanes ignore it.
+    placement instead of optimising it (see ``exact_optimal``), and
+    ``bnb_budget`` is that search's node budget; the other lanes ignore
+    both.  A negative ``bnb_budget`` or ``event_budget`` is a ValueError in
+    every lane.
     """
+    if bnb_budget < 0:
+        raise ValueError(f"the node budget must be >= 0, not {bnb_budget}")
     if algo == "dapp":
         algorithm = None
     elif algo == "exact":

@@ -15,7 +15,7 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, NoReturn, Sequence, get_type_hints
+from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 
 from .model import CostModel, ServiceClass, Topology, build_tree
 from .protocol import ProtocolTiming
@@ -249,7 +249,7 @@ def synthesize_trace(
     if not math.isfinite(horizon):
         raise ValueError(f"the horizon must be finite, not {horizon}")
     hops = 0.0 if move_period is None else max(horizon, 0.0) / HOP_GAP
-    if users * (2 + hops) > MAX_TRACE_EVENTS:
+    if users > MAX_TRACE_EVENTS / (2 + hops):  # no float of an int too large
         raise ValueError(
             f"{users} users over a horizon of {horizon} s may draw more than "
             f"{MAX_TRACE_EVENTS} trace events"
@@ -428,18 +428,53 @@ _JSON_TYPES = {
     float: "a number",
     bool: "true or false",
     str: "a string",
+    dict: "an object",
+    list: "an array",
 }
 
 
 def _read(value: Any, kind: Any, key: str, path: Path) -> Any:
-    """``value``, the config's ``key``, read as ``kind``: an int must be a
-    JSON integer and a bool ``true`` or ``false``; a float may be any JSON
-    number a float can hold, and a ``float | None`` also ``null``.
-    Anything else is a ValueError naming the file and the key."""
+    """``value``, the config's ``key``, read as ``kind``, or a ValueError
+    naming the file and the key.
+
+    A ``{key: kind}`` table is an object holding only the table's keys,
+    each read as its kind (``key`` is empty for the top level, whose keys
+    the message names without a prefix); ``dict[int, X]`` is an object
+    keyed by level or node id, with values read as ``X``; ``list[X]`` is an
+    array of ``X``.  An int must be a JSON integer and a bool ``true`` or
+    ``false``; a float may be any JSON number a float can hold, and a
+    ``float | None`` also ``null``."""
+    if type(kind) is dict:
+        block = key or "top-level"
+        if type(value) is not dict:
+            raise ValueError(f"config {path}: the {block!r} block must be an object")
+        unknown = sorted(set(value).difference(kind))
+        if unknown:
+            raise ValueError(
+                f"config {path}: unknown key(s) {', '.join(unknown)} in the {block!r} "
+                f"block (allowed: {', '.join(kind)})"
+            )
+        prefix = f"{key}." if key else ""
+        return {k: _read(v, kind[k], prefix + k, path) for k, v in value.items()}
     if kind == float | None:
         if value is None:
             return None
         kind = float
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
+        items = _read(value, list, key, path)
+        return [_read(v, args[0], f"{key}[{i}]", path) for i, v in enumerate(items)]
+    if origin is dict:
+        keyed = {}
+        for name, v in _read(value, dict, key, path).items():
+            try:
+                number = int(name)
+            except ValueError:
+                raise ValueError(
+                    f"config {path}: {key} has key {name!r}, not an integer"
+                ) from None
+            keyed[number] = _read(v, args[1], f"{key}.{name}", path)
+        return keyed
     if kind is float and type(value) is int:
         if abs(value) > sys.float_info.max:
             raise ValueError(f"config {path}: {key} is too large for a float")
@@ -451,77 +486,29 @@ def _read(value: Any, kind: Any, key: str, path: Path) -> Any:
     return value
 
 
-def _read_keyed(
-    block: Mapping[str, Any], kind: type, key: str, path: Path
-) -> dict[int, Any]:
-    """A JSON object keyed by level or node id, its values read as ``kind``."""
-    out = {}
-    for name, value in block.items():
-        try:
-            number = int(name)
-        except ValueError:
-            raise ValueError(
-                f"config {path}: {key} has key {name!r}, not an integer"
-            ) from None
-        out[number] = _read(value, kind, f"{key}.{name}", path)
-    return out
-
-
-def _class_from_config(entry: Mapping[str, Any], path: Path) -> ServiceClass:
-    class_id = _read(entry["class_id"], int, "classes.class_id", path)
-    where = f"classes[{class_id}]"
-    _block(entry, where, _CLASS_KEYS, path)
-    return ServiceClass(
-        class_id=class_id,
-        name=_read(entry.get("name", f"class{class_id}"), str, f"{where}.name", path),
-        max_delay=_read(entry["max_delay"], float, f"{where}.max_delay", path),
-        cpu_demand=_read_keyed(entry["cpu_demand"], int, f"{where}.cpu_demand", path),
-    )
-
-
-#: The keys a config may hold at the top level, in its ``tree`` and in
-#: each entry of its ``classes``.
-_TOP_KEYS = (
-    "name", "tree", "classes", "rtt_by_level", "per_bit_cost", "timing", "link",
-    "trace", "synth",
-)
-_TREE_KEYS = ("levels", "arity", "leaf_capacity", "capacity_overrides", "prune")
-_CLASS_KEYS = (
-    "class_id", "name", "max_delay", "cpu_demand", "migration_cost", "placement_cost",
-)
-
-#: The keys a config's ``synth`` block may set, the arguments of
-#: :func:`synthesize_trace` after the topology, and the type of each.
+#: The keys a config's ``tree``, each entry of its ``classes`` and its
+#: ``synth`` block may hold, and the type of each; the ``synth`` keys are
+#: the arguments of :func:`synthesize_trace` after the topology.
+_TREE_TYPES = {
+    "levels": int, "arity": int, "leaf_capacity": int,
+    "capacity_overrides": dict[int, int], "prune": list[int],
+}
+_CLASS_TYPES = {
+    "class_id": int, "name": str, "max_delay": float, "cpu_demand": dict[int, int],
+    "migration_cost": float, "placement_cost": dict[int, float],
+}
 _SYNTH_TYPES = {
     name: kind
     for name, kind in get_type_hints(synthesize_trace).items()
     if name not in ("topology", "return")
 }
-
-
-def _block(
-    block: Any, name: str, allowed: Sequence[str], path: Path
-) -> dict[str, Any]:
-    """``block``, the config's object ``name``; a key outside ``allowed``
-    is an error, so a typo is not silently ignored."""
-    if not isinstance(block, dict):
-        raise ValueError(f"config {path}: the {name!r} block must be an object")
-    unknown = sorted(set(block).difference(allowed))
-    if unknown:
-        raise ValueError(
-            f"config {path}: unknown key(s) {', '.join(unknown)} in the {name!r} "
-            f"block (allowed: {', '.join(allowed)})"
-        )
-    return dict(block)
-
-
-def _typed_block(
-    cfg: Mapping[str, Any], name: str, kinds: Mapping[str, Any], path: Path
-) -> dict[str, Any]:
-    """The config's ``name`` block (empty when absent), each value read as
-    its key's type in ``kinds``, whose keys are the ones allowed."""
-    block = _block(cfg.get(name, {}), name, list(kinds), path)
-    return {k: _read(v, kinds[k], f"{name}.{k}", path) for k, v in block.items()}
+#: The keys a config may hold at the top level, and the type of each.
+_TOP_TYPES = {
+    "name": str, "tree": _TREE_TYPES, "classes": list[_CLASS_TYPES],
+    "rtt_by_level": dict[int, float], "per_bit_cost": float,
+    "timing": get_type_hints(ProtocolTiming), "link": get_type_hints(LinkModel),
+    "trace": str, "synth": _SYNTH_TYPES,
+}
 
 
 def check_trace(scenario: Scenario, source: str) -> None:
@@ -554,10 +541,12 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
     The file must be UTF-8 JSON, with or without a byte-order mark, whose
     numbers are JSON numbers: ``NaN``, ``Infinity`` and ``-Infinity`` are
     refused.  Text that is not UTF-8, not JSON or nested too deep to read,
-    a missing key, a key the loader does not know (in any object) and a
-    value of the wrong JSON type are each a ValueError naming the file.  A
-    value that the tree, a class, the timing, the link or
-    :func:`synthesize_trace` refuses is a ValueError with their message.
+    a missing key, a key the loader does not know (in any object), a value
+    of the wrong JSON type and a round-trip time that is not finite and at
+    least 0 are each a ValueError naming the file, and the key or block
+    when there is one.  A value that the tree, a class, the timing, the
+    link or :func:`synthesize_trace` refuses is a ValueError with their
+    message.
     """
     path = Path(path)
     try:
@@ -570,44 +559,41 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
         scenario = _config_scenario(cfg, path, seed)
     except KeyError as missing:
         raise ValueError(f"config {path} lacks required key {missing}") from None
-    except (AttributeError, TypeError) as err:
-        raise ValueError(f"config {path}: a value has the wrong type ({err})") from None
     check_trace(scenario, f"config {path}")
     return scenario
 
 
 def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
-    """The scenario a parsed config describes; see :func:`load_config`."""
-    cfg = _block(cfg, "top-level", _TOP_KEYS, path)
-    tree = _block(cfg["tree"], "tree", _TREE_KEYS, path)
+    """The scenario a parsed config describes; see :func:`load_config`.
+    Every value is read by its key's type before it is used, so a required
+    key is indexed only after the read, and its absence is a KeyError."""
+    cfg = _read(cfg, _TOP_TYPES, "", path)
+    tree = cfg["tree"]
     topology = build_tree(
-        levels=_read(tree["levels"], int, "tree.levels", path),
-        arity=_read(tree["arity"], int, "tree.arity", path),
-        leaf_capacity=_read(tree["leaf_capacity"], int, "tree.leaf_capacity", path),
-        capacity_overrides=_read_keyed(
-            tree.get("capacity_overrides", {}), int, "tree.capacity_overrides", path
-        ),
-        prune=tuple(_read(n, int, "tree.prune", path) for n in tree.get("prune", ())),
+        tree["levels"], tree["arity"], tree["leaf_capacity"],
+        tree.get("capacity_overrides"), tuple(tree.get("prune", ())),
     )
     classes = {}
     migration_cost = {}
     placement_cost = {}
     for entry in cfg["classes"]:
-        klass = _class_from_config(entry, path)
-        where = f"classes[{klass.class_id}]"
-        classes[klass.class_id] = klass
-        migration_cost[klass.class_id] = _read(
-            entry["migration_cost"], float, f"{where}.migration_cost", path
-        )
-        placement_cost[klass.class_id] = _read_keyed(
-            entry["placement_cost"], float, f"{where}.placement_cost", path
-        )
+        cid = entry["class_id"]
+        name = entry.get("name", f"class{cid}")
+        classes[cid] = ServiceClass(cid, name, entry["max_delay"], entry["cpu_demand"])
+        migration_cost[cid] = entry["migration_cost"]
+        placement_cost[cid] = entry["placement_cost"]
     costs = CostModel(
         migration_cost=migration_cost,
         placement_cost=placement_cost,
-        per_bit_cost=_read(cfg.get("per_bit_cost", 0.0), float, "per_bit_cost", path),
+        per_bit_cost=cfg.get("per_bit_cost", 0.0),
     )
-    rtt = _read_keyed(cfg["rtt_by_level"], float, "rtt_by_level", path)
+    rtt = cfg["rtt_by_level"]
+    for level, seconds in rtt.items():
+        if not 0 <= seconds < math.inf:
+            raise ValueError(
+                f"config {path}: rtt_by_level.{level} must be finite and >= 0, "
+                f"not {seconds}"
+            )
     tree_levels = {topology.level(n) for n in topology.nodes}
     for cid, klass in classes.items():
         for level in sorted(tree_levels.intersection(klass.cpu_demand)):
@@ -616,14 +602,10 @@ def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
                     f"config {path}: class {cid} can be hosted at level {level}, "
                     "but its placement_cost has no price for that level"
                 )
-    timing = ProtocolTiming(
-        **_typed_block(cfg, "timing", get_type_hints(ProtocolTiming), path)
-    )
-    link = LinkModel(**_typed_block(cfg, "link", get_type_hints(LinkModel), path))
     if "trace" in cfg:
-        trace = tuple(load_trace(path.parent / _read(cfg["trace"], str, "trace", path)))
+        trace = tuple(load_trace(path.parent / cfg["trace"]))
     elif "synth" in cfg:
-        synth = _typed_block(cfg, "synth", _SYNTH_TYPES, path)
+        synth = cfg["synth"]
         trace = synthesize_trace(
             topology,
             seed=synth.pop("seed", seed),
@@ -634,13 +616,12 @@ def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
     else:
         trace = ()
     return Scenario(
-        name=_read(cfg.get("name", path.stem), str, "name", path),
+        name=cfg.get("name", path.stem),
         topology=topology,
         classes=classes,
         costs=costs,
         rtt_by_level=rtt,
         trace=trace,
-        timing=timing,
-        link=link,
+        timing=ProtocolTiming(**cfg.get("timing", {})),
+        link=LinkModel(**cfg.get("link", {})),
     )
-

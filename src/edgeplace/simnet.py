@@ -185,15 +185,15 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
 
     A user's first row is an arrival and must carry a class id; later rows
     are movements, and a PoA of ``OUT`` is a departure, which must be the
-    user's last row and cannot be its first.  Rows must be in
-    non-decreasing time order and have as many fields as the header; blank
-    lines are skipped.  The file is UTF-8, with or without the byte-order
-    mark that spreadsheets write.  A bad row, a bad header, a byte that is
-    not UTF-8 or text that is not CSV raises ``ValueError`` naming the file
-    and the line.
+    user's last row and cannot be its first (:func:`_check_user_order`).
+    Rows must be in non-decreasing time order and have as many fields as
+    the header; blank lines are skipped.  The file is UTF-8, with or
+    without the byte-order mark that spreadsheets write.  A bad row, a bad
+    header, a byte that is not UTF-8 or text that is not CSV raises
+    ``ValueError`` naming the file and the line.
     """
     events: list[TraceEvent] = []
-    seen: set[int] = set()
+    arrived: set[int] = set()
     departed: set[int] = set()
     last_time = float("-inf")
     data = Path(path).read_bytes()
@@ -227,49 +227,69 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
                 raise ValueError(f"not time-sorted at t={time}")
             last_time = time
             user = int(row[at_user])
-            if user in departed:
-                raise ValueError(f"user {user} has a row after departing")
             poa_field = row[at_poa].strip()
+            kind = "move" if user in arrived else "arrive"
             if poa_field == DEPARTED_POA:
-                if user not in seen:
-                    raise ValueError(f"departure of user {user}, who has not arrived")
-                departed.add(user)
-                events.append(TraceEvent(time, user, "depart"))
+                kind = "depart"
+            _check_user_order(user, kind, arrived, departed)
+            if kind == "depart":
+                events.append(TraceEvent(time, user, kind))
                 continue
             poa = int(poa_field)
-            if user in seen:
-                events.append(TraceEvent(time, user, "move", poa))
+            if kind == "move":
+                events.append(TraceEvent(time, user, kind, poa))
             else:
-                seen.add(user)
                 class_field = "" if at_class is None else row[at_class].strip()
                 if not class_field:
                     raise ValueError(f"arrival of user {user} lacks a class id")
-                events.append(TraceEvent(time, user, "arrive", poa, int(class_field)))
+                events.append(TraceEvent(time, user, kind, poa, int(class_field)))
     except (ValueError, csv.Error) as err:
         line = max(reader.line_num, 1)
         raise ValueError(f"trace {path} line {line}: {err}") from err
     return events
 
 
+def _check_user_order(
+    user: int, kind: str, arrived: set[int], departed: set[int]
+) -> None:
+    """Raise ValueError when an event of ``kind`` by ``user`` is out of
+    place after the users in ``arrived`` and ``departed``, and add the user
+    to the set its event joins: a user's first event is its one arrival,
+    and its departure is its last event."""
+    if user in departed:
+        raise ValueError(f"user {user} has an event after departing")
+    if kind == "arrive":
+        if user in arrived:
+            raise ValueError(f"user {user} arrived twice")
+        arrived.add(user)
+    elif user not in arrived:
+        event = "departure" if kind == "depart" else "move"
+        raise ValueError(f"{event} of user {user}, who has not arrived")
+    elif kind == "depart":
+        departed.add(user)
+
+
 def check_trace_events(
     trace: Sequence[TraceEvent],
     classes: Mapping[int, ServiceClass],
     leaves: Collection[DatacenterId],
-) -> None:
-    """Raise ValueError at the first event of ``trace`` that breaks a rule
-    of a valid trace, whatever the world it runs in beyond its classes and
+) -> list[TraceEvent]:
+    """``trace`` sorted stably by time, the order a run takes its events,
+    or a ValueError at the first event in that order that breaks a rule of
+    a valid trace, whatever the world it runs in beyond its classes and
     leaves.  Each event has a finite time of at least 0 and a kind of
     ``arrive``, ``move`` or ``depart``; an arrival has a PoA and a class,
     and a move a PoA; an arrival's class is in ``classes``; an arrival's or
-    a move's PoA is in ``leaves``; and a user arrives at most once."""
+    a move's PoA is in ``leaves``; and a user's first event is its one
+    arrival, and its departure its last event (:func:`_check_user_order`)."""
+    ordered = sorted(trace, key=itemgetter(0))
     arrived: set[int] = set()
-    for time, user, kind, poa, class_id in trace:
+    departed: set[int] = set()
+    for time, user, kind, poa, class_id in ordered:
         if not math.isfinite(time):
             raise ValueError(f"trace has an event at time {time}, which is not finite")
         if time < 0:
             raise ValueError(f"trace has an event at time {time}, before time 0")
-        if kind == "depart":
-            continue
         if kind == "arrive":
             if poa is None or class_id is None:
                 raise ValueError(f"arrival of user {user} lacks a PoA or class")
@@ -278,18 +298,17 @@ def check_trace_events(
                     f"trace uses class {class_id}, which the scenario does not "
                     f"define (classes: {sorted(classes)})"
                 )
-            if user in arrived:
-                raise ValueError(f"user {user} arrived twice")
-            arrived.add(user)
-        elif kind != "move":
+        elif kind not in ("move", "depart"):
             raise ValueError(f"unknown trace event {kind!r}")
-        elif poa is None:
+        elif kind == "move" and poa is None:
             raise ValueError(f"move of user {user} lacks a PoA")
-        if poa not in leaves:
+        _check_user_order(user, kind, arrived, departed)
+        if kind != "depart" and poa not in leaves:
             raise ValueError(
                 f"trace names PoA {poa}, which is not a leaf of the "
                 f"scenario's tree"
             )
+    return ordered
 
 
 @dataclass
@@ -561,8 +580,9 @@ class Simulator:
 
     It runs one :class:`~.scenarios.Scenario`: its tree, classes, prices,
     RTTs, protocol timing and link.  ``algorithm`` picks the lane, and a
-    run stops after ``event_budget`` events; ``run`` takes the trace, which
-    may differ from the scenario's own, and may be called once.
+    run stops after ``event_budget`` events, which must not be negative (a
+    ValueError); ``run`` takes the trace, which may differ from the
+    scenario's own, and may be called once.
     """
 
     EPOCH_PERIOD = 1.0
@@ -574,6 +594,8 @@ class Simulator:
         event_budget: int = EVENT_BUDGET,
         check_invariants: bool = False,
     ) -> None:
+        if event_budget < 0:
+            raise ValueError(f"the event budget must be >= 0, not {event_budget}")
         #: the world this simulator runs, with its own copies of the class
         #: and RTT dicts, so a caller's later edits reach neither the run
         #: nor its replay
@@ -778,12 +800,13 @@ class Simulator:
         self.nodes[request.poa].buffer_scan_input([rec])
 
     def _on_move(self, user: int, poa: DatacenterId, _class_id: None) -> None:
-        """``user`` moves to ``poa``, in the class it arrived in; a move of
-        a user who is not active is ignored.  The new reach is not empty:
-        every PoA is a level-0 leaf, so a class's reach is empty at one PoA
-        exactly when it is empty at all of them."""
-        req = self.requests.get(user)
-        if req is None or req.state not in ACTIVE_STATES:
+        """``user`` moves to ``poa``, in the class it arrived in; the trace
+        passed :meth:`_trace_cursor`, so the user has arrived and not left,
+        and a move of a user whose request failed is ignored.  The new
+        reach is not empty: every PoA is a level-0 leaf, so a class's reach
+        is empty at one PoA exactly when it is empty at all of them."""
+        req = self.requests[user]
+        if req.state not in ACTIVE_STATES:
             return
         class_id = req.request.class_id
         feasible = self._feasible_for(poa, class_id)
@@ -808,10 +831,11 @@ class Simulator:
             self._issue(req)
 
     def _on_depart(self, user: int, _poa: None, _class_id: None) -> None:
-        """``user`` leaves; a departure of a user who is not active is
-        ignored."""
-        req = self.requests.get(user)
-        if req is None or req.state not in ACTIVE_STATES:
+        """``user`` leaves; the trace passed :meth:`_trace_cursor`, so the
+        user has arrived and not left, and a departure of a user whose
+        request failed is ignored."""
+        req = self.requests[user]
+        if req.state not in ACTIVE_STATES:
             return
         self._transition(req, "departed", None)
         self.log(req.request.poa, "depart r%d", user)
@@ -885,13 +909,13 @@ class Simulator:
         self, trace: Sequence[TraceEvent]
     ) -> list[tuple[float, Callable[..., None], tuple]]:
         """Every trace event as ``(time, handler, (user, poa, class_id))``,
-        latest first: sorted stably by time, so events at one instant keep
-        their trace order, then reversed, so the next one is popped off the
-        end.  Before any event runs, the trace must pass
-        :func:`check_trace_events`, and every arrival must have a reach
-        that is not empty, so a bad trace stops the run before its first
+        latest first: sorted stably by time by :func:`check_trace_events`,
+        so events at one instant keep their trace order, then reversed, so
+        the next one is popped off the end.  Before any event runs, the
+        trace must pass that gate, and every arrival must have a reach that
+        is not empty, so a bad trace stops the run before its first
         event."""
-        check_trace_events(trace, self.classes, frozenset(self.topology.leaves))
+        trace = check_trace_events(trace, self.classes, frozenset(self.topology.leaves))
         handlers = {
             "arrive": self._on_arrive,
             "move": self._on_move,
@@ -904,7 +928,6 @@ class Simulator:
                     f"user {user} (class {class_id}) has no feasible datacenter at s{poa}"
                 )
             entries.append((time, handlers[kind], (user, poa, class_id)))
-        entries.sort(key=itemgetter(0))
         entries.reverse()
         return entries
 

@@ -528,6 +528,34 @@ def test_cli_sweep_overhead_exits_2_when_a_sizing_run_diverges(capsys) -> None:
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--scenario", "fig2", "--no-normalize", "--budget", "-5"],
+         "the event budget must be >= 0, not -5"),
+        (["run", "--scenario", "fig2", "--algo", "exact", "--no-normalize",
+          "--bnb-budget", "-3"], "the node budget must be >= 0, not -3"),
+        (["min-cpu", "--algo", "dapp", "--budget", "-1"],
+         "the event budget must be >= 0, not -1"),
+        (["min-cpu", "--algo", "exact", "--bnb-budget", "-1"],
+         "the node budget must be >= 0, not -1"),
+        (["sweep-overhead", "--budget", "-1", "--p-rt", "0.5", "--t-ad", "1e-4"],
+         "the event budget must be >= 0, not -1"),
+    ],
+    ids=["run-events", "run-nodes", "min-cpu-events", "min-cpu-nodes",
+         "sweep-overhead-events"],
+)
+def test_cli_refuses_a_negative_budget(
+    capsys: pytest.CaptureFixture, argv: list[str], message: str
+) -> None:
+    # once, a negative event budget read as a run that diverged at once and
+    # a negative node budget as a budget of 0
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_min_cpu_blames_capacity_when_the_slot_count_refused_the_last_probe(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
 ) -> None:
@@ -988,7 +1016,7 @@ def test_cli_run_refuses_a_trace_time_below_zero(tmp_path: Path, capsys) -> None
 @pytest.mark.parametrize(
     "rows, line, message",
     [
-        ("0.0,1,3,0\n0.5,1,OUT,\n1.0,1,4,\n", 4, "user 1 has a row after departing"),
+        ("0.0,1,3,0\n0.5,1,OUT,\n1.0,1,4,\n", 4, "user 1 has an event after departing"),
         ("0.0,1,3,0\n0.5,2,OUT,\n", 3, "departure of user 2, who has not arrived"),
     ],
     ids=["row-after-departure", "departure-before-arrival"],

@@ -557,6 +557,148 @@ def test_load_config_rejects_a_block_that_is_not_an_object(
         load_config(path)
 
 
+def _full_config() -> dict:
+    """A config that sets every key a config may hold but ``trace``."""
+    cfg = _base_config()
+    cfg["name"] = "full"
+    cfg["tree"]["prune"] = [2]
+    cfg["timing"] = {
+        "scan_window": 2e-4, "push_down_window": 4e-4, "fallback_period": 0.5
+    }
+    cfg["link"] = {"propagation": 1e-5, "capacity_bps": 5e6}
+    cfg["synth"] = {
+        "seed": 2, "users": 3, "p_rt": 1.0, "burst": False, "arrival_rate": 40.0,
+        "hold_mean": 2.0, "move_period": 0.8, "horizon": 3.0,
+    }
+    return cfg
+
+
+#: Every key of a config, by its path, with the JSON types it takes; a
+#: class entry's keys are named by the entry's index in ``classes``.
+CONFIG_KEYS = {
+    ("name",): {"string"},
+    ("tree",): {"object"},
+    ("tree", "levels"): {"integer"},
+    ("tree", "arity"): {"integer"},
+    ("tree", "leaf_capacity"): {"integer"},
+    ("tree", "capacity_overrides"): {"object"},
+    ("tree", "prune"): {"array"},
+    ("classes",): {"array"},
+    ("classes", 0): {"object"},
+    ("classes", 0, "class_id"): {"integer"},
+    ("classes", 0, "name"): {"string"},
+    ("classes", 0, "max_delay"): {"integer", "number"},
+    ("classes", 0, "cpu_demand"): {"object"},
+    ("classes", 0, "migration_cost"): {"integer", "number"},
+    ("classes", 0, "placement_cost"): {"object"},
+    ("rtt_by_level",): {"object"},
+    ("per_bit_cost",): {"integer", "number"},
+    ("timing",): {"object"},
+    ("timing", "scan_window"): {"integer", "number"},
+    ("timing", "push_down_window"): {"integer", "number"},
+    ("timing", "fallback_period"): {"integer", "number"},
+    ("link",): {"object"},
+    ("link", "propagation"): {"integer", "number"},
+    ("link", "capacity_bps"): {"integer", "number"},
+    ("trace",): {"string"},
+    ("synth",): {"object"},
+    ("synth", "seed"): {"integer"},
+    ("synth", "users"): {"integer"},
+    ("synth", "p_rt"): {"integer", "number"},
+    ("synth", "burst"): {"boolean"},
+    ("synth", "arrival_rate"): {"integer", "number"},
+    ("synth", "hold_mean"): {"integer", "number", "null"},
+    ("synth", "move_period"): {"integer", "number", "null"},
+    ("synth", "horizon"): {"integer", "number"},
+}
+
+#: a value of each JSON type, with integers apart from other numbers
+JSON_VALUES = {
+    "null": None, "string": "x", "integer": 1, "number": 1.5, "boolean": True,
+    "array": [1], "object": {"a": 1},
+}
+
+WRONG_TYPES = [
+    (where, kind)
+    for where, kinds in CONFIG_KEYS.items()
+    for kind in JSON_VALUES
+    if kind not in kinds
+]
+
+
+def _dotted(where: tuple) -> str:
+    """A key's path as the loader names it: ``classes[0].max_delay``."""
+    return ".".join(map(str, where)).replace(".0", "[0]")
+
+
+@pytest.mark.parametrize(
+    "where, kind",
+    WRONG_TYPES,
+    ids=[f"{_dotted(where)}={kind}" for where, kind in WRONG_TYPES],
+)
+def test_load_config_names_every_key_of_the_wrong_type(
+    tmp_path: Path, where: tuple, kind: str
+) -> None:
+    cfg = _full_config()
+    block = cfg
+    for step in where[:-1]:
+        block = block[step]
+    block[where[-1]] = JSON_VALUES[kind]
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    message = str(err.value)
+    assert message.startswith(f"config {path}: ")
+    assert _dotted(where) in message
+
+
+def test_load_config_builds_the_pruned_tree(tmp_path: Path) -> None:
+    cfg = _base_config()
+    cfg["tree"] = {"levels": 3, "arity": 2, "leaf_capacity": 4, "prune": [2]}
+    cfg["classes"][0]["cpu_demand"]["2"] = 1
+    cfg["classes"][0]["placement_cost"]["2"] = 1
+    path = tmp_path / "pruned.json"
+    path.write_text(json.dumps(cfg))
+    topology = load_config(path).topology
+    assert sorted(topology.nodes) == [0, 1, 3, 4]
+    assert sorted(topology.leaves) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c.update(classes={}), "classes must be an array, not {}"),
+        (lambda c: c.update(classes=""), 'classes must be an array, not ""'),
+        (lambda c: c["tree"].update(prune={}), "tree.prune must be an array, not {}"),
+        (lambda c: c["tree"].update(prune=""), 'tree.prune must be an array, not ""'),
+        (lambda c: c["classes"].append(5), "the 'classes[1]' block must be an object"),
+        (
+            lambda c: c.update(rtt_by_level={"0": -0.5, "1": 1e308}),
+            "rtt_by_level.0 must be finite and >= 0, not -0.5",
+        ),
+    ],
+    ids=["classes-object", "classes-text", "prune-object", "prune-text",
+         "class-entry-number", "negative-rtt"],
+)
+def test_load_config_refuses_values_that_once_loaded_or_went_unnamed(
+    tmp_path: Path, edit: Callable[[dict], None], message: str
+) -> None:
+    cfg = _base_config()
+    edit(cfg)
+    path = tmp_path / "once.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value) == f"config {path}: {message}"
+
+
+def test_a_user_count_too_large_for_a_float_is_refused() -> None:
+    topology, _, _, _ = default_profile(leaf_capacity=10, levels=3)
+    with pytest.raises(ValueError, match="may draw more than"):
+        synthesize_trace(topology, seed=1, users=10**400, p_rt=0.5)
+
+
 def test_load_config_synth_honours_default_seed(tmp_path: Path) -> None:
     cfg = _base_config()
     cfg["synth"] = {"users": 5, "p_rt": 1.0}

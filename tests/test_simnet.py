@@ -397,6 +397,9 @@ def test_user_ids_of_any_size_run_and_log_exactly(tmp_path, lane: str) -> None:
             TraceEvent(0.06, 9, "arrive", 3, 1),
             r"user 9 \(class 1\) has no feasible datacenter at s3",
         ),
+        (TraceEvent(0.06, 3, "move", 4), "user 3 has an event after departing"),
+        (TraceEvent(0.06, 9, "depart"), "departure of user 9, who has not arrived"),
+        (TraceEvent(0.06, 9, "move", 3), "move of user 9, who has not arrived"),
     ],
     ids=[
         "undefined-class",
@@ -409,6 +412,9 @@ def test_user_ids_of_any_size_run_and_log_exactly(tmp_path, lane: str) -> None:
         "negative-time",
         "duplicate-arrival",
         "class-no-poa-can-host",
+        "move-after-departure",
+        "departure-before-arrival",
+        "move-before-arrival",
     ],
 )
 def test_a_bad_trace_field_stops_every_lane_before_it_runs(
