@@ -27,12 +27,13 @@ implements, and the engine reaches a node only through ``buffer_scan_input``,
 ``on_message``, ``on_timer``, ``notify_gone`` and ``release``.
 
 What a node knows of a request beyond its own books it reads from one
-read-only table, :attr:`World.requests`: request id to a
-:class:`RequestView` of the request's current attachment and reach, its
-status and its generation.  The hot loops read it inline: a request is
-active while its status is ``waiting``, ``placed`` or ``relocating``,
-served while it is ``placed``, and a record is current while its request
-is active and carries the request's generation.
+read-only table, :attr:`World.requests`: request id to the engine's row
+for the request, read through :class:`RequestView`: its class, its
+current reach, its status and its generation.  The hot loops read it
+inline: a request is active while its status is ``waiting``, ``placed``
+or ``relocating``, served while it is ``placed``, and a record is
+current while its request is active and carries the request's
+generation.
 
 A record's fields fix its role: a record without an ``origin`` is
 unassigned, and one with an origin advertises that datacenter's reservation
@@ -54,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
-from .model import DatacenterId, InvariantError, Request, RequestId, Topology
+from .model import DatacenterId, InvariantError, RequestId, Topology
 
 __all__ = [
     "Record",
@@ -179,16 +180,20 @@ ACTIVE_STATES = ("waiting", "placed", "relocating")
 
 
 class RequestView(Protocol):
-    """The engine's view of one request, as :attr:`World.requests` maps it.
+    """The fields of the engine's one row per request that nodes read, as
+    :attr:`World.requests` maps it.
 
-    ``request`` is the user's current attachment and reach.  ``state`` is
-    ``waiting`` (not placed yet), ``placed``, ``relocating`` (placed, but
-    its user moved out of the host's reach and a new placement is in
-    flight), ``failed`` or ``departed``.  ``generation`` counts the
-    request's moves that superseded its records in flight.
+    ``class_id`` is the request's class, and ``feasible`` its current
+    reach: the nodes that can host it from the user's current attachment,
+    PoA first, replaced when the user moves.  ``state`` is ``waiting``
+    (not placed yet), ``placed``, ``relocating`` (placed, but its user
+    moved out of the host's reach and a new placement is in flight),
+    ``failed`` or ``departed``.  ``generation`` counts the request's moves
+    that superseded its records in flight.
     """
 
-    request: Request
+    class_id: int
+    feasible: tuple[DatacenterId, ...]
     state: str
     generation: int
 
@@ -204,10 +209,12 @@ class World(Protocol):
     its reservation.
 
     ``requests`` maps every request id the protocol may see to the
-    engine's :class:`RequestView` of it.  Nodes only read it: the engine
-    updates the views in place as requests are placed, move and leave,
-    and changes a view's ``state`` or host only through one method,
-    ``Simulator._transition``, which books the host's capacity with it.
+    engine's one row for it, read through :class:`RequestView`.  Nodes
+    only read it: the engine updates each row in place as its request is
+    placed, moves and leaves (a move sets its reach and bumps its
+    generation), and changes a row's ``state`` or host only through one
+    method, ``Simulator._transition``, which books the host's capacity
+    with it.
     """
 
     requests: Mapping[RequestId, RequestView]
@@ -852,14 +859,13 @@ class ProtocolNode:
             if view.state != "placed":
                 continue
             ids.append(rid)
-            req = view.request
             offer = cache.get(rid)
-            if offer is None or offer.feasible != req.feasible:
+            if offer is None or offer.feasible != view.feasible:
                 offer = cache[rid] = Record(
                     request_id=rid,
-                    class_id=req.class_id,
+                    class_id=view.class_id,
                     origin=node,
-                    feasible=req.feasible,
+                    feasible=view.feasible,
                     current_host=node,
                     generation=0,
                     beta_at_initiator=self.placed[rid],

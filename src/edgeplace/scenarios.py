@@ -536,7 +536,8 @@ def load_config(path: str | Path, seed: int = 1) -> Scenario:
     The file describes the tree (levels, arity, leaf capacity, optional
     per-node capacity overrides and pruned subtrees), the service classes
     with their prices, per-level round-trip times, optional timing and link
-    overrides, and either a trace CSV path or a synthetic-trace block.
+    overrides, and either a trace CSV path or a synthetic-trace block (a
+    file that names both is refused).
 
     The file must be UTF-8 JSON, with or without a byte-order mark, whose
     numbers are JSON numbers: ``NaN``, ``Infinity`` and ``-Infinity`` are
@@ -568,6 +569,8 @@ def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
     Every value is read by its key's type before it is used, so a required
     key is indexed only after the read, and its absence is a KeyError."""
     cfg = _read(cfg, _TOP_TYPES, "", path)
+    if "trace" in cfg and "synth" in cfg:
+        raise ValueError(f"config {path}: names both 'trace' and 'synth'; give one")
     tree = cfg["tree"]
     topology = build_tree(
         tree["levels"], tree["arity"], tree["leaf_capacity"],
@@ -576,8 +579,13 @@ def _config_scenario(cfg: Any, path: Path, seed: int) -> Scenario:
     classes = {}
     migration_cost = {}
     placement_cost = {}
-    for entry in cfg["classes"]:
+    for i, entry in enumerate(cfg["classes"]):
         cid = entry["class_id"]
+        if cid in classes:
+            first = [e["class_id"] for e in cfg["classes"]].index(cid)
+            raise ValueError(
+                f"config {path}: classes[{i}].class_id {cid} repeats classes[{first}]"
+            )
         name = entry.get("name", f"class{cid}")
         classes[cid] = ServiceClass(cid, name, entry["max_delay"], entry["cpu_demand"])
         migration_cost[cid] = entry["migration_cost"]

@@ -5,9 +5,12 @@ assigned at scheduling time, so identical inputs always replay to identical
 event orders, logs, and reports.  Trace events come from a cursor over the
 trace sorted stably by time, not from the heap, and run before the
 scheduled events (epochs, timers, messages) of the same instant, in trace
-order; the heap holds only scheduled work.  The engine owns the ground
-truth about requests (the registry) and records every placement, so
-capacity invariants can be checked after every event.
+order; the heap holds only scheduled work.  The cursor is the checked
+trace itself, reversed, and each event goes straight to its kind's
+handler, with no entry or argument tuple built per event.  The engine
+owns the ground truth about requests (the registry, one row per request,
+updated in place) and records every placement, so capacity invariants
+can be checked after every event.
 
 Two lanes share the machinery, chosen by whether a placement algorithm is
 given:
@@ -52,7 +55,6 @@ from .model import (
     CostModel,
     DatacenterId,
     InvariantError,
-    Request,
     RequestId,
     ServiceClass,
     Topology,
@@ -484,12 +486,15 @@ _MOVABLE = ("waiting", "relocating")
 
 
 class _RequestState:
-    """The engine's view of one request: a row of ``Simulator.requests``,
-    the table every protocol node reads (see ``protocol.RequestView``).
+    """One request's row of ``Simulator.requests``, the engine's only
+    record of it and the table every protocol node reads (see
+    ``protocol.RequestView``).
 
-    ``request`` is the user's current attachment and reach, replaced on a
-    move.  ``reached`` lists every node of every reach the request has had,
-    the only nodes that can hold a trace of it (see ``Simulator._purge``).
+    ``request_id`` and ``class_id`` are fixed at arrival; ``poa`` and
+    ``feasible`` are the user's current attachment and reach, the
+    :class:`~.model.Request` fields, set in place on a move.  ``reached``
+    lists every node of every reach the request has had, the only nodes
+    that can hold a trace of it (see ``Simulator._purge``).
 
     ``state`` is the one record of its status: ``waiting`` (not placed
     yet), ``placed``, ``relocating`` (still placed, but its user moved out
@@ -504,11 +509,17 @@ class _RequestState:
     request's records in flight.
     """
 
-    __slots__ = ("request", "reached", "state", "host", "generation")
+    __slots__ = ("request_id", "class_id", "poa", "feasible", "reached", "state",
+                 "host", "generation")
 
-    def __init__(self, request: Request) -> None:
-        self.request = request
-        self.reached = request.feasible
+    def __init__(
+        self, request_id: RequestId, class_id: int, poa: DatacenterId,
+        feasible: tuple[DatacenterId, ...],
+    ) -> None:
+        self.request_id = request_id
+        self.class_id = class_id
+        self.poa = poa
+        self.feasible = self.reached = feasible
         self.state = "waiting"
         self.host: DatacenterId | None = None
         self.generation = 0
@@ -687,7 +698,7 @@ class Simulator:
         self._transition(req, "placed", node)
         if old_host is not None and old_host != node:
             self.counters.migrations += 1
-            self._migration_cost += self.costs.move_price(req.request.class_id)
+            self._migration_cost += self.costs.move_price(req.class_id)
             self.log(node, "place r%d (migrated from s%d)", request_id, old_host)
         else:
             self.log(node, "place r%d", request_id)
@@ -702,7 +713,7 @@ class Simulator:
         one, if any, which must be a level that can host the class."""
         old = req.host
         if host != old:
-            rid, units = req.request.request_id, self._units[req.request.class_id]
+            rid, units = req.request_id, self._units[req.class_id]
             if host is not None and units[host] is None:
                 raise InvariantError(
                     f"r{rid} placed at s{host}, a level that cannot host it"
@@ -780,24 +791,22 @@ class Simulator:
         """``user`` arrives at ``poa`` in ``class_id``; the trace passed
         :meth:`_trace_cursor`, so the user is new and the reach not empty."""
         feasible = self._feasible_for(poa, class_id)
-        req = _RequestState(Request(user, class_id, poa, feasible))
-        self.requests[user] = req
+        req = self.requests[user] = _RequestState(user, class_id, poa, feasible)
         self.log(poa, "arrive r%d class=%d", user, class_id)
         if self.mode == "protocol":
             self._issue(req)
 
     def _issue(self, req: _RequestState) -> None:
         """Hand a request's current record to the protocol at its PoA."""
-        request = req.request
         rec = Record(
-            request_id=request.request_id,
-            class_id=request.class_id,
+            request_id=req.request_id,
+            class_id=req.class_id,
             origin=None,
-            feasible=request.feasible,
+            feasible=req.feasible,
             current_host=req.host,
             generation=req.generation,
         )
-        self.nodes[request.poa].buffer_scan_input([rec])
+        self.nodes[req.poa].buffer_scan_input([rec])
 
     def _on_move(self, user: int, poa: DatacenterId, _class_id: None) -> None:
         """``user`` moves to ``poa``, in the class it arrived in; the trace
@@ -808,9 +817,8 @@ class Simulator:
         req = self.requests[user]
         if req.state not in ACTIVE_STATES:
             return
-        class_id = req.request.class_id
-        feasible = self._feasible_for(poa, class_id)
-        req.request = Request(user, class_id, poa, feasible)
+        feasible = self._feasible_for(poa, req.class_id)
+        req.poa, req.feasible = poa, feasible
         req.reached += tuple(n for n in feasible if n not in req.reached)
         self.log(poa, "move r%d", user)
         if req.state in _HOSTED and req.host in feasible:
@@ -838,7 +846,7 @@ class Simulator:
         if req.state not in ACTIVE_STATES:
             return
         self._transition(req, "departed", None)
-        self.log(req.request.poa, "depart r%d", user)
+        self.log(req.poa, "depart r%d", user)
         self._purge(user)
 
     # -- centralized epochs ---------------------------------------------------
@@ -857,9 +865,11 @@ class Simulator:
             req = self.requests[rid]
             if req.state not in ACTIVE_STATES:
                 continue
-            # the request's fields lead an ActiveService's, in order
             services.append(
-                ActiveService(*req.request, req.host, req.state in _MOVABLE)
+                ActiveService(
+                    rid, req.class_id, req.poa, req.feasible, req.host,
+                    req.state in _MOVABLE,
+                )
             )
         problem = EpochProblem(
             topology=self.topology,
@@ -905,31 +915,22 @@ class Simulator:
 
     # -- main loop ------------------------------------------------------------
 
-    def _trace_cursor(
-        self, trace: Sequence[TraceEvent]
-    ) -> list[tuple[float, Callable[..., None], tuple]]:
-        """Every trace event as ``(time, handler, (user, poa, class_id))``,
-        latest first: sorted stably by time by :func:`check_trace_events`,
-        so events at one instant keep their trace order, then reversed, so
-        the next one is popped off the end.  Before any event runs, the
-        trace must pass that gate, and every arrival must have a reach that
-        is not empty, so a bad trace stops the run before its first
-        event."""
+    def _trace_cursor(self, trace: Sequence[TraceEvent]) -> list[TraceEvent]:
+        """The trace's own events, latest first: the list
+        :func:`check_trace_events` sorted stably by time, so events at one
+        instant keep their trace order, reversed in place, so the next one
+        is popped off the end.  It holds no entry of its own per event.
+        Before any event runs, the trace must pass that gate, and every
+        arrival must have a reach that is not empty, so a bad trace stops
+        the run before its first event."""
         trace = check_trace_events(trace, self.classes, frozenset(self.topology.leaves))
-        handlers = {
-            "arrive": self._on_arrive,
-            "move": self._on_move,
-            "depart": self._on_depart,
-        }
-        entries = []
-        for time, user, kind, poa, class_id in trace:
+        for _time, user, kind, poa, class_id in trace:
             if kind == "arrive" and not self._feasible_for(poa, class_id):
                 raise ValueError(
                     f"user {user} (class {class_id}) has no feasible datacenter at s{poa}"
                 )
-            entries.append((time, handlers[kind], (user, poa, class_id)))
-        entries.reverse()
-        return entries
+        trace.reverse()
+        return trace
 
     def run(self, trace: Sequence[TraceEvent]) -> RunResult:
         """Feed a trace through the world and drive it to quiescence, or
@@ -939,11 +940,14 @@ class Simulator:
         Trace events do not enter the heap: they come from a cursor over
         the trace sorted stably by time (see ``_trace_cursor``), and the
         next event is the cursor's whenever its time is not later than
-        the heap top's.  Epochs, timers and messages are scheduled after
-        the whole trace, so this is the ``(time, sequence)`` order of one
-        heap holding both: at one instant the trace events run first, in
-        trace order, then the scheduled ones, in schedule order.  The heap
-        stays as small as the scheduled work, whatever the trace's length.
+        the heap top's.  A trace event goes straight to its kind's
+        handler, looked up when the run starts, so a handler replaced on
+        the instance before then is the one that runs.  Epochs, timers
+        and messages are scheduled after the whole trace, so this is the
+        ``(time, sequence)`` order of one heap holding both: at one
+        instant the trace events run first, in trace order, then the
+        scheduled ones, in schedule order.  The heap stays as small as
+        the scheduled work, whatever the trace's length.
 
         The centralized lanes run epoch ``k`` at ``k * EPOCH_PERIOD`` for
         ``k`` from 0 to ``int((t + EPOCH_PERIOD) / EPOCH_PERIOD) + 1``, where
@@ -962,6 +966,9 @@ class Simulator:
             raise RuntimeError("this Simulator has already run; build one per run")
         self._ran = True
         pending = self._trace_cursor(trace)
+        handlers = {
+            "arrive": self._on_arrive, "move": self._on_move, "depart": self._on_depart
+        }
         if self.mode == "centralized" and pending:
             horizon = pending[0][0] + self.EPOCH_PERIOD  # the latest event
             last = int(horizon / self.EPOCH_PERIOD) + 1
@@ -973,12 +980,15 @@ class Simulator:
                 self._diverged = True
                 break
             if pending and (not heap or pending[-1][0] <= heap[0][0]):
-                time, handler, args = pending.pop()
+                time, user, kind, poa, class_id = pending.pop()
+                self._now = time
+                counters.events += 1
+                handlers[kind](user, poa, class_id)
             else:
                 time, _seq, handler, args = heapq.heappop(heap)
-            self._now = time
-            counters.events += 1
-            handler(*args)
+                self._now = time
+                counters.events += 1
+                handler(*args)
             if check_invariants:
                 self.assert_invariants()
         placements = {
@@ -1006,7 +1016,7 @@ class Simulator:
         final_placement_cost = sum(
             (
                 self.costs.place_price(
-                    self.requests[rid].request.class_id, self.topology.level(node)
+                    self.requests[rid].class_id, self.topology.level(node)
                 )
                 for rid, node in placements.items()
             ),
@@ -1042,7 +1052,7 @@ class Simulator:
         held = dict.fromkeys(self.topology.nodes, 0)
         for req in self.requests.values():
             if req.host is not None:
-                held[req.host] += self._units[req.request.class_id][req.host]
+                held[req.host] += self._units[req.class_id][req.host]
         host_of: dict[RequestId, DatacenterId] = {}
         for node_id in self.topology.nodes:
             used = self._capacity_used[node_id]
@@ -1067,7 +1077,7 @@ class Simulator:
                     raise InvariantError(f"r{rid} placed without a host")
                 if self.mode == "protocol" and host_of.get(rid) != req.host:
                     raise InvariantError(f"r{rid} host mismatch")
-                if req.state == "placed" and req.host not in req.request.feasible:
+                if req.state == "placed" and req.host not in req.feasible:
                     raise InvariantError(
                         f"r{rid} placed at s{req.host}, outside its reach"
                     )

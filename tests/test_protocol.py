@@ -37,7 +37,8 @@ from .oracles import passes_origin, push_down_offer
 
 
 class _FakeView(NamedTuple):
-    request: Request | None
+    class_id: int | None
+    feasible: tuple[int, ...] | None
     state: str
     generation: int
 
@@ -59,8 +60,12 @@ class _FakeRequests(Mapping[int, _FakeView]):
             state = "placed"
         else:
             state = "waiting"
+        req = world.views.get(request_id)
         return _FakeView(
-            world.views.get(request_id), state, world.generations.get(request_id, 0)
+            None if req is None else req.class_id,
+            None if req is None else req.feasible,
+            state,
+            world.generations.get(request_id, 0),
         )
 
     def __iter__(self) -> Iterator[int]:
@@ -1110,8 +1115,8 @@ def test_fake_and_engine_implement_exactly_the_world_seam() -> None:
         assert isinstance(world.requests, Mapping)
     engine.run(fig_two_tier_scenario().trace)
     view = engine.requests[2]
-    assert (view.request.request_id, view.state, view.generation) == (2, "placed", 0)
-    assert fake.requests[2] == (None, "waiting", 0)
+    assert (view.request_id, view.state, view.generation) == (2, "placed", 0)
+    assert fake.requests[2] == (None, None, "waiting", 0)
     assert seam <= _public_methods(Simulator)
     for name in sorted(seam):
         params = _parameters(getattr(World, name))

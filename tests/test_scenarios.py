@@ -677,9 +677,20 @@ def test_load_config_builds_the_pruned_tree(tmp_path: Path) -> None:
             lambda c: c.update(rtt_by_level={"0": -0.5, "1": 1e308}),
             "rtt_by_level.0 must be finite and >= 0, not -0.5",
         ),
+        (
+            lambda c: c["classes"].append(
+                {**c["classes"][0], "max_delay": 9.0, "cpu_demand": {"0": 3}}
+            ),
+            "classes[1].class_id 0 repeats classes[0]",
+        ),
+        (
+            lambda c: c.update(trace="absent.csv", synth={"users": 3, "p_rt": 1.0}),
+            "names both 'trace' and 'synth'; give one",
+        ),
     ],
     ids=["classes-object", "classes-text", "prune-object", "prune-text",
-         "class-entry-number", "negative-rtt"],
+         "class-entry-number", "negative-rtt", "repeated-class-id",
+         "trace-and-synth"],
 )
 def test_load_config_refuses_values_that_once_loaded_or_went_unnamed(
     tmp_path: Path, edit: Callable[[dict], None], message: str

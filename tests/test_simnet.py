@@ -179,7 +179,7 @@ def test_hot_values_are_frozen_hashable_and_replace_one_field(value) -> None:
 
 
 def test_an_active_service_leads_with_its_request_fields() -> None:
-    # an epoch builds its services from the requests by unpacking them
+    # an epoch's service carries its request's fields first, in order
     assert ActiveService._fields[: len(Request._fields)] == Request._fields
 
 
@@ -498,6 +498,73 @@ def test_move_back_cancels_inflight_relocation() -> None:
     assert result.counters.migrations == 0
     assert result.counters.criticals == 1
     assert result.unplaced == ()
+
+
+def test_a_move_sets_the_attachment_of_the_same_row_in_place() -> None:
+    sim = _world({0: 0, 1: 0, 2: 0})
+    seen = []
+    move = sim._on_move
+
+    def noting_move(user: int, poa: int, class_id: None) -> None:
+        row = sim.requests[user]
+        move(user, poa, class_id)
+        seen.append((row, row.poa, row.feasible, row.reached))
+
+    sim._on_move = noting_move
+    result = sim.run(
+        [
+            TraceEvent(0.0, 1, "arrive", 3, 0),
+            TraceEvent(0.01, 1, "move", 4),
+            TraceEvent(0.02, 1, "move", 5),
+        ]
+    )
+    assert result.verdict == "ok"
+    row = sim.requests[1]
+    assert [entry[0] is row for entry in seen] == [True, True]
+    # the reach from each PoA up to the root; reached is their union, in
+    # the order the nodes were first reached
+    assert [entry[1:] for entry in seen] == [
+        (4, (4, 1, 0), (3, 1, 0, 4)),
+        (5, (5, 2, 0), (3, 1, 0, 4, 5, 2)),
+    ]
+    assert (row.request_id, row.class_id) == (1, 0)
+
+
+def test_an_epoch_sees_each_service_at_its_trace_attachment() -> None:
+    scenario = _churn_scenario(1)
+    sim = build_simulator(scenario, "ffit")
+    algorithm = sim.algorithm
+    problems = moved = 0
+
+    def checked(problem: EpochProblem) -> EpochDecision:
+        nonlocal problems, moved
+        # each user's class and PoA after the trace events up to now
+        attached: dict[int, tuple[int, int]] = {}
+        for ev in sorted(scenario.trace, key=lambda ev: ev.time):
+            if ev.time > sim.now():
+                break
+            if ev.kind == "arrive":
+                attached[ev.user] = (ev.class_id, ev.poa)
+            elif ev.kind == "move":
+                attached[ev.user] = (attached[ev.user][0], ev.poa)
+            else:
+                del attached[ev.user]
+        rebuilt = []
+        for rid, (cid, poa) in sorted(attached.items()):
+            reach = feasible_set_for(
+                scenario.topology, poa, scenario.classes[cid], scenario.rtt_by_level
+            )
+            req = sim.requests[rid]
+            movable = req.state in ("waiting", "relocating")
+            rebuilt.append(ActiveService(rid, cid, poa, reach, req.host, movable))
+            moved += req.reached != reach
+        assert problem.services == tuple(rebuilt)
+        problems += 1
+        return algorithm(problem)
+
+    sim.algorithm = checked
+    assert sim.run(scenario.trace).verdict == "ok"
+    assert problems > 1 and moved > 0
 
 
 def test_stranded_relocation_ends_infeasible() -> None:
@@ -867,7 +934,7 @@ def _drop_the_host(sim: Simulator) -> None:
 
 def _leave_its_reach(sim: Simulator) -> None:
     req = sim.requests[1]
-    req.request = req.request._replace(feasible=(3,))
+    req.feasible = (3,)
 
 
 def _forget_the_placement(sim: Simulator) -> None:
@@ -911,7 +978,7 @@ try:
     sim.assert_invariants()
 except InvariantError as err:
     print("caught", err)
-req = sim.requests[2].request
+req = sim.requests[2]
 try:  # s1 is full
     sim.nodes[1]._place(
         Record(2, req.class_id, None, req.feasible), reserved=False
@@ -1038,7 +1105,7 @@ def test_assert_invariants_catches_a_load_its_requests_do_not_hold() -> None:
     assert sim.run(scenario.trace).verdict == "ok"
     sim.assert_invariants()
     req = next(r for r in sim.requests.values() if r.state == "placed")
-    req.host = next(n for n in req.request.feasible if n != req.host)
+    req.host = next(n for n in req.feasible if n != req.host)
     with pytest.raises(InvariantError, match="load drift at s"):
         sim.assert_invariants()
 
@@ -1363,7 +1430,7 @@ def _offers_built_afresh(node: ProtocolNode) -> list[Record]:
     ]
     for rid in sorted(node.placed):
         if requests[rid].state == "placed":
-            req = requests[rid].request
+            req = requests[rid]
             offers.append(
                 Record(
                     request_id=rid,
