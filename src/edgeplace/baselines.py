@@ -65,7 +65,7 @@ def _residual_capacity(problem: EpochProblem) -> dict[DatacenterId, int]:
 
 def _units_at(problem: EpochProblem, svc: ActiveService, node: DatacenterId) -> int:
     """CPU units ``svc`` takes at ``node``, which holds it or is chosen to."""
-    units = problem.demand(svc.class_id, node)
+    units = problem.units[svc.class_id][node]
     if units is None:
         raise InvariantError(
             f"r{svc.request_id} at s{node}, a level that cannot host it"
@@ -85,8 +85,9 @@ def _lowest_with_room(
 ) -> DatacenterId | None:
     """The first of ``nodes`` (by default ``svc``'s reach, PoA first) that
     can host ``svc`` with the room ``residual`` leaves."""
+    row = problem.units[svc.class_id]
     for node in svc.feasible if nodes is None else nodes:
-        units = problem.demand(svc.class_id, node)
+        units = row[node]
         if units is not None and units <= residual[node]:
             return node
     return None
@@ -180,8 +181,9 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
     for svc in todo:
         target = _lowest_with_room(problem, svc, residual)
         if target is None:
+            row = problem.units[svc.class_id]
             for node in svc.feasible:
-                units = problem.demand(svc.class_id, node)
+                units = row[node]
                 if units is not None and try_free(node, units):
                     target = node
                     break
@@ -217,8 +219,9 @@ def cheapest_feasible(problem: EpochProblem) -> EpochDecision:
     placement: dict[RequestId, DatacenterId] = {}
     for svc in todo:
         best: tuple[float, DatacenterId] | None = None
+        row = problem.units[svc.class_id]
         for node in svc.feasible:
-            units = problem.demand(svc.class_id, node)
+            units = row[node]
             if units is None or units > residual[node]:
                 continue
             price = problem.price(svc, node)
@@ -255,8 +258,9 @@ def availability_scaler(problem: EpochProblem) -> EpochDecision:
     placement: dict[RequestId, DatacenterId] = {}
     for svc in criticals + fresh:
         candidates = []
+        row = problem.units[svc.class_id]
         for node in svc.feasible:
-            units = problem.demand(svc.class_id, node)
+            units = row[node]
             if units is not None and units <= residual[node]:
                 candidates.append((-residual[node], node))
         if candidates:
@@ -359,8 +363,9 @@ def _options(
     options = []
     for svc in services:
         cand = []
+        row = problem.units[svc.class_id]
         for node in svc.feasible:
-            units = problem.demand(svc.class_id, node)
+            units = row[node]
             if units is not None:
                 cand.append((problem.price(svc, node), node, units))
         cand.sort(key=lambda t: (t[0], t[1]))

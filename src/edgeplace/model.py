@@ -29,6 +29,7 @@ __all__ = [
     "tree_capacity",
     "build_tree",
     "demand_table",
+    "price_table",
     "feasible_set_for",
     "check_feasible",
     "InvariantError",
@@ -346,6 +347,28 @@ def demand_table(
     return {
         class_id: {node: svc.demand_at(topology.level(node)) for node in topology.nodes}
         for class_id, svc in classes.items()
+    }
+
+
+def price_table(
+    topology: Topology,
+    costs: CostModel,
+    units: Mapping[int, Mapping[DatacenterId, int | None]],
+) -> dict[int, dict[DatacenterId, float]]:
+    """The hosting price of one instance of each class at each node,
+    ``prices[class_id][node]``, as :meth:`CostModel.place_price` gives it
+    for the node's level, read from the demand table ``units`` (see
+    :func:`demand_table`).  A node where the class cannot run has no
+    entry, nor has one whose level has no price, so looking either up
+    raises KeyError, as ``place_price`` does for a level without a price."""
+    return {
+        class_id: {
+            node: by_level[level]
+            for node, demand in row.items()
+            if demand is not None and (level := topology.level(node)) in by_level
+        }
+        for class_id, row in units.items()
+        for by_level in [costs.placement_cost.get(class_id, {})]
     }
 
 

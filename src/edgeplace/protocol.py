@@ -564,10 +564,13 @@ class ProtocolNode:
                     self.world.log(self.node_id, "scan top-place r%d", rec.request_id)
                     self._place(rec, reserved=False)
                 else:
+                    rid, cid, _, reach, host, generation, beta = rec
                     self.available -= units
-                    self.assigned[rec.request_id] = units
-                    self.world.log(self.node_id, "scan assign r%d", rec.request_id)
-                    self.push_up[rec.request_id] = rec._replace(origin=self.node_id)
+                    self.assigned[rid] = units
+                    self.world.log(self.node_id, "scan assign r%d", rid)
+                    self.push_up[rid] = Record(
+                        rid, cid, self.node_id, reach, host, generation, beta
+                    )
             elif rec.top_feasible == self.node_id:
                 if rec.request_id not in self.pd_pending:
                     new_push_down.append(rec.request_id)

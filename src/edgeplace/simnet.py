@@ -45,6 +45,7 @@ import heapq
 import io
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import (
@@ -60,6 +61,7 @@ from .model import (
     Topology,
     demand_table,
     feasible_set_for,
+    price_table,
 )
 from .protocol import (
     ACTIVE_STATES,
@@ -547,7 +549,16 @@ class ActiveService(NamedTuple):
 
 @dataclass(frozen=True)
 class EpochProblem:
-    """One epoch's placement decision for a centralized algorithm."""
+    """One epoch's placement decision for a centralized algorithm.
+
+    The problem derives two tables from its world, once: ``units``, the
+    demand of each class at each node, built with the problem, and
+    ``prices``, the hosting price of each class at each node that can
+    host it, built when first read, so an algorithm that reads no price
+    does not pay for it.  An algorithm takes a service's row of a table,
+    ``units[svc.class_id]``, once and reads it per candidate node, with no
+    call per node; :meth:`price` is the one rule that adds the migration
+    charge."""
 
     topology: Topology
     classes: Mapping[int, ServiceClass]
@@ -561,14 +572,16 @@ class EpochProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "units", demand_table(self.topology, self.classes))
 
-    def demand(self, class_id: int, node: DatacenterId) -> int | None:
-        """CPU units of ``class_id`` at ``node``; None where it cannot run."""
-        return self.units[class_id][node]
+    @cached_property
+    def prices(self) -> dict[int, dict[DatacenterId, float]]:
+        """The price table (see ``model.price_table``), built on first read."""
+        return price_table(self.topology, self.costs, self.units)
 
     def price(self, svc: ActiveService, node: DatacenterId) -> float:
-        """Hosting ``svc`` at ``node``: the placement price, plus one
-        migration charge when the service moves there from another host."""
-        price = self.costs.place_price(svc.class_id, self.topology.level(node))
+        """Hosting ``svc`` at ``node``, which can host its class: the
+        placement price, plus one migration charge when the service moves
+        there from another host."""
+        price = self.prices[svc.class_id][node]
         if svc.current_host is not None and svc.current_host != node:
             price += self.costs.move_price(svc.class_id)
         return price
@@ -656,6 +669,8 @@ class Simulator:
         }
         # class id -> node -> CPU units; see model.demand_table
         self._units = demand_table(topology, self.classes)
+        # class id -> node -> hosting price; see model.price_table
+        self._prices = price_table(topology, self.costs, self._units)
         self.nodes: dict[DatacenterId, ProtocolNode] = {}
         if self.mode == "protocol":
             for node_id in topology.nodes:
@@ -693,15 +708,19 @@ class Simulator:
     def commit_placement(self, request_id: RequestId, node: DatacenterId) -> None:
         """Record a placement (and thus any migration) that, in the
         protocol lane, the hosting node has already booked."""
-        req = self.requests[request_id]
+        self._commit(self.requests[request_id], node)
+
+    def _commit(self, req: _RequestState, node: DatacenterId) -> None:
+        """Place the request of row ``req`` at ``node``: the work of
+        :meth:`commit_placement`, which an epoch does from the row."""
         old_host = req.host
         self._transition(req, "placed", node)
         if old_host is not None and old_host != node:
             self.counters.migrations += 1
             self._migration_cost += self.costs.move_price(req.class_id)
-            self.log(node, "place r%d (migrated from s%d)", request_id, old_host)
+            self.log(node, "place r%d (migrated from s%d)", req.request_id, old_host)
         else:
-            self.log(node, "place r%d", request_id)
+            self.log(node, "place r%d", req.request_id)
         self.counters.placements += 1
 
     def _transition(
@@ -799,12 +818,7 @@ class Simulator:
     def _issue(self, req: _RequestState) -> None:
         """Hand a request's current record to the protocol at its PoA."""
         rec = Record(
-            request_id=req.request_id,
-            class_id=req.class_id,
-            origin=None,
-            feasible=req.feasible,
-            current_host=req.host,
-            generation=req.generation,
+            req.request_id, req.class_id, None, req.feasible, req.host, req.generation
         )
         self.nodes[req.poa].buffer_scan_input([rec])
 
@@ -860,23 +874,15 @@ class Simulator:
         # relocating after a move; with none of them it has nothing to do.
         if all(req.state not in _MOVABLE for req in self.requests.values()):
             return
-        services = []
-        for rid in sorted(self.requests):
-            req = self.requests[rid]
-            if req.state not in ACTIVE_STATES:
-                continue
-            services.append(
-                ActiveService(
-                    rid, req.class_id, req.poa, req.feasible, req.host,
-                    req.state in _MOVABLE,
-                )
+        services = tuple([
+            ActiveService(
+                rid, req.class_id, req.poa, req.feasible, req.host,
+                req.state in _MOVABLE,
             )
-        problem = EpochProblem(
-            topology=self.topology,
-            classes=self.classes,
-            costs=self.costs,
-            services=tuple(services),
-        )
+            for rid, req in sorted(self.requests.items())
+            if req.state in ACTIVE_STATES
+        ])
+        problem = EpochProblem(self.topology, self.classes, self.costs, services)
         if self._failed_epoch is not None and self._failed_epoch[0] == problem:
             decision = self._failed_epoch[1]
         else:
@@ -895,15 +901,15 @@ class Simulator:
         # that a later move of the same decision frees: capacity binds on
         # the decision as a whole.
         targets: set[DatacenterId] = set()
-        for rid in sorted(decision.placement):
-            node = decision.placement[rid]
-            req = self.requests[rid]
+        requests = self.requests
+        for rid, node in sorted(decision.placement.items()):
+            req = requests[rid]
             if req.state not in ACTIVE_STATES:
                 continue
             if node == req.host:
                 self._transition(req, "placed", node)
                 continue
-            self.commit_placement(rid, node)
+            self._commit(req, node)
             targets.add(node)
         for node in sorted(targets):
             if self._capacity_used[node] > self.topology.capacity(node):
@@ -922,13 +928,27 @@ class Simulator:
         is popped off the end.  It holds no entry of its own per event.
         Before any event runs, the trace must pass that gate, and every
         arrival must have a reach that is not empty, so a bad trace stops
-        the run before its first event."""
+        the run before its first event.
+
+        The reach is checked at each class's first arrival only, and the
+        walk stops once every class has been checked.  That is sound
+        because every PoA is a leaf, and every leaf is at level 0 (see
+        ``Topology``): a class's reach is empty at one PoA exactly when it
+        is empty at all of them.  So the first arrival of a class with an
+        empty reach is the first arrival with an empty reach, and its user
+        is the one the error names."""
         trace = check_trace_events(trace, self.classes, frozenset(self.topology.leaves))
+        unchecked = set(self.classes)
         for _time, user, kind, poa, class_id in trace:
-            if kind == "arrive" and not self._feasible_for(poa, class_id):
-                raise ValueError(
-                    f"user {user} (class {class_id}) has no feasible datacenter at s{poa}"
-                )
+            if not unchecked:
+                break
+            if kind == "arrive" and class_id in unchecked:
+                unchecked.discard(class_id)
+                if not self._feasible_for(poa, class_id):
+                    raise ValueError(
+                        f"user {user} (class {class_id}) has no feasible "
+                        f"datacenter at s{poa}"
+                    )
         trace.reverse()
         return trace
 
@@ -958,6 +978,11 @@ class Simulator:
 
         The run records no event (``log`` is a no-op): the result's
         ``event_log`` replays the run when it is first read.
+
+        The result is read off the request table in one walk: the
+        placements, the unplaced and failed requests (sorted by id), and
+        the final placement cost, the hosting prices of the placements
+        from the run's price table, summed in placement order.
 
         A simulator runs once: the result shares its counters, so a second
         call raises ``RuntimeError`` before it touches any state.
@@ -991,20 +1016,23 @@ class Simulator:
                 handler(*args)
             if check_invariants:
                 self.assert_invariants()
-        placements = {
-            rid: req.host
-            for rid, req in self.requests.items()
-            if req.state in _HOSTED and req.host is not None
-        }
         # Unserved at the end: never placed, or left stranded at a host the
         # user moved away from (a re-placement that never landed).
+        placements: dict[RequestId, DatacenterId] = {}
+        prices: list[float] = []
         unplaced: list[RequestId] = []
         failed: list[RequestId] = []
-        for rid, req in sorted(self.requests.items()):
-            if req.state in _MOVABLE:
+        for rid, req in self.requests.items():
+            state, host = req.state, req.host
+            if state in _HOSTED and host is not None:
+                placements[rid] = host
+                prices.append(self._prices[req.class_id][host])
+            if state in _MOVABLE:
                 unplaced.append(rid)
-            elif req.state == "failed":
+            elif state == "failed":
                 failed.append(rid)
+        unplaced.sort()
+        failed.sort()
         if self._diverged:
             verdict = "diverged"
         elif failed:
@@ -1013,15 +1041,6 @@ class Simulator:
             verdict = "infeasible"
         else:
             verdict = "ok"
-        final_placement_cost = sum(
-            (
-                self.costs.place_price(
-                    self.requests[rid].class_id, self.topology.level(node)
-                )
-                for rid, node in placements.items()
-            ),
-            0.0,
-        )
         return RunResult(
             verdict=verdict,
             placements=placements,
@@ -1035,7 +1054,7 @@ class Simulator:
             failed=tuple(failed),
             unplaced=tuple(unplaced),
             migration_cost=self._migration_cost,
-            final_placement_cost=final_placement_cost,
+            final_placement_cost=sum(prices, 0.0),
             comm_cost=self.costs.per_bit_cost * self.counters.total_bits(),
             request_count=len(self.requests),
             solver_exhausted=self._solver_exhausted,

@@ -368,7 +368,7 @@ def test_exact_handles_the_flat_walkthrough_final_load() -> None:
     assert decision.solved
     assert decision_cost(problem, dict(decision.placement)) == pytest.approx(16.0)
     root_load = sum(
-        problem.demand(s.class_id, 0)
+        problem.units[s.class_id][0]
         for s in services
         if decision.placement[s.request_id] == 0
     )
@@ -771,7 +771,7 @@ def test_slot_count_never_rejects_a_problem_milp_solves() -> None:
             (i, node, units)
             for i, s in enumerate(services)
             for node in s.feasible
-            if (units := problem.demand(s.class_id, node)) is not None
+            if (units := problem.units[s.class_id][node]) is not None
         ]
         nodes = problem.topology.nodes
         row_of = {node: len(services) + k for k, node in enumerate(nodes)}
@@ -963,7 +963,7 @@ def test_every_algorithm_respects_reach_and_capacity() -> None:
                         node = service.current_host
                     else:
                         continue
-                units = problem.demand(service.class_id, node)
+                units = problem.units[service.class_id][node]
                 assert units is not None, name
                 assert node in service.feasible, name
                 load[node] = load.get(node, 0) + units

@@ -420,14 +420,55 @@ def test_user_ids_of_any_size_run_and_log_exactly(tmp_path, lane: str) -> None:
 def test_a_bad_trace_field_stops_every_lane_before_it_runs(
     lane: str, bad: TraceEvent, message: str
 ) -> None:
-    # fig2, plus a class whose delay bound is below every round trip
-    scenario = fig_two_tier_scenario()
-    unhostable = ServiceClass(1, "unhostable", 0.0005, {0: 1, 1: 1, 2: 1})
-    scenario = replace(scenario, classes={**scenario.classes, 1: unhostable})
+    scenario = _with_unhostable_class()
     sim = build_simulator(scenario, lane)
     with pytest.raises(ValueError, match=message):
         sim.run([*scenario.trace, bad])
     assert sim.counters.events == 0
+
+
+def _with_unhostable_class() -> Scenario:
+    """fig2, plus class 1, whose delay bound is below every round trip."""
+    scenario = fig_two_tier_scenario()
+    unhostable = ServiceClass(1, "unhostable", 0.0005, {0: 1, 1: 1, 2: 1})
+    return replace(scenario, classes={**scenario.classes, 1: unhostable})
+
+
+@pytest.mark.parametrize("lane", ALGO_CHOICES)
+def test_the_first_arrival_in_a_class_without_reach_is_named(lane: str) -> None:
+    # class 0, whose reach is not empty, arrives first; the reach is checked
+    # once per class, at its first arrival, and class 1's first user is named
+    scenario = _with_unhostable_class()
+    trace = [
+        *scenario.trace,
+        TraceEvent(0.06, 7, "arrive", 6, 0),
+        TraceEvent(0.07, 8, "arrive", 5, 1),
+        TraceEvent(0.08, 9, "arrive", 3, 1),
+    ]
+    sim = build_simulator(scenario, lane)
+    with pytest.raises(
+        ValueError, match=r"^user 8 \(class 1\) has no feasible datacenter at s5$"
+    ):
+        sim.run(trace)
+    assert sim.counters.events == 0
+
+
+@pytest.mark.parametrize("lane", ALGO_CHOICES)
+def test_a_late_class_without_reach_stops_the_run_before_it_starts(lane: str) -> None:
+    # class 1 first appears after class 0's moves and departures
+    scenario = _with_unhostable_class()
+    trace = [
+        *scenario.trace,
+        TraceEvent(0.06, 1, "move", 4),
+        TraceEvent(0.07, 2, "move", 6),
+        TraceEvent(0.08, 2, "depart"),
+        TraceEvent(0.09, 9, "arrive", 3, 1),
+    ]
+    sim = build_simulator(scenario, lane)
+    with pytest.raises(ValueError, match=r"^user 9 \(class 1\) has no feasible"):
+        sim.run(trace)
+    assert sim.counters.events == 0
+    assert sim.requests == {}
 
 
 @pytest.mark.parametrize("lane", ALGO_CHOICES)
@@ -528,6 +569,40 @@ def test_a_move_sets_the_attachment_of_the_same_row_in_place() -> None:
         (5, (5, 2, 0), (3, 1, 0, 4, 5, 2)),
     ]
     assert (row.request_id, row.class_id) == (1, 0)
+
+
+@pytest.mark.parametrize("lane", ALGO_CHOICES)
+def test_final_placement_cost_sums_the_placement_prices_in_order(lane: str) -> None:
+    # the cost rule, summed over the placements in their order, the float
+    # the run reports
+    scenario = _churn_scenario(1)
+    sim = build_simulator(scenario, lane)
+    result = sim.run(scenario.trace)
+    level = scenario.topology.level
+    expected = sum(
+        (
+            scenario.costs.place_price(sim.requests[rid].class_id, level(node))
+            for rid, node in result.placements.items()
+        ),
+        0.0,
+    )
+    assert result.placements
+    assert result.final_placement_cost == expected
+
+
+@pytest.mark.parametrize("lane", ALGO_CHOICES)
+def test_unserved_requests_are_listed_by_id_whatever_their_arrival_order(
+    lane: str,
+) -> None:
+    # no node has room: the protocol fails every request, and an epoch
+    # leaves every one unplaced
+    scenario = _world({node: 0 for node in range(7)}).scenario
+    users = (5, 2, 9)
+    trace = [TraceEvent(0.01 * i, user, "arrive", 3, 0) for i, user in enumerate(users)]
+    result = build_simulator(scenario, lane).run(trace)
+    unserved = result.failed if lane == "dapp" else result.unplaced
+    assert result.placements == {} and unserved == (2, 5, 9)
+    assert len(result.unplaced + result.failed) == 3
 
 
 def test_an_epoch_sees_each_service_at_its_trace_attachment() -> None:
@@ -1677,8 +1752,48 @@ def test_prepared_demand_agrees_with_the_class_rule(scenario: Scenario) -> None:
         for node in topology.nodes:
             units = klass.demand_at(topology.level(node))
             assert sim._units[cid][node] == units
-            assert problem.demand(cid, node) == units
+            assert problem.units[cid][node] == units
             assert sim.nodes[node].demand.get(cid) == units
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_world(moves=False))
+def test_prepared_prices_agree_with_the_cost_rule(scenario: Scenario) -> None:
+    # The cost model's rule, a class's price at the node's level, is the
+    # reference for the engine's and the epoch's price tables, which hold
+    # an entry exactly where the class can run.
+    topology, classes, costs = scenario.topology, scenario.classes, scenario.costs
+    sim = build_simulator(scenario, "ffit")
+    problem = EpochProblem(topology, classes, costs, ())
+    for table in (sim._prices, problem.prices):
+        assert sorted(table) == sorted(classes)
+        for cid, klass in classes.items():
+            hosts = [
+                node
+                for node in topology.nodes
+                if klass.demand_at(topology.level(node)) is not None
+            ]
+            assert table[cid] == {
+                node: costs.place_price(cid, topology.level(node)) for node in hosts
+            }
+
+
+@pytest.mark.parametrize("lane", ALGO_CHOICES)
+def test_a_class_without_prices_leaves_an_empty_row_and_the_run_whole(
+    lane: str,
+) -> None:
+    # fig2's costs price class 0 only: class 1 can run at every level but
+    # has no price, which a run that places none of it never reads: it
+    # runs as fig2 alone does
+    plain = fig_two_tier_scenario()
+    unpriced = ServiceClass(1, "unpriced", 1.0, {0: 1, 1: 1, 2: 1})
+    scenario = replace(plain, classes={**plain.classes, 1: unpriced})
+    sim = build_simulator(scenario, lane)
+    assert sim._prices[1] == {}
+    assert len(sim._prices[0]) == len(scenario.topology.nodes)
+    result, alone = sim.run(scenario.trace), run_scenario(plain, lane)
+    assert (result.verdict, result.placements) == (alone.verdict, alone.placements)
+    assert result.final_placement_cost == alone.final_placement_cost
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,16 +1,19 @@
 """Smoke tests of the scripts under ``tools/``, which compare two checkouts
 for byte-identical replays (``replay_digests.py``) and for CPU time, summed
-and per run (``ab_cpu.py``), count code lines (``code_lines.py``) and list
-the package lines no test runs (``line_census.py``)."""
+and per run with its collection seconds (``ab_cpu.py``), count code lines
+(``code_lines.py``) and list the package lines no test runs
+(``line_census.py``)."""
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -53,14 +56,17 @@ def test_ab_cpu_refuses_fewer_than_two_pairs() -> None:
     assert "--pairs must be at least 2" in proc.stderr
 
 
-def test_replay_digest_labels_are_unique(monkeypatch: pytest.MonkeyPatch) -> None:
-    spec = importlib.util.spec_from_file_location(
-        "replay_digests", TOOLS / "replay_digests.py"
-    )
+def _load_tool(name: str, monkeypatch: pytest.MonkeyPatch) -> Any:
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     assert spec is not None and spec.loader is not None
     tool = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "replay_digests", tool)
+    monkeypatch.setitem(sys.modules, name, tool)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_replay_digest_labels_are_unique(monkeypatch: pytest.MonkeyPatch) -> None:
+    tool = _load_tool("replay_digests", monkeypatch)
     labels = [label for label, _ in tool.scenarios(edgeplace)]
     assert len(labels) == len(set(labels)) > 0
 
@@ -109,6 +115,39 @@ def test_ab_cpu_prints_each_search_beside_the_sum() -> None:
         assert 0 < run["a_q1"] <= run["a_median"]
         assert 0 < run["b_q1"] <= run["b_median"]
         assert 0 <= run["b_wins"] <= 2 and run["median_ratio"] > 0
+        assert 0 <= run["a_gc_s"] < run["a_median"]
+        assert 0 <= run["b_gc_s"] < run["b_median"]
+
+
+class _Clock:
+    """A stand-in for the benchmark's clock: it runs the call untimed."""
+
+    def call(self, fn: Any, *args: Any) -> Any:
+        return fn(*args)
+
+
+def test_ab_cpu_charges_each_collection_to_the_timed_call_it_falls_in(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    tool = _load_tool("ab_cpu", monkeypatch)
+    listeners = gc.callbacks[:]
+    clock = _Clock()
+    try:
+        meter = tool.CollectionMeter(clock)
+        garbage = [[[] for _ in range(20_000)]]
+
+        def collect() -> str:
+            garbage.append(garbage)  # a cycle the collection must walk
+            gc.collect()
+            return "collected"
+
+        assert clock.call(lambda: "idle") == "idle"
+        gc.collect()  # outside any timed call: charged to none
+        assert clock.call(collect) == "collected"
+    finally:
+        gc.callbacks[:] = listeners
+    assert len(meter.taken) == 2
+    assert meter.taken[0] == 0.0 and meter.taken[1] > 0
 
 
 def test_line_census_lists_the_lines_one_test_module_leaves_unrun() -> None:

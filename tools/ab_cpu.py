@@ -22,9 +22,16 @@ each run or search alone (a lane of ``burst``, an algorithm and share of
 ``capacity``), its term of the sum as a pass's figure: each side's lower
 quartile and median over the pairs, ``b_wins`` and the median ratio.  A
 run's time has a long right tail, so its lower quartile moves less than
-the summed median.  Both sides must produce the same outputs (the
-benchmark's digests); a pair that does not stops the script.  Standard
-library only; the benchmark files are only read.
+the summed median.  Beside them, ``a_gc_s`` and ``b_gc_s`` give the
+collection seconds charged to the run: the thread CPU seconds the cyclic
+collector spent inside it (taken with ``gc.callbacks``, not corrected for
+the clock speed), its mean over the instances of a pass, median over the
+pairs.  An automatic collection falls in whichever run crosses the
+collector's threshold, so a run whose code did not change can read slower
+by a collection it did not cause; its collection seconds tell.  Both
+sides must produce the same outputs (the benchmark's digests); a pair
+that does not stops the script.  Standard library only; the benchmark
+files are only read.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import json
 import os
 import statistics
 import sys
+import time
 from pathlib import Path
 from typing import Any
 
@@ -71,20 +79,58 @@ def cell_name(cell: Any) -> str:
     return cell.label if hasattr(cell, "label") else f"{cell.algo} p_rt={cell.p_rt}"
 
 
+class CollectionMeter:
+    """The thread CPU seconds the cyclic collector spends inside each call
+    that ``clock`` times, one figure per call in call order (``taken``).
+    It wraps the clock's ``call`` on the instance and listens on
+    ``gc.callbacks``; a collection outside a timed call is not counted."""
+
+    def __init__(self, clock: Any) -> None:
+        self.taken: list[float] = []
+        self._inside = False
+        self._spent = self._started = 0.0
+        timed = clock.call
+
+        def call(fn: Any, *args: Any, **kwargs: Any) -> Any:
+            self._spent, self._inside = 0.0, True
+            try:
+                return timed(fn, *args, **kwargs)
+            finally:
+                self._inside = False
+                self.taken.append(self._spent)
+
+        clock.call = call
+        gc.callbacks.append(self._on_collection)
+
+    def _on_collection(self, phase: str, info: dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.thread_time()
+        elif self._inside:
+            self._spent += time.thread_time() - self._started
+
+
 def one_pass(
-    workload: Any, ep: Any, inputs: list[Any]
-) -> tuple[dict[str, float], list[Any]]:
+    workload: Any, ep: Any, inputs: list[Any], meter: CollectionMeter
+) -> tuple[dict[str, float], dict[str, float], list[Any]]:
     """CPU seconds of each run or search in one pass over ``inputs``, its
-    lower quartile over the instances, and the outputs' digests."""
+    lower quartile over the instances; the collection seconds charged to
+    each, its mean over the instances; and the outputs' digests."""
     cells: dict[str, list[float]] = {}
+    collections: dict[str, list[float]] = {}
     digests = []
     for instance in inputs:
         gc.collect()
+        meter.taken.clear()
         out = workload.run_instance(ep, instance)
-        for cell in out:
+        for cell, collected in zip(out, meter.taken, strict=True):
             cells.setdefault(cell_name(cell), []).append(cell.seconds)
+            collections.setdefault(cell_name(cell), []).append(collected)
         digests.append(workload.fingerprint(ep, out))
-    return {name: lower_quartile(times) for name, times in cells.items()}, digests
+    return (
+        {name: lower_quartile(times) for name, times in cells.items()},
+        {name: statistics.fmean(spent) for name, spent in collections.items()},
+        digests,
+    )
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -100,15 +146,20 @@ def compared(a: list[float], b: list[float]) -> dict[str, float]:
     }
 
 
-def one_run(a: list[float], b: list[float]) -> dict[str, float]:
+def one_run(
+    a: list[float], b: list[float], a_gc: list[float], b_gc: list[float]
+) -> dict[str, float]:
     """One run's or search's figures: each side's lower quartile and
-    median over the pairs, then ``b``'s wins and median ratio."""
+    median over the pairs, ``b``'s wins and median ratio, then each side's
+    median collection seconds."""
     return {
         "a_q1": lower_quartile(a),
         "b_q1": lower_quartile(b),
         "a_median": statistics.median(a),
         "b_median": statistics.median(b),
         **compared(a, b),
+        "a_gc_s": statistics.median(a_gc),
+        "b_gc_s": statistics.median(b_gc),
     }
 
 
@@ -131,22 +182,27 @@ def main() -> int:
             {**os.environ, **FIXED_ENV},
         )
     sys.path.insert(0, str(BENCH))
+    from speed import CLOCK
     from workloads import WORKLOADS
 
     workload = WORKLOADS[args.workload]
+    meter = CollectionMeter(CLOCK)
     sides = {}
     for side in ("a", "b"):
         ep = import_from(getattr(args, side))
         sides[side] = (ep, workload.build(ep, args.seed))
     # side -> run or search -> its figure in each pass
     runs: dict[str, dict[str, list[float]]] = {"a": {}, "b": {}}
+    # side -> run or search -> its collection seconds in each pass
+    collected: dict[str, dict[str, list[float]]] = {"a": {}, "b": {}}
     for pair in range(args.pairs):
         digests = {}
         for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
             ep, inputs = sides[side]
-            taken, digests[side] = one_pass(workload, ep, inputs)
+            taken, spent, digests[side] = one_pass(workload, ep, inputs, meter)
             for name, seconds in taken.items():
                 runs[side].setdefault(name, []).append(seconds)
+                collected[side].setdefault(name, []).append(spent[name])
         if digests["a"] != digests["b"]:
             print(f"pair {pair}: the two sides' outputs differ", file=sys.stderr)
             return 2
@@ -164,7 +220,10 @@ def main() -> int:
                 "a_s": a,
                 "b_s": b,
                 "per_run": {
-                    name: one_run(ra, runs["b"][name]) for name, ra in runs["a"].items()
+                    name: one_run(
+                        ra, runs["b"][name], collected["a"][name], collected["b"][name]
+                    )
+                    for name, ra in runs["a"].items()
                 },
             },
             indent=1,
