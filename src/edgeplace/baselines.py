@@ -4,7 +4,9 @@ Every algorithm consumes an :class:`~.simnet.EpochProblem` — the set of
 active services, which of them the epoch may (re)place, and the residual
 world — and returns an :class:`~.simnet.EpochDecision` mapping request ids
 to hosts.  All tie-breaks are by ascending datacenter id and then ascending
-request id, so results are deterministic.
+request id, so results are deterministic.  The problem lists its services
+in request-id order, so a stable sort of them by one key of its own breaks
+its ties by request id with no second key.
 
 The exact solver is a depth-first branch-and-bound over all active
 services (a full re-solve, not an incremental patch), with an admissible
@@ -109,11 +111,10 @@ def _assign(
 
 
 def first_fit(problem: EpochProblem) -> EpochDecision:
-    """Arrival order, lowest feasible datacenter with room."""
-    todo = sorted(_movable(problem), key=lambda s: s.request_id)
+    """Request-id order, lowest feasible datacenter with room."""
     residual = _residual_capacity(problem)
     placement: dict[RequestId, DatacenterId] = {}
-    for svc in todo:
+    for svc in _movable(problem):
         node = _lowest_with_room(problem, svc, residual)
         if node is not None:
             _assign(problem, residual, placement, svc, node)
@@ -135,13 +136,12 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
     mirroring the protocol's preference for high placements.
     """
     residual = _residual_capacity(problem)
-    # where every immovable service sits, for the push-down recovery
+    # where every immovable service sits, in request-id order, for the
+    # push-down recovery
     tenants: dict[DatacenterId, list[ActiveService]] = {}
     for svc in problem.services:
         if not svc.movable and svc.current_host is not None:
             tenants.setdefault(svc.current_host, []).append(svc)
-    for members in tenants.values():
-        members.sort(key=lambda s: s.request_id)
     placement: dict[RequestId, DatacenterId] = {}
     relocations: dict[RequestId, DatacenterId] = {}
 
@@ -175,9 +175,7 @@ def bottom_up_push_up(problem: EpochProblem) -> EpochDecision:
             relocations[tenant.request_id] = target
         return True
 
-    todo = sorted(
-        _movable(problem), key=lambda s: (len(s.feasible), s.request_id)
-    )
+    todo = sorted(_movable(problem), key=lambda s: len(s.feasible))
     for svc in todo:
         target = _lowest_with_room(problem, svc, residual)
         if target is None:
@@ -213,9 +211,7 @@ def cheapest_feasible(problem: EpochProblem) -> EpochDecision:
     node with room (placement price plus migration charge when moving)."""
     movable = _movable(problem)
     residual = _residual_capacity(problem)
-    todo = sorted(
-        movable, key=lambda s: (-_units_at(problem, s, s.poa), s.request_id)
-    )
+    todo = sorted(movable, key=lambda s: -_units_at(problem, s, s.poa))
     placement: dict[RequestId, DatacenterId] = {}
     for svc in todo:
         best: tuple[float, DatacenterId] | None = None
@@ -251,10 +247,9 @@ def availability_scaler(problem: EpochProblem) -> EpochDecision:
         key=lambda s: (
             residual[s.current_host],
             -_units_at(problem, s, s.current_host),
-            s.request_id,
         )
     )
-    fresh.sort(key=lambda s: (len(s.feasible), s.request_id))
+    fresh.sort(key=lambda s: len(s.feasible))
     placement: dict[RequestId, DatacenterId] = {}
     for svc in criticals + fresh:
         candidates = []
@@ -307,9 +302,7 @@ def exact_optimal(
         if stats is not None:
             stats.nodes_expanded = 0
         return EpochDecision(placement={}, solved=False)
-    services = sorted(
-        problem.services, key=lambda s: (len(s.feasible), s.request_id)
-    )
+    services = sorted(problem.services, key=lambda s: len(s.feasible))
     nodes = topology.nodes
     options = _options(problem, services)
 

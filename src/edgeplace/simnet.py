@@ -46,7 +46,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter, ge, itemgetter
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
@@ -558,7 +558,11 @@ class EpochProblem:
     does not pay for it.  An algorithm takes a service's row of a table,
     ``units[svc.class_id]``, once and reads it per candidate node, with no
     call per node; :meth:`price` is the one rule that adds the migration
-    charge."""
+    charge.
+
+    ``services`` come in strictly increasing request-id order (a
+    ValueError names the first pair that is not), so an algorithm that
+    sorts them stably by one key of its own breaks ties by request id."""
 
     topology: Topology
     classes: Mapping[int, ServiceClass]
@@ -570,6 +574,12 @@ class EpochProblem:
     )
 
     def __post_init__(self) -> None:
+        ids = list(map(attrgetter("request_id"), self.services))
+        if any(map(ge, ids, ids[1:])):
+            first, then = next(p for p in zip(ids, ids[1:]) if p[0] >= p[1])
+            raise ValueError(
+                f"services out of request-id order: r{first} before r{then}"
+            )
         object.__setattr__(self, "units", demand_table(self.topology, self.classes))
 
     @cached_property
@@ -874,13 +884,16 @@ class Simulator:
         # relocating after a move; with none of them it has nothing to do.
         if all(req.state not in _MOVABLE for req in self.requests.values()):
             return
+        # Sorting the ids alone and reading each row by id builds no pair
+        # per request for the cycle collector to walk.
+        requests = self.requests
         services = tuple([
             ActiveService(
                 rid, req.class_id, req.poa, req.feasible, req.host,
                 req.state in _MOVABLE,
             )
-            for rid, req in sorted(self.requests.items())
-            if req.state in ACTIVE_STATES
+            for rid in sorted(requests)
+            if (req := requests[rid]).state in ACTIVE_STATES
         ])
         problem = EpochProblem(self.topology, self.classes, self.costs, services)
         if self._failed_epoch is not None and self._failed_epoch[0] == problem:
@@ -901,9 +914,9 @@ class Simulator:
         # that a later move of the same decision frees: capacity binds on
         # the decision as a whole.
         targets: set[DatacenterId] = set()
-        requests = self.requests
-        for rid, node in sorted(decision.placement.items()):
-            req = requests[rid]
+        placement = decision.placement
+        for rid in sorted(placement):
+            node, req = placement[rid], requests[rid]
             if req.state not in ACTIVE_STATES:
                 continue
             if node == req.host:

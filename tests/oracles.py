@@ -22,6 +22,7 @@ from edgeplace.protocol import (
     Record,
     SfsMsg,
 )
+from edgeplace.simnet import ActiveService, EpochProblem
 
 # ---------------------------------------------------------------------------
 # message sizing, summed field by field
@@ -233,6 +234,175 @@ def naive_highest_first(
             ]
         out[rid] = chosen
     return out
+
+
+# ---------------------------------------------------------------------------
+# centralized lanes, each ordered by its full tuple key
+#
+# Each oracle takes the problem's services in reverse request-id order, so
+# only the request id at the end of its sort key can break its ties the way
+# the package's lanes break them: by the problem's request-id order and a
+# stable sort on one key.  Each returns the placement the lane decides.
+
+
+def _residual(problem: EpochProblem) -> dict[int, int]:
+    """Free capacity per node, every service counted at its current host."""
+    topology = problem.topology
+    residual = {node: topology.capacity(node) for node in topology.nodes}
+    for svc in problem.services:
+        host = svc.current_host
+        if host is not None:
+            residual[host] -= problem.units[svc.class_id][host]
+    return residual
+
+
+def _fits(
+    problem: EpochProblem, svc: ActiveService, node: int, room: Mapping[int, int]
+) -> bool:
+    units = problem.units[svc.class_id][node]
+    return units is not None and units <= room[node]
+
+
+def _lowest(
+    problem: EpochProblem,
+    svc: ActiveService,
+    room: Mapping[int, int],
+    nodes: Sequence[int],
+) -> int | None:
+    return next((node for node in nodes if _fits(problem, svc, node, room)), None)
+
+
+def _movable(problem: EpochProblem) -> list[ActiveService]:
+    return [svc for svc in reversed(problem.services) if svc.movable]
+
+
+def tuple_key_first_fit(problem: EpochProblem) -> dict[int, int]:
+    """Request-id order, each at the first node of its reach with room."""
+    residual = _residual(problem)
+    placement: dict[int, int] = {}
+    for svc in sorted(_movable(problem), key=lambda s: s.request_id):
+        node = _lowest(problem, svc, residual, svc.feasible)
+        if node is not None:
+            residual[node] -= problem.units[svc.class_id][node]
+            placement[svc.request_id] = node
+    return placement
+
+
+def tuple_key_bottom_up_push_up(problem: EpochProblem) -> dict[int, int]:
+    """Shortest reach first, each low with push-down recovery of an
+    ancestor's tenants (by request id), then every placement lifted."""
+    units = problem.units
+    residual = _residual(problem)
+    tenants: dict[int, list[ActiveService]] = {}
+    for svc in reversed(problem.services):
+        if not svc.movable and svc.current_host is not None:
+            tenants.setdefault(svc.current_host, []).append(svc)
+    for members in tenants.values():
+        members.sort(key=lambda s: s.request_id)
+    placement: dict[int, int] = {}
+    relocations: dict[int, int] = {}
+
+    def try_free(node: int, needed: int) -> bool:
+        room = dict(residual)
+        moves = []
+        for tenant in tenants.get(node, ()):
+            if room[node] >= needed:
+                break
+            below = tenant.feasible[: tenant.feasible.index(node)]
+            target = _lowest(problem, tenant, room, below)
+            if target is not None:
+                room[node] += units[tenant.class_id][node]
+                room[target] -= units[tenant.class_id][target]
+                moves.append((tenant, target))
+        if room[node] < needed:
+            return False
+        residual.update(room)
+        for tenant, target in moves:
+            tenants[node].remove(tenant)
+            tenants.setdefault(target, []).append(tenant)
+            relocations[tenant.request_id] = target
+        return True
+
+    todo = sorted(_movable(problem), key=lambda s: (len(s.feasible), s.request_id))
+    for svc in todo:
+        target = _lowest(problem, svc, residual, svc.feasible)
+        if target is None:
+            for node in svc.feasible:
+                needed = units[svc.class_id][node]
+                if needed is not None and try_free(node, needed):
+                    target = node
+                    break
+        if target is not None:
+            residual[target] -= units[svc.class_id][target]
+            placement[svc.request_id] = target
+    by_id = {svc.request_id: svc for svc in todo}
+    for rid in sorted(placement):
+        svc, here = by_id[rid], placement[rid]
+        above = svc.feasible[: svc.feasible.index(here) : -1]
+        node = _lowest(problem, svc, residual, above)
+        if node is not None:
+            residual[here] += units[svc.class_id][here]
+            residual[node] -= units[svc.class_id][node]
+            placement[rid] = node
+    placement.update(relocations)
+    return placement
+
+
+def tuple_key_cheapest_feasible(problem: EpochProblem) -> dict[int, int]:
+    """Biggest demand at the PoA first, then request id, each at its
+    cheapest node with room (price, plus the move charge, then node id)."""
+    units, costs, topology = problem.units, problem.costs, problem.topology
+    residual = _residual(problem)
+    placement: dict[int, int] = {}
+    todo = sorted(
+        _movable(problem), key=lambda s: (-units[s.class_id][s.poa], s.request_id)
+    )
+    for svc in todo:
+        options = []
+        for node in svc.feasible:
+            if _fits(problem, svc, node, residual):
+                price = costs.place_price(svc.class_id, topology.level(node))
+                if svc.current_host not in (None, node):
+                    price += costs.move_price(svc.class_id)
+                options.append((price, node))
+        if options:
+            node = min(options)[1]
+            residual[node] -= units[svc.class_id][node]
+            placement[svc.request_id] = node
+    return placement
+
+
+def tuple_key_availability_scaler(problem: EpochProblem) -> dict[int, int]:
+    """Services with a host first (least room there, then biggest
+    allocation, then request id), then new ones (shortest reach, then
+    request id), each at the node of its reach with the most room."""
+    units = problem.units
+    residual = _residual(problem)
+    movable = _movable(problem)
+    criticals = sorted(
+        (s for s in movable if s.current_host is not None),
+        key=lambda s: (
+            residual[s.current_host],
+            -units[s.class_id][s.current_host],
+            s.request_id,
+        ),
+    )
+    fresh = sorted(
+        (s for s in movable if s.current_host is None),
+        key=lambda s: (len(s.feasible), s.request_id),
+    )
+    placement: dict[int, int] = {}
+    for svc in criticals + fresh:
+        options = [
+            (-residual[node], node)
+            for node in svc.feasible
+            if _fits(problem, svc, node, residual)
+        ]
+        if options:
+            node = min(options)[1]
+            residual[node] -= units[svc.class_id][node]
+            placement[svc.request_id] = node
+    return placement
 
 
 def mean(values: Iterable[float]) -> float:

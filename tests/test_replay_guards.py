@@ -4,16 +4,24 @@ protocol work bounded by the requests' reaches.
 Each hash covers a run's full event log or its JSON report row, so any
 change to an event, its order or a reported figure shows.  A change meant
 to keep behaviour as it is must keep every hash; one that changes
-behaviour on purpose records new hashes and says why.
+behaviour on purpose records new hashes and says why.  The manifest,
+``replay_digests.txt`` beside this file, holds the digest line of every
+run ``tools/replay_digests.py`` covers; re-record it with that script.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
+import edgeplace
 from edgeplace import harness, model, protocol, scenarios, simnet
+
+MANIFEST = Path(__file__).with_name("replay_digests.txt")
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay_digests.py"
 
 LANES = ("dapp", "ffit", "bupu", "cpvnf", "multiscaler")
 
@@ -106,6 +114,60 @@ def test_small_churn_replays_byte_for_byte(small_churn) -> None:
     assert any(" f-scan " in line for line in result.event_log)
     assert any(" depart " in line for line in result.event_log)
     assert _hashes(small_churn.name, "dapp", result) == CHURN_HASHES
+
+
+def _moved(recorded: list[str], rebuilt: list[str]) -> list[str]:
+    """Every run whose digest line differs between the two listings, named
+    by its label and lane (or algorithm), with its old and new verdict (or
+    answer); a run that one side lacks reads ``absent`` there."""
+
+    def runs(lines: list[str]) -> dict[str, list[str]]:
+        return {" ".join(line.split()[:2]): line.split()[2:] for line in lines}
+
+    old, new = runs(recorded), runs(rebuilt)
+    return [
+        f"{run}: {old[run][0] if run in old else 'absent'}"
+        f" -> {new[run][0] if run in new else 'absent'}"
+        for run in dict.fromkeys([*old, *new])
+        if old.get(run) != new.get(run)
+    ]
+
+
+def test_moved_runs_are_named_with_both_verdicts() -> None:
+    recorded = ["a ffit ok 1 2", "b dapp ok 3 4", "c exact 7", "d bupu ok 5 6"]
+    rebuilt = ["a ffit ok 1 2", "b dapp infeasible 3 9", "c exact 8", "e ffit ok 5 6"]
+    assert _moved(recorded, rebuilt) == [
+        "b dapp: ok -> infeasible",
+        "c exact: 7 -> 8",
+        "d bupu: ok -> absent",
+        "e ffit: absent -> ok",
+    ]
+
+
+def test_every_covered_run_matches_the_digest_manifest() -> None:
+    # The lines come from the function that prints the tool's, so the two
+    # cannot drift apart.
+    spec = importlib.util.spec_from_file_location("replay_digests", TOOL)
+    assert spec is not None and spec.loader is not None
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    recorded = MANIFEST.read_text().splitlines()
+    rebuilt = list(tool.digest_lines(edgeplace))
+    moved = _moved(recorded, rebuilt)
+    assert not moved, "runs that moved:\n" + "\n".join(moved)
+    assert rebuilt == recorded
+
+
+def test_the_pinned_hashes_are_manifest_lines() -> None:
+    # The constants above pin six of the manifest's runs, for a fast first
+    # signal; they must say what the manifest says.
+    hashes = {
+        " ".join(line.split()[:2]): tuple(line.split()[-2:])
+        for line in MANIFEST.read_text().splitlines()
+    }
+    for lane, pinned in BURST_HASHES.items():
+        assert hashes[f"burst-1000 {lane}"] == pinned
+    assert hashes["churn-300 dapp"] == CHURN_HASHES
 
 
 def _count_record_comparisons(monkeypatch, scenario: scenarios.Scenario) -> int:

@@ -54,6 +54,7 @@ from edgeplace.simnet import (
     message_bits,
     overhead_per_request,
 )
+from edgeplace import baselines
 from edgeplace.baselines import exact_optimal, first_fit
 from edgeplace.scenarios import (
     Scenario,
@@ -66,7 +67,15 @@ from edgeplace.scenarios import (
 )
 from edgeplace.harness import ALGO_CHOICES, build_simulator, run_scenario
 
-from .oracles import child_towards, subtree_count_order, wire_bits
+from .oracles import (
+    child_towards,
+    subtree_count_order,
+    tuple_key_availability_scaler,
+    tuple_key_bottom_up_push_up,
+    tuple_key_cheapest_feasible,
+    tuple_key_first_fit,
+    wire_bits,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1681,6 +1690,67 @@ def test_reach_length_ranks_like_the_subtree_count(scenario: Scenario) -> None:
         run_scenario(scenario, "dapp")
     finally:
         ProtocolNode._sorted = ranked  # type: ignore[method-assign]
+
+
+#: lane -> the oracle that orders its services by the lane's full tuple key
+TUPLE_KEY_ORACLES = {
+    "ffit": tuple_key_first_fit,
+    "bupu": tuple_key_bottom_up_push_up,
+    "cpvnf": tuple_key_cheapest_feasible,
+    "multiscaler": tuple_key_availability_scaler,
+}
+
+
+def _check_against_tuple_key(scenario: Scenario, lane: str) -> int:
+    """Run ``lane`` with every epoch's placement checked against its
+    oracle; returns how many epochs were checked."""
+    algorithm, oracle = baselines.ALGORITHMS[lane], TUPLE_KEY_ORACLES[lane]
+    epochs = 0
+
+    def checked(problem: EpochProblem) -> EpochDecision:
+        nonlocal epochs
+        decision = algorithm(problem)
+        assert dict(decision.placement) == oracle(problem)
+        epochs += 1
+        return decision
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(baselines.ALGORITHMS, lane, checked)
+        run_scenario(scenario, lane)
+    return epochs
+
+
+@pytest.mark.parametrize("lane", sorted(TUPLE_KEY_ORACLES))
+@settings(max_examples=100, deadline=None)
+@given(scenario=_random_world(moves=True))
+def test_one_key_sorts_place_as_the_tuple_keys_do(
+    lane: str, scenario: Scenario
+) -> None:
+    # A lane sorts the problem's request-id-ordered services stably by one
+    # key; its oracle takes them in reverse and sorts by the key with the
+    # request id last.  Moves leave relocating services with a host.
+    _check_against_tuple_key(scenario, lane)
+
+
+@pytest.mark.parametrize("lane", sorted(TUPLE_KEY_ORACLES))
+def test_one_key_sorts_place_as_the_tuple_keys_do_under_churn(lane: str) -> None:
+    assert _check_against_tuple_key(_churn_scenario(1), lane) > 0
+
+
+def test_an_epoch_problem_refuses_services_out_of_request_id_order() -> None:
+    topology = build_tree(levels=2, arity=2, leaf_capacity=4)
+    classes = {0: ServiceClass(0, "c0", 1.0, {0: 1, 1: 1})}
+    costs = CostModel(migration_cost={0: 1.0}, placement_cost={0: {0: 1.0, 1: 1.0}})
+    reach = tuple(topology.path_to_root(topology.leaves[0]))
+
+    def svc(rid: int) -> ActiveService:
+        return ActiveService(rid, 0, reach[0], reach, None, True)
+
+    assert EpochProblem(topology, classes, costs, (svc(2), svc(5), svc(9))).services
+    for ids, pair in (((2, 5, 5), "r5 before r5"), ((2, 7, 5, 1), "r7 before r5")):
+        with pytest.raises(ValueError) as err:
+            EpochProblem(topology, classes, costs, tuple(map(svc, ids)))
+        assert str(err.value) == f"services out of request-id order: {pair}"
 
 
 def _check_routing(scenario: Scenario) -> tuple[int, int]:

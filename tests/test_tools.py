@@ -117,6 +117,16 @@ def test_ab_cpu_prints_each_search_beside_the_sum() -> None:
         assert 0 <= run["b_wins"] <= 2 and run["median_ratio"] > 0
         assert 0 <= run["a_gc_s"] < run["a_median"]
         assert 0 <= run["b_gc_s"] < run["b_median"]
+        for side in ("a_collections", "b_collections"):
+            assert list(run[side]) == ["young", "gen1", "full"]
+            assert all(n >= 0 for n in run[side].values())
+    # a side's collections in a pass are those of its runs and searches
+    for side in ("a", "b"):
+        total = report[side]["collections"]
+        assert list(total) == ["young", "gen1", "full"]
+        for generation, n in total.items():
+            by_run = sum(run[f"{side}_collections"][generation] for run in runs.values())
+            assert n == pytest.approx(by_run)
 
 
 class _Clock:

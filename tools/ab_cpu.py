@@ -26,12 +26,22 @@ the summed median.  Beside them, ``a_gc_s`` and ``b_gc_s`` give the
 collection seconds charged to the run: the thread CPU seconds the cyclic
 collector spent inside it (taken with ``gc.callbacks``, not corrected for
 the clock speed), its mean over the instances of a pass, median over the
-pairs.  An automatic collection falls in whichever run crosses the
-collector's threshold, so a run whose code did not change can read slower
-by a collection it did not cause; its collection seconds tell.  Both
-sides must produce the same outputs (the benchmark's digests); a pair
-that does not stops the script.  Standard library only; the benchmark
-files are only read.
+pairs; and ``a_collections`` and ``b_collections`` count the collections
+charged to the run in a pass, summed over its instances, by generation
+(``young``, ``gen1`` and ``full``), their mean over the pairs.  Each
+side's summary gives the same counts for its whole pass.
+
+An automatic collection falls in whichever run crosses the collector's
+threshold, so a run whose code did not change can read slower by a
+collection it did not cause; its collection seconds and counts tell.
+Both sides share this one process's collector: its thresholds count the
+allocations of both, and a full collection walks the objects both keep
+alive.  So one side's allocations move the other side's collections,
+and a change in what a side allocates must also be confirmed with
+separate ``bench/run.py`` processes, one checkout each.  Both sides must
+produce the same outputs (the benchmark's digests); a pair that does not
+stops the script.  Standard library only; the benchmark files are only
+read.
 """
 
 from __future__ import annotations
@@ -50,6 +60,8 @@ from typing import Any
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 #: as in bench/run.py: dict and set layouts repeat from run to run
 FIXED_ENV = {"PYTHONHASHSEED": "0"}
+#: the collector's generations, youngest first, as the counts name them
+GENERATIONS = ("young", "gen1", "full")
 
 
 def import_from(root: Path) -> Any:
@@ -81,23 +93,29 @@ def cell_name(cell: Any) -> str:
 
 class CollectionMeter:
     """The thread CPU seconds the cyclic collector spends inside each call
-    that ``clock`` times, one figure per call in call order (``taken``).
-    It wraps the clock's ``call`` on the instance and listens on
-    ``gc.callbacks``; a collection outside a timed call is not counted."""
+    that ``clock`` times, one figure per call in call order (``taken``),
+    and the collections it ran there, by generation (``counted``, one
+    list per call, as ``GENERATIONS`` names them).  It wraps the clock's
+    ``call`` on the instance and listens on ``gc.callbacks``; a
+    collection outside a timed call is not counted."""
 
     def __init__(self, clock: Any) -> None:
         self.taken: list[float] = []
+        self.counted: list[list[int]] = []
         self._inside = False
         self._spent = self._started = 0.0
+        self._counts = [0] * len(GENERATIONS)
         timed = clock.call
 
         def call(fn: Any, *args: Any, **kwargs: Any) -> Any:
             self._spent, self._inside = 0.0, True
+            self._counts = [0] * len(GENERATIONS)
             try:
                 return timed(fn, *args, **kwargs)
             finally:
                 self._inside = False
                 self.taken.append(self._spent)
+                self.counted.append(self._counts)
 
         clock.call = call
         gc.callbacks.append(self._on_collection)
@@ -107,28 +125,38 @@ class CollectionMeter:
             self._started = time.thread_time()
         elif self._inside:
             self._spent += time.thread_time() - self._started
+            self._counts[info["generation"]] += 1
 
 
 def one_pass(
     workload: Any, ep: Any, inputs: list[Any], meter: CollectionMeter
-) -> tuple[dict[str, float], dict[str, float], list[Any]]:
+) -> tuple[dict[str, float], dict[str, float], dict[str, list[int]], list[Any]]:
     """CPU seconds of each run or search in one pass over ``inputs``, its
     lower quartile over the instances; the collection seconds charged to
-    each, its mean over the instances; and the outputs' digests."""
+    each, its mean over the instances; the collections charged to each by
+    generation, summed over the instances; and the outputs' digests."""
     cells: dict[str, list[float]] = {}
     collections: dict[str, list[float]] = {}
+    counts: dict[str, list[int]] = {}
     digests = []
     for instance in inputs:
         gc.collect()
         meter.taken.clear()
+        meter.counted.clear()
         out = workload.run_instance(ep, instance)
-        for cell, collected in zip(out, meter.taken, strict=True):
-            cells.setdefault(cell_name(cell), []).append(cell.seconds)
-            collections.setdefault(cell_name(cell), []).append(collected)
+        for cell, collected, counted in zip(
+            out, meter.taken, meter.counted, strict=True
+        ):
+            name = cell_name(cell)
+            cells.setdefault(name, []).append(cell.seconds)
+            collections.setdefault(name, []).append(collected)
+            total = counts.setdefault(name, [0] * len(GENERATIONS))
+            total[:] = map(sum, zip(total, counted))
         digests.append(workload.fingerprint(ep, out))
     return (
         {name: lower_quartile(times) for name, times in cells.items()},
         {name: statistics.fmean(spent) for name, spent in collections.items()},
+        counts,
         digests,
     )
 
@@ -136,6 +164,14 @@ def one_pass(
 def summary(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def counted(passes: list[list[int]]) -> dict[str, float]:
+    """The mean over the pairs of a pass's collections, by generation."""
+    return {
+        generation: statistics.fmean(n)
+        for generation, n in zip(GENERATIONS, zip(*passes), strict=True)
+    }
 
 
 def compared(a: list[float], b: list[float]) -> dict[str, float]:
@@ -147,11 +183,16 @@ def compared(a: list[float], b: list[float]) -> dict[str, float]:
 
 
 def one_run(
-    a: list[float], b: list[float], a_gc: list[float], b_gc: list[float]
-) -> dict[str, float]:
+    a: list[float],
+    b: list[float],
+    a_gc: list[float],
+    b_gc: list[float],
+    a_n: list[list[int]],
+    b_n: list[list[int]],
+) -> dict[str, Any]:
     """One run's or search's figures: each side's lower quartile and
     median over the pairs, ``b``'s wins and median ratio, then each side's
-    median collection seconds."""
+    median collection seconds and mean collections per pass."""
     return {
         "a_q1": lower_quartile(a),
         "b_q1": lower_quartile(b),
@@ -160,6 +201,8 @@ def one_run(
         **compared(a, b),
         "a_gc_s": statistics.median(a_gc),
         "b_gc_s": statistics.median(b_gc),
+        "a_collections": counted(a_n),
+        "b_collections": counted(b_n),
     }
 
 
@@ -195,33 +238,50 @@ def main() -> int:
     runs: dict[str, dict[str, list[float]]] = {"a": {}, "b": {}}
     # side -> run or search -> its collection seconds in each pass
     collected: dict[str, dict[str, list[float]]] = {"a": {}, "b": {}}
+    # side -> run or search -> its collections by generation in each pass
+    collections: dict[str, dict[str, list[list[int]]]] = {"a": {}, "b": {}}
     for pair in range(args.pairs):
         digests = {}
         for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
             ep, inputs = sides[side]
-            taken, spent, digests[side] = one_pass(workload, ep, inputs, meter)
+            taken, spent, n, digests[side] = one_pass(workload, ep, inputs, meter)
             for name, seconds in taken.items():
                 runs[side].setdefault(name, []).append(seconds)
                 collected[side].setdefault(name, []).append(spent[name])
+                collections[side].setdefault(name, []).append(n[name])
         if digests["a"] != digests["b"]:
             print(f"pair {pair}: the two sides' outputs differ", file=sys.stderr)
             return 2
     a = [sum(taken) for taken in zip(*runs["a"].values())]
     b = [sum(taken) for taken in zip(*runs["b"].values())]
+    # each side's collections in each pass, over all its runs or searches
+    passes = {
+        side: [list(map(sum, zip(*cells))) for cells in zip(*by_run.values())]
+        for side, by_run in collections.items()
+    }
     print(
         json.dumps(
             {
                 "workload": args.workload,
                 "seed": args.seed,
                 "pairs": args.pairs,
-                "a": {"dir": str(args.a), **summary(a)},
-                "b": {"dir": str(args.b), **summary(b)},
+                "a": {
+                    "dir": str(args.a), **summary(a), "collections": counted(passes["a"])
+                },
+                "b": {
+                    "dir": str(args.b), **summary(b), "collections": counted(passes["b"])
+                },
                 **compared(a, b),
                 "a_s": a,
                 "b_s": b,
                 "per_run": {
                     name: one_run(
-                        ra, runs["b"][name], collected["a"][name], collected["b"][name]
+                        ra,
+                        runs["b"][name],
+                        collected["a"][name],
+                        collected["b"][name],
+                        collections["a"][name],
+                        collections["b"][name],
                     )
                     for name, ra in runs["a"].items()
                 },

@@ -30,6 +30,11 @@ seed 1), and for 60 ``jitter`` users on a binary 6-level tree at share
 0.5, at seed 1.  The package is imported from
 ``--src`` (default: this checkout's ``src``).  Standard library only; the
 package does not import this script.
+
+``tests/replay_digests.txt`` holds this checkout's lines, and a tier-1
+test rebuilds them in-process with :func:`digest_lines`, the function
+behind the printout.  A change that moves a run on purpose re-records the
+file with this script, and its diff names the runs that moved.
 """
 
 from __future__ import annotations
@@ -156,20 +161,11 @@ def min_cpu_line(
     return f"{label} {algo} {answer}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--src",
-        type=Path,
-        default=Path(__file__).resolve().parents[1] / "src",
-        help="directory holding the edgeplace package to replay",
-    )
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    ep = importlib.import_module("edgeplace")
+def digest_lines(ep: Any) -> Iterator[str]:
+    """Every line the script prints, in order, for the package ``ep``."""
     for label, scenario in scenarios(ep):
         for lane in ep.harness.ALGO_CHOICES:
-            print(digest_line(ep, label, scenario, lane), flush=True)
+            yield digest_line(ep, label, scenario, lane)
     for seed in CHURN_SEEDS:
         churn = churn_scenario(
             ep,
@@ -181,13 +177,26 @@ def main(argv: list[str] | None = None) -> int:
             horizon=4.0,
         )
         label = "churn-3000" if seed == 1 else f"churn-3000-s{seed}"
-        print(digest_line(ep, label, churn, "dapp"), flush=True)
+        yield digest_line(ep, label, churn, "dapp")
     for family, seeds, shares, inputs in MIN_CPU_SEARCHES:
         for seed in seeds:
             for algo in MIN_CPU_ALGOS:
                 for p_rt in shares:
-                    line = min_cpu_line(ep, algo, family, seed, p_rt, inputs)
-                    print(line, flush=True)
+                    yield min_cpu_line(ep, algo, family, seed, p_rt, inputs)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src",
+        type=Path,
+        default=Path(__file__).resolve().parents[1] / "src",
+        help="directory holding the edgeplace package to replay",
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    for line in digest_lines(importlib.import_module("edgeplace")):
+        print(line, flush=True)
     return 0
 
 
