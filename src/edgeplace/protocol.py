@@ -293,6 +293,10 @@ class PdSession:
     and on down through the child, and ``hostable`` those this node may
     host (not its own).  No record goes down toward its own origin: the
     open raises on one whose origin lies on its reach below this node.
+    A leaf's ``records`` lack the services it hosts, but for one whose id
+    an offered record has: nothing would read them, as a leaf has no
+    child and a node never hosts its own (see
+    :meth:`ProtocolNode._open_push_down`).
 
     ``received`` are the records the caller offered, with unique ids (an
     offer is built from a dict).  ``hosted_ids`` collects every id hosted
@@ -342,6 +346,8 @@ class ProtocolNode:
             "push_down": (self.level + 1) * timing.push_down_window,
         }
         self.demand = demand  # class id -> CPU units here; absent: not hostable
+        # the fewest units any class needs here; see _hosting_pass
+        self.least_demand = min(demand.values(), default=math.inf)
         # request bookkeeping
         self.assigned: dict[RequestId, int] = {}
         self.placed: dict[RequestId, int] = {}
@@ -640,7 +646,7 @@ class ProtocolNode:
         its parent can still meet the request's delay bound.  The root
         takes nothing."""
         parent = self.parent
-        if parent is None:
+        if parent is None or not backlog:
             return []
         taken = [rec for rec in backlog.values() if parent in rec.feasible]
         for rec in taken:
@@ -827,6 +833,15 @@ class ProtocolNode:
         relocating one has a newer placement in flight).  A later record
         for an id replaces an earlier one in place.
 
+        The open builds a record only where the walk or the acks may read
+        it.  The offered records and the reservations are sorted into
+        ``by_child`` and ``hostable`` first; then each hosted service's
+        offer, never hostable at its own host, goes into ``by_child`` as
+        it is built.  A leaf has no child, so it builds no hosted
+        service's offer and only lists the id, unless an offered record
+        has that id: the offer takes the record's place, and as the
+        record may have been hostable, the records are sorted again.
+
         A record goes to the child its own reach names: when this node is
         the reach's entry at its level, the entry below it.  A record whose
         reach skips this node goes to no child.  That loses nothing, since a
@@ -856,36 +871,27 @@ class ProtocolNode:
                 records[rid] = rec._replace(
                     generation=0, beta_at_initiator=assigned[rid]
                 )
-        cache = self.hosted_offers
-        for rid in sorted(self.placed):
+        by_child, hostable = self._sorted_out(records)
+        served = [rid for rid in sorted(self.placed) if requests[rid].state == "placed"]
+        ids += served
+        if not level:
+            # a leaf has no child to offer its services to: it builds an
+            # offer only where one takes an offered record's place
+            served = [rid for rid in served if rid in records]
+        clash, cache = not records.keys().isdisjoint(served), self.hosted_offers
+        for rid in served:
             view = requests[rid]
-            if view.state != "placed":
-                continue
-            ids.append(rid)
             offer = cache.get(rid)
             if offer is None or offer.feasible != view.feasible:
                 offer = cache[rid] = Record(
-                    request_id=rid,
-                    class_id=view.class_id,
-                    origin=node,
-                    feasible=view.feasible,
-                    current_host=node,
-                    generation=0,
-                    beta_at_initiator=self.placed[rid],
+                    rid, view.class_id, node, view.feasible, node, 0, self.placed[rid]
                 )
             records[rid] = offer
-        by_child: dict[DatacenterId, list[Record]] = {}
-        hostable: list[Record] = []
-        for rec in records.values():
-            origin, reach = rec.origin, rec.feasible
-            if origin != node:
-                hostable.append(rec)
+            reach = offer.feasible
             if 0 < level < len(reach) and reach[level] == node:
-                if origin != node and origin in reach and reach.index(origin) < level:
-                    raise InvariantError(
-                        f"push-down r{rec.request_id} passes its origin"
-                    )
-                by_child.setdefault(reach[level - 1], []).append(rec)
+                by_child.setdefault(reach[level - 1], []).append(offer)
+        if clash:
+            by_child, hostable = self._sorted_out(records)
         self.enter_f_mode()
         self.pd_session = PdSession(
             initiator=initiator,
@@ -899,10 +905,35 @@ class ProtocolNode:
         )
         return ids
 
+    def _sorted_out(
+        self, records: dict[RequestId, Record]
+    ) -> tuple[dict[DatacenterId, list[Record]], list[Record]]:
+        """``records`` sorted into a session's ``by_child`` and ``hostable``
+        lists, each in ``records``' order (see :class:`PdSession`); raises
+        on a record whose origin lies on its reach below this node."""
+        node, level = self.node_id, self.level
+        by_child: dict[DatacenterId, list[Record]] = {}
+        hostable: list[Record] = []
+        for rec in records.values():
+            origin, reach = rec.origin, rec.feasible
+            if origin != node:
+                hostable.append(rec)
+            if 0 < level < len(reach) and reach[level] == node:
+                if origin != node and origin in reach and reach.index(origin) < level:
+                    raise InvariantError(
+                        f"push-down r{rec.request_id} passes its origin"
+                    )
+                by_child.setdefault(reach[level - 1], []).append(rec)
+        return by_child, hostable
+
     def _hosting_pass(self) -> tuple[list[Record], int]:
         """The open session's records that fit here, in order (own and
-        stale ones skipped), and the deficit left once they are hosted."""
+        stale ones skipped), and the deficit left once they are hosted.
+        With fewer free units than the least any class needs here, none
+        fits, and the pass returns at once, the deficit as it was."""
         session = self.pd_session
+        if self.available < self.least_demand:
+            return [], session.deficit
         # Only capacity that reappears at the initiator counts: moving an
         # unplaced or initiator-held service away from there shrinks the
         # deficit; shuffling a relay's own services does not.
@@ -1003,10 +1034,10 @@ class ProtocolNode:
             if rec.origin is None:
                 self.not_assigned.pop(rec.request_id, None)
         if session.caller is not None:
-            payload = tuple(
+            payload = tuple([
                 (rec, rec.request_id in session.hosted_ids)
                 for rec in session.received
-            )
+            ])
             self.world.log(
                 self.node_id,
                 "pd ack -> s%d deficit=%d hosted=[%s]",

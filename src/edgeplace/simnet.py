@@ -41,11 +41,11 @@ probe record nothing.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from heapq import heappop, heappush
 from operator import attrgetter, ge, itemgetter
 from pathlib import Path
 from typing import (
@@ -123,6 +123,7 @@ _PD_DEMAND_BITS = 5
 # its feasible list, a node id per entry.
 _RECORD_FIXED_BITS = _REQUEST_ID_BITS + _CLASS_ID_BITS + 2 * _NODE_ID_BITS
 _feasible = attrgetter("feasible")
+_WIRE_TYPES = frozenset({SfsMsg, PuMsg, PuAckMsg, PdRequestMsg, PdAckMsg})
 
 
 def _records_bits(records: Sequence[Record], per_record: int) -> int:
@@ -134,19 +135,24 @@ def _records_bits(records: Sequence[Record], per_record: int) -> int:
 
 
 def message_bits(msg: ProtocolMsg) -> int:
-    """Size of a protocol message on the wire, in bits."""
-    if isinstance(msg, (SfsMsg, PuMsg)):
+    """Size of a protocol message on the wire, in bits.  The message's
+    exact type picks its layout; a subclass is sized as the message type
+    it extends."""
+    kind = type(msg)
+    if kind not in _WIRE_TYPES:
+        kind = next((base for base in kind.__mro__ if base in _WIRE_TYPES), kind)
+    if kind is SfsMsg or kind is PuMsg:
         return _HEADER_BITS + _records_bits(msg.records, 0)
-    if isinstance(msg, PuAckMsg):
+    if kind is PuAckMsg:
         return _HEADER_BITS + len(msg.acks) * (_REQUEST_ID_BITS + _STATUS_BITS)
-    if isinstance(msg, PdRequestMsg):
+    if kind is PdRequestMsg:
         return (
             _HEADER_BITS
             + _NODE_ID_BITS
             + _DEFICIT_BITS
             + _records_bits(msg.records, _PD_DEMAND_BITS)
         )
-    if isinstance(msg, PdAckMsg):
+    if kind is PdAckMsg:
         return (
             _HEADER_BITS
             + _NODE_ID_BITS
@@ -699,6 +705,9 @@ class Simulator:
         return self._now
 
     def send(self, src: DatacenterId, dst: DatacenterId, msg: ProtocolMsg) -> None:
+        """Meter ``msg`` on the link from ``src`` to ``dst`` and schedule its
+        delivery to ``dst``'s ``on_message``, pushing the heap entry here
+        (see :meth:`_schedule`)."""
         bits = message_bits(msg)
         kind = type(msg).__name__
         messages, bits_by_kind = self.counters.messages, self.counters.bits
@@ -709,11 +718,14 @@ class Simulator:
         # a link never decrease, and equal ones run in send order (by heap
         # sequence number).  Delivery is FIFO by construction.
         busy_until, key = self._busy_until, (src, dst)
-        start = max(self._now, busy_until.get(key, 0.0))
+        start = busy_until.get(key, 0.0)
+        if start < self._now:
+            start = self._now
         departure = busy_until[key] = start + bits / self.link.capacity_bps
         arrival = departure + self.link.propagation
         self.log(src, "send %s -> s%d bits=%d", kind, dst, bits)
-        self._schedule(arrival, self.nodes[dst].on_message, (src, msg))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (arrival, seq, self.nodes[dst].on_message, (src, msg)))
 
     def commit_placement(self, request_id: RequestId, node: DatacenterId) -> None:
         """Record a placement (and thus any migration) that, in the
@@ -785,7 +797,10 @@ class Simulator:
                 self.nodes[node].notify_gone(request_id)
 
     def arm_timer(self, node: DatacenterId, kind: str, deadline: float) -> None:
-        self._schedule(deadline, self.nodes[node].on_timer, (kind,))
+        """Schedule ``node``'s ``on_timer(kind)`` at ``deadline``, pushing
+        the heap entry here (see :meth:`_schedule`)."""
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (deadline, seq, self.nodes[node].on_timer, (kind,)))
 
     def note_push_down(self) -> None:
         self.counters.push_downs += 1
@@ -798,10 +813,13 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def _schedule(self, time: float, handler: Callable[..., None], args: tuple) -> None:
-        """Run ``handler(*args)`` at ``time``.  A node's handler is looked up
-        here, so a method replaced on its class is the one that runs."""
+        """Run ``handler(*args)`` at ``time``: an epoch.  :meth:`send` and
+        :meth:`arm_timer` push their entries onto the heap themselves, each
+        the same ``(time, sequence, handler, args)``, and look the node's
+        handler up as they do, so a method replaced on its class is the
+        one that runs."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, handler, args))
+        heappush(self._heap, (time, self._seq, handler, args))
 
     # -- trace ingestion ----------------------------------------------------
 
@@ -842,8 +860,8 @@ class Simulator:
         if req.state not in ACTIVE_STATES:
             return
         feasible = self._feasible_for(poa, req.class_id)
-        req.poa, req.feasible = poa, feasible
-        req.reached += tuple(n for n in feasible if n not in req.reached)
+        req.poa, req.feasible, reached = poa, feasible, req.reached
+        req.reached = reached + tuple([n for n in feasible if n not in reached])
         self.log(poa, "move r%d", user)
         if req.state in _HOSTED and req.host in feasible:
             if req.state == "relocating":
@@ -1023,7 +1041,7 @@ class Simulator:
                 counters.events += 1
                 handlers[kind](user, poa, class_id)
             else:
-                time, _seq, handler, args = heapq.heappop(heap)
+                time, _seq, handler, args = heappop(heap)
                 self._now = time
                 counters.events += 1
                 handler(*args)

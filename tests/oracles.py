@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from edgeplace.model import InvariantError, Topology
 from edgeplace.protocol import (
@@ -98,6 +98,57 @@ def push_down_offer(records: Iterable[Record], node: int, child: int) -> list[Re
     """The records a push-down at ``node`` offers ``child``, in order:
     each one whose reach holds both ``node`` and ``child``."""
     return [r for r in records if node in r.feasible and child in r.feasible]
+
+
+def full_push_down_open(
+    node: Any, offered: Sequence[Record]
+) -> tuple[list[int], dict[int, Record], dict[int, list[Record]], list[Record]]:
+    """What a push-down open at ``node`` (a ``ProtocolNode``) builds over
+    ``offered``, the way the open first did it, every record built anew:
+    the request ids for the log, the session's records, ``by_child`` and
+    ``hostable``.
+
+    The records are the offered ones, then the node's stalled
+    reservations (adverts it holds, of its own origin, that no push-up
+    above still owes an answer), then every service it hosts that is
+    still served, each later one for an id taking the earlier one's
+    place.  Only then are they sorted, in order: a record not of the
+    node's own origin is hostable, and one whose reach holds the node
+    above level 0 goes to the entry below it, unless its origin lies
+    below the node, which raises."""
+    here, level = node.node_id, node.level
+    records = {rec.request_id: rec for rec in offered}
+    ids = [rec.request_id for rec in offered]
+    for rid, rec in node.push_up.items():
+        if rec.origin == here and rid not in node.outstanding_pu:
+            ids.append(rid)
+            records[rid] = rec._replace(
+                generation=0, beta_at_initiator=node.assigned[rid]
+            )
+    for rid in sorted(node.placed):
+        view = node.requests[rid]
+        if view.state == "placed":
+            ids.append(rid)
+            records[rid] = Record(
+                request_id=rid,
+                class_id=view.class_id,
+                origin=here,
+                feasible=view.feasible,
+                current_host=here,
+                generation=0,
+                beta_at_initiator=node.placed[rid],
+            )
+    by_child: dict[int, list[Record]] = {}
+    hostable: list[Record] = []
+    for rec in records.values():
+        origin, reach = rec.origin, rec.feasible
+        if origin != here:
+            hostable.append(rec)
+        if 0 < level < len(reach) and reach[level] == here:
+            if origin != here and origin in reach and reach.index(origin) < level:
+                raise InvariantError(f"push-down r{rec.request_id} passes its origin")
+            by_child.setdefault(reach[level - 1], []).append(rec)
+    return ids, records, by_child, hostable
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from edgeplace.harness import build_simulator
 from edgeplace.scenarios import fig_two_tier_scenario
 from edgeplace.simnet import Simulator, _rids, _snapshot
 
-from .oracles import passes_origin, push_down_offer
+from .oracles import full_push_down_open, passes_origin, push_down_offer
 
 
 class _FakeView(NamedTuple):
@@ -820,6 +820,85 @@ def test_push_down_relevance_agrees_with_a_subtree_scan(data: st.DataObject) -> 
         awaiting = _walk_step(
             node, session, lambda: node.handle_push_down_ack(child, ack)
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_an_open_builds_what_the_full_open_builds_where_the_walk_reads_it(
+    data: st.DataObject,
+) -> None:
+    """A push-down open at any node, leaf or inner, over offered records,
+    the node's own reservations and its tenants, agrees with the oracle
+    that builds every record: the ids it logs, ``hostable``, ``by_child``
+    and each session record the walk and the acks read, which are those
+    of ``hostable`` and ``by_child``.  Request ids come from one small
+    pool, so an offered id may also be one the node hosts; a tenant may
+    be relocating; and a tenant's cached offer may be current or built
+    for a reach its user has since left.  No offered record's origin lies
+    below the node: the caller's own open refuses to offer one."""
+    topology = data.draw(_pruned_tree())
+    world = FakeWorld(topology)
+    node = make_node(world, data.draw(st.sampled_from(topology.nodes)))
+    ids = st.integers(0, 11)
+
+    def reach() -> tuple[int, ...]:
+        path = topology.path_to_root(data.draw(st.sampled_from(topology.leaves)))
+        return path[: data.draw(st.integers(1, len(path)))]
+
+    origins = st.sampled_from([None, None, *topology.nodes])
+    offered = {}
+    for rid in data.draw(st.lists(ids, max_size=6, unique=True)):
+        offer = pd_rec(rid, reach(), 2, origin=data.draw(origins))
+        if not passes_origin(topology, node.node_id, offer):
+            offered[rid] = offer
+    for rid in data.draw(st.lists(ids, max_size=3, unique=True)):
+        node.push_up[rid] = rec(rid, reach(), origin=node.node_id)
+        node.assigned[rid] = 2
+        if data.draw(st.booleans()):
+            node.outstanding_pu.add(rid)
+    for rid in data.draw(st.lists(ids, max_size=6, unique=True)):
+        if rid in node.assigned:
+            continue
+        feasible = reach()
+        node.placed[rid] = 2
+        world.views[rid] = Request(rid, 0, feasible[0], feasible)
+        world.placed_set.add(rid)
+        if data.draw(st.booleans()):
+            world.relocating_set.add(rid)
+        cached = data.draw(st.sampled_from(["none", "current", "stale"]))
+        if cached != "none":
+            seen = feasible if cached == "current" else reach()
+            offer = pd_rec(rid, seen, 2, origin=node.node_id, current_host=node.node_id)
+            node.hosted_offers[rid] = offer
+    want_ids, want_records, want_by_child, want_hostable = full_push_down_open(
+        node, list(offered.values())
+    )
+    got_ids = node._open_push_down(list(offered.values()), topology.root, None, 9)
+    session = node.pd_session
+    assert session is not None
+    assert got_ids == want_ids
+    assert session.hostable == want_hostable
+    assert session.by_child == want_by_child
+    read = want_hostable + [r for recs in want_by_child.values() for r in recs]
+    assert [session.records[r.request_id] for r in read] == read
+    # the session holds the full open's records, in order, less the
+    # tenants a leaf has no child to offer and no offered record to replace
+    kept = [(rid, r) for rid, r in want_records.items() if rid in session.records]
+    assert list(session.records.items()) == kept
+    dropped = set(want_records) - set(session.records)
+    assert node.level == 0 or not dropped
+    assert all(want_records[rid].current_host == node.node_id for rid in dropped)
+
+
+def test_a_hosting_pass_needs_free_units_of_the_least_demand() -> None:
+    world = FakeWorld(three_level())
+    node = make_node(world, 1, demand={0: 3, 1: 2})
+    offers = (pd_rec(8, (3, 1, 0), 4), pd_rec(9, (3, 1, 0), 4, class_id=1))
+    node._open_push_down(list(offers), 0, 0, 5, offers)
+    node.available = 1  # one unit below the least demand here
+    assert node._hosting_pass() == ([], 5)
+    node.available = 2  # r8 needs three units, r9 two
+    assert node._hosting_pass() == ([offers[1]], 1)
 
 
 def test_a_leaf_lists_its_own_services_by_id_and_hosts_only_offers() -> None:

@@ -197,6 +197,14 @@ def test_message_bits_refuses_an_unknown_message() -> None:
         message_bits(object())
 
 
+def test_message_bits_sizes_a_subclass_as_the_message_it_extends() -> None:
+    class Tagged(PdRequestMsg):
+        pass
+
+    pd = Record(1, 0, None, (3,), beta_at_initiator=2)
+    assert message_bits(Tagged(initiator=0, deficit=4, records=(pd,))) == 167
+
+
 def test_message_bits_matches_field_sum_oracle() -> None:
     rng = random.Random(3)
 
@@ -1538,8 +1546,16 @@ def test_cached_offers_equal_offers_built_afresh(monkeypatch) -> None:
         afresh = _offers_built_afresh(self)
         ids = open_push_down(self, *args)
         records = self.pd_session.records
-        assert [records[r.request_id] for r in afresh] == afresh
-        for rec in afresh:
+        built = [rec for rec in afresh if rec.request_id in records]
+        assert [records[r.request_id] for r in built] == built
+        tenants = [rec.request_id for rec in afresh if rec.current_host == self.node_id]
+        if self.level:
+            assert built == afresh
+        else:
+            # a leaf builds no tenant's offer that it has no child to give,
+            # but lists every tenant by id, last and in order
+            assert ids[len(ids) - len(tenants) :] == tenants
+        for rec in built:
             if rec.current_host == self.node_id:
                 hosted += 1
                 reused += before.get(rec.request_id) is records[rec.request_id]

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under ``tools/``, which compare two checkouts
 for byte-identical replays (``replay_digests.py``) and for CPU time, summed
-and per run with its collection seconds (``ab_cpu.py``), count code lines
+and per run with its collection seconds (``ab_cpu.py``), time a run's
+events by category (``event_costs.py``), count code lines
 (``code_lines.py``) and list the package lines no test runs
 (``line_census.py``)."""
 
@@ -174,3 +175,40 @@ def test_line_census_lists_the_lines_one_test_module_leaves_unrun() -> None:
         "edgeplace/protocol.py",
         "edgeplace/simnet.py",
     ]
+
+
+def test_event_costs_charges_each_event_of_a_run_to_one_category(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    tool = _load_tool("event_costs", monkeypatch)
+    topology, classes, costs, rtt = edgeplace.scenarios.default_profile(
+        leaf_capacity=1200, levels=4
+    )
+    trace = edgeplace.scenarios.synthesize_trace(
+        topology, seed=1, users=200, p_rt=0.5, burst=False, arrival_rate=400.0,
+        hold_mean=2.0, move_period=0.5, horizon=2.0,
+    )
+    scenario = edgeplace.scenarios.Scenario(
+        name="churn-1", topology=topology, classes=classes, costs=costs,
+        rtt_by_level=rtt, trace=trace,
+    )
+    node = edgeplace.protocol.ProtocolNode
+    handlers = (node.on_timer, node.on_message)
+    meter, seconds, (result,) = tool.one_pass(edgeplace, [scenario])
+    assert (node.on_timer, node.on_message) == handlers  # put back
+    counts, counters = meter.counts, result.counters
+    assert counters.push_downs > 0
+    assert sum(counts.values()) == counters.events
+    messages = {
+        name.removeprefix("message "): n
+        for name, n in counts.items()
+        if name.startswith("message ")
+    }
+    assert messages == counters.messages
+    for kind in ("arrive", "move", "depart"):
+        assert counts[f"trace {kind}"] == sum(ev.kind == kind for ev in trace) > 0
+    assert {name for name in counts if name.startswith("timer ")} == {
+        "timer scan", "timer push_down"
+    }
+    assert set(meter.seconds) == set(counts)
+    assert 0 < sum(meter.seconds.values()) <= seconds
